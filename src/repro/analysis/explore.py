@@ -7,9 +7,8 @@ Two complementary drivers over the same harness, both engine-agnostic:
   a barrier) against one coherence engine, at simulator-event
   granularity: at each state the nondeterministic choices are "thread i
   issues its next operation now" and "deliver the next queued event".
-  States are canonicalized (``Protocol.phase_state`` plus the pending
-  event queue, TLBs, the hardware line directory, interconnect
-  reservations, and the happens-before bookkeeping) and deduped, so the
+  States are canonicalized (``Runtime.snapshot`` plus the pending event
+  queue and the happens-before bookkeeping) and deduped, so the
   search walks the state *graph*, breadth-first — the first violation
   found is a minimum-length schedule.  Every reachable state is checked
   against the engine's :class:`~repro.core.engine.ArcRules` (including
@@ -42,7 +41,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import enum
-import hashlib
 import sys
 from collections import deque
 from dataclasses import dataclass, field
@@ -57,8 +55,8 @@ from repro.core.engine import engine_names
 from repro.core.messages import ProtocolMessage
 from repro.core.page import HomePage, PageFrame
 from repro.params import WORD_BYTES, MachineConfig, NetworkConfig
-from repro.runtime.replay import PhaseRecorder, array_digest
 from repro.runtime.runner import Runtime
+from repro.sim.snapshot import array_digest, digest
 from repro.trace import ProtocolTracer
 
 __all__ = [
@@ -168,8 +166,8 @@ def inflight_messages(rt: Runtime) -> tuple[ProtocolMessage, ...]:
     the queue is always intact when this runs).
     """
     out: list[ProtocolMessage] = []
-    for entry in sorted(rt.sim._heap):
-        _find_messages(entry[3], out)
+    for _time, _fn, args in rt.sim.pending_events():
+        _find_messages(args, out)
     return tuple(out)
 
 
@@ -382,6 +380,12 @@ class _Harness:
         else:
             self.rt.sim.step()
             self.events += 1
+        # Harness threads are always blocked from the machine's point of
+        # view, so handler cycles never delay them: drain the stolen
+        # cycles as Runtime._discard_stolen does for a blocked thread.
+        machine = self.rt.machine
+        for pid in range(len(machine.processors)):
+            machine.take_stolen(pid)
         if check:
             self.run_checks()
 
@@ -604,51 +608,28 @@ class _Harness:
 
     # -- canonical state -------------------------------------------------
 
-    def state_key(self) -> bytes:
+    def state_key(self) -> str:
+        """Harness state, the machine snapshot at ``now``, and the
+        pending events with txn ids renumbered by first appearance
+        (open transactions first, in txn order)."""
         rt = self.rt
         now = rt.sim.now
         canon = _Canon(rt.protocol)
-        bus = rt.protocol.bus
-        txns = tuple(
-            (canon.txn(txn), rec.kind, rec.pid, rec.vpn, rec.note)
-            for txn, rec in bus.open_txns.items()
-        )
+        for txn in rt.protocol.bus.open_txns:
+            canon.txn(txn)
         events = tuple(
-            (entry[0] - now, canon.obj(entry[2]), canon.obj(entry[3]))
-            for entry in sorted(rt.sim._heap)
+            (time - now, canon.obj(fn), canon.obj(args))
+            for time, fn, args in rt.sim.pending_events()
         )
-        cache_state = tuple(
-            tuple(
-                sorted(
-                    (line, s[0], tuple(sorted(s[1])))
-                    for line, s in directory.items()
-                )
-            )
-            for directory in rt.cache._lines
-        )
-        state = (
+        harness = (
             tuple((t.pc, t.status, t.refaults) for t in self.threads),
             self.lock_holder,
             tuple(self.lock_queue),
             tuple(self.barrier_arrived),
             self.barrier_episode,
             self.mem.state(),
-            canon.obj(rt.protocol.phase_state()),
-            tuple(
-                tuple(sorted(tlb._entries.items()))
-                for tlb in rt.protocol.tlbs
-            ),
-            cache_state,
-            tuple(
-                max(0, p.handler_free_at - now)
-                for p in rt.machine.processors
-            ),
-            PhaseRecorder._net_state(rt.machine.external, now),
-            PhaseRecorder._net_state(rt.machine.internal, now),
-            txns,
-            events,
         )
-        return hashlib.blake2b(repr(state).encode(), digest_size=16).digest()
+        return digest((harness, rt.snapshot(now), events))
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +705,7 @@ def explore(
         root.run_checks()
     except AssertionError as e:
         return _violation_report(cfg, mutation, (), root, e, 1, 0)
-    seen: set[bytes] = {root.state_key()}
+    seen: set[str] = {root.state_key()}
     frontier: deque[tuple] = deque([()])
     edges = 0
     truncated = False

@@ -105,7 +105,7 @@ CACHE_SCHEMA = 1
 #: bump when the replay-record payload layout or the replay context key
 #: preimage changes incompatibly (entries from older schemas then decode
 #: as misses and are overwritten by fresh recordings)
-REPLAY_SCHEMA = 1
+REPLAY_SCHEMA = 2
 
 DEFAULT_CACHE_DIR = ".repro_cache"
 
@@ -305,7 +305,8 @@ def app_run_to_dict(run) -> dict:
     """JSON form of an :class:`~repro.apps.common.AppRun`."""
     return {
         "name": run.name,
-        "valid": run.valid,
+        # bool(): apps may compute it as a numpy.bool_ (Barnes-Hut does)
+        "valid": bool(run.valid),
         "max_error": run.max_error,
         "aux": json.loads(canonical_json(run.aux)),
         "result": run_result_to_dict(run.result),

@@ -215,6 +215,14 @@ class MessageBus:
         for tap in self._txn_taps:
             tap("end", rec)
 
+    def state(self) -> tuple:
+        """Open transactions in txn (= insertion) order, without their
+        raw ids: a global counter, so equal states may differ in ids."""
+        return tuple(
+            (rec.kind, rec.pid, rec.vpn, rec.note)
+            for rec in self.open_txns.values()
+        )
+
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------

@@ -32,6 +32,7 @@ import numpy as np
 from repro.core.bus import MessageBus
 from repro.core.page import HomePage
 from repro.params import WORD_BYTES, CostModel, MachineConfig, ProtocolOptions
+from repro.sim.snapshot import array_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hw import CacheSystem
@@ -276,11 +277,12 @@ class Protocol:
     def phase_state(self):
         """Digestible summary of every behavior-bearing engine state.
 
-        The phase-replay engine hashes this (together with the runtime's
-        own state: TLBs, hardware directory, locks, barrier, handler
-        occupancy) at every phase boundary; a repeated digest whose
+        This is the engine's part of
+        :meth:`repro.runtime.runner.Runtime.snapshot`, which phase
+        replay hashes at every phase boundary (a repeated digest whose
         recorded phase left the digest unchanged is applied in closed
-        form instead of re-executed.  The contract:
+        form instead of re-executed) and the model checker hashes at
+        every explored state.  The contract:
 
         * include everything that can influence *future* timing or data
           — frame/home metadata, page contents, per-processor queues;
@@ -304,8 +306,6 @@ class Protocol:
 
     def _phase_frames_state(self, frames: list[dict]) -> tuple:
         """Digest helper: one entry per live :class:`PageFrame`."""
-        from repro.runtime.replay import array_digest
-
         out = []
         for d in frames:
             out.append(
@@ -333,8 +333,6 @@ class Protocol:
 
     def _phase_homes_state(self) -> tuple:
         """Digest helper: one entry per instantiated :class:`HomePage`."""
-        from repro.runtime.replay import array_digest
-
         return tuple(
             (
                 vpn,

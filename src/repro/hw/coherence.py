@@ -44,7 +44,10 @@ from __future__ import annotations
 import enum
 from collections import Counter
 
+import numpy as np
+
 from repro.params import CostModel, MachineConfig
+from repro.sim.snapshot import array_digest
 
 __all__ = ["AccessClass", "CacheSystem"]
 
@@ -378,6 +381,27 @@ class CacheSystem:
             if directory.pop(line, None) is not None:
                 present += 1
         return present
+
+    def state(self) -> tuple:
+        """Per cluster, the ``(line, owner, sharer-mask)`` stream sorted
+        by line: the largest piece of machine state, so hashed through
+        numpy when the masks fit int64 (always, at the paper's sizes)."""
+        numeric = self.config.total_processors <= 60
+        out = []
+        for directory in self._lines:
+            flat = []
+            extend = flat.extend
+            for line, (owner, sharers) in directory.items():
+                mask = 0
+                for p in sharers:
+                    mask |= 1 << p
+                extend((line, owner, mask))
+            if numeric:
+                rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
+                out.append(array_digest(rows[rows[:, 0].argsort()]))
+            else:
+                out.append(tuple(sorted(zip(flat[::3], flat[1::3], flat[2::3]))))
+        return tuple(out)
 
     def lines_cached(self, cluster: int) -> int:
         """Number of lines with directory state in ``cluster``."""

@@ -61,6 +61,11 @@ class ProcessorState:
     #: messages handled on this processor
     messages_handled: int = 0
 
+    def state(self, base: int) -> tuple:
+        """Handler busy-until (relative to ``base``, clamped) and the
+        stolen cycles the thread has yet to absorb."""
+        return (max(0, self.handler_free_at - base), self.stolen_cycles)
+
 
 @dataclass
 class MessageStats:
@@ -261,6 +266,24 @@ class Machine:
         stolen = proc.stolen_cycles
         proc.stolen_cycles = 0
         return stolen
+
+    def state(self, base: int) -> tuple:
+        """Per-processor handler state plus both networks' reservations,
+        clocks relative to ``base``."""
+        return (
+            tuple(p.state(base) for p in self.processors),
+            self.external.state(base),
+            self.internal.state(base),
+        )
+
+    def set_state(self, base: int, state) -> None:
+        """Inverse of :meth:`state`: re-anchor every clock at ``base``."""
+        procs, external, internal = state
+        for proc, (free, stolen) in zip(self.processors, procs):
+            proc.handler_free_at = base + free
+            proc.stolen_cycles = stolen
+        self.external.set_state(base, external)
+        self.internal.set_state(base, internal)
 
     def network_summary(self) -> dict:
         """Model names plus every ``repro.net`` counter, for export."""

@@ -80,6 +80,14 @@ class Interconnect:
         """Stable stats key of the link a ``src``→``dst`` message uses."""
         return self.name
 
+    def state(self, base: int):
+        """Link reservations relative to ``base``, clamped at zero;
+        ``None`` for stateless models."""
+        return None
+
+    def set_state(self, base: int, state) -> None:
+        """Inverse of :meth:`state`: re-anchor reservations at ``base``."""
+
 
 # ----------------------------------------------------------------------
 # internal (intra-SSMP) models
@@ -167,6 +175,12 @@ class SharedBus(Interconnect):
         self._free_at = start + transfer
         return Transit(start + transfer + self.delay, start - now, "bus")
 
+    def state(self, base: int) -> int:
+        return max(0, self._free_at - base)
+
+    def set_state(self, base: int, state: int) -> None:
+        self._free_at = base + state
+
 
 class SwitchedFabric(Interconnect):
     """A dedicated FIFO link per ordered cluster pair.
@@ -192,6 +206,16 @@ class SwitchedFabric(Interconnect):
 
     def link_name(self, src: int, dst: int) -> str:
         return f"{src}->{dst}"
+
+    def state(self, base: int) -> tuple:
+        """Sorted ``(link, offset)`` pairs of the links busy after ``base``."""
+        return tuple(
+            sorted((k, v - base) for k, v in self._free_at.items() if v > base)
+        )
+
+    def set_state(self, base: int, state) -> None:
+        for key, off in state:  # keys arrive as lists from JSON
+            self._free_at[tuple(key)] = base + off
 
 
 # ----------------------------------------------------------------------

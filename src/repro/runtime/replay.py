@@ -9,13 +9,13 @@ the exact same events, charge the exact same cycles, and land in the
 exact same successor state.  This module makes that observation
 executable:
 
-* :meth:`PhaseRecorder.state_digest` hashes every behavior-bearing piece
-  of machine state at a phase boundary — thread clock skews, TLB
-  mappings, the hardware line directory, lock and barrier state, handler
-  occupancy, interconnect reservations, and the coherence engine's own
-  state via the :meth:`repro.core.engine.Protocol.phase_state` hook
-  (page frames, home directories, page *contents*, per-processor
-  queues).  Engines that do not implement the hook simply never replay.
+* :meth:`PhaseRecorder.state_digest` hashes the phase key together
+  with :meth:`repro.runtime.runner.Runtime.snapshot` at a phase
+  boundary, clock-like values relative to the earliest thread clock
+  (no future event can be scheduled before it, so any value at or
+  before it means "free now").  Engines whose
+  :meth:`repro.core.engine.Protocol.phase_state` returns ``None``
+  simply never replay.
 * The first time a phase executes from a given digest, the recorder
   captures its full effect as a delta: the per-thread cycle-bucket
   advances, the event count, and the change in every statistic the
@@ -27,11 +27,6 @@ executable:
   then a pure time translation: advance every clock by the recorded
   span, add the recorded statistics, and skip the events.  Nothing needs
   to be restored, so nothing can be restored incorrectly.
-
-Clock-like values (handler ``free_at``, interconnect reservations) are
-digested *relative to the phase base time*, clamped at zero: any value
-at or before the base is behaviorally identical to "free now", because
-no future event can be scheduled before the earliest thread clock.
 
 Replay is automatically disabled when fault injection or the reliable
 transport is active (their behavior depends on absolute counters the
@@ -60,18 +55,16 @@ like the run cache).
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import os
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
+from repro.sim.snapshot import digest
 
 if TYPE_CHECKING:
     from repro.runtime.runner import Runtime
 
 __all__ = [
     "PhaseRecorder",
-    "array_digest",
     "record_from_payload",
     "record_to_payload",
     "replay_enabled_default",
@@ -89,11 +82,6 @@ def replay_enabled_default() -> bool:
         "true",
         "yes",
     )
-
-
-def array_digest(arr: np.ndarray) -> bytes:
-    """Fast content hash of a page-sized numpy array."""
-    return hashlib.blake2b(arr.tobytes(), digest_size=16).digest()
 
 
 class _StatCells:
@@ -225,10 +213,8 @@ class _PhaseRecord:
     events: int
     #: simulator clock at phase end, relative to the phase-end base
     now_offset: int
-    #: per-processor handler ``free_at``, relative to phase-end base
-    free_offsets: list[int]
-    #: interconnect reservation offsets (external, internal models)
-    net_offsets: list[Any]
+    #: ``Machine.state`` at phase end, relative to the phase-end base
+    machine: tuple
     #: statistics delta (see :class:`_StatCells`)
     stats: tuple
     #: whether this record was decoded from the persistent replay store
@@ -236,43 +222,21 @@ class _PhaseRecord:
     from_store: bool = False
 
 
-def _net_to_json(offs: Any) -> Any:
-    """JSON encoding of one ``_net_state`` value.
-
-    ``None`` (model exposes no reservations) and plain ints (single
-    shared reservation) pass through; per-link reservation tuples become
-    ``[[key, off], ...]`` with tuple keys listed.
-    """
-    if offs is None or isinstance(offs, int):
-        return offs
-    return [
-        [list(k) if isinstance(k, tuple) else k, off] for k, off in offs
-    ]
-
-
-def _net_from_json(offs: Any) -> Any:
-    if offs is None or isinstance(offs, int):
-        return offs
-    return tuple(
-        (tuple(k) if isinstance(k, list) else k, off) for k, off in offs
-    )
-
-
 def record_to_payload(rec: _PhaseRecord) -> dict:
     """JSON-safe encoding of one :class:`_PhaseRecord`.
 
     Every delta container is JSON-representable as-is except the
-    int-keyed per-page nested dict (keys become decimal strings), the
-    flow 3-tuples (become lists), and interconnect reservation keys
-    (tuples become lists).  ``record_from_payload`` inverts all three.
+    int-keyed per-page nested dict (keys become decimal strings) and
+    the flow 3-tuples (become lists), which ``record_from_payload``
+    inverts; the machine state's tuples become lists, which
+    ``Machine.set_state`` accepts as they are.
     """
     dints, dflats, dnested, dflows, dlats, dcounts = rec.stats
     return {
         "advance": rec.advance,
         "events": rec.events,
         "now_offset": rec.now_offset,
-        "free_offsets": list(rec.free_offsets),
-        "net_offsets": [_net_to_json(o) for o in rec.net_offsets],
+        "machine": rec.machine,
         "stats": {
             "ints": list(dints),
             "flats": [dict(d) for d in dflats],
@@ -316,14 +280,13 @@ def record_from_payload(
             str(k): [int(s) for s in v] for k, v in stats["lats"].items()
         }
         dcounts = [int(v) for v in stats["counts"]]
+        procs, external, internal = payload["machine"]
+        procs = tuple((int(free), int(stolen)) for free, stolen in procs)
         rec = _PhaseRecord(
             advance=int(payload["advance"]),
             events=int(payload["events"]),
             now_offset=int(payload["now_offset"]),
-            free_offsets=[int(v) for v in payload["free_offsets"]],
-            net_offsets=[
-                _net_from_json(o) for o in payload["net_offsets"]
-            ],
+            machine=(procs, external, internal),
             stats=(dints, dflats, dnested, dflows, dlats, dcounts),
             from_store=True,
         )
@@ -333,8 +296,7 @@ def record_from_payload(
         len(rec.stats[0]) != n_ints
         or len(rec.stats[1]) != 4
         or len(rec.stats[5]) != n_counts
-        or len(rec.free_offsets) != n_processors
-        or len(rec.net_offsets) != 2
+        or len(procs) != n_processors
     ):
         return None
     return rec
@@ -393,98 +355,16 @@ class PhaseRecorder:
 
     # -- digest --------------------------------------------------------
 
-    @staticmethod
-    def _net_state(model: Any, base: int) -> Any:
-        """Clamped reservation offsets of one interconnect model."""
-        free = getattr(model, "_free_at", None)
-        if free is None:
-            return None
-        if isinstance(free, dict):
-            return tuple(
-                sorted((k, v - base) for k, v in free.items() if v > base)
-            )
-        return max(0, free - base)
-
     def state_digest(self, phase_key: Any) -> tuple[str, int] | None:
-        """Digest of the current phase-boundary state, or None when the
-        engine opts out; returns ``(digest, base_time)``."""
+        """Digest of ``phase_key`` plus the machine snapshot at the
+        earliest thread clock, or None when the engine opts out;
+        returns ``(digest, base_time)``."""
         rt = self.rt
-        engine_state = rt.protocol.phase_state()
-        if engine_state is None:
+        base = min(t.time for t in rt.threads)
+        snap = rt.snapshot(base)
+        if snap["engine"] is None:
             return None
-        threads = rt.threads
-        base = min(t.time for t in threads)
-        machine = rt.machine
-        # The hardware line directory is by far the largest component
-        # (one entry per cached line), so it gets the cheap encoding:
-        # a flat (line, owner, sharer-bitmask) int stream per cluster —
-        # the bitmask is order-independent, no per-line sort needed —
-        # collapsed to 16 bytes through numpy when the masks fit int64
-        # (they always do at the paper's machine sizes).
-        numeric = rt.config.total_processors <= 60
-        cache_state = []
-        for directory in rt.cache._lines:
-            flat = []
-            extend = flat.extend
-            for line, s in directory.items():
-                mask = 0
-                for p in s[1]:
-                    mask |= 1 << p
-                extend((line, s[0], mask))
-            if numeric:
-                cache_state.append(
-                    array_digest(np.array(flat, dtype=np.int64))
-                )
-            else:
-                cache_state.append(tuple(flat))
-        state = (
-            phase_key,
-            tuple((t.time - base, t.time - t.last_yield) for t in threads),
-            tuple(
-                tuple(
-                    sorted(
-                        (vpn, int(mode))
-                        for vpn, mode in tlb._entries.items()
-                    )
-                )
-                for tlb in rt.protocol.tlbs
-            ),
-            tuple(cache_state),
-            tuple(
-                (
-                    lk.token_cluster,
-                    lk.token_in_transit,
-                    lk.holder,
-                    tuple(len(q) for q in lk._local_q),
-                    tuple(lk._requested),
-                    tuple(lk._home_pending),
-                    lk._handoff_wanted,
-                    lk._handoff_budget,
-                )
-                for lk in rt.locks
-            ),
-            (
-                rt.barrier_obj._combined,
-                tuple(
-                    (c.arrived, len(c.waiters))
-                    for c in rt.barrier_obj._clusters
-                ),
-            ),
-            tuple(
-                (max(0, p.handler_free_at - base), p.stolen_cycles)
-                for p in machine.processors
-            ),
-            (
-                self._net_state(machine.external, base),
-                self._net_state(machine.internal, base),
-            ),
-            len(rt.protocol.bus.open_txns),
-            engine_state,
-        )
-        digest = hashlib.blake2b(
-            repr(state).encode(), digest_size=16
-        ).hexdigest()
-        return digest, base
+        return digest((phase_key, snap)), base
 
     # -- record / replay -----------------------------------------------
 
@@ -514,19 +394,11 @@ class PhaseRecorder:
         """Store the just-executed phase's effect under ``digest``."""
         rt = self.rt
         post_base = min(t.time for t in rt.threads)
-        machine = rt.machine
         rec = _PhaseRecord(
             advance=post_base - pre_base,
             events=events,
             now_offset=rt.sim.now - post_base,
-            free_offsets=[
-                max(0, p.handler_free_at - post_base)
-                for p in machine.processors
-            ],
-            net_offsets=[
-                self._net_state(machine.external, post_base),
-                self._net_state(machine.internal, post_base),
-            ],
+            machine=rt.machine.state(post_base),
             stats=self.cells.delta(pre_snapshot),
         )
         self.records[digest] = rec
@@ -544,19 +416,7 @@ class PhaseRecorder:
             t.last_yield += d
             t.finish_time = t.time
         new_base = min(t.time for t in rt.threads)
-        machine = rt.machine
-        for proc, off in zip(machine.processors, rec.free_offsets):
-            proc.handler_free_at = new_base + off
-        for model, offs in zip(
-            (machine.external, machine.internal), rec.net_offsets
-        ):
-            if offs is None:
-                continue
-            if isinstance(offs, int):
-                model._free_at = new_base + offs
-            else:
-                for key, off in offs:
-                    model._free_at[key] = new_base + off
+        rt.machine.set_state(new_base, rec.machine)
         rt.sim.replay_advance(new_base + rec.now_offset, rec.events)
         self.cells.apply(rec.stats)
         self.replayed += 1

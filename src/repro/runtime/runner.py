@@ -95,10 +95,6 @@ class RunResult:
             out["mgs"] += t.mgs
         return {k: v / n for k, v in out.items()}
 
-    @property
-    def speedup_denominator(self) -> int:
-        return self.total_time
-
 
 class Runtime:
     """One simulated DSSMP execution context."""
@@ -151,7 +147,6 @@ class Runtime:
         self.locks: list[MGSLock] = []
         self.threads: list[ThreadContext] = []
         self.envs: list[Env] = []
-        self._spawned = False
         # Phased execution (spawn_phases): factory producing one fresh
         # generator per (thread, phase), plus the per-phase replay keys.
         self._phase_factory = None
@@ -276,9 +271,7 @@ class Runtime:
         legal replay boundary.  ``spawn_epochs`` exposes exactly that:
         it is :meth:`spawn_phases` under a name that makes the
         epoch-granularity contract explicit, and it shares all of its
-        machinery, digesting the full machine state (thread skews, TLB,
-        line directory, locks, handler/interconnect occupancy, engine
-        pages) at every epoch boundary.
+        machinery, digesting :meth:`snapshot` at every epoch boundary.
 
         An epoch whose execution proves state-idempotent — matmul
         recomputing an identical product, TSP re-walking a settled
@@ -414,6 +407,25 @@ class Runtime:
         if self.sanitizer is not None:
             self.sanitizer.check_quiescent()
         return self._collect_result()
+
+    def snapshot(self, base: int | None = None) -> dict:
+        """Every behaviour-bearing piece of machine state, one entry per
+        component, each reported by the component's own ``state()``
+        (clock-like values relative to ``base``, clamped at zero;
+        statistics and configuration left out).  ``base`` defaults to
+        the earliest thread clock, else the simulator clock."""
+        if base is None:
+            base = min((t.time for t in self.threads), default=self.sim.now)
+        return {
+            "threads": tuple(t.state(base) for t in self.threads),
+            "machine": self.machine.state(base),
+            "tlbs": tuple(tlb.state() for tlb in self.protocol.tlbs),
+            "cache": self.cache.state(),
+            "locks": tuple(lk.state() for lk in self.locks),
+            "barrier": self.barrier_obj.state(),
+            "bus": self.protocol.bus.state(),
+            "engine": self.protocol.phase_state(),
+        }
 
     def _collect_result(self) -> RunResult:
         total = max(t.finish_time for t in self.threads)

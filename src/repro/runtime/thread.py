@@ -18,7 +18,7 @@ Runtime breakdown buckets follow section 5.2.1 of the paper:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator
 
 __all__ = ["ThreadContext"]
@@ -41,7 +41,11 @@ class ThreadContext:
     last_yield: int = 0
     #: scratch for the driver: when the current blocking op started
     block_start: int = 0
-    extra: dict = field(default_factory=dict)
+
+    def state(self, base: int) -> tuple:
+        """Clock skew from ``base`` and quantum progress (see
+        :meth:`repro.runtime.runner.Runtime.snapshot`)."""
+        return (self.time - base, self.time - self.last_yield)
 
     def charge_user(self, cycles: int) -> None:
         self.time += cycles
@@ -50,11 +54,3 @@ class ThreadContext:
     def charge_mgs(self, cycles: int) -> None:
         self.time += cycles
         self.mgs += cycles
-
-    def buckets(self) -> dict[str, int]:
-        return {
-            "user": self.user,
-            "lock": self.lock,
-            "barrier": self.barrier,
-            "mgs": self.mgs,
-        }

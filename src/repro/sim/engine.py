@@ -69,6 +69,13 @@ class Simulator:
         """Number of events waiting in the queue."""
         return len(self._heap) + len(self._due)
 
+    def pending_events(self) -> list[tuple[int, Callable[..., None], tuple[Any, ...]]]:
+        """Queued events as ``(time, fn, args)``, in delivery order."""
+        return [
+            (time, fn, args)
+            for time, _seq, fn, args in sorted([*self._heap, *self._due])
+        ]
+
     def schedule(self, delay: int, fn: Callable[..., None], *args: Any) -> None:
         """Run ``fn(*args)`` after ``delay`` cycles."""
         if delay < 0:

@@ -53,6 +53,10 @@ class TLB:
     def has_write(self, vpn: int) -> bool:
         return self._entries.get(vpn) == MapMode.WRITE
 
+    def state(self) -> tuple:
+        """Mappings as sorted ``(vpn, mode)`` pairs."""
+        return tuple(sorted((vpn, int(mode)) for vpn, mode in self._entries.items()))
+
     def mapped_vpns(self) -> tuple[int, ...]:
         """Snapshot of the currently mapped page numbers.
 

@@ -44,6 +44,13 @@ class TreeBarrier:
         self._combined = 0
         self.episodes = 0
 
+    def state(self) -> tuple:
+        """Combine count at the root and per-SSMP arrivals."""
+        return (
+            self._combined,
+            tuple((c.arrived, len(c.waiters)) for c in self._clusters),
+        )
+
     def _manager(self, cluster: int) -> int:
         return cluster * self.config.cluster_size
 

@@ -81,6 +81,22 @@ class MGSLock:
         #: later local arrivals must wait for the token to come back)
         self._handoff_budget = 0
 
+    def state(self) -> tuple:
+        """Token position, holder, queued waiters and hand-off progress."""
+        return (
+            self.token_cluster,
+            self.token_in_transit,
+            self.holder,
+            tuple(
+                tuple((w.pid, w.local_at_enqueue) for w in q)
+                for q in self._local_q
+            ),
+            tuple(self._requested),
+            tuple(self._home_pending),
+            self._handoff_wanted,
+            self._handoff_budget,
+        )
+
     # ------------------------------------------------------------------
 
     def _manager(self, cluster: int) -> int:

@@ -176,6 +176,30 @@ def test_cached_sweep_matches_uncached(tmp_path):
     assert dataclasses.asdict(rewarmed) == dataclasses.asdict(plain)
 
 
+def test_barnes_hut_sweep_round_trips_through_the_cache(tmp_path):
+    """Barnes-Hut computes ``AppRun.valid`` as a numpy.bool_, which the
+    store must encode as a JSON bool."""
+    from repro.apps import barnes_hut
+
+    def sweep(cache):
+        return run_sweep(
+            barnes_hut,
+            barnes_hut.BarnesHutParams(n_bodies=12, iterations=1),
+            sizes=[1],
+            total_processors=4,
+            cache=cache,
+        )
+
+    cold = RunCache(tmp_path / "c")
+    sweep_cold = sweep(cold)
+    assert cold.stats.stores == len(sweep_cold.points) == 1
+    warm = RunCache(tmp_path / "c")
+    sweep_warm = sweep(warm)
+    assert warm.stats.hits == 1
+    assert warm.stats.misses == 0
+    assert dataclasses.asdict(sweep_warm) == dataclasses.asdict(sweep_cold)
+
+
 def test_incremental_sweep_simulates_only_the_new_point(tmp_path):
     cold = RunCache(tmp_path / "c")
     _sweep(cold, sizes=[1, 2])

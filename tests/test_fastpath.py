@@ -19,25 +19,11 @@ import pytest
 
 from repro.params import WORD_BYTES, MachineConfig
 from repro.runtime import Runtime, fastpath_enabled_default
+from tests.machine_state import run_state
 
 
 def _config(total=4, cluster=2):
     return MachineConfig(total_processors=total, cluster_size=cluster)
-
-
-def _state(rt, result):
-    """Every externally visible cycle-level fact about a finished run."""
-    return {
-        "total_time": result.total_time,
-        "threads": [
-            (t.time, t.user, t.lock, t.barrier, t.mgs, t.finish_time)
-            for t in result.threads
-        ],
-        "cache": dict(result.cache_stats),
-        "protocol": dict(result.protocol_stats),
-        "messages": (result.messages_inter_ssmp, result.messages_intra_ssmp),
-        "events": rt.sim.events_processed,
-    }
 
 
 def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
@@ -49,7 +35,7 @@ def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
     captured = []
     rt.spawn_all(worker_factory(arr, nwords, captured))
     result = rt.run()
-    return _state(rt, result), captured
+    return run_state(rt, result), captured
 
 
 def _assert_equivalent(worker_a, worker_b, quantum=1500, total=4, cluster=2):
@@ -440,7 +426,7 @@ def _run_and_collect_envs(factory, *, fastpath=True, analysis=None):
     captured = []
     rt.spawn_all(factory(arr, nwords, captured))
     result = rt.run()
-    return rt, _state(rt, result)
+    return rt, run_state(rt, result)
 
 
 def test_miss_heavy_workers_bypass_to_slow_paths():

@@ -20,6 +20,7 @@ import pytest
 from repro.apps import jacobi
 from repro.apps.jacobi import JacobiParams
 from repro.params import MachineConfig, NetworkConfig
+from tests.machine_state import run_state
 
 #: network -> cluster size -> (total_time, inter_ssmp, intra_ssmp msgs)
 #: (re-captured when the Jacobi kernel moved to the batched row APIs:
@@ -72,19 +73,7 @@ def _full_state(fastpath: bool):
     rt = jacobi.make_runtime(config, fastpath=fastpath)
     final = jacobi.build(rt, JacobiParams(n=32, iterations=3))
     result = rt.run()
-    return {
-        "total_time": result.total_time,
-        "threads": [
-            (t.time, t.user, t.lock, t.barrier, t.mgs, t.finish_time)
-            for t in result.threads
-        ],
-        "cache": dict(result.cache_stats),
-        "protocol": dict(result.protocol_stats),
-        "messages": (result.messages_inter_ssmp, result.messages_intra_ssmp),
-        "flows": result.message_flows,
-        "events": rt.sim.events_processed,
-        "grid": final.snapshot().tolist(),
-    }
+    return {**run_state(rt, result), "grid": final.snapshot().tolist()}
 
 
 def test_fastpath_and_slow_path_full_state_identical():

@@ -16,6 +16,7 @@ import pytest
 from repro.hw import CacheSystem
 from repro.params import WORD_BYTES, CostModel, MachineConfig
 from repro.runtime import Runtime
+from tests.machine_state import run_state
 
 COSTS = CostModel()
 
@@ -156,20 +157,6 @@ def test_access_run_prices_software_lines_tightly():
 # ---------------------------------------------------------------------------
 
 
-def _state(rt, result):
-    return {
-        "total_time": result.total_time,
-        "threads": [
-            (t.time, t.user, t.lock, t.barrier, t.mgs, t.finish_time)
-            for t in result.threads
-        ],
-        "cache": dict(result.cache_stats),
-        "protocol": dict(result.protocol_stats),
-        "messages": (result.messages_inter_ssmp, result.messages_intra_ssmp),
-        "events": rt.sim.events_processed,
-    }
-
-
 def _run_straddle(protocol: str, fastpath: bool):
     """Block reads/writes crossing a page boundary, plus an invalidation
     between passes so the second pass's run is cut mid-block."""
@@ -200,7 +187,7 @@ def _run_straddle(protocol: str, fastpath: bool):
 
     rt.spawn_all(worker)
     result = rt.run()
-    return _state(rt, result), sorted(captured)
+    return run_state(rt, result), sorted(captured)
 
 
 @pytest.mark.parametrize("protocol", ["swdsm", "gcs", "sc_pages"])

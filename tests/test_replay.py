@@ -19,6 +19,7 @@ from repro.core.engine import engine_names
 from repro.params import MachineConfig
 from repro.runtime import Runtime
 from repro.runtime.replay import replay_enabled_default
+from tests.machine_state import run_state
 
 ENGINES = engine_names()
 
@@ -49,23 +50,7 @@ def _full_state(module, params, protocol: str, replay: bool) -> dict:
     rt = module.make_runtime(config, replay=replay)
     final = module.build(rt, params)
     result = rt.run()
-    state = {
-        "total_time": result.total_time,
-        "threads": [
-            (t.time, t.user, t.lock, t.barrier, t.mgs, t.finish_time)
-            for t in result.threads
-        ],
-        "cache": dict(result.cache_stats),
-        "protocol": dict(result.protocol_stats),
-        "locks": (
-            result.lock_stats.acquires,
-            result.lock_stats.hits,
-            result.lock_stats.token_transfers,
-        ),
-        "messages": (result.messages_inter_ssmp, result.messages_intra_ssmp),
-        "flows": result.message_flows,
-        "events": rt.sim.events_processed,
-    }
+    state = run_state(rt, result)
     snapshot = getattr(final, "snapshot", None)
     if snapshot is not None:
         state["output"] = np.asarray(snapshot()).tolist()

@@ -24,6 +24,7 @@ from repro.apps import scanphase
 from repro.bench.cache import ReplayStore, resolve_replay_store
 from repro.core.engine import engine_names
 from repro.params import MachineConfig
+from tests.machine_state import run_state
 
 ENGINES = engine_names()
 
@@ -42,18 +43,7 @@ def _scan_state(engine, store, replay=True):
     rt = scanphase.make_runtime(config, replay=replay, replay_store=store)
     scanphase.build(rt, SCAN)
     result = rt.run()
-    state = {
-        "total_time": result.total_time,
-        "threads": [
-            (t.time, t.user, t.lock, t.barrier, t.mgs, t.finish_time)
-            for t in result.threads
-        ],
-        "cache": dict(result.cache_stats),
-        "protocol": dict(result.protocol_stats),
-        "messages": (result.messages_inter_ssmp, result.messages_intra_ssmp),
-        "flows": result.message_flows,
-    }
-    return state, result.replay_cache
+    return run_state(rt, result), result.replay_cache
 
 
 # ---------------------------------------------------------------------------
