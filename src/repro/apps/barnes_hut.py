@@ -29,7 +29,7 @@ import numpy as np
 
 from repro.apps.common import AppRun, block_range, make_runtime
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 from repro.svm import AccessKind
 
 __all__ = ["BarnesHutParams", "golden", "build", "run"]
@@ -490,9 +490,10 @@ def run(
     config: MachineConfig,
     params: BarnesHutParams | None = None,
     costs: CostModel | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else BarnesHutParams()
-    rt = make_runtime(config, costs)
+    rt = make_runtime(config, costs, options=options)
     bodies, nodes = build(rt, params)
     result = rt.run()
     reference = golden(params)

@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.params import CostModel, MachineConfig
-from repro.runtime import RunResult, Runtime
+from repro.runtime import RunOptions, RunResult, Runtime
 
 __all__ = [
     "AppRun",
@@ -88,18 +88,12 @@ def make_runtime(
     config: MachineConfig,
     costs: CostModel | None = None,
     quantum: int = 1500,
-    fastpath: bool | None = None,
-    replay: bool | None = None,
-    replay_store=None,
+    options: RunOptions | None = None,
+    **changes,
 ) -> Runtime:
-    """``replay_store`` follows :func:`repro.bench.cache
-    .resolve_replay_store` semantics: None consults the environment, an
-    instance pins the persistent phase-replay store explicitly."""
-    return Runtime(
-        config,
-        costs,
-        quantum,
-        fastpath=fastpath,
-        replay=replay,
-        replay_store=replay_store,
-    )
+    """The app's Runtime under ``options`` (None: the environment's),
+    with ``changes`` — :class:`RunOptions` fields such as
+    ``fastpath=False`` — applied on top."""
+    if changes:
+        options = replace(options or RunOptions.from_env(), **changes)
+    return Runtime(config, costs, quantum, options=options)

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.apps.common import AppRun, block_range, make_runtime
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["JacobiParams", "golden", "build", "run"]
 
@@ -128,10 +128,11 @@ def run(
     config: MachineConfig,
     params: JacobiParams | None = None,
     costs: CostModel | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     """Simulate Jacobi and validate against the sequential golden run."""
     params = params if params is not None else JacobiParams()
-    rt = make_runtime(config, costs)
+    rt = make_runtime(config, costs, options=options)
     final = build(rt, params)
     result = rt.run()
     reference = golden(params).ravel()

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.apps.common import AppRun, block_range, make_runtime
 from repro.params import WORD_BYTES, CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["MatmulParams", "golden", "build", "run"]
 
@@ -137,10 +137,10 @@ def run(
     config: MachineConfig,
     params: MatmulParams | None = None,
     costs: CostModel | None = None,
-    replay: bool | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else MatmulParams()
-    rt = make_runtime(config, costs, replay=replay)
+    rt = make_runtime(config, costs, options=options)
     arr_c = build(rt, params)
     result = rt.run()
     n = params.n

@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.apps.common import AppRun, block_range, make_runtime
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["ScanPhaseParams", "golden", "build", "run"]
 
@@ -125,10 +125,10 @@ def run(
     config: MachineConfig,
     params: ScanPhaseParams | None = None,
     costs: CostModel | None = None,
-    replay: bool | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else ScanPhaseParams()
-    rt = make_runtime(config, costs, replay=replay)
+    rt = make_runtime(config, costs, options=options)
     checksums = build(rt, params)
     result = rt.run()
     reference = golden(params, config.total_processors)

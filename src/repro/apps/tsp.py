@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.apps.common import AppRun, make_runtime
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 from repro.svm import AccessKind
 
 __all__ = ["TSPParams", "golden", "build", "run"]
@@ -222,9 +222,10 @@ def run(
     config: MachineConfig,
     params: TSPParams | None = None,
     costs: CostModel | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else TSPParams()
-    rt = make_runtime(config, costs)
+    rt = make_runtime(config, costs, options=options)
     best_arr = build(rt, params)
     result = rt.run()
     measured = float(best_arr.snapshot()[0])

@@ -35,7 +35,7 @@ from repro.apps.common import (
     page_home_block,
 )
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["WaterParams", "golden", "build", "run"]
 
@@ -219,9 +219,10 @@ def run(
     config: MachineConfig,
     params: WaterParams | None = None,
     costs: CostModel | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterParams()
-    rt = make_runtime(config, costs)
+    rt = make_runtime(config, costs, options=options)
     mols, stats = build(rt, params)
     result = rt.run()
     ref_pos, ref_pe = golden(params)

@@ -38,7 +38,7 @@ import numpy as np
 from repro.apps.common import AppRun, block_range, make_runtime
 from repro.apps.water import _pair_force
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["WaterKernelParams", "golden", "build", "run", "tournament_rounds"]
 
@@ -285,9 +285,10 @@ def run(
     config: MachineConfig,
     params: WaterKernelParams | None = None,
     costs: CostModel | None = None,
+    options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterKernelParams()
-    rt = make_runtime(config, costs)
+    rt = make_runtime(config, costs, options=options)
     mols, mol_word = build(rt, params)
     result = rt.run()
     reference = golden(params)

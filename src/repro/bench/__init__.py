@@ -16,7 +16,7 @@ from repro.bench.report import (
     render_metrics,
     render_table,
 )
-from repro.bench.sweep import default_config, run_sweep, scale_factor
+from repro.bench.sweep import default_config, run_sweep
 from repro.bench.table4 import render_table4, run_table4
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "comparison_to_csv",
     "parallel_map",
     "resolve_jobs",
-    "scale_factor",
     "default_config",
     "render_breakdown_figure",
     "render_lock_figure",

@@ -21,10 +21,11 @@ Key derivation
 * ``MachineConfig`` (including the nested ``NetworkConfig`` and
   ``ProtocolOptions``), the ``CostModel``, and the runtime quantum.
 
-Entries are JSON files under ``REPRO_CACHE_DIR`` (default
-``.repro_cache/``), sharded by the first two key hex digits, written
-atomically (tmp + rename) so concurrent writers can never leave a torn
-entry; identical keys always carry identical bytes.  A sidecar
+Entries are JSON files under the run-cache directory
+(``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or ``.repro_cache/``),
+sharded by the first two key hex digits, written atomically (tmp +
+rename) so concurrent writers can never leave a torn entry; identical
+keys always carry identical bytes.  A sidecar
 ``index.json`` records per-key wall-clock times; the sweep runner uses
 them to schedule cache misses longest-job-first across workers.
 
@@ -42,7 +43,7 @@ Enabling
 * CLI: ``--cache`` / ``--no-cache`` / ``--cache-dir`` / ``--cache-verify``;
 * env: ``REPRO_CACHE=1`` (and/or ``REPRO_CACHE_DIR=<dir>``) turns the
   cache on for anything that routes through ``run_sweep``;
-  ``REPRO_CACHE=0`` forces it off;
+  ``REPRO_CACHE=0`` forces it off (both via ``RunOptions.run_cache``);
 * API: pass a :class:`RunCache` to ``run_sweep``/``run_figure``.
 
 Self-test
@@ -74,7 +75,8 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.params import CostModel, MachineConfig, machine_config_from_dict
-from repro.runtime import RunResult
+from repro.runtime import RunOptions, RunResult
+from repro.runtime.options import DEFAULT_CACHE_DIR
 from repro.runtime.thread import ThreadContext
 
 __all__ = [
@@ -84,6 +86,7 @@ __all__ = [
     "CacheStats",
     "CacheVerifyError",
     "PROCESS_REPLAY_STATS",
+    "REPLAY_STORES",
     "ReplayCacheStats",
     "ReplayStore",
     "RunCache",
@@ -106,8 +109,6 @@ CACHE_SCHEMA = 1
 #: preimage changes incompatibly (entries from older schemas then decode
 #: as misses and are overwritten by fresh recordings)
 REPLAY_SCHEMA = 2
-
-DEFAULT_CACHE_DIR = ".repro_cache"
 
 #: default runtime quantum used by every app harness (apps.common.make_runtime)
 DEFAULT_QUANTUM = 1500
@@ -365,7 +366,7 @@ class RunCache:
     instance per sweep/CLI invocation when you want per-run counters.
 
     The store is safe for concurrent use by multiple threads *and*
-    multiple processes sharing one ``REPRO_CACHE_DIR`` (the
+    multiple processes sharing one directory (the
     ``repro.serve`` daemon does both): entry files are written to a
     per-pid/thread/sequence temporary name and published with an atomic
     ``os.replace``, counter updates are guarded by an in-process lock,
@@ -377,12 +378,10 @@ class RunCache:
 
     def __init__(
         self,
-        root: str | Path | None = None,
+        root: str | Path,
         source: str | None = None,
         verify_fraction: float = 0.25,
     ) -> None:
-        if root is None:
-            root = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
         self.root = Path(root)
         self.source = source
         self.stats = CacheStats()
@@ -603,25 +602,20 @@ class RunCache:
         return {"dir": str(self.root), **self.stats.as_dict()}
 
 
-def resolve_cache(cache: RunCache | bool | None) -> RunCache | None:
+def resolve_cache(
+    cache: RunCache | bool | None, options: RunOptions
+) -> RunCache | None:
     """Normalize the ``cache=`` argument accepted by the sweep API.
 
-    ``None``: consult ``REPRO_CACHE`` / ``REPRO_CACHE_DIR`` (off unless
-    one of them enables it).  ``True``/``False``: force on/off.  A
-    :class:`RunCache` instance passes through.
+    ``None``: the store ``options.run_cache`` names, if any.
+    ``True``/``False``: force on (in that directory, else the default
+    one) or off.  A :class:`RunCache` instance passes through.
     """
     if isinstance(cache, RunCache):
         return cache
-    if cache is True:
-        return RunCache()
-    if cache is False:
-        return None
-    flag = os.environ.get("REPRO_CACHE", "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return None
-    if flag in ("1", "true", "yes", "on") or os.environ.get("REPRO_CACHE_DIR"):
-        return RunCache()
-    return None
+    if cache is None:
+        cache = options.run_cache is not None
+    return RunCache(options.run_cache or DEFAULT_CACHE_DIR) if cache else None
 
 
 # ---------------------------------------------------------------------------
@@ -692,14 +686,7 @@ class ReplayStore:
     replacement between racing sweep workers is harmless.
     """
 
-    def __init__(
-        self, root: str | Path | None = None, source: str | None = None
-    ) -> None:
-        if root is None:
-            base = os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR
-            root = os.environ.get("REPRO_REPLAY_CACHE_DIR") or str(
-                Path(base) / "replay"
-            )
+    def __init__(self, root: str | Path, source: str | None = None) -> None:
         self.root = Path(root)
         self.source = source if source is not None else source_fingerprint()
         self.stats = ReplayCacheStats()
@@ -798,66 +785,21 @@ class ReplayStore:
         return {"dir": str(self.root), **self.stats.as_dict()}
 
 
-#: env-keyed memo for :func:`resolve_replay_store`.  Keying by the
-#: *values* of every environment variable that shapes the store is what
-#: makes the persistent worker pool safe: a pool warmed under one
-#: replay configuration constructs a fresh store the moment a job's
-#: ``REPRO_*`` snapshot changes any of them, instead of serving the
-#: stale module-level instance.
-_REPLAY_STORE_MEMO: dict[tuple, "ReplayStore"] = {}
+#: one store per directory per process, so every runtime resolving the
+#: same directory (sweep points, a pool worker's later jobs) shares its
+#: decoded-payload memo.  Clearing it models a cold process.
+REPLAY_STORES: dict[Path, ReplayStore] = {}
 
 
-def _replay_env_key() -> tuple:
-    env = os.environ
-    return (
-        env.get("REPRO_NO_REPLAY", "").strip().lower(),
-        env.get("REPRO_REPLAY_CACHE", "").strip().lower(),
-        env.get("REPRO_REPLAY_CACHE_DIR", ""),
-        env.get("REPRO_CACHE_DIR", ""),
-    )
-
-
-def resolve_replay_store(
-    store: "ReplayStore | bool | None" = None,
-) -> "ReplayStore | None":
-    """Normalize a ``replay_store=`` argument, mirroring
-    :func:`resolve_cache`.
-
-    ``None``: consult the environment — ``REPRO_NO_REPLAY`` (the global
-    replay kill switch, see ``replay_enabled_default``) dominates and
-    yields no store; otherwise ``REPRO_REPLAY_CACHE`` forces off
-    (``0``/``false``/``no``/``off``) or on (``1``/``true``/``yes``/
-    ``on``), and setting ``REPRO_REPLAY_CACHE_DIR`` alone also enables
-    persistence, the way ``REPRO_CACHE_DIR`` enables the run cache.
-    Off by default.  ``True``/``False``: force on/off regardless of the
-    environment.  A :class:`ReplayStore` instance passes through.
-
-    Env-driven stores are memoized per environment state so repeated
-    runs in one process (sweep points, pool-worker jobs) share one
-    store and its decoded-payload memo; see ``_REPLAY_STORE_MEMO`` for
-    why the key includes every ``REPRO_*`` replay variable.
-    """
-    if isinstance(store, ReplayStore):
-        return store
-    if store is True:
-        return ReplayStore()
-    if store is False:
+def resolve_replay_store(options: RunOptions) -> ReplayStore | None:
+    """This process's store for ``options.replay_cache`` (None: no store)."""
+    root = options.replay_cache
+    if root is None:
         return None
-    env = os.environ
-    if env.get("REPRO_NO_REPLAY", "").strip().lower() in ("1", "true", "yes"):
-        return None
-    flag = env.get("REPRO_REPLAY_CACHE", "").strip().lower()
-    if flag in ("0", "false", "no", "off"):
-        return None
-    if flag not in ("1", "true", "yes", "on") and not env.get(
-        "REPRO_REPLAY_CACHE_DIR"
-    ):
-        return None
-    key = _replay_env_key()
-    st = _REPLAY_STORE_MEMO.get(key)
-    if st is None:
-        st = _REPLAY_STORE_MEMO[key] = ReplayStore()
-    return st
+    store = REPLAY_STORES.get(root)
+    if store is None:
+        store = REPLAY_STORES[root] = ReplayStore(root)
+    return store
 
 
 # ---------------------------------------------------------------------------
@@ -962,7 +904,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "selftest":
         return _selftest(args)
 
-    root = Path(args.dir or os.environ.get("REPRO_CACHE_DIR") or DEFAULT_CACHE_DIR)
+    root = Path(
+        args.dir or RunOptions.from_env().run_cache or DEFAULT_CACHE_DIR
+    )
     entries = list(root.glob("*/*.json")) if root.is_dir() else []
     total = sum(p.stat().st_size for p in entries)
     print(f"cache dir: {root}")

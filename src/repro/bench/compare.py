@@ -28,6 +28,7 @@ from repro.bench.report import render_breakdown_figure, render_table
 from repro.bench.sweep import run_sweep
 from repro.core.engine import engine_names
 from repro.metrics import ClusterSweep
+from repro.runtime import RunOptions
 
 __all__ = [
     "ProtocolComparison",
@@ -62,14 +63,18 @@ def run_comparison(
     cache=None,
     cache_verify: bool = False,
     params_for=None,
+    options: RunOptions | None = None,
 ) -> ProtocolComparison:
     """Sweep every app under every engine.
 
     ``params_for`` maps an app name to its parameter object (defaults to
     the benchmark sizes in :func:`repro.bench.figures.bench_params`).
     Unknown app or engine names raise ``KeyError``/``ValueError`` up
-    front, before any simulation runs.
+    front, before any simulation runs.  ``options`` None resolves the
+    environment here, once, for every sweep.
     """
+    if options is None:
+        options = RunOptions.from_env()
     known = engine_names()
     for proto in protocols:
         if proto not in known:
@@ -87,7 +92,9 @@ def run_comparison(
     sweeps: dict[str, dict[str, ClusterSweep]] = {}
     for app in apps:
         params = (
-            params_for(app) if params_for is not None else bench_params(app)
+            params_for(app)
+            if params_for is not None
+            else bench_params(app, options.scale)
         )
         sweeps[app] = {}
         for proto in protocols:
@@ -102,6 +109,7 @@ def run_comparison(
                 cache=cache,
                 cache_verify=cache_verify,
                 protocol=proto,
+                options=options,
             )
     return ProtocolComparison(
         apps=list(apps),
@@ -226,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         "--csv", action="store_true",
         help="emit the comparison as CSV instead of rendered figures",
     )
-    from repro.cli import add_replay_args, apply_replay_args
+    from repro.cli import add_replay_args, options_from_args
 
     add_replay_args(parser)
     args = parser.parse_args(argv)
@@ -238,7 +246,7 @@ def main(argv: list[str] | None = None) -> int:
         except ValueError as exc:
             parser.error(f"bad --sizes: {exc}")
     try:
-        apply_replay_args(args)
+        options = options_from_args(args)
     except ValueError as exc:
         parser.error(str(exc))
     try:
@@ -247,7 +255,7 @@ def main(argv: list[str] | None = None) -> int:
             args.protocols,
             total_processors=args.processors,
             sizes=sizes,
-            jobs=args.jobs,
+            options=options,
         )
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

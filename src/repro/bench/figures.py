@@ -13,9 +13,10 @@ from typing import Any
 from repro.apps import barnes_hut, jacobi, matmul, tsp, water, water_kernel
 from repro.bench.cache import RunCache
 from repro.bench.report import render_breakdown_figure, render_metrics
-from repro.bench.sweep import run_sweep, scale_factor
+from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
 from repro.params import NetworkConfig
+from repro.runtime import RunOptions
 
 __all__ = [
     "FigureSpec",
@@ -57,10 +58,11 @@ FIGURES = {
 def bench_params(app: str, scale: int | None = None) -> Any:
     """Default problem sizes for the benchmark harness.
 
-    ``REPRO_SCALE`` grows the sizes toward the paper's (which are 8-16x
+    ``scale`` (None: ``RunOptions.from_env().scale``, i.e.
+    ``REPRO_SCALE``) grows the sizes toward the paper's (which are 8-16x
     larger; see DESIGN.md section 6 for the mapping).
     """
-    s = scale_factor() if scale is None else scale
+    s = RunOptions.from_env().scale if scale is None else scale
     if app == "jacobi":
         return jacobi.JacobiParams(n=64 * s, iterations=10)
     if app == "matmul":
@@ -86,6 +88,7 @@ def run_figure(
     cache: "RunCache | bool | None" = None,
     cache_verify: bool = False,
     protocol: str | None = None,
+    options: RunOptions | None = None,
 ) -> ClusterSweep:
     """Run the full cluster-size sweep behind one figure.
 
@@ -94,10 +97,13 @@ def run_figure(
     at any job count.  ``cache`` / ``cache_verify`` route through the
     content-addressed run cache (:mod:`repro.bench.cache`): warm reruns
     serve every point from disk without simulating.  ``protocol``
-    selects the coherence engine by registry name.
+    selects the coherence engine by registry name.  ``options`` None
+    resolves the environment here; its ``scale`` sizes the workload.
     """
+    if options is None:
+        options = RunOptions.from_env()
     spec = FIGURES[key]
-    params = bench_params(spec.app)
+    params = bench_params(spec.app, options.scale)
     return run_sweep(
         spec.module,
         params=params,
@@ -108,6 +114,7 @@ def run_figure(
         cache=cache,
         cache_verify=cache_verify,
         protocol=protocol,
+        options=options,
     )
 
 

@@ -11,8 +11,9 @@ order, so a parallel sweep is byte-identical to a serial one (pinned by
 
 Job count resolution, lowest priority last:
 
-1. an explicit ``jobs=`` argument (CLI ``--jobs``, pytest ``--jobs``);
-2. the ``REPRO_JOBS`` environment variable;
+1. an explicit ``jobs=`` argument (CLI ``--jobs``);
+2. ``RunOptions.jobs`` (the ``REPRO_JOBS`` environment variable, which
+   pytest ``--jobs`` sets);
 3. serial (1).
 
 ``jobs=0`` (or ``REPRO_JOBS=0``) means "all cores".  On a single-core
@@ -35,19 +36,10 @@ fork-and-import per sweep.  Two things keep reuse invisible to callers:
   — at most ``jobs`` futures are in flight at once, refilled in
   longest-job-first order as results land, so concurrency (and thus
   memory and CPU footprint) matches what the caller asked for;
-* workers forked long ago would hold a stale environment, so each job
-  ships a snapshot of the caller's current ``REPRO_*`` variables and
-  the worker applies it before running — toggles such as
-  ``REPRO_NO_FASTPATH``/``REPRO_NO_REPLAY`` and the replay-cache
-  selectors ``REPRO_REPLAY_CACHE``/``REPRO_REPLAY_CACHE_DIR``/
-  ``REPRO_CACHE_DIR`` behave exactly as if the worker were forked at
-  call time.  The snapshot only works if *module state derived from
-  those variables is keyed by their values*: a worker warmed under one
-  replay configuration must not serve a job submitted under another
-  through a stale singleton.  ``repro.bench.cache.resolve_replay_store``
-  memoizes per env-value tuple for exactly this reason; any future
-  env-derived cache must follow the same rule (pinned by
-  ``tests/test_parallel.py``).
+* workers never read settings of their own: the caller resolves a
+  :class:`~repro.runtime.RunOptions` and ships it as an argument of
+  every job, so a worker forked long ago runs each job exactly as the
+  caller asked (pinned by ``tests/test_parallel.py``).
 
 ``shutdown_pool`` tears the workers down (registered with ``atexit``;
 tests use it to force a fresh pool).
@@ -67,9 +59,10 @@ import math
 import multiprocessing as mp
 import os
 import sys
-import warnings
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from typing import Any, Callable, Sequence
+
+from repro.runtime import RunOptions
 
 __all__ = [
     "resolve_jobs",
@@ -83,19 +76,7 @@ __all__ = [
 def resolve_jobs(jobs: int | None = None) -> int:
     """Number of worker processes to use (see module docstring)."""
     if jobs is None:
-        raw = os.environ.get("REPRO_JOBS", "").strip()
-        if not raw:
-            return 1
-        try:
-            jobs = int(raw)
-        except ValueError:
-            warnings.warn(
-                f"ignoring malformed REPRO_JOBS={raw!r} (want an integer); "
-                "running serial",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return 1
+        jobs = RunOptions.from_env().jobs
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
@@ -124,10 +105,6 @@ def submission_order(
     )
 
 
-#: backwards-compatible alias (pre-public name)
-_submission_order = submission_order
-
-
 # ---------------------------------------------------------------------------
 # Persistent worker pool
 # ---------------------------------------------------------------------------
@@ -135,38 +112,6 @@ _submission_order = submission_order
 _POOL: ProcessPoolExecutor | None = None
 _POOL_WORKERS = 0
 _WARNED_SINGLE_CPU = False
-
-#: environment variables shipped to (long-lived) workers per job
-_ENV_PREFIX = "REPRO_"
-
-
-def _env_snapshot() -> tuple[tuple[str, str], ...]:
-    return tuple(
-        sorted(
-            (k, v)
-            for k, v in os.environ.items()
-            if k.startswith(_ENV_PREFIX)
-        )
-    )
-
-
-def _run_job(env: tuple[tuple[str, str], ...], fn, args):
-    """Worker-side trampoline: sync ``REPRO_*`` env, then run the job.
-
-    Workers are forked once and reused, so the environment they
-    inherited may predate the caller's current toggles; each job carries
-    the caller's snapshot and this applies it (adds, updates, *and*
-    removals) before dispatch.  Module-level caches keyed off ``REPRO_*``
-    values (e.g. the replay-store memo in ``repro.bench.cache``) must
-    re-derive from the environment at use time, not at import/fork time,
-    or this sync is defeated.
-    """
-    want = dict(env)
-    for k in [k for k in os.environ if k.startswith(_ENV_PREFIX)]:
-        if k not in want:
-            del os.environ[k]
-    os.environ.update(want)
-    return fn(*args)
 
 
 def _executor(workers: int) -> ProcessPoolExecutor:
@@ -232,7 +177,6 @@ def parallel_map(
         return [fn(*args) for args in items]
     workers = min(jobs, len(items))
     pool = _executor(workers)
-    env = _env_snapshot()
     # Windowed submission: the persistent pool may have more workers
     # than this call's job count, so cap in-flight futures at `workers`
     # and refill in longest-job-first order as results land.  Results
@@ -246,7 +190,7 @@ def parallel_map(
 
     def refill() -> None:
         for i in pending:
-            inflight[pool.submit(_run_job, env, fn, items[i])] = i
+            inflight[pool.submit(fn, *items[i])] = i
             return
 
     try:
@@ -272,12 +216,16 @@ def parallel_map(
     return results
 
 
-def _figure_job(key: str, total_processors: int, network, protocol=None):
+def _figure_job(
+    key: str, total_processors: int, network, protocol, options: RunOptions
+):
     from repro.bench.figures import run_figure
 
     # Each worker runs its whole figure serially; parallelism is across
     # figures here.
-    return run_figure(key, total_processors, network, jobs=1, protocol=protocol)
+    return run_figure(
+        key, total_processors, network, jobs=1, protocol=protocol, options=options
+    )
 
 
 def run_figures(
@@ -286,15 +234,19 @@ def run_figures(
     network=None,
     jobs: int | None = None,
     protocol: str | None = None,
+    options: RunOptions | None = None,
 ) -> list[tuple[str, Any]]:
     """Run several whole figures, one worker per figure.
 
     Returns ``[(key, ClusterSweep), ...]`` in the order of ``keys`` —
-    the same sweeps ``run_figure`` produces one at a time.
+    the same sweeps ``run_figure`` produces one at a time.  ``options``
+    None resolves the environment here, once, for every figure.
     """
+    if options is None:
+        options = RunOptions.from_env()
     sweeps = parallel_map(
         _figure_job,
-        [(key, total_processors, network, protocol) for key in keys],
-        jobs,
+        [(key, total_processors, network, protocol, options) for key in keys],
+        options.jobs if jobs is None else jobs,
     )
     return list(zip(keys, sweeps))

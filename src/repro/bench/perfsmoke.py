@@ -71,7 +71,7 @@ from repro.bench.cache import RunCache
 from repro.bench.sweep import run_sweep
 from repro.metrics.export import run_cache_to_dict
 from repro.params import MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 __all__ = ["run_perfsmoke", "check_against_baseline", "main", "GATES"]
 
@@ -96,7 +96,7 @@ GATES: dict[str, tuple[str, float]] = {
 
 def _hit_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
     config = MachineConfig(total_processors=4, cluster_size=2)
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config, options=RunOptions(fastpath=fastpath))
     arr = rt.array("buf", nwords * config.total_processors)
     arr.init([float(i) for i in range(nwords * config.total_processors)])
 
@@ -128,7 +128,7 @@ def _bench_hit_block(fastpath: bool, nwords: int, passes: int) -> dict:
 
 def _write_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
     config = MachineConfig(total_processors=4, cluster_size=2)
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config, options=RunOptions(fastpath=fastpath))
     arr = rt.array("buf", nwords * config.total_processors)
     arr.init([float(i) for i in range(nwords * config.total_processors)])
 
@@ -182,7 +182,7 @@ def _bench_jacobi(
     # on shared hardware.
     seconds = None
     for _ in range(reps):
-        rt = jacobi.make_runtime(config, fastpath=fastpath)
+        rt = jacobi.make_runtime(config, options=RunOptions(fastpath=fastpath))
         final = jacobi.build(rt, params)
         t0 = time.perf_counter()
         result = rt.run()
@@ -274,7 +274,7 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
         # on/off ratio.
         seconds = None
         for _ in range(reps):
-            rt = scanphase.make_runtime(config, replay=replay)
+            rt = scanphase.make_runtime(config, options=RunOptions(replay=replay))
             scanphase.build(rt, params)
             t0 = time.perf_counter()
             result = rt.run()
@@ -308,16 +308,17 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
 def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
     """Cold (replay off) vs store-warm (fresh runtime + persisted
     deltas) phased run; the warm pass must be all store hits."""
-    from repro.bench.cache import ReplayStore
+    from pathlib import Path
+
+    from repro.bench.cache import REPLAY_STORES
 
     config = MachineConfig(total_processors=8, cluster_size=2)
     params = scanphase.ScanPhaseParams(phases=phases)
 
     with tempfile.TemporaryDirectory() as tmp:
+        stored = RunOptions(replay_cache=Path(tmp))
         # Prime: one recording run fills the store.
-        rt = scanphase.make_runtime(
-            config, replay=True, replay_store=ReplayStore(tmp)
-        )
+        rt = scanphase.make_runtime(config, options=stored)
         scanphase.build(rt, params)
         rt.run()
         if rt.phase_recorder is None or rt.phase_recorder.cache_stores < 1:
@@ -327,7 +328,7 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
         # the cost a fresh process pays without the store.
         cold_seconds = None
         for _ in range(reps):
-            rt_cold = scanphase.make_runtime(config, replay=False)
+            rt_cold = scanphase.make_runtime(config, options=RunOptions(replay=False))
             scanphase.build(rt_cold, params)
             t0 = time.perf_counter()
             result_cold = rt_cold.run()
@@ -339,10 +340,8 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
         # memo) — the cold-process model: every record comes off disk.
         warm_seconds = None
         for _ in range(reps):
-            store = ReplayStore(tmp)
-            rt_warm = scanphase.make_runtime(
-                config, replay=True, replay_store=store
-            )
+            REPLAY_STORES.clear()
+            rt_warm = scanphase.make_runtime(config, options=stored)
             scanphase.build(rt_warm, params)
             t0 = time.perf_counter()
             result_warm = rt_warm.run()
@@ -350,6 +349,7 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
             if warm_seconds is None or elapsed < warm_seconds:
                 warm_seconds = elapsed
             recorder = rt_warm.phase_recorder
+            store = recorder.store
             if store.stats.stores != 0 or recorder.cache_hits == 0:
                 raise AssertionError(
                     f"warm replay run was not all store hits: "

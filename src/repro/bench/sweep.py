@@ -3,9 +3,7 @@
 from __future__ import annotations
 
 import importlib
-import os
 import time
-import warnings
 from typing import Any
 
 from repro.bench.cache import (
@@ -17,23 +15,9 @@ from repro.bench.cache import (
 from repro.bench.parallel import parallel_map, resolve_jobs
 from repro.metrics import ClusterSweep, SweepPoint, cluster_sizes
 from repro.params import CostModel, MachineConfig, NetworkConfig
+from repro.runtime import RunOptions
 
-__all__ = ["run_sweep", "scale_factor", "default_config"]
-
-
-def scale_factor() -> int:
-    """Problem-size multiplier from the ``REPRO_SCALE`` env variable."""
-    raw = os.environ.get("REPRO_SCALE", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        warnings.warn(
-            f"ignoring malformed REPRO_SCALE={raw!r} (want an integer); "
-            "using scale 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 1
+__all__ = ["run_sweep", "default_config"]
 
 
 def default_config(
@@ -94,7 +78,8 @@ def _sweep_point(
     inter_ssmp_delay: int,
     network: NetworkConfig | None,
     require_valid: bool,
-    overrides: dict[str, Any] | None = None,
+    overrides: dict[str, Any] | None,
+    options: RunOptions,
 ) -> tuple[str, SweepPoint]:
     """Simulate one cluster-size point and fold it into a SweepPoint.
 
@@ -106,7 +91,7 @@ def _sweep_point(
     config = _point_config(
         total_processors, cluster_size, inter_ssmp_delay, network, overrides
     )
-    run = app_module.run(config, params, costs)
+    run = app_module.run(config, params, costs, options)
     if require_valid:
         run.require_valid()
     return run.name, _fold_point(run)
@@ -121,7 +106,8 @@ def _sweep_point_payload(
     inter_ssmp_delay: int,
     network: NetworkConfig | None,
     require_valid: bool,
-    overrides: dict[str, Any] | None = None,
+    overrides: dict[str, Any] | None,
+    options: RunOptions,
 ) -> tuple[str, SweepPoint, dict, float]:
     """The cached-path worker: ``_sweep_point`` plus the cache payload.
 
@@ -134,7 +120,7 @@ def _sweep_point_payload(
         total_processors, cluster_size, inter_ssmp_delay, network, overrides
     )
     t0 = time.perf_counter()
-    run = app_module.run(config, params, costs)
+    run = app_module.run(config, params, costs, options)
     wall = time.perf_counter() - t0
     if require_valid:
         run.require_valid()
@@ -145,7 +131,7 @@ def _cached_results(
     cache: RunCache,
     cache_verify: bool,
     point_args: list[tuple],
-    jobs: int | None,
+    jobs: int,
 ) -> list[tuple[str, SweepPoint]]:
     """The cache-aware sweep executor.
 
@@ -158,7 +144,7 @@ def _cached_results(
     keyed = []
     for args in point_args:
         (module_name, params, total_processors, c, costs, delay, network,
-         _, overrides) = args
+         _, overrides, _) = args
         config = _point_config(total_processors, c, delay, network, overrides)
         keyed.append(cache.key_for(config, costs, module_name, params))
 
@@ -183,7 +169,7 @@ def _cached_results(
         parallel_map(
             _sweep_point_payload,
             [point_args[i] for i in work],
-            resolve_jobs(jobs),
+            jobs,
             priorities=priorities,
         )
         if work
@@ -224,19 +210,25 @@ def run_sweep(
     cache_verify: bool = False,
     overrides: dict[str, Any] | None = None,
     protocol: str | None = None,
+    options: RunOptions | None = None,
 ) -> ClusterSweep:
     """Run ``app_module.run`` at every cluster size and collect the curve.
 
     Every point validates the application output against its sequential
     golden run, so a sweep doubles as a protocol correctness check.
 
+    ``options`` says how to execute every point (fast paths, replay and
+    its store, run cache, worker count); None resolves the ``REPRO_*``
+    environment once, here in the calling process, and the resolved
+    object travels with every point into the pool workers.
+
     ``jobs`` farms the (independent) cluster-size points to worker
-    processes — default serial, or the ``REPRO_JOBS`` env variable; the
-    resulting sweep is byte-identical either way.
+    processes — default ``options.jobs``; the resulting sweep is
+    byte-identical at any job count.
 
     ``cache`` memoizes points in the content-addressed run cache (see
-    :mod:`repro.bench.cache`): ``None`` consults ``REPRO_CACHE`` /
-    ``REPRO_CACHE_DIR``, ``True``/``False`` force it, or pass a
+    :mod:`repro.bench.cache`): ``None`` uses ``options.run_cache``,
+    ``True``/``False`` force it, or pass a
     :class:`~repro.bench.cache.RunCache` to collect hit/miss counters.
     Cache hits skip the fork entirely; misses are scheduled
     longest-job-first from cached wall-time estimates.  ``cache_verify``
@@ -251,6 +243,8 @@ def run_sweep(
     ``protocol`` selects the coherence engine by registry name (sugar
     for ``overrides={"protocol": ...}``; see :mod:`repro.protocols`).
     """
+    if options is None:
+        options = RunOptions.from_env()
     if protocol is not None:
         overrides = {**(overrides or {}), "protocol": protocol}
     engine = (overrides or {}).get("protocol", "mgs")
@@ -268,14 +262,16 @@ def run_sweep(
             network,
             require_valid,
             overrides,
+            options,
         )
         for c in sizes
     ]
-    run_cache = resolve_cache(cache)
+    jobs = resolve_jobs(options.jobs if jobs is None else jobs)
+    run_cache = resolve_cache(cache, options)
     if run_cache is not None:
         results = _cached_results(run_cache, cache_verify, point_args, jobs)
     else:
-        results = parallel_map(_sweep_point, point_args, resolve_jobs(jobs))
+        results = parallel_map(_sweep_point, point_args, jobs)
     app_name = name
     points = []
     for run_name, point in results:

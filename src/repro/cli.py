@@ -20,13 +20,11 @@ under ``results/``.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from repro.apps import ALL_APPS
 from repro.bench import (
     FIGURES,
-    RunCache,
     figure_report,
     measure_micro_costs,
     render_lock_figure,
@@ -41,13 +39,13 @@ from repro.bench import (
 )
 from repro.bench.micro import PAPER_TABLE3
 from repro.params import EXTERNAL_MODELS, NetworkConfig
+from repro.runtime import RunOptions
 
 __all__ = [
     "main",
     "network_from_args",
-    "cache_from_args",
     "add_replay_args",
-    "apply_replay_args",
+    "options_from_args",
     "print_replay_summary",
 ]
 
@@ -107,25 +105,14 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def cache_from_args(args: argparse.Namespace) -> RunCache | None:
-    """A RunCache from the flag group (None when caching is off)."""
-    if args.no_cache:
-        if args.cache or args.cache_dir or args.cache_verify:
-            raise ValueError("--no-cache conflicts with the other cache flags")
-        return None
-    if args.cache or args.cache_dir or args.cache_verify:
-        return RunCache(args.cache_dir)
-    return resolve_cache(None)
-
-
 def add_replay_args(parser: argparse.ArgumentParser) -> None:
     """The phase-replay flag group (see :mod:`repro.runtime.replay`).
 
     Mirrors ``REPRO_NO_REPLAY`` / ``REPRO_REPLAY_CACHE`` /
     ``REPRO_REPLAY_CACHE_DIR`` the way ``--cache`` mirrors
     ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``.  Precedence: an explicit
-    flag always beats the inherited environment (``--replay`` clears an
-    inherited ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no
+    flag always beats the inherited environment (``--replay`` overrides
+    an inherited ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no
     flag the environment stands.
     """
     group = parser.add_argument_group("phase replay")
@@ -138,7 +125,7 @@ def add_replay_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument(
         "--no-replay",
         action="store_true",
-        help="execute every phase (sets REPRO_NO_REPLAY=1 for this "
+        help="execute every phase (overrides REPRO_NO_REPLAY for this "
         "invocation, including pool workers); bit-identical, just slower",
     )
     group.add_argument(
@@ -156,29 +143,40 @@ def add_replay_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def apply_replay_args(args: argparse.Namespace) -> None:
-    """Apply the replay flag group by mutating ``os.environ``.
+def options_from_args(args: argparse.Namespace) -> RunOptions:
+    """The environment's :class:`RunOptions` with the flags on top.
 
-    Environment mutation (rather than threading a store object through
-    every harness) is deliberate: in-process runtimes resolve the store
-    from the environment, and ``bench.parallel`` pool workers receive
-    the same state through the per-job ``REPRO_*`` snapshot — so one
-    mechanism covers sweeps, figures, and the comparison harness at any
-    job count.
+    Each flag stands in for the variable it mirrors (``--no-replay`` for
+    ``REPRO_NO_REPLAY=1``, ``--cache-dir D`` for ``REPRO_CACHE=1`` and
+    ``REPRO_CACHE_DIR=D``, ...), so a flag beats the environment through
+    the precedence rules of :meth:`RunOptions.from_env` — and the
+    process environment is never written.  Parsers without the run-cache
+    group (``repro compare``) leave the cache to the environment.
     """
+    flags = {}
+    if args.jobs is not None:
+        flags["REPRO_JOBS"] = str(args.jobs)
     if args.no_replay:
         if args.replay or args.replay_cache or args.replay_cache_dir:
-            raise ValueError(
-                "--no-replay conflicts with the other replay flags"
-            )
-        os.environ["REPRO_NO_REPLAY"] = "1"
-        return
-    if args.replay:
-        os.environ.pop("REPRO_NO_REPLAY", None)
+            raise ValueError("--no-replay conflicts with the other replay flags")
+        flags["REPRO_NO_REPLAY"] = "1"
+    elif args.replay:
+        flags["REPRO_NO_REPLAY"] = "0"
     if args.replay_cache_dir:
-        os.environ["REPRO_REPLAY_CACHE_DIR"] = args.replay_cache_dir
+        flags["REPRO_REPLAY_CACHE_DIR"] = args.replay_cache_dir
     if args.replay_cache or args.replay_cache_dir:
-        os.environ["REPRO_REPLAY_CACHE"] = "1"
+        flags["REPRO_REPLAY_CACHE"] = "1"
+    given = vars(args)
+    cache_on = given.get("cache") or given.get("cache_dir") or given.get("cache_verify")
+    if given.get("no_cache"):
+        if cache_on:
+            raise ValueError("--no-cache conflicts with the other cache flags")
+        flags["REPRO_CACHE"] = "0"
+    elif cache_on:
+        flags["REPRO_CACHE"] = "1"
+        if given["cache_dir"]:
+            flags["REPRO_CACHE_DIR"] = given["cache_dir"]
+    return RunOptions.from_env(flags)
 
 
 def print_replay_summary() -> None:
@@ -293,11 +291,11 @@ def _print_transaction_stats(sweep) -> None:
             )
 
 
-def _fig11(jobs: int = 1, protocol: str | None = None) -> str:
+def _fig11(options: RunOptions, jobs: int, protocol: str) -> str:
     sweeps = [
         sweep
         for _, sweep in run_figures(
-            ["fig8", "fig9", "fig10"], jobs=jobs, protocol=protocol
+            ["fig8", "fig9", "fig10"], jobs=jobs, protocol=protocol, options=options
         )
     ]
     return render_lock_figure(
@@ -371,8 +369,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         network = network_from_args(args)
-        cache = cache_from_args(args)
-        apply_replay_args(args)
+        options = options_from_args(args)
         trace_pages = (
             parse_trace_pages(args.trace_pages)
             if args.trace_pages is not None
@@ -381,7 +378,8 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         parser.error(str(exc))
 
-    jobs = resolve_jobs(args.jobs)
+    cache = resolve_cache(None, options)
+    jobs = resolve_jobs(options.jobs)
     tracers: list = []
     hook = None
     if trace_pages is not False:
@@ -417,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         Runtime.construction_hooks.append(analyze_hook)
 
     try:
-        return _dispatch(parser, args, network, jobs, cache)
+        return _dispatch(parser, args, network, options, jobs, cache)
     finally:
         print_replay_summary()
         if cache is not None:
@@ -450,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(tracer.render_transactions(limit=50))
 
 
-def _dispatch(parser, args, network, jobs: int = 1, cache=None) -> int:
+def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> int:
     experiments = list(args.experiments)
     if experiments and experiments[0] == "sweep":
         if len(experiments) < 2 or experiments[1] not in ALL_APPS:
@@ -464,6 +462,7 @@ def _dispatch(parser, args, network, jobs: int = 1, cache=None) -> int:
             cache=cache if cache is not None else False,
             cache_verify=args.cache_verify,
             protocol=args.protocol,
+            options=options,
         )
         from repro.bench import render_breakdown_figure, render_metrics
 
@@ -492,6 +491,7 @@ def _dispatch(parser, args, network, jobs: int = 1, cache=None) -> int:
                 network=network,
                 jobs=jobs,
                 protocol=args.protocol,
+                options=options,
             )
         )
 
@@ -502,7 +502,7 @@ def _dispatch(parser, args, network, jobs: int = 1, cache=None) -> int:
         elif exp == "table4":
             print("Table 4\n\n" + render_table4(run_table4()))
         elif exp == "fig11":
-            print(_fig11(jobs, args.protocol))
+            print(_fig11(options, jobs, args.protocol))
         elif exp in FIGURES:
             sweep = sweeps.get(exp)
             if sweep is None:
@@ -514,6 +514,7 @@ def _dispatch(parser, args, network, jobs: int = 1, cache=None) -> int:
                     cache=cache if cache is not None else False,
                     cache_verify=args.cache_verify,
                     protocol=args.protocol,
+                    options=options,
                 )
             print(figure_report(exp, sweep))
             _print_network_stats(sweep)

@@ -19,7 +19,6 @@ Two dataclasses are exported:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -183,13 +182,8 @@ class MachineConfig:
     lan_bandwidth: float = 0.0
     network: NetworkConfig = field(default_factory=NetworkConfig)
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
-    #: default engine comes from ``REPRO_PROTOCOL`` so an engine-agnostic
-    #: test subset can run under any engine (the CI protocol-matrix job);
-    #: explicit ``protocol=`` always wins, and the field participates in
-    #: run-cache keys either way.
-    protocol: str = field(
-        default_factory=lambda: os.environ.get("REPRO_PROTOCOL", "mgs")
-    )
+    #: coherence engine by registry name (see :mod:`repro.protocols`)
+    protocol: str = "mgs"
 
     def __post_init__(self) -> None:
         if self.total_processors < 1:

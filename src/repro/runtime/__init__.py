@@ -1,13 +1,14 @@
 """Runtime: the programming API and thread driver for simulated apps."""
 
 from repro.runtime.env import Env
-from repro.runtime.runner import RunResult, Runtime, fastpath_enabled_default
+from repro.runtime.options import RunOptions
+from repro.runtime.runner import RunResult, Runtime
 from repro.runtime.shared import SharedArray
 
 __all__ = [
     "Env",
+    "RunOptions",
     "Runtime",
     "RunResult",
     "SharedArray",
-    "fastpath_enabled_default",
 ]

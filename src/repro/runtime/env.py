@@ -47,7 +47,7 @@ suspension point (fault, pause, lock, unlock, barrier), so the fast
 paths charge exactly the cycles, update exactly the statistics, and
 suspend at exactly the times the slow paths do.  The contract is pinned
 bit-for-bit by ``tests/test_golden_equivalence.py``; set
-``REPRO_NO_FASTPATH=1`` (or ``Runtime(..., fastpath=False)``) to force
+``REPRO_NO_FASTPATH=1`` (or ``RunOptions(fastpath=False)``) to force
 the original one-access-at-a-time code paths.  See
 ``docs/PERFORMANCE.md``.
 
@@ -122,7 +122,7 @@ class Env:
     The memory operations (``read``, ``write``, ``read_block``,
     ``write_block``, ``read_many``, ``write_many``) are bound per
     instance: to the fast-path implementations normally, or to the
-    original slow paths when the runtime was built with
+    original slow paths when the runtime's options say
     ``fastpath=False`` (e.g. via the ``REPRO_NO_FASTPATH=1`` escape
     hatch).  Both produce bit-for-bit identical simulations.
     """
@@ -192,10 +192,10 @@ class Env:
         # window and threshold are per-engine class attributes.
         self._fp_hits = 0
         self._fp_bursts = 0
-        self._fp_adaptive = runtime.fastpath
+        self._fp_adaptive = runtime.options.fastpath
         self._fp_sample_bursts = runtime.protocol.fp_sample_bursts
         self._fp_bypass_threshold = runtime.protocol.fp_bypass_hits_per_burst
-        if runtime.fastpath:
+        if runtime.options.fastpath:
             self.read = self._read_fast
             self.write = self._write_fast
             self.read_block = self._read_block_fast
@@ -268,7 +268,7 @@ class Env:
         no ``__func__`` — those runs never demote, so report False.)
         """
         return (
-            self._rt.fastpath
+            self._rt.options.fastpath
             and getattr(self.read, "__func__", None) is Env._read_slow
         )
 
@@ -1205,4 +1205,4 @@ class Env:
     @property
     def fastpath(self) -> bool:
         """Whether this Env uses the hot-path access engine."""
-        return self._rt.fastpath
+        return self._rt.options.fastpath

@@ -31,13 +31,13 @@ executable:
 Replay is automatically disabled when fault injection or the reliable
 transport is active (their behavior depends on absolute counters the
 digest cannot translate) and when the analysis checkers are attached
-(they observe the messages replay elides).  ``REPRO_NO_REPLAY=1`` — the
-escape hatch mirroring ``REPRO_NO_FASTPATH`` — turns it off everywhere;
-``tests/test_replay.py`` pins replay-on against replay-off bit-for-bit
-for every registered engine.
+(they observe the messages replay elides).  ``RunOptions(replay=False)``
+(``REPRO_NO_REPLAY=1``, ``--no-replay``) — the escape hatch mirroring
+the fast-path one — turns it off; ``tests/test_replay.py`` pins
+replay-on against replay-off bit-for-bit for every registered engine.
 
-Records optionally **persist across processes**: when a replay store is
-attached (:func:`repro.bench.cache.resolve_replay_store`, enabled via
+Records optionally **persist across processes**: when the run's
+options name a store directory (``RunOptions.replay_cache``, set by
 ``REPRO_REPLAY_CACHE=1`` / ``REPRO_REPLAY_CACHE_DIR`` or the
 ``--replay-cache`` CLI flags), every recorded delta is also written as
 versioned JSON into a content-addressed directory keyed by (source
@@ -55,7 +55,6 @@ like the run cache).
 from __future__ import annotations
 
 import dataclasses
-import os
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.snapshot import digest
@@ -67,21 +66,7 @@ __all__ = [
     "PhaseRecorder",
     "record_from_payload",
     "record_to_payload",
-    "replay_enabled_default",
 ]
-
-
-def replay_enabled_default() -> bool:
-    """Whether phased runtimes record and replay repeated phases.
-
-    On by default; set ``REPRO_NO_REPLAY=1`` (or ``true``/``yes``) to
-    force every phase to execute.  Both modes are bit-for-bit identical.
-    """
-    return os.environ.get("REPRO_NO_REPLAY", "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
 
 
 class _StatCells:

@@ -15,7 +15,6 @@ Typical use (what every app in :mod:`repro.apps` does):
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -24,34 +23,14 @@ from repro.hw import CacheSystem
 from repro.machine import Machine
 from repro.params import CostModel, MachineConfig
 from repro.runtime.env import Env
-from repro.runtime.replay import replay_enabled_default
+from repro.runtime.options import RunOptions
 from repro.runtime.shared import SharedArray
 from repro.runtime.thread import ThreadContext
 from repro.sim import Simulator
 from repro.svm import AccessKind, AddressSpace
 from repro.sync import LockStats, MGSLock, TreeBarrier
 
-__all__ = [
-    "Runtime",
-    "RunResult",
-    "fastpath_enabled_default",
-    "replay_enabled_default",
-]
-
-
-def fastpath_enabled_default() -> bool:
-    """Whether new runtimes use the hot-path access engine.
-
-    On by default; set ``REPRO_NO_FASTPATH=1`` (or ``true``/``yes``) to
-    fall back to the original one-access-at-a-time code paths.  Both are
-    bit-for-bit identical (pinned by ``tests/test_golden_equivalence.py``);
-    the escape hatch exists for debugging and for the perf-smoke harness.
-    """
-    return os.environ.get("REPRO_NO_FASTPATH", "").strip().lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
+__all__ = ["Runtime", "RunResult"]
 
 
 @dataclass
@@ -111,25 +90,15 @@ class Runtime:
         config: MachineConfig,
         costs: CostModel | None = None,
         quantum: int = 1500,
-        fastpath: bool | None = None,
         analysis=None,
-        replay: bool | None = None,
-        replay_store=None,
+        options: RunOptions | None = None,
     ) -> None:
         self.config = config
         self.costs = costs if costs is not None else CostModel()
         self.quantum = quantum
-        self.fastpath = (
-            fastpath_enabled_default() if fastpath is None else bool(fastpath)
-        )
-        self.replay = (
-            replay_enabled_default() if replay is None else bool(replay)
-        )
-        # Persistent replay store: a ReplayStore instance, True/False to
-        # force on/off, or None to let REPRO_REPLAY_CACHE[_DIR] decide
-        # (resolved lazily by the phased driver — see
-        # repro.bench.cache.resolve_replay_store).
-        self.replay_store = replay_store
+        #: how to execute (fast paths, phase replay and its store); None
+        #: resolves the ``REPRO_*`` environment here
+        self.options = options if options is not None else RunOptions.from_env()
         self.sim = Simulator()
         self.machine = Machine(self.sim, config, self.costs)
         self.aspace = AddressSpace(config)
@@ -280,7 +249,7 @@ class Runtime:
         store) any other.  Epochs that change state simply execute;
         correctness never depends on the app's idempotence claim.  The
         same auto-disable rules apply (faults, transport, analysis
-        checkers, ``REPRO_NO_REPLAY``).
+        checkers, ``RunOptions.replay`` off).
 
         Args:
             factory: ``(env, epoch_index) -> generator``, fresh per
@@ -341,7 +310,7 @@ class Runtime:
         per-protocol via ``Protocol.phase_state``.)
         """
         return (
-            self.replay
+            self.options.replay
             and self.machine.transport is None
             and self.machine.faults is None
             and self.sanitizer is None
@@ -368,7 +337,7 @@ class Runtime:
             from repro.runtime.replay import PhaseRecorder
 
             recorder = PhaseRecorder(
-                self, store=resolve_replay_store(self.replay_store)
+                self, store=resolve_replay_store(self.options)
             )
         self.phase_recorder = recorder
         for index in range(self._phase_count):

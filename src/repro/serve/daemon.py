@@ -47,6 +47,8 @@ from repro.metrics.export import (
     run_cache_to_dict,
     sweep_to_dict,
 )
+from repro.runtime import RunOptions
+from repro.runtime.options import DEFAULT_CACHE_DIR
 from repro.serve.jobs import DONE, FAILED, JobQueue, execute_job
 from repro.serve.ratelimit import ClientTable
 from repro.serve.validate import RequestError, validate_request
@@ -194,7 +196,11 @@ class ServeDaemon(ThreadingHTTPServer):
         verbose: bool = False,
     ) -> None:
         super().__init__((host, port), _Handler)
-        self.queue = JobQueue(cache_dir)
+        #: how every job executes, resolved once at startup
+        self.options = RunOptions.from_env()
+        self.queue = JobQueue(
+            cache_dir or self.options.run_cache or DEFAULT_CACHE_DIR
+        )
         self.clients = ClientTable(rate=rate, burst=burst)
         self.jobs = jobs
         self.verbose = verbose
@@ -280,7 +286,7 @@ class ServeDaemon(ThreadingHTTPServer):
             if job is None:
                 continue
             try:
-                sweep = execute_job(job, jobs=self.jobs)
+                sweep = execute_job(job, jobs=self.jobs, options=self.options)
             except Exception as exc:  # noqa: BLE001 - job isolation
                 if self.verbose:
                     traceback.print_exc()

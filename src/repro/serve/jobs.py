@@ -42,6 +42,7 @@ from repro.bench.cache import RunCache
 from repro.bench.parallel import submission_order
 from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
+from repro.runtime import RunOptions
 from repro.serve.validate import JobRequest, validate_request
 
 __all__ = ["Job", "JobQueue", "execute_job"]
@@ -77,12 +78,8 @@ class Job:
 class JobQueue:
     """Thread-safe job registry + FIFO-with-priorities dispatch queue."""
 
-    def __init__(self, cache_root: str | Path | None = None) -> None:
-        self.cache_root = Path(
-            cache_root
-            if cache_root is not None
-            else os.environ.get("REPRO_CACHE_DIR") or ".repro_cache"
-        )
+    def __init__(self, cache_root: str | Path) -> None:
+        self.cache_root = Path(cache_root)
         #: estimates only; jobs get their own counter-bearing instances
         self._estimator = RunCache(self.cache_root)
         self._lock = threading.Lock()
@@ -289,13 +286,16 @@ class JobQueue:
         return restored
 
 
-def execute_job(job: Job, jobs: int = 1) -> ClusterSweep:
+def execute_job(
+    job: Job, jobs: int = 1, options: RunOptions | None = None
+) -> ClusterSweep:
     """Run one job, ticking progress per size group; returns the sweep.
 
     ``jobs`` bounds the worker-process pool each group is farmed to
     (``run_sweep``'s own ``parallel_map`` machinery); the group size
     matches it so progress advances as fast as results can arrive.
-    The caller records the outcome via :meth:`JobQueue.finish`.
+    ``options`` are the daemon's, resolved at startup.  The caller
+    records the outcome via :meth:`JobQueue.finish`.
     """
     request = job.request
     module = ALL_APPS[request.workload]
@@ -317,6 +317,7 @@ def execute_job(job: Job, jobs: int = 1) -> ClusterSweep:
             cache=job.cache,
             overrides=request.overrides or None,
             protocol=request.protocol,
+            options=options,
         )
         points.extend(sweep.points)
         app_name = sweep.app

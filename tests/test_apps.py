@@ -14,25 +14,31 @@ P = 8
 CLUSTER_SIZES = [1, 2, 4, 8]
 
 
-def config_for(c):
-    return MachineConfig(total_processors=P, cluster_size=c)
+@pytest.fixture
+def config_for(engine):
+    """``c -> MachineConfig`` on the P-processor machine under ``engine``."""
+
+    def make(c):
+        return MachineConfig(total_processors=P, cluster_size=c, protocol=engine)
+
+    return make
 
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
-def test_jacobi_valid(c):
+def test_jacobi_valid(c, config_for):
     run = jacobi.run(config_for(c), jacobi.JacobiParams(n=24, iterations=3))
     assert run.valid, f"max_error={run.max_error}"
     assert run.total_time > 0
 
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
-def test_matmul_valid(c):
+def test_matmul_valid(c, config_for):
     run = matmul.run(config_for(c), matmul.MatmulParams(n=12))
     assert run.valid, f"max_error={run.max_error}"
 
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
-def test_tsp_finds_optimum(c):
+def test_tsp_finds_optimum(c, config_for):
     run = tsp.run(config_for(c), tsp.TSPParams(ncities=7))
     assert run.valid, (
         f"found {run.aux['optimal_cost'] + run.max_error}, "
@@ -41,13 +47,13 @@ def test_tsp_finds_optimum(c):
 
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
-def test_water_valid(c):
+def test_water_valid(c, config_for):
     run = water.run(config_for(c), water.WaterParams(n_molecules=19, iterations=2))
     assert run.valid, f"max_error={run.max_error}"
 
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
-def test_barnes_hut_valid(c):
+def test_barnes_hut_valid(c, config_for):
     run = barnes_hut.run(
         config_for(c), barnes_hut.BarnesHutParams(n_bodies=24, iterations=2)
     )
@@ -57,7 +63,7 @@ def test_barnes_hut_valid(c):
 
 @pytest.mark.parametrize("c", CLUSTER_SIZES)
 @pytest.mark.parametrize("optimized", [False, True])
-def test_water_kernel_valid(c, optimized):
+def test_water_kernel_valid(c, optimized, config_for):
     run = water_kernel.run(
         config_for(c),
         water_kernel.WaterKernelParams(n_molecules=32, optimized=optimized),
@@ -65,7 +71,7 @@ def test_water_kernel_valid(c, optimized):
     assert run.valid, f"max_error={run.max_error}"
 
 
-def test_water_load_imbalance_is_visible():
+def test_water_load_imbalance_is_visible(config_for):
     """19 molecules over 8 workers: the first three get 3 molecules, the
     rest 2 — barrier time absorbs the imbalance (section 5.2.1)."""
     run = water.run(config_for(8), water.WaterParams(n_molecules=19, iterations=1))
@@ -87,7 +93,7 @@ def test_tournament_schedule_covers_all_pairs():
     assert len(seen) == 8 * 7 // 2
 
 
-def test_kernel_variants_compute_identical_pair_set():
+def test_kernel_variants_compute_identical_pair_set(config_for):
     import numpy as np
 
     params_u = water_kernel.WaterKernelParams(n_molecules=32, optimized=False)

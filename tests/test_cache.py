@@ -12,12 +12,14 @@ The contract under test (ISSUE 4 acceptance criteria):
 
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
 from repro.apps import jacobi
 from repro.bench import sweep as sweep_mod
 from repro.bench.cache import (
+    DEFAULT_CACHE_DIR,
     CacheVerifyError,
     RunCache,
     app_run_from_dict,
@@ -29,6 +31,7 @@ from repro.bench.cache import (
 )
 from repro.bench.sweep import run_sweep
 from repro.params import CostModel, MachineConfig
+from repro.runtime import RunOptions
 
 PARAMS = jacobi.JacobiParams(n=16, iterations=2)
 
@@ -273,25 +276,29 @@ def test_verify_sample_is_deterministic_and_nonempty():
 
 
 def test_resolve_cache_env_activation(tmp_path, monkeypatch):
+    def resolved(cache=None):
+        return resolve_cache(cache, RunOptions.from_env())
+
     monkeypatch.delenv("REPRO_CACHE", raising=False)
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
-    assert resolve_cache(None) is None
-    assert resolve_cache(False) is None
+    assert resolved() is None
+    assert resolved(False) is None
+    assert resolved(True).root == Path(DEFAULT_CACHE_DIR)
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "envcache"))
-    cache = resolve_cache(None)
+    cache = resolved()
     assert cache is not None
     assert cache.root == tmp_path / "envcache"
 
     monkeypatch.setenv("REPRO_CACHE", "0")  # explicit off wins over the dir
-    assert resolve_cache(None) is None
+    assert resolved() is None
 
     monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)
     monkeypatch.setenv("REPRO_CACHE", "1")
-    assert resolve_cache(None) is not None
+    assert resolved() is not None
 
     passthrough = RunCache(tmp_path / "x")
-    assert resolve_cache(passthrough) is passthrough
+    assert resolved(passthrough) is passthrough
 
 
 def test_estimates_feed_cost_aware_scheduling(tmp_path):

@@ -32,3 +32,36 @@ def test_analyze_hands_off_to_explorer(capsys):
     assert main(["analyze", "explore", "--engine", "swdsm"]) == 0
     out = capsys.readouterr().out
     assert "swdsm: clean" in out
+
+
+def test_flags_never_write_the_environment(capsys):
+    import os
+
+    before = dict(os.environ)
+    assert main(["sweep", "matmul", "--processors", "4", "--no-replay"]) == 0
+    assert "breakup penalty" in capsys.readouterr().out
+    assert dict(os.environ) == before
+
+
+def test_no_replay_flag_beats_the_environment_in_pool_workers(
+    tmp_path, monkeypatch, capsys
+):
+    import os
+
+    from repro.bench import parallel as par
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    par.shutdown_pool()
+    store = tmp_path / "rc"
+    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(store))
+    monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
+    sweep = ["sweep", "scanphase", "--processors", "4", "--jobs", "2", "--no-cache"]
+    try:
+        assert main([*sweep, "--no-replay"]) == 0
+        off = capsys.readouterr().out
+        assert not store.exists()  # no worker touched the store
+        assert main(sweep) == 0
+        assert capsys.readouterr().out == off
+        assert any(store.rglob("*.json"))  # the control: workers record
+    finally:
+        par.shutdown_pool()

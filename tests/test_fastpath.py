@@ -2,7 +2,7 @@
 
 ``Env`` binds ``read``/``write``/``read_block``/``write_block``/
 ``read_many``/``write_many`` to either the fast or the slow
-implementations depending on ``Runtime.fastpath``.  These tests pin the
+implementations depending on ``RunOptions.fastpath``.  These tests pin the
 contract:
 
 * the batched block/many APIs charge exactly the same cycles as the
@@ -12,13 +12,14 @@ contract:
   faults and quantum pauses that land mid-block;
 * the quantum boundary is strict (> quantum pauses, == quantum does
   not) in both modes;
-* ``REPRO_NO_FASTPATH`` disables the fast paths.
+* ``REPRO_NO_FASTPATH`` disables the fast paths of a runtime built
+  without explicit options.
 """
 
 import pytest
 
 from repro.params import WORD_BYTES, MachineConfig
-from repro.runtime import Runtime, fastpath_enabled_default
+from repro.runtime import RunOptions, Runtime
 from tests.machine_state import run_state
 
 
@@ -28,7 +29,9 @@ def _config(total=4, cluster=2):
 
 def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
     """Run one workload; returns (state, values captured by the workers)."""
-    rt = Runtime(_config(total, cluster), quantum=quantum, fastpath=fastpath)
+    rt = Runtime(
+        _config(total, cluster), quantum=quantum, options=RunOptions(fastpath=fastpath)
+    )
     nwords = 64 * total
     arr = rt.array("data", nwords)
     arr.init([float(i) * 0.5 for i in range(nwords)])
@@ -300,7 +303,8 @@ def test_compute_exactly_one_quantum_does_not_pause(fastpath):
     q = 1500
 
     def events_for(cycles):
-        rt = Runtime(_config(total=1, cluster=1), quantum=q, fastpath=fastpath)
+        options = RunOptions(fastpath=fastpath)
+        rt = Runtime(_config(total=1, cluster=1), quantum=q, options=options)
 
         def worker(env):
             yield from env.compute(cycles)
@@ -321,7 +325,8 @@ def test_pause_resets_the_quantum_budget(fastpath):
     q = 100
 
     def events_for(chunks):
-        rt = Runtime(_config(total=1, cluster=1), quantum=q, fastpath=fastpath)
+        options = RunOptions(fastpath=fastpath)
+        rt = Runtime(_config(total=1, cluster=1), quantum=q, options=options)
 
         def worker(env):
             for _ in range(chunks):
@@ -342,20 +347,23 @@ def test_pause_resets_the_quantum_budget(fastpath):
 
 def test_fastpath_on_by_default(monkeypatch):
     monkeypatch.delenv("REPRO_NO_FASTPATH", raising=False)
-    assert fastpath_enabled_default() is True
-    assert Runtime(_config()).fastpath is True
+    assert RunOptions().fastpath is True
+    assert Runtime(_config()).options.fastpath is True
 
 
 @pytest.mark.parametrize("value", ["1", "true", "YES", " 1 "])
 def test_repro_no_fastpath_disables(monkeypatch, value):
     monkeypatch.setenv("REPRO_NO_FASTPATH", value)
-    assert fastpath_enabled_default() is False
-    assert Runtime(_config()).fastpath is False
+    assert Runtime(_config()).options.fastpath is False
+    assert _fresh_env(Runtime(_config())).fastpath is False
 
 
 def test_repro_no_fastpath_unrecognised_values_keep_it_on(monkeypatch):
     monkeypatch.setenv("REPRO_NO_FASTPATH", "0")
-    assert fastpath_enabled_default() is True
+    assert Runtime(_config()).options.fastpath is True
+    monkeypatch.setenv("REPRO_NO_FASTPATH", "banana")
+    with pytest.warns(RuntimeWarning, match="REPRO_NO_FASTPATH='banana'"):
+        assert Runtime(_config()).options.fastpath is True
 
 
 def _fresh_env(rt):
@@ -367,16 +375,15 @@ def _fresh_env(rt):
 
 def test_explicit_fastpath_argument_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_NO_FASTPATH", "1")
-    rt = Runtime(_config(), fastpath=True)
-    assert rt.fastpath is True
+    rt = Runtime(_config(), options=RunOptions(fastpath=True))
     assert _fresh_env(rt).fastpath is True
 
 
 def test_env_binds_slow_methods_when_disabled():
-    env = _fresh_env(Runtime(_config(), fastpath=False))
+    env = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=False)))
     assert env.read.__func__ is env._read_slow.__func__
     assert env.read_block.__func__ is env._read_block_slow.__func__
-    env2 = _fresh_env(Runtime(_config(), fastpath=True))
+    env2 = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=True)))
     assert env2.read.__func__ is env2._read_fast.__func__
 
 
@@ -419,7 +426,12 @@ def _hit_heavy(arr, nwords, captured):
 
 
 def _run_and_collect_envs(factory, *, fastpath=True, analysis=None):
-    rt = Runtime(_config(), quantum=1500, fastpath=fastpath, analysis=analysis)
+    rt = Runtime(
+        _config(),
+        quantum=1500,
+        analysis=analysis,
+        options=RunOptions(fastpath=fastpath),
+    )
     nwords = 64 * 4
     arr = rt.array("data", nwords)
     arr.init([float(i) for i in range(nwords)])

@@ -15,7 +15,7 @@ import pytest
 
 from repro.hw import CacheSystem
 from repro.params import WORD_BYTES, CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 from tests.machine_state import run_state
 
 COSTS = CostModel()
@@ -163,7 +163,7 @@ def _run_straddle(protocol: str, fastpath: bool):
     config = MachineConfig(
         total_processors=4, cluster_size=2, protocol=protocol
     )
-    rt = Runtime(config, fastpath=fastpath)
+    rt = Runtime(config, options=RunOptions(fastpath=fastpath))
     words_per_page = config.page_size // WORD_BYTES
     nwords = 2 * words_per_page
     arr = rt.array("data", nwords)

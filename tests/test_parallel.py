@@ -5,9 +5,12 @@ import os
 
 import pytest
 
-from repro.apps import jacobi
+from repro.apps import jacobi, scanphase
 from repro.bench import parallel_map, resolve_jobs, run_figures, run_sweep
 from repro.bench import parallel as par
+from repro.runtime import RunOptions
+
+SCAN = scanphase.ScanPhaseParams(words=256, phases=6, window=16)
 
 
 # Worker functions must be module-level: the persistent pool's workers
@@ -16,32 +19,26 @@ def _negate(x):
     return -x
 
 
-def _read_env(key):
-    return os.environ.get(key)
-
-
 def _maybe_boom(x):
     if x < 0:
         raise ValueError(f"boom {x}")
     return x * 10
 
 
-def _replay_store_root():
-    """Worker-side view of the env-resolved replay store (None when off)."""
+def _replay_store_root(options):
+    """Worker-side view of the options' replay store (None when off)."""
     from repro.bench.cache import resolve_replay_store
 
-    store = resolve_replay_store(None)
+    store = resolve_replay_store(options)
     return None if store is None else str(store.root)
 
 
-def _scanphase_replay_point():
+def _scanphase_replay_point(options):
     """One persistent-replay-eligible scanphase point; replay counters."""
-    from repro.apps import scanphase
     from repro.params import MachineConfig
 
     run = scanphase.run(
-        MachineConfig(total_processors=4, cluster_size=2),
-        scanphase.ScanPhaseParams(words=256, phases=6, window=16),
+        MachineConfig(total_processors=4, cluster_size=2), SCAN, options=options
     )
     assert run.valid
     return run.result.replay_cache
@@ -133,12 +130,12 @@ def test_parallel_map_priorities_length_mismatch_raises():
 
 
 def test_submission_order_is_longest_first_unknowns_lead():
-    from repro.bench.parallel import _submission_order
+    from repro.bench.parallel import submission_order
 
-    assert _submission_order(4, [0.1, 5.0, None, 1.0]) == [2, 1, 3, 0]
-    assert _submission_order(3, None) == [0, 1, 2]
+    assert submission_order(4, [0.1, 5.0, None, 1.0]) == [2, 1, 3, 0]
+    assert submission_order(3, None) == [0, 1, 2]
     # ties keep input order (stable, deterministic)
-    assert _submission_order(3, [1.0, 1.0, 2.0]) == [2, 0, 1]
+    assert submission_order(3, [1.0, 1.0, 2.0]) == [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -175,51 +172,57 @@ def test_pool_grows_but_never_shrinks(fresh_pool):
     assert par._POOL_WORKERS == 3
 
 
-def test_env_snapshot_reaches_long_lived_workers(fresh_pool, monkeypatch):
-    key = "REPRO_TEST_POOL_FLAG"
-    monkeypatch.setenv(key, "on")
-    assert parallel_map(_read_env, [(key,), (key,)], jobs=2) == ["on", "on"]
-    # Removal must propagate too: the workers forked while it was set.
-    monkeypatch.delenv(key)
-    assert parallel_map(_read_env, [(key,), (key,)], jobs=2) == [None, None]
+def _scan_sweep(options=None):
+    return run_sweep(
+        scanphase,
+        params=SCAN,
+        total_processors=4,
+        jobs=2,
+        cache=False,
+        options=options,
+    )
 
 
-def test_pool_warmed_with_replay_off_honors_replay_on_jobs(
-    fresh_pool, monkeypatch, tmp_path
-):
-    """A worker's replay-store state must track the per-job env snapshot.
+def test_workers_follow_the_parent_environment(fresh_pool, monkeypatch, tmp_path):
+    """Settings changed in the parent after the pool forked reach every
+    later job: ``options=None`` resolves in the parent, per call."""
+    for var in ("REPRO_NO_REPLAY", "REPRO_REPLAY_CACHE", "REPRO_REPLAY_CACHE_DIR"):
+        monkeypatch.delenv(var, raising=False)
+    baseline = _scan_sweep()  # forks the pool: no replay store
+    assert par._POOL is not None
 
-    Regression: module-level store state derived from ``REPRO_*`` at
-    first use, if not keyed by the env values, would let a pool warmed
-    under ``REPRO_NO_REPLAY=1`` keep serving "replay off" to a later
-    replay-on job (and vice versa, a stale store directory).
-    """
-    store_dir = tmp_path / "rc"
+    on = tmp_path / "on"
+    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(on))
+    assert dataclasses.asdict(_scan_sweep()) == dataclasses.asdict(baseline)
+    assert any(on.rglob("*.json"))  # the workers recorded into it
+
+    off = tmp_path / "off"
+    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(off))
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    monkeypatch.delenv("REPRO_REPLAY_CACHE", raising=False)
-    monkeypatch.delenv("REPRO_REPLAY_CACHE_DIR", raising=False)
-    # Warm the pool (and each worker's env-derived module state) with
-    # replay globally off: no store resolves.
-    assert parallel_map(_replay_store_root, [(), ()], jobs=2) == [None, None]
+    assert dataclasses.asdict(_scan_sweep()) == dataclasses.asdict(baseline)
+    assert not off.exists()  # replay off: no store at all
 
-    # Flip the environment: replay on, persistent store at store_dir.
-    monkeypatch.delenv("REPRO_NO_REPLAY")
-    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(store_dir))
-    assert parallel_map(_replay_store_root, [(), ()], jobs=2) == [
+
+def test_pool_warmed_with_replay_off_honors_replay_on_jobs(fresh_pool, tmp_path):
+    """Workers hold no settings of their own: a pool warmed with replay
+    off records and replays into the store of a later replay-on job."""
+    store_dir = tmp_path / "rc"
+    off = RunOptions(replay=False)
+    on = RunOptions(replay_cache=store_dir)
+    sweep = _scan_sweep(off)
+    assert parallel_map(_replay_store_root, [(off,), (off,)], jobs=2) == [None, None]
+
+    assert dataclasses.asdict(_scan_sweep(on)) == dataclasses.asdict(sweep)
+    assert any(store_dir.rglob("*.json"))
+    assert parallel_map(_replay_store_root, [(on,), (on,)], jobs=2) == [
         str(store_dir),
         str(store_dir),
     ]
+    counters = parallel_map(_scanphase_replay_point, [(on,), (on,)], jobs=2)
+    assert all(c["replayed"] > 0 for c in counters)
 
-    # And a real replay-on job must record into the store through the
-    # warmed (previously replay-off) workers.
-    counters = parallel_map(_scanphase_replay_point, [()], jobs=2)[0]
-    assert counters["replayed"] > 0
-    assert counters["stores"] >= 1
-    assert any(store_dir.rglob("*.json"))
-
-    # Flip back off: the same workers must stop resolving a store.
-    monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    assert parallel_map(_replay_store_root, [(), ()], jobs=2) == [None, None]
+    # Back off: the same workers resolve no store.
+    assert parallel_map(_replay_store_root, [(off,), (off,)], jobs=2) == [None, None]
 
 
 def test_errors_raise_lowest_input_index(fresh_pool):

@@ -90,8 +90,7 @@ def test_unknown_engine_fails_at_config_time():
 def test_engines_differ_only_in_protocol_field():
     """The comparison harness varies exactly one config field."""
     base = MachineConfig(total_processors=4, cluster_size=2)
-    # pick any engine that is not the session default (REPRO_PROTOCOL
-    # may have changed it, e.g. in the CI protocol-matrix job)
+    # pick any engine that is not the default
     other_name = next(n for n in engine_names() if n != base.protocol)
     other = dataclasses.replace(base, protocol=other_name)
     diff = {

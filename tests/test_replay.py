@@ -17,8 +17,7 @@ import pytest
 from repro.apps import barnes_hut, jacobi, matmul, scanphase, tsp, water
 from repro.core.engine import engine_names
 from repro.params import MachineConfig
-from repro.runtime import Runtime
-from repro.runtime.replay import replay_enabled_default
+from repro.runtime import RunOptions, Runtime
 from tests.machine_state import run_state
 
 ENGINES = engine_names()
@@ -47,7 +46,7 @@ def _full_state(module, params, protocol: str, replay: bool) -> dict:
     config = MachineConfig(
         total_processors=4, cluster_size=2, protocol=protocol
     )
-    rt = module.make_runtime(config, replay=replay)
+    rt = module.make_runtime(config, options=RunOptions(replay=replay))
     final = module.build(rt, params)
     result = rt.run()
     state = run_state(rt, result)
@@ -86,7 +85,7 @@ def test_matmul_epoch_replay_fires():
     replay: pass 0 installs, pass 1 records, later passes replay."""
     config = MachineConfig(total_processors=4, cluster_size=2)
     run = matmul.run(
-        config, matmul.MatmulParams(n=8, iterations=5), replay=True
+        config, matmul.MatmulParams(n=8, iterations=5), options=RunOptions()
     ).require_valid()
     assert run.result.replay_cache["replayed"] > 0
     assert run.result.replay_cache["recorded"] >= 1
@@ -103,10 +102,9 @@ def test_scanphase_validates_under_replay():
 
 def test_no_replay_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    assert not replay_enabled_default()
     config = MachineConfig(total_processors=4, cluster_size=2)
     rt = scanphase.make_runtime(config)
-    assert rt.replay is False
+    assert rt.options.replay is False
     scanphase.build(rt, SCAN_PARAMS)
     rt.run()
     assert rt.phase_recorder is None
@@ -115,9 +113,13 @@ def test_no_replay_env_escape_hatch(monkeypatch):
 def test_replay_flag_overrides_environment(monkeypatch):
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     config = MachineConfig(total_processors=4, cluster_size=2)
-    assert scanphase.make_runtime(config, replay=True).replay is True
+    on = RunOptions(replay=True)
+    assert scanphase.make_runtime(config, options=on).options.replay is True
+    # a single field changed on top of the environment's options
+    assert scanphase.make_runtime(config, replay=True).options.replay is True
     monkeypatch.delenv("REPRO_NO_REPLAY")
-    assert scanphase.make_runtime(config, replay=False).replay is False
+    off = RunOptions(replay=False)
+    assert scanphase.make_runtime(config, options=off).options.replay is False
 
 
 def test_spawn_and_spawn_phases_are_mutually_exclusive():

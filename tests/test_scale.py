@@ -1,40 +1,46 @@
-"""The REPRO_SCALE knob grows workloads toward the paper's sizes."""
+"""The REPRO_SCALE knob grows workloads toward the paper's sizes.
+
+``bench_params`` without an explicit ``scale`` takes
+``RunOptions.from_env().scale``; ``tests/test_options.py`` pins the
+parse itself.
+"""
 
 import warnings
 
 import pytest
 
-from repro.bench import bench_params, scale_factor
+from repro.bench import bench_params
 
 
 def test_default_scale_is_one(monkeypatch):
     monkeypatch.delenv("REPRO_SCALE", raising=False)
-    assert scale_factor() == 1
+    assert bench_params("jacobi").n == 64
 
 
 def test_invalid_scale_falls_back(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "banana")
-    assert scale_factor() == 1
+    with pytest.warns(RuntimeWarning):
+        assert bench_params("jacobi").n == 64
     monkeypatch.setenv("REPRO_SCALE", "-3")
-    assert scale_factor() == 1
+    assert bench_params("jacobi").n == 64
 
 
 def test_malformed_scale_warns_instead_of_silently_ignoring(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "banana")
     with pytest.warns(RuntimeWarning, match="REPRO_SCALE='banana'"):
-        assert scale_factor() == 1
+        assert bench_params("jacobi").n == 64
 
 
 def test_valid_scale_does_not_warn(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "2")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert scale_factor() == 2
+        assert bench_params("jacobi").n == 128
     # -3 parses fine (clamped), so it must not warn either.
     monkeypatch.setenv("REPRO_SCALE", "-3")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert scale_factor() == 1
+        assert bench_params("jacobi").n == 64
 
 
 def test_scale_grows_every_workload(monkeypatch):

@@ -18,8 +18,10 @@ def incrementer(counter_addr, lock, iters):
 
 
 @pytest.mark.parametrize("cluster_size", [1, 2, 4, 8])
-def test_locked_counter_all_cluster_sizes(cluster_size):
-    config = MachineConfig(total_processors=8, cluster_size=cluster_size)
+def test_locked_counter_all_cluster_sizes(cluster_size, engine):
+    config = MachineConfig(
+        total_processors=8, cluster_size=cluster_size, protocol=engine
+    )
     rt = Runtime(config)
     arr = rt.array("counter", 1)
     arr.init([0.0])
@@ -32,10 +34,10 @@ def test_locked_counter_all_cluster_sizes(cluster_size):
     rt.protocol.check_invariants()
 
 
-def test_disjoint_writers_merge():
+def test_disjoint_writers_merge(engine):
     """Each processor writes its own slice of one page: the multiple
     writer protocol must merge every diff at the final barrier."""
-    config = MachineConfig(total_processors=4, cluster_size=1)
+    config = MachineConfig(total_processors=4, cluster_size=1, protocol=engine)
     rt = Runtime(config)
     arr = rt.array("page", 64)
     arr.init([0.0] * 64)
@@ -54,8 +56,8 @@ def test_disjoint_writers_merge():
             assert snap[pid * 16 + i] == pid * 100 + i
 
 
-def test_breakdown_sums_to_total():
-    config = MachineConfig(total_processors=4, cluster_size=2)
+def test_breakdown_sums_to_total(engine):
+    config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
     rt = Runtime(config)
     arr = rt.array("data", 32)
     arr.init([1.0] * 32)

@@ -74,8 +74,7 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
             "machine", "cache", "protocol", "barrier_obj", "locks", "threads",
         },
         "config": {
-            "config", "costs", "quantum", "fastpath", "replay",
-            "replay_store", "aspace",
+            "config", "costs", "quantum", "options", "aspace",
         },
         # quiescent at every phase boundary; the model checker
         # canonicalizes pending events itself

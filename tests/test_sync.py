@@ -6,12 +6,13 @@ from repro.sim import Simulator
 from repro.sync import MGSLock, TreeBarrier
 
 
-def make_lock(nclusters=4, cluster_size=2, delay=1000, home_cluster=0):
+def make_lock(protocol, nclusters=4, cluster_size=2, delay=1000, home_cluster=0):
     sim = Simulator()
     config = MachineConfig(
         total_processors=nclusters * cluster_size,
         cluster_size=cluster_size,
         inter_ssmp_delay=delay,
+        protocol=protocol,
     )
     machine = Machine(sim, config, CostModel())
     lock = MGSLock(machine, config, CostModel(), lock_id=0, home_cluster=home_cluster)
@@ -19,16 +20,16 @@ def make_lock(nclusters=4, cluster_size=2, delay=1000, home_cluster=0):
 
 
 class TestMGSLock:
-    def test_local_acquire_is_hit(self):
-        sim, _m, lock = make_lock()
+    def test_local_acquire_is_hit(self, engine):
+        sim, _m, lock = make_lock(engine)
         got = []
         lock.acquire(0, lambda: got.append(sim.now))
         sim.run()
         assert got and lock.stats.hits == 1
         assert lock.stats.token_transfers == 0
 
-    def test_remote_acquire_moves_token(self):
-        sim, _m, lock = make_lock()
+    def test_remote_acquire_moves_token(self, engine):
+        sim, _m, lock = make_lock(engine)
         got = []
         lock.acquire(4, lambda: got.append(sim.now))  # cluster 2
         sim.run()
@@ -39,8 +40,8 @@ class TestMGSLock:
         # Token moved through 3+ inter-SSMP hops: latency >= 3 delays.
         assert got[0] >= 3000
 
-    def test_repeated_same_cluster_acquires_hit_after_transfer(self):
-        sim, _m, lock = make_lock()
+    def test_repeated_same_cluster_acquires_hit_after_transfer(self, engine):
+        sim, _m, lock = make_lock(engine)
         order = []
 
         def chain(pid, times):
@@ -59,8 +60,8 @@ class TestMGSLock:
         assert lock.stats.acquires == 5
         assert lock.stats.hits == 4  # all but the first (token transfer)
 
-    def test_mutual_exclusion_under_contention(self):
-        sim, _m, lock = make_lock()
+    def test_mutual_exclusion_under_contention(self, engine):
+        sim, _m, lock = make_lock(engine)
         held = {"n": 0, "max": 0}
         done = []
 
@@ -81,8 +82,8 @@ class TestMGSLock:
         assert sorted(done) == list(range(8))
         assert held["max"] == 1
 
-    def test_local_waiters_served_before_handoff(self):
-        sim, _m, lock = make_lock()
+    def test_local_waiters_served_before_handoff(self, engine):
+        sim, _m, lock = make_lock(engine)
         order = []
 
         def make_cb(pid):
@@ -98,14 +99,14 @@ class TestMGSLock:
         sim.run(max_events=100_000)
         assert order == [0, 1, 4]
 
-    def test_hit_ratio_property(self):
-        sim, _m, lock = make_lock()
+    def test_hit_ratio_property(self, engine):
+        sim, _m, lock = make_lock(engine)
         lock.stats.acquires = 10
         lock.stats.hits = 7
         assert lock.stats.hit_ratio == 0.7
 
-    def test_single_cluster_never_transfers(self):
-        sim, _m, lock = make_lock(nclusters=1, cluster_size=8, delay=0)
+    def test_single_cluster_never_transfers(self, engine):
+        sim, _m, lock = make_lock(engine, nclusters=1, cluster_size=8, delay=0)
         done = []
         for pid in range(8):
             lock.acquire(pid, lambda pid=pid: sim.schedule(
@@ -117,12 +118,13 @@ class TestMGSLock:
 
 
 class TestTreeBarrier:
-    def _run_barrier(self, nclusters, cluster_size, delay=1000):
+    def _run_barrier(self, protocol, nclusters, cluster_size, delay=1000):
         sim = Simulator()
         config = MachineConfig(
             total_processors=nclusters * cluster_size,
             cluster_size=cluster_size,
             inter_ssmp_delay=delay,
+            protocol=protocol,
         )
         machine = Machine(sim, config, CostModel())
         barrier = TreeBarrier(machine, config, CostModel())
@@ -133,22 +135,22 @@ class TestTreeBarrier:
         sim.run(max_events=100_000)
         return config, barrier, released
 
-    def test_all_released_hierarchical(self):
-        config, barrier, released = self._run_barrier(4, 2)
+    def test_all_released_hierarchical(self, engine):
+        config, barrier, released = self._run_barrier(engine, 4, 2)
         assert len(released) == 8
         assert barrier.episodes == 1
         # Nobody is released before the last arrival (t = 7*13 = 91).
         assert min(t for _p, t in released) >= 91
 
-    def test_all_released_flat(self):
-        config, barrier, released = self._run_barrier(1, 8)
+    def test_all_released_flat(self, engine):
+        config, barrier, released = self._run_barrier(engine, 1, 8)
         assert len(released) == 8
         assert barrier.episodes == 1
 
-    def test_barrier_reusable(self):
+    def test_barrier_reusable(self, engine):
         sim = Simulator()
         config = MachineConfig(total_processors=4, cluster_size=2,
-                               inter_ssmp_delay=100)
+                               inter_ssmp_delay=100, protocol=engine)
         machine = Machine(sim, config, CostModel())
         barrier = TreeBarrier(machine, config, CostModel())
         rounds = {pid: 0 for pid in range(4)}
@@ -166,12 +168,12 @@ class TestTreeBarrier:
         assert all(v == 3 for v in rounds.values())
         assert barrier.episodes == 3
 
-    def test_hierarchical_message_count(self):
+    def test_hierarchical_message_count(self, engine):
         """Two inter-SSMP messages per non-root SSMP per episode (combine
         + release) is the paper's minimum; the root combines locally."""
         sim = Simulator()
         config = MachineConfig(total_processors=8, cluster_size=2,
-                               inter_ssmp_delay=100)
+                               inter_ssmp_delay=100, protocol=engine)
         machine = Machine(sim, config, CostModel())
         barrier = TreeBarrier(machine, config, CostModel())
         done = []
