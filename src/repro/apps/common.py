@@ -6,7 +6,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any
 
 from repro.params import CostModel, MachineConfig
-from repro.runtime import RunOptions, RunResult, Runtime
+from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult, Runtime
 
 __all__ = [
     "AppRun",
@@ -87,7 +87,7 @@ def page_home_block(
 def make_runtime(
     config: MachineConfig,
     costs: CostModel | None = None,
-    quantum: int = 1500,
+    quantum: int = DEFAULT_QUANTUM,
     options: RunOptions | None = None,
     **changes,
 ) -> Runtime:

@@ -21,13 +21,14 @@ Key derivation
 * ``MachineConfig`` (including the nested ``NetworkConfig`` and
   ``ProtocolOptions``), the ``CostModel``, and the runtime quantum.
 
-Entries are JSON files under the run-cache directory
-(``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or ``.repro_cache/``),
-sharded by the first two key hex digits, written atomically (tmp +
-rename) so concurrent writers can never leave a torn entry; identical
-keys always carry identical bytes.  A sidecar
-``index.json`` records per-key wall-clock times; the sweep runner uses
-them to schedule cache misses longest-job-first across workers.
+Entries live in a :class:`~repro.runtime.store.ContentStore` under the
+run-cache directory (``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or
+``.repro_cache/``): ``root/key[:2]/key.json``, one envelope carrying
+the key's preimage (``fingerprint``) and the serialized ``AppRun``
+(``run``), published atomically, identical bytes for identical keys.
+A sidecar ``index.json`` records per-key wall-clock times; the sweep
+runner uses them to schedule cache misses longest-job-first across
+workers.
 
 Verification
 ------------
@@ -59,13 +60,10 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import json
-import os
 import threading
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
@@ -75,23 +73,22 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
 from repro.params import CostModel, MachineConfig, machine_config_from_dict
-from repro.runtime import RunOptions, RunResult
+from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult
 from repro.runtime.options import DEFAULT_CACHE_DIR
+from repro.runtime.store import (
+    ContentStore,
+    canonical_json,
+    publish,
+    source_fingerprint,
+)
 from repro.runtime.thread import ThreadContext
 
 __all__ = [
     "CACHE_SCHEMA",
     "DEFAULT_CACHE_DIR",
-    "REPLAY_SCHEMA",
-    "CacheStats",
     "CacheVerifyError",
-    "PROCESS_REPLAY_STATS",
-    "REPLAY_STORES",
-    "ReplayCacheStats",
-    "ReplayStore",
     "RunCache",
     "resolve_cache",
-    "resolve_replay_store",
     "source_fingerprint",
     "fingerprint_run",
     "app_run_to_dict",
@@ -103,15 +100,7 @@ __all__ = [
 ]
 
 #: bump when the entry layout or key preimage changes incompatibly
-CACHE_SCHEMA = 1
-
-#: bump when the replay-record payload layout or the replay context key
-#: preimage changes incompatibly (entries from older schemas then decode
-#: as misses and are overwritten by fresh recordings)
-REPLAY_SCHEMA = 2
-
-#: default runtime quantum used by every app harness (apps.common.make_runtime)
-DEFAULT_QUANTUM = 1500
+CACHE_SCHEMA = 2
 
 #: ThreadContext fields that round-trip (everything except the generator)
 _THREAD_FIELDS = (
@@ -133,61 +122,8 @@ class CacheVerifyError(AssertionError):
 
 
 # ---------------------------------------------------------------------------
-# canonical JSON + fingerprints
+# keys
 # ---------------------------------------------------------------------------
-
-
-def _json_default(obj: Any):
-    """Serialize the odd numpy scalar an app tucks into ``aux``."""
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    return repr(obj)
-
-
-def canonical_json(obj: Any) -> str:
-    """Deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
-
-
-def _source_root() -> Path:
-    """Directory whose contents define the simulator's behaviour."""
-    import repro
-
-    return Path(repro.__file__).resolve().parent
-
-
-_SOURCE_FP: str | None = None
-
-
-def source_fingerprint(root: Path | None = None) -> str:
-    """SHA-256 over every ``*.py`` file under ``src/repro/``.
-
-    Path-and-contents, so renames, deletions, and edits all change the
-    digest.  The default root is memoized per process (the tree cannot
-    change mid-run without restarting the interpreter anyway).
-    """
-    global _SOURCE_FP
-    if root is None:
-        if _SOURCE_FP is not None:
-            return _SOURCE_FP
-        root = _source_root()
-        digest = _hash_tree(root)
-        _SOURCE_FP = digest
-        return digest
-    return _hash_tree(Path(root))
-
-
-def _hash_tree(root: Path) -> str:
-    h = hashlib.sha256()
-    for path in sorted(root.rglob("*.py")):
-        h.update(str(path.relative_to(root)).encode())
-        h.update(b"\0")
-        h.update(path.read_bytes())
-        h.update(b"\0")
-    return h.hexdigest()
 
 
 def _params_token(params: Any) -> Any:
@@ -233,14 +169,6 @@ def fingerprint_run(
 # ---------------------------------------------------------------------------
 
 
-def _config_to_dict(config: MachineConfig) -> dict:
-    return dataclasses.asdict(config)
-
-
-def _config_from_dict(d: dict) -> MachineConfig:
-    return machine_config_from_dict(d)
-
-
 def run_result_to_dict(result: RunResult) -> dict:
     """Full-fidelity JSON form of a :class:`RunResult`.
 
@@ -257,7 +185,7 @@ def run_result_to_dict(result: RunResult) -> dict:
     warm-sweep CI checks rely on.
     """
     return {
-        "config": _config_to_dict(result.config),
+        "config": dataclasses.asdict(result.config),
         "total_time": result.total_time,
         "threads": [
             {f: getattr(t, f) for f in _THREAD_FIELDS} for t in result.threads
@@ -288,7 +216,7 @@ def run_result_from_dict(d: dict) -> RunResult:
             setattr(t, f, td[f])
         threads.append(t)
     return RunResult(
-        config=_config_from_dict(d["config"]),
+        config=machine_config_from_dict(d["config"]),
         total_time=d["total_time"],
         threads=threads,
         lock_stats=LockStats(**d["lock_stats"]),
@@ -332,48 +260,21 @@ def app_run_from_dict(d: dict):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss/byte counters for one :class:`RunCache` instance."""
-
-    hits: int = 0
-    misses: int = 0
-    stores: int = 0
-    verified: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "stores": self.stores,
-            "verified": self.verified,
-            "bytes_read": self.bytes_read,
-            "bytes_written": self.bytes_written,
-        }
-
-
-#: process-wide uniquifier for temporary file names (two threads of one
-#: process writing the same key must never share a tmp path)
-_TMP_COUNTER = itertools.count()
-
-
 class RunCache:
     """Persistent, content-addressed store of serialized ``AppRun``s.
 
-    One instance tracks its own :class:`CacheStats`; construct a fresh
-    instance per sweep/CLI invocation when you want per-run counters.
+    A :class:`~repro.runtime.store.ContentStore` whose entries carry the
+    key's preimage (``fingerprint``) and the serialized run (``run``),
+    plus what only the run cache has: :meth:`key_for`, the wall-time
+    index behind longest-job-first scheduling, and verify sampling.  One
+    instance tracks its own ``stats``; construct a fresh instance per
+    sweep/CLI invocation when you want per-run counters.
 
-    The store is safe for concurrent use by multiple threads *and*
-    multiple processes sharing one directory (the
-    ``repro.serve`` daemon does both): entry files are written to a
-    per-pid/thread/sequence temporary name and published with an atomic
-    ``os.replace``, counter updates are guarded by an in-process lock,
-    and the wall-time index is maintained read-merge-write under an
-    advisory ``flock`` so concurrent writers cannot lose each other's
-    entries.  Identical keys always carry identical bytes, so last-wins
-    replacement of an entry is harmless.
+    Safe for concurrent use by multiple threads *and* multiple processes
+    sharing one directory (the ``repro.serve`` daemon does both): entries
+    publish atomically, and the wall-time index is maintained
+    read-merge-write under an advisory ``flock`` so concurrent writers
+    cannot lose each other's entries.
     """
 
     def __init__(
@@ -382,16 +283,15 @@ class RunCache:
         source: str | None = None,
         verify_fraction: float = 0.25,
     ) -> None:
-        self.root = Path(root)
-        self.source = source
-        self.stats = CacheStats()
         if not 0.0 < verify_fraction <= 1.0:
             raise ValueError("verify_fraction must be in (0, 1]")
+        self.store = ContentStore(root, CACHE_SCHEMA, ("fingerprint", "run"))
+        self.root = self.store.root
+        self.stats = self.store.stats
+        self.source = source
         self.verify_fraction = verify_fraction
         self._index: dict | None = None
         self._mutex = threading.Lock()
-
-    # -- keys ----------------------------------------------------------
 
     def key_for(
         self,
@@ -405,33 +305,10 @@ class RunCache:
             config, costs, quantum, workload, params, source=self.source
         )
 
-    # -- storage -------------------------------------------------------
-
-    def _entry_path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
-
     def get(self, key: str) -> dict | None:
-        """The cached entry for ``key``, or None (counts a hit/miss).
-
-        Corrupt or schema-mismatched entries count as misses; they are
-        overwritten on the next store.
-        """
-        path = self._entry_path(key)
-        try:
-            raw = path.read_bytes()
-            entry = json.loads(raw)
-        except (OSError, ValueError):
-            with self._mutex:
-                self.stats.misses += 1
-            return None
-        if entry.get("cache_schema") != CACHE_SCHEMA or entry.get("key") != key:
-            with self._mutex:
-                self.stats.misses += 1
-            return None
-        with self._mutex:
-            self.stats.hits += 1
-            self.stats.bytes_read += len(raw)
-        return entry
+        """The entry for ``key`` (its ``run`` is the serialized AppRun),
+        or None: a miss, overwritten by the next :meth:`put`."""
+        return self.store.get(key)
 
     def put(
         self,
@@ -440,42 +317,9 @@ class RunCache:
         run_payload: dict,
         wall_seconds: float,
     ) -> None:
-        """Store one executed run under ``key`` (atomic write)."""
-        entry = {
-            "cache_schema": CACHE_SCHEMA,
-            "key": key,
-            "fingerprint": preimage,
-            "meta": {
-                "workload": preimage["workload"],
-                "cluster_size": preimage["config"]["cluster_size"],
-                "protocol": preimage["config"].get("protocol", "mgs"),
-                "wall_seconds": round(wall_seconds, 6),
-                "created": round(time.time(), 3),
-            },
-            "run": run_payload,
-        }
-        blob = (json.dumps(entry, sort_keys=True, indent=1) + "\n").encode()
-        path = self._entry_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(self._tmp_suffix())
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        with self._mutex:
-            self.stats.stores += 1
-            self.stats.bytes_written += len(blob)
-        self._index_put(key, entry["meta"])
-
-    @staticmethod
-    def _tmp_suffix() -> str:
-        """A collision-free temporary suffix.
-
-        pid alone is not enough: the serve daemon's worker threads share
-        a pid, and two threads writing the same key through one tmp path
-        could publish a torn entry via ``os.replace``.
-        """
-        return (
-            f".tmp.{os.getpid()}.{threading.get_ident()}.{next(_TMP_COUNTER)}"
-        )
+        """Store one executed run under ``key`` and index its wall time."""
+        self.store.put(key, fingerprint=preimage, run=run_payload)
+        self._index_put(key, preimage, wall_seconds)
 
     # -- wall-time index (cost-aware scheduling) -----------------------
 
@@ -499,10 +343,11 @@ class RunCache:
 
     def _read_index_file(self) -> dict:
         try:
-            index = json.loads(self._index_path.read_text())
+            index = json.loads(self._index_path.read_bytes())
         except (OSError, ValueError):
+            index = None
+        if not isinstance(index, dict) or not isinstance(index.get("entries"), dict):
             index = {"entries": {}}
-        index.setdefault("entries", {})
         return index
 
     def _load_index(self) -> dict:
@@ -510,14 +355,14 @@ class RunCache:
             self._index = self._read_index_file()
         return self._index
 
-    def _index_put(self, key: str, meta: dict) -> None:
+    def _index_put(self, key: str, preimage: dict, wall_seconds: float) -> None:
+        config = preimage["config"]
         record = {
-            "workload": meta["workload"],
-            "cluster_size": meta["cluster_size"],
-            "protocol": meta.get("protocol", "mgs"),
-            "wall_seconds": meta["wall_seconds"],
+            "workload": preimage["workload"],
+            "cluster_size": config["cluster_size"],
+            "protocol": config["protocol"],
+            "wall_seconds": round(wall_seconds, 6),
         }
-        self.root.mkdir(parents=True, exist_ok=True)
         with self._mutex, self._index_flock():
             # Re-read and merge under the lock: another process (or
             # thread through another RunCache) may have added entries
@@ -530,9 +375,7 @@ class RunCache:
                     index["entries"].setdefault(k, v)
             index["entries"][key] = record
             self._index = index
-            tmp = self._index_path.with_suffix(self._tmp_suffix())
-            tmp.write_text(json.dumps(index, sort_keys=True, indent=1) + "\n")
-            os.replace(tmp, self._index_path)
+            publish(self._index_path, (canonical_json(index) + "\n").encode())
 
     def estimate_seconds(
         self, workload: str, cluster_size: int, protocol: str = "mgs"
@@ -586,19 +429,20 @@ class RunCache:
         cached = canonical_json(entry["run"])
         fresh = canonical_json(fresh_payload)
         if cached != fresh:
+            fp = entry["fingerprint"]
             raise CacheVerifyError(
                 f"cache verify failed for key {key}: a fresh execution of "
-                f"{entry['meta']['workload']} (C="
-                f"{entry['meta']['cluster_size']}) diverged from the cached "
-                "result — the simulator is non-deterministic or the cache "
-                f"entry is stale/corrupt ({self._entry_path(key)})"
+                f"{fp['workload']} (C={fp['config']['cluster_size']}) "
+                "diverged from the cached result — the simulator is "
+                "non-deterministic or the cache entry is stale/corrupt "
+                f"({self.store.path(key)})"
             )
-        self.stats.verified += 1
+        self.stats.add(verified=1)
 
     # -- reporting -----------------------------------------------------
 
     def summary(self) -> dict:
-        """JSON-ready counters (what ``metrics.export`` publishes)."""
+        """JSON-ready counters (the serve API and perf-smoke publish them)."""
         return {"dir": str(self.root), **self.stats.as_dict()}
 
 
@@ -616,190 +460,6 @@ def resolve_cache(
     if cache is None:
         cache = options.run_cache is not None
     return RunCache(options.run_cache or DEFAULT_CACHE_DIR) if cache else None
-
-
-# ---------------------------------------------------------------------------
-# persistent phase-replay store
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ReplayCacheStats:
-    """Persistent phase-replay store traffic counters.
-
-    ``loads`` counts records successfully fetched from the store (file
-    read + decode, or served from the in-process payload memo a pool
-    worker accumulates across jobs); ``misses`` counts lookups that
-    found no usable entry — absent, corrupt, truncated, or written
-    under a different schema.  ``hits`` counts *phases actually
-    replayed* from store-loaded records, i.e. re-simulation avoided by
-    persistence (a load that never replays, e.g. because the digest
-    recurs zero more times, is not a hit).  ``stores`` counts records
-    written.
-    """
-
-    loads: int = 0
-    misses: int = 0
-    hits: int = 0
-    stores: int = 0
-    bytes_read: int = 0
-    bytes_written: int = 0
-
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def snapshot(self) -> tuple:
-        return (
-            self.loads,
-            self.misses,
-            self.hits,
-            self.stores,
-            self.bytes_read,
-            self.bytes_written,
-        )
-
-
-#: process-wide aggregate over every :class:`ReplayStore` instance —
-#: what the CLI summary and the serve daemon's counters report.  A
-#: plain module-level aggregate is safe precisely because it is *only*
-#: reporting: behaviour never reads it.
-PROCESS_REPLAY_STATS = ReplayCacheStats()
-
-
-class ReplayStore:
-    """Content-addressed store of persisted phase-replay records.
-
-    One JSON file per (context, digest) under ``root/ctx[:2]/ctx/``,
-    where ``ctx`` is the SHA-256 of (replay schema, source fingerprint,
-    canonical run context) and ``digest`` is the recorder's
-    phase-boundary state digest.  The context key pins everything that
-    gives a digest meaning — full machine config, cost table, quantum,
-    engine class, statistic layout — and the source fingerprint retires
-    every record the moment any simulator source file changes, exactly
-    like the run cache.  Old-context files are never matched again and
-    simply age out (content-addressed stores need no eviction for
-    correctness).
-
-    Concurrency follows :class:`RunCache`: per-record atomic publish
-    via a unique tmp name + ``os.replace``, no locks.  Identical keys
-    carry identical bytes (no timestamps in entries), so last-wins
-    replacement between racing sweep workers is harmless.
-    """
-
-    def __init__(self, root: str | Path, source: str | None = None) -> None:
-        self.root = Path(root)
-        self.source = source if source is not None else source_fingerprint()
-        self.stats = ReplayCacheStats()
-        self._mutex = threading.Lock()
-        #: decoded payloads already read this process, keyed by
-        #: (context, digest) — lets a persistent pool worker serve its
-        #: later jobs without re-reading files.  Content-addressed, so
-        #: never invalidated within a process.
-        self._mem: dict[tuple[str, str], dict] = {}
-
-    # -- keys ----------------------------------------------------------
-
-    def context_key(self, context: dict) -> str:
-        """SHA-256 key of one run context (see class docstring)."""
-        preimage = canonical_json(
-            {
-                "replay_schema": REPLAY_SCHEMA,
-                "source": self.source,
-                "context": context,
-            }
-        )
-        return hashlib.sha256(preimage.encode()).hexdigest()
-
-    def _entry_path(self, ctx: str, digest: str) -> Path:
-        return self.root / ctx[:2] / ctx / f"{digest}.json"
-
-    # -- storage -------------------------------------------------------
-
-    def load(self, ctx: str, digest: str) -> dict | None:
-        """The persisted record payload for ``(ctx, digest)``, or None.
-
-        Absent, unreadable, truncated, or mismatched entries count as
-        misses; the next :meth:`put` under the same key overwrites them
-        (self-healing).
-        """
-        memo_key = (ctx, digest)
-        payload = self._mem.get(memo_key)
-        if payload is None:
-            path = self._entry_path(ctx, digest)
-            try:
-                raw = path.read_bytes()
-                entry = json.loads(raw)
-            except (OSError, ValueError):
-                self._count("misses")
-                return None
-            if (
-                not isinstance(entry, dict)
-                or entry.get("replay_schema") != REPLAY_SCHEMA
-                or entry.get("context") != ctx
-                or entry.get("digest") != digest
-                or not isinstance(entry.get("record"), dict)
-            ):
-                self._count("misses")
-                return None
-            payload = entry["record"]
-            self._mem[memo_key] = payload
-            self._count("bytes_read", len(raw))
-        self._count("loads")
-        return payload
-
-    def put(self, ctx: str, digest: str, payload: dict) -> None:
-        """Persist one record (atomic publish, deterministic bytes)."""
-        entry = {
-            "replay_schema": REPLAY_SCHEMA,
-            "context": ctx,
-            "digest": digest,
-            "record": payload,
-        }
-        blob = (canonical_json(entry) + "\n").encode()
-        path = self._entry_path(ctx, digest)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_suffix(RunCache._tmp_suffix())
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
-        self._mem[(ctx, digest)] = payload
-        self._count("stores")
-        self._count("bytes_written", len(blob))
-
-    def count_hit(self) -> None:
-        """One phase was replayed from a store-loaded record."""
-        self._count("hits")
-
-    def _count(self, field: str, amount: int = 1) -> None:
-        with self._mutex:
-            setattr(self.stats, field, getattr(self.stats, field) + amount)
-            setattr(
-                PROCESS_REPLAY_STATS,
-                field,
-                getattr(PROCESS_REPLAY_STATS, field) + amount,
-            )
-
-    # -- reporting -----------------------------------------------------
-
-    def summary(self) -> dict:
-        """JSON-ready counters (what ``metrics.export`` publishes)."""
-        return {"dir": str(self.root), **self.stats.as_dict()}
-
-
-#: one store per directory per process, so every runtime resolving the
-#: same directory (sweep points, a pool worker's later jobs) shares its
-#: decoded-payload memo.  Clearing it models a cold process.
-REPLAY_STORES: dict[Path, ReplayStore] = {}
-
-
-def resolve_replay_store(options: RunOptions) -> ReplayStore | None:
-    """This process's store for ``options.replay_cache`` (None: no store)."""
-    root = options.replay_cache
-    if root is None:
-        return None
-    store = REPLAY_STORES.get(root)
-    if store is None:
-        store = REPLAY_STORES[root] = ReplayStore(root)
-    return store
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ Workloads:
   processor streams ``write_block`` over its own buffer, exercising the
   vectorized all-hit scatter path (fast vs slow engine, cycle-checked).
 * ``sweep_replay_warm`` — the persistent replay store
-  (``repro.bench.cache.ReplayStore``): one priming run records the
+  (``repro.runtime.replay.ReplayStore``): one priming run records the
   phase deltas, then a replay-off run (the cold bound: every phase
   executes) is timed against a store-warm run in a *fresh* runtime with
   a *fresh* store instance — the cold-process model, nothing served
@@ -69,7 +69,6 @@ import time
 from repro.apps import jacobi, scanphase
 from repro.bench.cache import RunCache
 from repro.bench.sweep import run_sweep
-from repro.metrics.export import run_cache_to_dict
 from repro.params import MachineConfig
 from repro.runtime import RunOptions, Runtime
 
@@ -257,9 +256,9 @@ def _bench_cached_sweep(n: int, iterations: int) -> dict:
         "warm_seconds": round(t_warm, 4),
         "speedup_warm": round(t_cold / t_warm, 1) if t_warm > 0 else None,
         "points": npoints,
-        "cache_cold": run_cache_to_dict(cold),
-        "cache_warm": run_cache_to_dict(warm),
-        "cache_verify": run_cache_to_dict(verify),
+        "cache_cold": cold.summary(),
+        "cache_warm": warm.summary(),
+        "cache_verify": verify.summary(),
     }
 
 
@@ -310,7 +309,7 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
     deltas) phased run; the warm pass must be all store hits."""
     from pathlib import Path
 
-    from repro.bench.cache import REPLAY_STORES
+    from repro.runtime.replay import REPLAY_STORES
 
     config = MachineConfig(total_processors=8, cluster_size=2)
     params = scanphase.ScanPhaseParams(phases=phases)

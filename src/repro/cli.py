@@ -40,6 +40,7 @@ from repro.bench import (
 from repro.bench.micro import PAPER_TABLE3
 from repro.params import EXTERNAL_MODELS, NetworkConfig
 from repro.runtime import RunOptions
+from repro.runtime.replay import replay_store_totals
 
 __all__ = [
     "main",
@@ -187,14 +188,13 @@ def print_replay_summary() -> None:
     the counters necessarily differ between a priming run and a warm
     one.
     """
-    from repro.bench.cache import PROCESS_REPLAY_STATS as s
-
-    if not (s.loads or s.stores or s.hits or s.misses):
+    s = replay_store_totals()
+    if not (s["hits"] or s["misses"] or s["stores"]):
         return
     print(
-        f"replay cache: {s.hits} hits, {s.loads} loads, {s.misses} misses, "
-        f"{s.stores} stored, {s.bytes_read}B read / "
-        f"{s.bytes_written}B written",
+        f"replay cache: {s['hits']} hits, {s['misses']} misses, "
+        f"{s['stores']} stored, {s['bytes_read']}B read / "
+        f"{s['bytes_written']}B written",
         file=sys.stderr,
     )
 

@@ -21,20 +21,10 @@ __all__ = [
     "sweep_to_csv",
     "sweep_to_dict",
     "run_result_to_dict",
-    "run_cache_to_dict",
 ]
 
 #: version of the exported JSON layout (see module docstring)
 SCHEMA_VERSION = 1
-
-
-def run_cache_to_dict(cache) -> dict:
-    """Hit/miss/byte counters of a :class:`~repro.bench.cache.RunCache`.
-
-    JSON-ready; the perf-smoke report and the CI cache job publish this
-    next to the sweep data so cache effectiveness is observable.
-    """
-    return cache.summary()
 
 
 def run_result_to_dict(result: RunResult) -> dict:

@@ -2,10 +2,11 @@
 
 from repro.runtime.env import Env
 from repro.runtime.options import RunOptions
-from repro.runtime.runner import RunResult, Runtime
+from repro.runtime.runner import DEFAULT_QUANTUM, RunResult, Runtime
 from repro.runtime.shared import SharedArray
 
 __all__ = [
+    "DEFAULT_QUANTUM",
     "Env",
     "RunOptions",
     "Runtime",

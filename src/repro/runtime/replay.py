@@ -39,34 +39,54 @@ replay-on against replay-off bit-for-bit for every registered engine.
 Records optionally **persist across processes**: when the run's
 options name a store directory (``RunOptions.replay_cache``, set by
 ``REPRO_REPLAY_CACHE=1`` / ``REPRO_REPLAY_CACHE_DIR`` or the
-``--replay-cache`` CLI flags), every recorded delta is also written as
-versioned JSON into a content-addressed directory keyed by (source
-fingerprint, canonical run context, phase digest), and every digest
-miss in the in-memory table falls through to a store lookup.  A cold
-process — a fresh CLI run, a pool worker, a ``repro.serve`` job — then
-replays phases recorded by earlier runs or by sibling sweep points
-whose state digests coincide.  Decoding is defensive: an entry that is
-missing, truncated, schema-mismatched, or shaped wrong for this run's
-statistic layout simply decodes to ``None``, the phase executes live,
-and the fresh recording overwrites the bad entry (self-healing, exactly
-like the run cache).
+``--replay-cache`` CLI flags), every recorded delta is also written to
+a :class:`ReplayStore`, a keyed view of the content-addressed
+:class:`repro.runtime.store.ContentStore` whose key is the SHA-256 of
+(replay schema, source fingerprint, canonical run context, phase
+digest), and every digest miss in the in-memory table falls through to
+a store lookup.  A cold process — a fresh CLI run, a pool worker, a
+``repro.serve`` job — then replays phases recorded by earlier runs or
+by sibling sweep points whose state digests coincide.  Decoding is
+defensive: an entry that is missing, truncated, schema-mismatched, or
+shaped wrong for this run's statistic layout simply decodes to
+``None``, the phase executes live, and the fresh recording overwrites
+the bad entry (self-healing, exactly like the run cache).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
+from repro.runtime.store import (
+    ContentStore,
+    StoreStats,
+    canonical_json,
+    source_fingerprint,
+)
 from repro.sim.snapshot import digest
 
 if TYPE_CHECKING:
+    from repro.runtime.options import RunOptions
     from repro.runtime.runner import Runtime
 
 __all__ = [
+    "REPLAY_SCHEMA",
+    "REPLAY_STORES",
     "PhaseRecorder",
+    "ReplayStore",
     "record_from_payload",
     "record_to_payload",
+    "replay_store_totals",
+    "resolve_replay_store",
 ]
+
+#: bump when the record payload layout or the replay key preimage
+#: changes incompatibly (older entries then read as misses and are
+#: overwritten by fresh recordings)
+REPLAY_SCHEMA = 3
 
 
 class _StatCells:
@@ -290,12 +310,12 @@ def record_from_payload(
 class PhaseRecorder:
     """Record-once / replay-many driver state for one phased runtime.
 
-    ``store`` (duck-typed — :class:`repro.bench.cache.ReplayStore` in
-    practice) persists records across processes.  The recorder asks the
-    store for a context key derived from everything that pins the
-    record layout and meaning: source fingerprint, full machine config
-    and cost table, scheduling quantum, engine class, and the
-    app-dependent statistic layout (lock count, int-cell count).  Two
+    ``store`` (a :class:`ReplayStore`, or None) persists records across
+    processes.  The recorder asks the store for a context key derived
+    from everything that pins the record layout and meaning: source
+    fingerprint, full machine config and cost table, scheduling quantum,
+    engine class, and the app-dependent statistic layout (lock count,
+    int-cell count).  Two
     runs share records only when their context keys agree, so a digest
     can never be applied across engines, configs, or source revisions.
     """
@@ -407,5 +427,82 @@ class PhaseRecorder:
         self.replayed += 1
         if rec.from_store:
             self.cache_hits += 1
-            if self.store is not None:
-                self.store.count_hit()
+
+
+class ReplayStore:
+    """Persisted phase-replay records: a keyed view of one ContentStore.
+
+    :meth:`context_key` hashes (replay schema, source fingerprint,
+    canonical run context) once per run; an entry's key hashes that with
+    the phase digest.  The context pins everything that gives a digest
+    meaning — full machine config, cost table, quantum, engine class,
+    statistic layout — and the source fingerprint retires every record
+    the moment any simulator source file changes, exactly like the run
+    cache.
+
+    Decoded payloads are memoized per process (``_mem``), so a
+    persistent pool worker serves its later jobs without re-reading
+    files; content-addressed, so the memo is never invalidated.  A memo
+    hit counts as a store hit: ``stats.hits`` is records read.
+    """
+
+    def __init__(self, root: str | Path, source: str | None = None) -> None:
+        self.source = source if source is not None else source_fingerprint()
+        self.store = ContentStore(root, REPLAY_SCHEMA, ("record",))
+        self.root = self.store.root
+        self.stats = self.store.stats
+        self._mem: dict[str, dict] = {}
+
+    def context_key(self, context: dict) -> str:
+        """SHA-256 key of one run context (see class docstring)."""
+        preimage = {
+            "replay_schema": REPLAY_SCHEMA,
+            "source": self.source,
+            "context": context,
+        }
+        return hashlib.sha256(canonical_json(preimage).encode()).hexdigest()
+
+    @staticmethod
+    def _key(ctx: str, digest: str) -> str:
+        return hashlib.sha256(f"{ctx}/{digest}".encode()).hexdigest()
+
+    def load(self, ctx: str, digest: str) -> dict | None:
+        """The persisted record payload for ``(ctx, digest)``, or None."""
+        key = self._key(ctx, digest)
+        payload = self._mem.get(key)
+        if payload is not None:
+            self.stats.add(hits=1)
+            return payload
+        entry = self.store.get(key)
+        if entry is None:
+            return None
+        payload = self._mem[key] = entry["record"]
+        return payload
+
+    def put(self, ctx: str, digest: str, payload: dict) -> None:
+        """Persist one record (atomic publish, deterministic bytes)."""
+        key = self._key(ctx, digest)
+        self.store.put(key, record=payload)
+        self._mem[key] = payload
+
+
+#: one store per directory per process, so every runtime resolving the
+#: same directory (sweep points, a pool worker's later jobs) shares its
+#: decoded-payload memo.  Clearing it models a cold process.
+REPLAY_STORES: dict[Path, ReplayStore] = {}
+
+
+def resolve_replay_store(options: RunOptions) -> ReplayStore | None:
+    """This process's store for ``options.replay_cache`` (None: no store)."""
+    root = options.replay_cache
+    if root is None:
+        return None
+    store = REPLAY_STORES.get(root)
+    if store is None:
+        store = REPLAY_STORES[root] = ReplayStore(root)
+    return store
+
+
+def replay_store_totals() -> dict:
+    """This process's replay-store traffic: the sum over REPLAY_STORES."""
+    return StoreStats.total(s.stats for s in REPLAY_STORES.values()).as_dict()

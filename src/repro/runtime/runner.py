@@ -24,13 +24,18 @@ from repro.machine import Machine
 from repro.params import CostModel, MachineConfig
 from repro.runtime.env import Env
 from repro.runtime.options import RunOptions
+from repro.runtime.replay import PhaseRecorder, resolve_replay_store
 from repro.runtime.shared import SharedArray
 from repro.runtime.thread import ThreadContext
 from repro.sim import Simulator
 from repro.svm import AccessKind, AddressSpace
 from repro.sync import LockStats, MGSLock, TreeBarrier
 
-__all__ = ["Runtime", "RunResult"]
+__all__ = ["DEFAULT_QUANTUM", "Runtime", "RunResult"]
+
+#: cycles a thread runs before yielding to the scheduler; every app
+#: harness and the run-cache key default to it
+DEFAULT_QUANTUM = 1500
 
 
 @dataclass
@@ -52,10 +57,11 @@ class RunResult:
     #: fault/release transaction latency percentiles (p50/p95/max)
     transactions: dict = field(default_factory=dict)
     #: phase-replay activity: phases replayed/recorded this run, plus
-    #: persistent replay-store traffic (loads/hits/stores) when a store
-    #: was attached.  Reporting only — deliberately *excluded* from the
-    #: run-cache payload so a replay-warm run stays byte-identical to a
-    #: cold one (``metrics.export`` publishes it; the cache does not).
+    #: persistent replay-store traffic when a store was attached (loads:
+    #: records read, hits: phases replayed from them, stores).
+    #: Reporting only — deliberately *excluded* from the run-cache
+    #: payload so a replay-warm run stays byte-identical to a cold one
+    #: (``metrics.export`` publishes it; the cache does not).
     replay_cache: dict = field(default_factory=dict)
 
     def breakdown(self) -> dict[str, float]:
@@ -89,7 +95,7 @@ class Runtime:
         self,
         config: MachineConfig,
         costs: CostModel | None = None,
-        quantum: int = 1500,
+        quantum: int = DEFAULT_QUANTUM,
         analysis=None,
         options: RunOptions | None = None,
     ) -> None:
@@ -330,12 +336,6 @@ class Runtime:
     def _run_phased(self, max_events: int | None) -> RunResult:
         recorder = None
         if self._replay_active():
-            # Lazy import: the store lives with the other persistent
-            # caches in repro.bench (which imports repro.runtime at
-            # module level — this direction must stay deferred).
-            from repro.bench.cache import resolve_replay_store
-            from repro.runtime.replay import PhaseRecorder
-
             recorder = PhaseRecorder(
                 self, store=resolve_replay_store(self.options)
             )

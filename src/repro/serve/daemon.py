@@ -42,11 +42,7 @@ import traceback
 
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from repro.metrics.export import (
-    SCHEMA_VERSION,
-    run_cache_to_dict,
-    sweep_to_dict,
-)
+from repro.metrics.export import SCHEMA_VERSION, sweep_to_dict
 from repro.runtime import RunOptions
 from repro.runtime.options import DEFAULT_CACHE_DIR
 from repro.serve.jobs import DONE, FAILED, JobQueue, execute_job
@@ -140,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
                 "id": job.id,
                 "request": job.request.canonical(),
                 "sweep": sweep_to_dict(job.sweep),
-                "cache": run_cache_to_dict(job.cache),
+                "cache": job.cache.summary(),
             },
         )
 

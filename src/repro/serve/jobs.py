@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import os
 import threading
 import time
 from pathlib import Path
@@ -43,6 +42,8 @@ from repro.bench.parallel import submission_order
 from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
 from repro.runtime import RunOptions
+from repro.runtime.replay import replay_store_totals
+from repro.runtime.store import StoreStats, publish
 from repro.serve.validate import JobRequest, validate_request
 
 __all__ = ["Job", "JobQueue", "execute_job"]
@@ -213,19 +214,9 @@ class JobQueue:
     def counters(self) -> dict:
         """Queue-level counters for ``GET /v1/stats``."""
         with self._lock:
-            running = sum(
-                1 for j in self._jobs.values() if j.state == RUNNING
-            )
-            cache_totals: dict[str, int] = {}
-            for j in self._jobs.values():
-                for k, v in j.cache.stats.as_dict().items():
-                    cache_totals[k] = cache_totals.get(k, 0) + v
-            # Process-wide phase-replay-store counters: jobs execute in
-            # this daemon process (and its pool workers), so the module
-            # aggregate in repro.bench.cache is the daemon's replay
-            # traffic.  Reporting only — never read back by behavior.
-            from repro.bench.cache import PROCESS_REPLAY_STATS
-
+            jobs = self._jobs.values()
+            running = sum(1 for j in jobs if j.state == RUNNING)
+            cache_totals = StoreStats.total(j.cache.stats for j in jobs)
             return {
                 "queue": {
                     "depth": len(self._queued),
@@ -235,8 +226,10 @@ class JobQueue:
                     "done": self.done,
                     "failed": self.failed,
                 },
-                "cache": {"dir": str(self.cache_root), **cache_totals},
-                "replay_cache": PROCESS_REPLAY_STATS.as_dict(),
+                "cache": {"dir": str(self.cache_root), **cache_totals.as_dict()},
+                # The daemon process's own replay stores only: jobs farmed
+                # to --jobs pool workers count in those processes.
+                "replay_cache": replay_store_totals(),
             }
 
     # -- persistence ---------------------------------------------------
@@ -249,17 +242,11 @@ class JobQueue:
         """Write still-queued requests to disk; returns how many."""
         with self._lock:
             pending = [j.request.canonical() for j in self._queued]
-        self.cache_root.mkdir(parents=True, exist_ok=True)
-        tmp = self.state_path.with_suffix(f".tmp.{os.getpid()}")
-        tmp.write_text(
-            json.dumps(
-                {"queue_state_schema": QUEUE_STATE_SCHEMA, "queue": pending},
-                indent=1,
-                sort_keys=True,
-            )
-            + "\n"
+        state = {"queue_state_schema": QUEUE_STATE_SCHEMA, "queue": pending}
+        publish(
+            self.state_path,
+            (json.dumps(state, indent=1, sort_keys=True) + "\n").encode(),
         )
-        os.replace(tmp, self.state_path)
         return len(pending)
 
     def restore(self) -> int:
@@ -269,7 +256,10 @@ class JobQueue:
             state = json.loads(self.state_path.read_text())
         except (OSError, ValueError):
             return 0
-        if state.get("queue_state_schema") != QUEUE_STATE_SCHEMA:
+        if (
+            not isinstance(state, dict)
+            or state.get("queue_state_schema") != QUEUE_STATE_SCHEMA
+        ):
             return 0
         restored = 0
         for body in state.get("queue", []):

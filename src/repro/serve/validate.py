@@ -38,7 +38,6 @@ from dataclasses import dataclass, fields
 from typing import Any
 
 from repro.apps import ALL_APPS
-from repro.bench.cache import canonical_json
 from repro.core.engine import engine_names
 from repro.metrics import cluster_sizes
 from repro.params import (
@@ -49,6 +48,7 @@ from repro.params import (
     dataclass_from_dict,
     network_config_from_dict,
 )
+from repro.runtime.store import canonical_json
 
 __all__ = ["RequestError", "JobRequest", "PARAM_CLASSES", "validate_request"]
 

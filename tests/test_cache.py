@@ -238,6 +238,22 @@ def test_corrupt_entry_is_a_miss_and_heals(tmp_path):
     assert healed.stats.misses == 0
 
 
+def test_identical_keys_carry_identical_bytes(tmp_path):
+    """Two stores putting one key write byte-identical entry files, even
+    when the executions took different wall times."""
+    key, preimage = fingerprint_run(
+        MachineConfig(total_processors=4, cluster_size=2),
+        CostModel(), 1500, "wl", None, source="fixed",
+    )
+    blobs = []
+    for name, wall in (("a", 0.25), ("b", 4.0)):
+        RunCache(tmp_path / name, source="fixed").put(
+            key, preimage, {"payload": 1}, wall
+        )
+        blobs.append((tmp_path / name / key[:2] / f"{key}.json").read_bytes())
+    assert blobs[0] == blobs[1]
+
+
 # ---------------------------------------------------------------------------
 # verification
 # ---------------------------------------------------------------------------
@@ -329,11 +345,9 @@ def test_estimates_are_indexed_per_engine(tmp_path):
 
 
 def test_summary_counters_are_exported(tmp_path):
-    from repro.metrics.export import run_cache_to_dict
-
     cache = RunCache(tmp_path / "c")
     _sweep(cache)
-    d = run_cache_to_dict(cache)
+    d = cache.summary()
     assert d["misses"] == cache.stats.misses > 0
     assert d["bytes_written"] > 0
     assert d["dir"] == str(tmp_path / "c")

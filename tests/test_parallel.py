@@ -27,7 +27,7 @@ def _maybe_boom(x):
 
 def _replay_store_root(options):
     """Worker-side view of the options' replay store (None when off)."""
-    from repro.bench.cache import resolve_replay_store
+    from repro.runtime.replay import resolve_replay_store
 
     store = resolve_replay_store(options)
     return None if store is None else str(store.root)

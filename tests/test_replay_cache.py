@@ -1,6 +1,6 @@
 """The persistent cross-run replay store: correctness and invalidation.
 
-The store (:class:`repro.bench.cache.ReplayStore`) lets a *fresh
+The store (:class:`repro.runtime.replay.ReplayStore`) lets a *fresh
 process* apply phase deltas recorded by an earlier run.  The acceptance
 bar mirrors in-process replay: a store-warm run must be bit-for-bit
 identical to both the recording run and a replay-off run, for every
@@ -22,11 +22,11 @@ import pytest
 
 import repro
 from repro.apps import scanphase
-from repro.bench import cache as cache_mod
-from repro.bench.cache import REPLAY_STORES, resolve_replay_store
 from repro.core.engine import engine_names
 from repro.params import MachineConfig
 from repro.runtime import RunOptions
+from repro.runtime import replay as replay_mod
+from repro.runtime.replay import REPLAY_STORES, resolve_replay_store
 from tests.machine_state import run_state
 
 ENGINES = engine_names()
@@ -105,7 +105,7 @@ def test_source_fingerprint_invalidates_records(tmp_path, monkeypatch):
     under another — the context key embeds the fingerprint."""
 
     def under(source):
-        monkeypatch.setattr(cache_mod, "source_fingerprint", lambda: source)
+        monkeypatch.setattr(replay_mod, "source_fingerprint", lambda: source)
         return _scan_state("mgs", store=tmp_path)
 
     baseline, first = under("fp-one")

@@ -412,6 +412,29 @@ def test_graceful_shutdown_persists_queue_for_next_start(tmp_path):
         d2.close()
 
 
+@pytest.mark.parametrize(
+    "content", ["[]", "null", "{not json", '{"queue_state_schema": -1}']
+)
+def test_malformed_queue_file_restores_nothing(tmp_path, content):
+    """A daemon starts cleanly over an unusable queue file."""
+    cache_dir = tmp_path / "cache"
+    cache_dir.mkdir()
+    (cache_dir / "serve_queue.json").write_text(content)
+    d = ServeDaemon(port=0, cache_dir=cache_dir, rate=1000, burst=1000)
+    try:
+        assert d.queue.submitted == 0
+    finally:
+        d.close()
+
+
+def test_queue_persist_publishes_atomically(tmp_path):
+    queue = JobQueue(tmp_path / "c")
+    queue.submit(validate_request(dict(JACOBI)), "alice")
+    assert queue.persist() == 1
+    assert queue.persist() == 1  # overwrites in place
+    assert [p.name for p in (tmp_path / "c").iterdir()] == ["serve_queue.json"]
+
+
 def test_draining_daemon_rejects_new_submissions(tmp_path):
     d = ServeDaemon(port=0, cache_dir=tmp_path / "cache", rate=1000,
                     burst=1000)
