@@ -372,7 +372,7 @@ def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
         "warm_seconds": round(warm_seconds, 4),
         "speedup_warm": round(cold_seconds / warm_seconds, 2),
         "phases_replayed_warm": recorder.replayed,
-        "store_warm": dict(store.summary(), dir=None),
+        "store_warm": {"dir": None, **store.stats.as_dict()},
         "total_time": result_warm.total_time,
     }
 

@@ -35,9 +35,9 @@ the hardware cache lines it has read and written.  A repeat access to a
 resolved page skips the TLB and frame-dictionary probes; a repeat access
 to a known line skips the hardware directory entirely (it is a hit by
 construction).  The batched :meth:`Env.read_block` /
-:meth:`Env.write_block` / :meth:`Env.read_many` APIs additionally
-resolve a whole run of accesses inside one generator, eliminating the
-per-word sub-generator round trip.
+:meth:`Env.write_block` / :meth:`Env.read_many` / :meth:`Env.write_many`
+APIs additionally resolve a whole run of accesses inside one generator,
+eliminating the per-word sub-generator round trip.
 
 This is safe because thread execution between suspension points is
 atomic: no simulator event — and therefore no protocol action, TLB
@@ -55,45 +55,38 @@ Adaptive bypass
 ---------------
 
 The burst caches only pay for themselves when bursts are long enough to
-serve repeat accesses.  Miss-heavy loops with little per-burst reuse —
-Jacobi's compute-bound stencil is the canonical case: ~1300 cycles of
-per-point compute against a 1500-cycle quantum means nearly every
-access burst is a handful of words — spend more maintaining the caches
-than they save (the 0.89x regression BENCH_perfsmoke.json used to
-record).  Each ``Env`` therefore *samples* its own burst-cache hit rate
-over the engine's first ``fp_sample_bursts`` bursts and, when the
-observed hits per burst fall below ``fp_bypass_hits_per_burst``,
-rebinds its memory operations to the plain slow paths for the rest of
-the run.  The thresholds are per-engine class attributes on
-:class:`~repro.core.engine.Protocol`: an all-software engine like swdsm
-turns nearly every fault into a long software round, so its bursts are
-shorter, reuse is rarer, and the sampling window itself is a cost — it
-decides after a third of the bursts MGS samples and demands more reuse
-before keeping the caches.  Both engines are cycle-identical, and the
-decision depends only on deterministic simulation state, so results are
-bit-for-bit unchanged either way; only the wall-clock moves.  The
-bypass is disabled while the race detector has the access methods
+serve repeat accesses.  Each ``Env`` therefore *samples* its own
+burst-cache hit rate over the engine's first ``fp_sample_bursts``
+bursts and, when the observed hits per burst fall below
+``fp_bypass_hits_per_burst``, rebinds its memory operations to the
+plain slow paths for the rest of the run.  The thresholds are per-engine
+class attributes on :class:`~repro.core.engine.Protocol`: an
+all-software engine like swdsm has shorter bursts and rarer reuse, so
+it decides sooner and demands more reuse.  The decision depends only on
+deterministic simulation state and both engines are cycle-identical, so
+results are unchanged either way; only the wall-clock moves.  The
+bypass is off while the race detector has the access methods
 instrumented (rebinding would drop its recording wrappers).
+
+The bypass is kept because it measurably wins.  Jacobi, the miss-heavy
+loop it was added for, no longer demotes; but with the sampling
+removed, six alternating performance-ledger run pairs put the
+``compare_cold`` median wall time at 11.68 s against 10.64 s (ledger
+reference-host seconds; slower in 5 of 6 pairs), ``figs_protocol``
+about 2% slower, and ``figs_hit`` unchanged.
 
 Vectorized batches
 ------------------
 
-``read_many`` additionally proves whole conflict-free access vectors
-hit-only up front — every page already mapped, every line a guaranteed
-hit (:meth:`CacheSystem.hit_lines`), the whole charge inside the
-quantum — and then charges them as one numpy aggregate: one statistics
-update, one clock bump, one fancy-indexed gather per touched page,
-zero per-word Python.  Any failed precondition falls back to the
-per-word loop before a single cycle is charged, so the vector path is
-observation-equivalent by construction.
-
-``write_many`` and ``write_block`` get the symmetric treatment: the
-all-hit *scatter* path proves every page resolved with write privilege
-(no faults), every line a guaranteed write hit (owner == pid, via the
-burst caches or one ``hit_lines(..., is_write=True)`` probe), and the
-whole charge inside the quantum — then lands the stores as one numpy
-scatter per touched page.  Write miss runs batch through
-:meth:`CacheSystem.access_run` exactly as reads do.
+``read_many``, ``write_many`` and ``write_block`` first try to prove a
+whole access vector all-hit (:meth:`Env._charge_hits`): the charge fits
+the quantum, every page resolves without a fault, every line is a
+guaranteed hit.  The vector is then charged as one aggregate and moved
+with one numpy gather or scatter per touched page.  A failed
+precondition falls back to the per-word loop before a cycle is charged,
+so the vector path is observation-equivalent by construction.  Miss
+runs in the block walkers batch through :meth:`CacheSystem.access_run`
+(:meth:`Env._miss_run`).
 """
 
 from __future__ import annotations
@@ -114,6 +107,15 @@ __all__ = ["Env"]
 
 #: below this many addresses, the per-word loop beats the vector setup
 _VEC_MIN_ADDRS = 8
+
+
+def _store_targets(addrs: Iterable[int], values: Sequence[float]):
+    """``addrs`` as a sequence, once it is known to pair up with ``values``."""
+    if not isinstance(addrs, (tuple, list)):
+        addrs = tuple(addrs)
+    if len(addrs) != len(values):
+        raise ValueError(f"write_many: {len(addrs)} addresses, {len(values)} values")
+    return addrs
 
 
 class Env:
@@ -212,7 +214,7 @@ class Env:
         detector = runtime.race_detector
         if detector is not None:
             # Opt-in happens-before race detection (repro.analysis):
-            # rebinds the five operations to recording wrappers that
+            # rebinds the six operations to recording wrappers that
             # delegate to the originals unchanged and charge nothing.
             # The adaptive bypass must not rebind over those wrappers.
             self._fp_adaptive = False
@@ -272,38 +274,131 @@ class Env:
             and getattr(self.read, "__func__", None) is Env._read_slow
         )
 
-    def _fp_load(self, vpn: int):
-        """Resolve ``vpn`` with read privilege; may yield mapping faults.
+    def _fp_load(self, vpn: int, write: bool = False):
+        """Resolve ``vpn`` with read (or, if ``write``, write) privilege;
+        may yield mapping faults.  Returns and caches the
+        ``(frame data, write-ok, owner)`` entry."""
+        if self._hw_only:
+            data = self._hw_frame(vpn, self._t)
+            entry = (data, True, self._rt.aspace.home_proc(vpn))
+        else:
+            tlb = self._tlb
+            while not (
+                tlb.has_write(vpn) if write else tlb.lookup(vpn) is not None
+            ):
+                yield ("fault", vpn, write)
+                self._fp_reset()
+            frame = self._frames[vpn]
+            entry = (frame.data, write or tlb.has_write(vpn), frame.owner_pid)
+        self._fp_pages[vpn] = entry
+        return entry
 
-        Returns and caches the ``(frame data, write-ok, owner)`` entry.
+    def _fp_resolve(self, vpn: int, write: bool = False):
+        """Resolve ``vpn`` as :meth:`_fp_load` would, iff no fault is needed.
+
+        The non-suspending sibling of :meth:`_fp_load`: returns and
+        caches the same entry when the page is already mapped (with
+        write privilege, if ``write``), or None (caching nothing,
+        charging nothing) when a fault — or, at C == P, the one-time TLB
+        fill charge — would be required.  The vector paths use it to
+        prove a whole batch fault-free before committing to it; entries
+        it caches are valid for the rest of the burst either way.
         """
+        tlb = self._tlb
+        if tlb.lookup(vpn) is None:
+            return None
         if self._hw_only:
-            data = self._hw_frame(vpn, self._t)
-            entry = (data, True, self._rt.aspace.home_proc(vpn))
+            entry = (
+                self._protocol.home(vpn).data,
+                True,
+                self._rt.aspace.home_proc(vpn),
+            )
         else:
-            tlb = self._tlb
-            while tlb.lookup(vpn) is None:
-                yield ("fault", vpn, False)
-                self._fp_reset()
+            writable = tlb.has_write(vpn)
+            if write and not writable:
+                return None
             frame = self._frames[vpn]
-            entry = (frame.data, tlb.has_write(vpn), frame.owner_pid)
+            entry = (frame.data, writable, frame.owner_pid)
         self._fp_pages[vpn] = entry
         return entry
 
-    def _fp_load_write(self, vpn: int):
-        """Resolve ``vpn`` with write privilege; may yield mapping faults."""
-        if self._hw_only:
-            data = self._hw_frame(vpn, self._t)
-            entry = (data, True, self._rt.aspace.home_proc(vpn))
-        else:
-            tlb = self._tlb
-            while not tlb.has_write(vpn):
-                yield ("fault", vpn, True)
-                self._fp_reset()
-            frame = self._frames[vpn]
-            entry = (frame.data, True, frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
+    def _charge_hits(self, n: int, whit: int, vpns, lines, write: bool):
+        """Prove ``n`` accesses all-hit, then charge them in aggregate.
+
+        ``vpns``/``lines`` are the distinct pages/lines touched.  Proved
+        before anything is charged: the ``n * whit`` charge fits the
+        quantum, every page resolves without a fault (writable, if
+        ``write``), and every line is a guaranteed hit — via the burst
+        caches or one :meth:`CacheSystem.hit_lines` probe.  Then ``n``
+        hits are recorded, the clock bumped once, and the probed lines
+        remembered.  Returns how many lines the probe newly proved, or
+        None: the caller goes word by word.  The caller moves the data
+        and credits the adaptive sampler.
+        """
+        t = self._t
+        if n * whit > t.last_yield + self._quantum - t.time:
+            return None
+        pages = self._fp_pages
+        for vpn in vpns:
+            entry = pages.get(vpn)
+            if entry is None or (write and not entry[1]):
+                if self._fp_resolve(vpn, write) is None:
+                    return None
+        rlines = self._fp_rlines
+        wlines = self._fp_wlines
+        unknown = [
+            line
+            for line in lines
+            if line not in wlines and (write or line not in rlines)
+        ]
+        if unknown and not self._cache.hit_lines(
+            self.cluster, self.pid, unknown, write
+        ):
+            return None
+        (wlines if write else rlines).update(unknown)
+        self._cache_counts[0] += n
+        cost = n * whit
+        t.time += cost
+        t.user += cost
+        return len(unknown)
+
+    def _miss_run(self, addr, chunk_end, write, owner, tcost, budget):
+        """Service a run of missing lines from ``addr`` in one
+        :meth:`CacheSystem.access_run` call.
+
+        ``addr`` lies on one resolved page, and the run may extend to
+        ``chunk_end``.  Each line carries its translate charge plus its
+        remaining words' hit charge, and ``access_run`` admits lines
+        only while that stays within ``budget``, so no quantum pause can
+        fall inside the run.  Remembers the serviced lines, records the
+        hit words, and returns ``(words, charge)`` for the caller to
+        charge and move data for — ``(0, 0)`` when not even the first
+        line fits.
+        """
+        line_size = self._line_size
+        line = addr // line_size
+        whit = tcost + self._hit_cost
+        extras = []
+        a = addr
+        line_end = (line + 1) * line_size
+        while a < chunk_end:
+            we = chunk_end if chunk_end < line_end else line_end
+            extras.append(tcost + ((we - a) // WORD_BYTES - 1) * whit)
+            a = we
+            line_end += line_size
+        k, charge = self._cache.access_run(
+            self.cluster, self.pid, line, write, owner, extras, budget
+        )
+        if not k:
+            return 0, 0
+        run_end = (line + k) * line_size
+        if run_end > chunk_end:
+            run_end = chunk_end
+        m = (run_end - addr) // WORD_BYTES
+        (self._fp_wlines if write else self._fp_rlines).update(range(line, line + k))
+        self._cache_counts[0] += m - k
+        self._fp_hits += m - k
+        return m, charge
 
     # ------------------------------------------------------------------
     # memory operations — fast paths
@@ -343,7 +438,7 @@ class Env:
         t.user += cost
         entry = self._fp_pages.get(addr // self._page_size)
         if entry is None or not entry[1]:
-            entry = yield from self._fp_load_write(addr // self._page_size)
+            entry = yield from self._fp_load(addr // self._page_size, True)
         line = addr // self._line_size
         if line in self._fp_wlines:
             self._cache_counts[0] += 1
@@ -361,79 +456,23 @@ class Env:
             yield ("pause",)
             self._fp_reset()
 
-    def _fp_resolve(self, vpn: int):
-        """Resolve ``vpn`` with read privilege iff no fault is needed.
-
-        The non-suspending sibling of :meth:`_fp_load`: returns and
-        caches the same ``(frame data, write-ok, owner)`` entry when the
-        page is already mapped, or None (caching nothing, charging
-        nothing) when resolution would fault.  The vector path uses it
-        to prove a whole batch fault-free before committing to it;
-        entries it caches are valid for the rest of the burst either
-        way, exactly as if :meth:`_fp_load` had resolved them.
-        """
-        if self._tlb.lookup(vpn) is None:
-            return None
-        if self._hw_only:
-            entry = (
-                self._protocol.home(vpn).data,
-                True,
-                self._rt.aspace.home_proc(vpn),
-            )
-        else:
-            frame = self._frames[vpn]
-            entry = (frame.data, self._tlb.has_write(vpn), frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
     def _read_vector(self, addrs, n: int, tcost: int):
         """All-hit aggregate load of ``addrs``; None → caller goes scalar.
 
-        Preconditions proved before anything is charged: every page
-        mapped (no faults), every line a guaranteed hit — via the burst
-        caches or one :meth:`CacheSystem.hit_lines` directory probe —
-        and the whole charge of ``n * (translate + hit)`` cycles inside
-        the current quantum (no pause).  Then the per-word loop's exact
-        effect is applied in aggregate: one clock/bucket bump, ``n``
-        recorded hits, burst-hit sampling credit, newly probed lines
-        remembered, and one numpy gather per touched page.
+        :meth:`_charge_hits` proves and charges the batch; this adds the
+        burst-hit credit the per-word loop would have sampled (every
+        access but the first to each newly probed line) and one numpy
+        gather per touched page.
         """
-        t = self._t
-        whit = tcost + self._hit_cost
-        if n * whit > t.last_yield + self._quantum - t.time:
-            return None
         arr = np.asarray(addrs, dtype=np.int64)
-        pages = self._fp_pages
         vpns = arr // self._page_size
         uvpns = np.unique(vpns).tolist()
-        for vpn in uvpns:
-            if vpn not in pages and self._fp_resolve(vpn) is None:
-                return None
-        lines = arr // self._line_size
-        ulines, ucounts = np.unique(lines, return_counts=True)
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
-        # Burst-cache hits the per-word loop would have sampled: every
-        # access to an already-known line, plus the repeats of each line
-        # first proven by the directory probe below.
-        burst_hits = 0
-        unknown = []
-        for line, c in zip(ulines.tolist(), ucounts.tolist()):
-            if line in wlines or line in rlines:
-                burst_hits += c
-            else:
-                unknown.append(line)
-                burst_hits += c - 1
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, False
-        ):
+        lines = np.unique(arr // self._line_size).tolist()
+        newly = self._charge_hits(n, tcost + self._hit_cost, uvpns, lines, False)
+        if newly is None:
             return None
-        rlines.update(unknown)
-        self._cache_counts[0] += n
-        self._fp_hits += burst_hits
-        cost = n * whit
-        t.time += cost
-        t.user += cost
+        self._fp_hits += n - newly
+        pages = self._fp_pages
         widx = (arr % self._page_size) // WORD_BYTES
         out = np.empty(n, dtype=np.float64)
         if len(uvpns) == 1:
@@ -513,76 +552,26 @@ class Env:
         t.user = tuser
         return out
 
-    def _fp_resolve_write(self, vpn: int):
-        """Resolve ``vpn`` with *write* privilege iff no fault is needed.
-
-        The non-suspending sibling of :meth:`_fp_load_write`, mirroring
-        what :meth:`_fp_resolve` is to :meth:`_fp_load`: returns and
-        caches the ``(frame data, True, owner)`` entry when the page is
-        already write-mapped, or None (caching nothing, charging
-        nothing) when a write fault — or, at C == P, the one-time TLB
-        fill charge — would be required.
-        """
-        if self._tlb.lookup(vpn) is None:
-            return None
-        if self._hw_only:
-            entry = (
-                self._protocol.home(vpn).data,
-                True,
-                self._rt.aspace.home_proc(vpn),
-            )
-        else:
-            if not self._tlb.has_write(vpn):
-                return None
-            frame = self._frames[vpn]
-            entry = (frame.data, True, frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
     def _write_vector(self, addrs, values, n: int, tcost: int):
         """All-hit aggregate scatter of ``values`` to ``addrs``; None →
         caller goes scalar.
 
-        The write twin of :meth:`_read_vector`: every page proved
-        write-resolved (no faults), every line a guaranteed *write* hit
-        — already in the burst write-set, or owner == pid via one
-        ``hit_lines(..., is_write=True)`` probe — and the whole
-        ``n * (translate + hit)`` charge inside the quantum.  Then one
-        clock bump, ``n`` recorded hits, and one numpy fancy-indexed
+        The write twin of :meth:`_read_vector`: :meth:`_charge_hits`
+        proves every page write-resolved and every line a guaranteed
+        *write* hit, and charges the batch; then one numpy fancy-indexed
         scatter per touched page.  Duplicate target addresses bail to
         the per-word loop, whose last-store-wins order is explicit.
         """
-        t = self._t
-        whit = tcost + self._hit_cost
-        if n * whit > t.last_yield + self._quantum - t.time:
-            return None
         arr = np.asarray(addrs, dtype=np.int64)
         if len(np.unique(arr)) != n:
             return None
-        pages = self._fp_pages
         vpns = arr // self._page_size
         uvpns = np.unique(vpns).tolist()
-        for vpn in uvpns:
-            entry = pages.get(vpn)
-            if (entry is None or not entry[1]) and self._fp_resolve_write(
-                vpn
-            ) is None:
-                return None
-        lines = arr // self._line_size
-        wlines = self._fp_wlines
-        unknown = [
-            line for line in np.unique(lines).tolist() if line not in wlines
-        ]
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, True
-        ):
+        lines = np.unique(arr // self._line_size).tolist()
+        if self._charge_hits(n, tcost + self._hit_cost, uvpns, lines, True) is None:
             return None
-        wlines.update(unknown)
-        self._cache_counts[0] += n
         self._fp_hits += n
-        cost = n * whit
-        t.time += cost
-        t.user += cost
+        pages = self._fp_pages
         vals = np.asarray(values, dtype=np.float64)
         widx = (arr % self._page_size) // WORD_BYTES
         if len(uvpns) == 1:
@@ -605,10 +594,11 @@ class Env:
         Batches long enough to amortize the setup first try the all-hit
         vector path (:meth:`_write_vector`); anything it cannot prove
         conflict-free falls through to the per-word loop untouched.
+        Raises ValueError, before charging anything, unless ``addrs``
+        and ``values`` have the same length.
         """
         t = self._t
-        if not isinstance(addrs, (tuple, list)):
-            addrs = tuple(addrs)
+        addrs = _store_targets(addrs, values)
         if len(addrs) >= _VEC_MIN_ADDRS:
             done = self._write_vector(
                 addrs, values, len(addrs), self._tp if ptr else self._ta
@@ -635,7 +625,7 @@ class Env:
             if entry is None or not entry[1]:
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load_write(addr // page_size)
+                entry = yield from self._fp_load(addr // page_size, True)
                 ttime = t.time
                 tuser = t.user
             line = addr // line_size
@@ -673,9 +663,7 @@ class Env:
         t = self._t
         pages = self._fp_pages
         rlines = self._fp_rlines
-        wlines = self._fp_wlines
         access = self._cache.access
-        access_run = self._cache.access_run
         hit_run = self._cache.hit_run
         counts = self._cache_counts
         cluster = self.cluster
@@ -683,9 +671,8 @@ class Env:
         page_size = self._page_size
         line_size = self._line_size
         quantum = self._quantum
-        hit_cost = self._hit_cost
         tcost = self._tp if ptr else self._ta
-        whit = tcost + hit_cost
+        whit = tcost + self._hit_cost
         # A miss batch is only worth attempting when the quantum budget
         # can admit at least one worst-case *hardware* line plus its
         # hit words (access_run's per-line bound rejects a first line
@@ -703,35 +690,13 @@ class Env:
             vpn = addr // page_size
             entry = pages.get(vpn)
             if entry is None:
-                # Unresolved page: translate is charged before any fault,
-                # exactly as the per-word path does.
-                ttime += tcost
-                tuser += tcost
+                # Unresolved page: this word goes through env.read, which
+                # may fault; the loop then resumes on the resolved page.
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load(vpn)
+                append((yield from self._read_fast(addr, ptr)))
                 ttime = t.time
                 tuser = t.user
-                data = entry[0]
-                line = addr // line_size
-                if line in wlines or line in rlines:
-                    counts[0] += 1
-                    self._fp_hits += 1
-                    ttime += hit_cost
-                    tuser += hit_cost
-                else:
-                    cost = access(cluster, pid, line, False, entry[2])
-                    rlines.add(line)
-                    ttime += cost
-                    tuser += cost
-                if ttime - t.last_yield > quantum:
-                    t.time = ttime
-                    t.user = tuser
-                    yield ("pause",)
-                    self._fp_reset()
-                    ttime = t.time
-                    tuser = t.user
-                append(float(data[(addr % page_size) // WORD_BYTES]))
                 addr += WORD_BYTES
                 continue
             data = entry[0]
@@ -757,38 +722,17 @@ class Env:
                     # per-line classification, counts, and charges of
                     # the word loop — capped so no quantum pause can
                     # fall inside the batch.
-                    k = 0
+                    m = 0
                     if budget > batch_floor:
-                        extras = []
-                        a = addr
-                        line_end = (line + 1) * line_size
-                        while a < chunk_end:
-                            we = (
-                                chunk_end
-                                if chunk_end < line_end
-                                else line_end
-                            )
-                            extras.append(
-                                tcost + ((we - a) // WORD_BYTES - 1) * whit
-                            )
-                            a = we
-                            line_end += line_size
-                        k, charge = access_run(
-                            cluster, pid, line, False, owner, extras, budget
+                        m, charge = self._miss_run(
+                            addr, chunk_end, False, owner, tcost, budget
                         )
-                    if k:
-                        run_end = (line + k) * line_size
-                        if run_end > chunk_end:
-                            run_end = chunk_end
-                        m = (run_end - addr) // WORD_BYTES
-                        rlines.update(range(line, line + k))
-                        counts[0] += m - k
-                        self._fp_hits += m - k
+                    if m:
                         ttime += charge
                         tuser += charge
                         w0 = (addr % page_size) // WORD_BYTES
                         extend(data[w0 : w0 + m].tolist())
-                        addr = run_end
+                        addr += m * WORD_BYTES
                         continue
                     # Batch would cross the quantum before its first
                     # line: classify, charge, move one word.
@@ -849,42 +793,20 @@ class Env:
         """All-hit aggregate store of a whole contiguous block; None →
         caller runs the chunked loop.
 
-        The contiguous sibling of :meth:`_write_vector`: every touched
-        page write-resolved, every line in ``[first, last]`` a
-        guaranteed write hit, the whole charge inside the quantum —
-        then one aggregate charge and one contiguous slice store per
-        page, with no per-chunk probing at all.
+        The contiguous sibling of :meth:`_write_vector`:
+        :meth:`_charge_hits` proves and charges every page and every
+        line in ``[first, last]`` at once, then one contiguous slice
+        store per page, with no per-chunk probing at all.
         """
-        t = self._t
-        whit = tcost + self._hit_cost
-        if n * whit > t.last_yield + self._quantum - t.time:
-            return None
         page_size = self._page_size
-        pages = self._fp_pages
-        last_addr = addr + (n - 1) * WORD_BYTES
-        for vpn in range(addr // page_size, last_addr // page_size + 1):
-            entry = pages.get(vpn)
-            if (entry is None or not entry[1]) and self._fp_resolve_write(
-                vpn
-            ) is None:
-                return None
         line_size = self._line_size
-        wlines = self._fp_wlines
-        unknown = [
-            line
-            for line in range(addr // line_size, last_addr // line_size + 1)
-            if line not in wlines
-        ]
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, True
-        ):
+        last = addr + (n - 1) * WORD_BYTES
+        vpns = range(addr // page_size, last // page_size + 1)
+        lines = range(addr // line_size, last // line_size + 1)
+        if self._charge_hits(n, tcost + self._hit_cost, vpns, lines, True) is None:
             return None
-        wlines.update(unknown)
-        self._cache_counts[0] += n
         self._fp_hits += n
-        cost = n * whit
-        t.time += cost
-        t.user += cost
+        pages = self._fp_pages
         vi = 0
         end = addr + n * WORD_BYTES
         while addr < end:
@@ -920,7 +842,6 @@ class Env:
         pages = self._fp_pages
         wlines = self._fp_wlines
         access = self._cache.access
-        access_run = self._cache.access_run
         hit_run = self._cache.hit_run
         counts = self._cache_counts
         cluster = self.cluster
@@ -928,9 +849,8 @@ class Env:
         page_size = self._page_size
         line_size = self._line_size
         quantum = self._quantum
-        hit_cost = self._hit_cost
         tcost = self._tp if ptr else self._ta
-        whit = tcost + hit_cost
+        whit = tcost + self._hit_cost
         batch_floor = self._cache.worst_hw_miss + tcost + (
             line_size // WORD_BYTES - 1
         ) * whit
@@ -942,35 +862,14 @@ class Env:
             vpn = addr // page_size
             entry = pages.get(vpn)
             if entry is None or not entry[1]:
-                ttime += tcost
-                tuser += tcost
+                # Not yet writable: this word goes through env.write.
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load_write(vpn)
+                yield from self._write_fast(addr, values[vi], ptr)
                 ttime = t.time
                 tuser = t.user
-                data = entry[0]
-                line = addr // line_size
-                if line in wlines:
-                    counts[0] += 1
-                    self._fp_hits += 1
-                    ttime += hit_cost
-                    tuser += hit_cost
-                else:
-                    cost = access(cluster, pid, line, True, entry[2])
-                    wlines.add(line)
-                    ttime += cost
-                    tuser += cost
-                data[(addr % page_size) // WORD_BYTES] = values[vi]
                 vi += 1
                 addr += WORD_BYTES
-                if ttime - t.last_yield > quantum:
-                    t.time = ttime
-                    t.user = tuser
-                    yield ("pause",)
-                    self._fp_reset()
-                    ttime = t.time
-                    tuser = t.user
                 continue
             data = entry[0]
             owner = entry[2]
@@ -990,39 +889,18 @@ class Env:
                     # Batched miss run, as in _read_block_fast: stores
                     # land in aggregate, and the budget cap proves no
                     # pause falls inside the batch.
-                    k = 0
+                    m = 0
                     if budget > batch_floor:
-                        extras = []
-                        a = addr
-                        line_end = (line + 1) * line_size
-                        while a < chunk_end:
-                            we = (
-                                chunk_end
-                                if chunk_end < line_end
-                                else line_end
-                            )
-                            extras.append(
-                                tcost + ((we - a) // WORD_BYTES - 1) * whit
-                            )
-                            a = we
-                            line_end += line_size
-                        k, charge = access_run(
-                            cluster, pid, line, True, owner, extras, budget
+                        m, charge = self._miss_run(
+                            addr, chunk_end, True, owner, tcost, budget
                         )
-                    if k:
-                        run_end = (line + k) * line_size
-                        if run_end > chunk_end:
-                            run_end = chunk_end
-                        m = (run_end - addr) // WORD_BYTES
-                        wlines.update(range(line, line + k))
-                        counts[0] += m - k
-                        self._fp_hits += m - k
+                    if m:
                         ttime += charge
                         tuser += charge
                         w0 = (addr % page_size) // WORD_BYTES
                         data[w0 : w0 + m] = values[vi : vi + m]
                         vi += m
-                        addr = run_end
+                        addr += m * WORD_BYTES
                         continue
                     cost = access(cluster, pid, line, True, owner)
                     wlines.add(line)
@@ -1128,7 +1006,7 @@ class Env:
     def _write_many_slow(
         self, addrs: Iterable[int], values: Sequence[float], ptr: bool = False
     ):
-        for addr, value in zip(addrs, values):
+        for addr, value in zip(_store_targets(addrs, values), values):
             yield from self._write_slow(addr, value, ptr)
 
     def _read_block_slow(self, addr: int, nwords: int, ptr: bool = False):

@@ -23,14 +23,16 @@ from repro.runtime import RunOptions, Runtime
 from tests.machine_state import run_state
 
 
-def _config(total=4, cluster=2):
-    return MachineConfig(total_processors=total, cluster_size=cluster)
+def _config(total=4, cluster=2, engine="mgs"):
+    return MachineConfig(total_processors=total, cluster_size=cluster, protocol=engine)
 
 
-def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
+def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2, engine="mgs"):
     """Run one workload; returns (state, values captured by the workers)."""
     rt = Runtime(
-        _config(total, cluster), quantum=quantum, options=RunOptions(fastpath=fastpath)
+        _config(total, cluster, engine),
+        quantum=quantum,
+        options=RunOptions(fastpath=fastpath),
     )
     nwords = 64 * total
     arr = rt.array("data", nwords)
@@ -41,14 +43,21 @@ def _run(worker_factory, *, fastpath, quantum=1500, total=4, cluster=2):
     return run_state(rt, result), captured
 
 
-def _assert_equivalent(worker_a, worker_b, quantum=1500, total=4, cluster=2):
+def _assert_equivalent(
+    worker_a, worker_b, quantum=1500, total=4, cluster=2, engine="mgs"
+):
     """workers a and b must produce identical machines in all four modes."""
     states = {}
     values = {}
     for name, factory in (("a", worker_a), ("b", worker_b)):
         for fast in (True, False):
             states[name, fast], values[name, fast] = _run(
-                factory, fastpath=fast, quantum=quantum, total=total, cluster=cluster
+                factory,
+                fastpath=fast,
+                quantum=quantum,
+                total=total,
+                cluster=cluster,
+                engine=engine,
             )
     baseline = states["a", True]
     base_values = values["a", True]
@@ -93,14 +102,14 @@ def _reader_loop(arr, nwords, captured):
     return worker
 
 
-def test_read_block_equals_read_loop():
-    _assert_equivalent(_reader_block, _reader_loop)
+def test_read_block_equals_read_loop(engine):
+    _assert_equivalent(_reader_block, _reader_loop, engine=engine)
 
 
-def test_read_block_equals_read_loop_with_tiny_quantum():
+def test_read_block_equals_read_loop_with_tiny_quantum(engine):
     # quantum 97 forces pauses inside nearly every block, exercising the
     # mid-run re-resolve path and the pause-then-append ordering.
-    _assert_equivalent(_reader_block, _reader_loop, quantum=97)
+    _assert_equivalent(_reader_block, _reader_loop, quantum=97, engine=engine)
 
 
 def _many_strided(arr, nwords, captured):
@@ -132,9 +141,9 @@ def _many_as_loop(arr, nwords, captured):
     return worker
 
 
-def test_read_many_equals_read_loop():
-    _assert_equivalent(_many_strided, _many_as_loop)
-    _assert_equivalent(_many_strided, _many_as_loop, quantum=97)
+def test_read_many_equals_read_loop(engine):
+    _assert_equivalent(_many_strided, _many_as_loop, engine=engine)
+    _assert_equivalent(_many_strided, _many_as_loop, quantum=97, engine=engine)
 
 
 def _writer_block(arr, nwords, captured):
@@ -171,9 +180,9 @@ def _writer_loop(arr, nwords, captured):
     return worker
 
 
-def test_write_block_equals_write_loop():
-    _assert_equivalent(_writer_block, _writer_loop)
-    _assert_equivalent(_writer_block, _writer_loop, quantum=97)
+def test_write_block_equals_write_loop(engine):
+    _assert_equivalent(_writer_block, _writer_loop, engine=engine)
+    _assert_equivalent(_writer_block, _writer_loop, quantum=97, engine=engine)
 
 
 def _scatter_plan(env, nwords):
@@ -231,14 +240,14 @@ def _writer_many_loop(arr, nwords, captured):
     return worker
 
 
-def test_write_many_equals_write_loop():
-    _assert_equivalent(_writer_many, _writer_many_loop)
+def test_write_many_equals_write_loop(engine):
+    _assert_equivalent(_writer_many, _writer_many_loop, engine=engine)
 
 
-def test_write_many_equals_write_loop_with_tiny_quantum():
+def test_write_many_equals_write_loop_with_tiny_quantum(engine):
     # quantum 97 pauses inside nearly every scatter: the budget bail in
     # the vector path and the store-before-pause ordering both fire.
-    _assert_equivalent(_writer_many, _writer_many_loop, quantum=97)
+    _assert_equivalent(_writer_many, _writer_many_loop, quantum=97, engine=engine)
 
 
 def _dup_plan(env, nwords):
@@ -279,13 +288,57 @@ def _writer_many_dup_loop(arr, nwords, captured):
     return worker
 
 
-def test_write_many_duplicate_addresses_are_last_wins():
-    _assert_equivalent(_writer_many_dup, _writer_many_dup_loop)
-    _assert_equivalent(_writer_many_dup, _writer_many_dup_loop, quantum=97)
+def test_write_many_duplicate_addresses_are_last_wins(engine):
+    _assert_equivalent(_writer_many_dup, _writer_many_dup_loop, engine=engine)
+    _assert_equivalent(
+        _writer_many_dup, _writer_many_dup_loop, quantum=97, engine=engine
+    )
 
 
-def test_written_values_are_the_values_read_back():
-    _, captured = _run(_writer_block, fastpath=True)
+def _writer_many_mismatched(nvalues):
+    """Eight own-stripe targets made write hits, then a ``write_many``
+    handed ``nvalues`` values: records (raised?, cycles charged by the
+    failed call, the words read back)."""
+
+    def factory(arr, nwords, captured):
+        def worker(env):
+            per = nwords // env.nprocs
+            addrs = tuple(arr.addr(env.pid * per + k) for k in range(8))
+            yield from env.write_many(addrs, [1.0] * 8)
+            before = env.now
+            try:
+                yield from env.write_many(addrs, [7.0] * nvalues)
+                raised = False
+            except ValueError:
+                raised = True
+            charged = env.now - before
+            got = yield from env.read_many(addrs)
+            captured.append((raised, charged, got))
+            yield from env.barrier()
+
+        return worker
+
+    return factory
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+@pytest.mark.parametrize("nvalues", [1, 7, 9])
+def test_write_many_rejects_mismatched_lengths(fastpath, nvalues, engine):
+    # Once the targets are write hits the vector path takes the batch;
+    # it used to broadcast a single value (or raise after charging)
+    # while the word loop silently truncated.  Both must refuse before
+    # charging a cycle or storing a word.
+    _, captured = _run(
+        _writer_many_mismatched(nvalues), fastpath=fastpath, engine=engine
+    )
+    assert len(captured) == 4
+    for raised, charged, got in captured:
+        assert raised and charged == 0
+        assert got == [1.0] * 8
+
+
+def test_written_values_are_the_values_read_back(engine):
+    _, captured = _run(_writer_block, fastpath=True, engine=engine)
     per = (64 * 4) // 4
     assert sorted(pid for pid, _ in captured) == [0, 1, 2, 3]
     for pid, got in captured:

@@ -12,14 +12,18 @@ The same goldens also pin the fast-path access engine: the default run
 uses the fast paths, so the totals above must hold with them on, and
 ``test_fastpath_and_slow_path_full_state_identical`` compares every
 observable — clocks, stats, message flows, final memory — between the
-fast and slow engines.
+fast and slow engines; ``test_paper_apps_fast_and_slow_full_state_identical``
+does the same for every paper app on every registered coherence engine.
 """
 
+import numpy as np
 import pytest
 
-from repro.apps import jacobi
+from repro.apps import barnes_hut, jacobi, matmul, scanphase, tsp, water
 from repro.apps.jacobi import JacobiParams
+from repro.core.engine import engine_names
 from repro.params import MachineConfig, NetworkConfig
+from repro.runtime import RunOptions
 from tests.machine_state import run_state
 
 #: network -> cluster size -> (total_time, inter_ssmp, intra_ssmp msgs)
@@ -81,3 +85,44 @@ def test_fastpath_and_slow_path_full_state_identical():
     slow = _full_state(False)
     for key in fast:
         assert fast[key] == slow[key], f"fastpath changed {key}"
+
+
+#: tiny instances of every paper app: matmul and scanphase are the
+#: read_many callers, water the small-block write_block caller
+PAPER_APPS = {
+    "jacobi": (jacobi, JacobiParams(n=32, iterations=3)),
+    "matmul": (matmul, matmul.MatmulParams(n=12)),
+    "tsp": (tsp, tsp.TSPParams(ncities=6)),
+    "water": (water, water.WaterParams(n_molecules=19, iterations=2)),
+    "barnes_hut": (
+        barnes_hut,
+        barnes_hut.BarnesHutParams(n_bodies=24, iterations=2),
+    ),
+    "scanphase": (
+        scanphase,
+        scanphase.ScanPhaseParams(words=256, phases=3, window=16, chunk=8),
+    ),
+}
+
+
+def _app_state(module, params, engine: str, fastpath: bool) -> dict:
+    # Replay off, so every phase runs through the Env access paths.
+    config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
+    options = RunOptions(fastpath=fastpath, replay=False)
+    rt = module.make_runtime(config, options=options)
+    final = module.build(rt, params)
+    state = run_state(rt, rt.run())
+    snapshot = getattr(final, "snapshot", None)
+    if snapshot is not None:
+        state["output"] = np.asarray(snapshot()).tolist()
+    return state
+
+
+@pytest.mark.parametrize("app", sorted(PAPER_APPS))
+@pytest.mark.parametrize("engine", engine_names())
+def test_paper_apps_fast_and_slow_full_state_identical(app, engine):
+    module, params = PAPER_APPS[app]
+    fast = _app_state(module, params, engine, fastpath=True)
+    slow = _app_state(module, params, engine, fastpath=False)
+    for key in fast:
+        assert fast[key] == slow[key], f"{engine}/{app}: fastpath changed {key}"
