@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from repro.params import CostModel, MachineConfig
@@ -89,11 +89,6 @@ def make_runtime(
     costs: CostModel | None = None,
     quantum: int = DEFAULT_QUANTUM,
     options: RunOptions | None = None,
-    **changes,
 ) -> Runtime:
-    """The app's Runtime under ``options`` (None: the environment's),
-    with ``changes`` — :class:`RunOptions` fields such as
-    ``fastpath=False`` — applied on top."""
-    if changes:
-        options = replace(options or RunOptions.from_env(), **changes)
+    """The app's Runtime under ``options`` (None: the environment's)."""
     return Runtime(config, costs, quantum, options=options)

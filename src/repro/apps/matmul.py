@@ -28,15 +28,6 @@ class MatmulParams:
     #: cycles per multiply-accumulate; calibrated so the scaled matrices
     #: keep the paper's compute-to-communication ratio
     compute_per_mac: int = 1000
-    #: full C = A x B passes.  1 (the default) runs the classic
-    #: one-shot kernel via spawn_all.  Larger values model an iterative
-    #: solver re-applying the same operator and switch the app to
-    #: epoch-granularity replay (Runtime.spawn_epochs): every pass
-    #: beyond the second is state-idempotent — identical values
-    #: rewritten into resident pages — so it collapses to a closed-form
-    #: delta the way jacobi/scanphase phases do, with no barrier between
-    #: passes (each epoch boundary is merely quiescent).
-    iterations: int = 1
 
     def operands(self) -> tuple[np.ndarray, np.ndarray]:
         rng = np.random.default_rng(self.seed)
@@ -77,7 +68,7 @@ def build(rt: Runtime, params: MatmulParams):
     arr_b.init(b_mat.ravel())
     arr_c.init(init_c)
 
-    def one_pass(env):
+    def worker(env):
         rows = block_range(n, nprocs, env.pid)
         b_stride = n * WORD_BYTES
         for i in rows:
@@ -96,40 +87,9 @@ def build(rt: Runtime, params: MatmulParams):
                 yield from env.compute(n * params.compute_per_mac)
                 acc = float(np.dot(vals[:n], vals[n:]))
                 yield from env.write(arr_c.addr(i * row_stride + j), acc)
+        yield from env.barrier()
 
-    if params.iterations == 1:
-        # Classic one-shot kernel: unchanged spawn_all program (the
-        # delegation through one_pass is invisible to the driver).
-        def worker(env):
-            yield from one_pass(env)
-            yield from env.barrier()
-
-        rt.spawn_all(worker)
-        return arr_c
-
-    # Iterative variant: each multiply pass is one epoch, with no
-    # barrier between passes — workers write only their own C rows and
-    # read only A/B, so quiescence at the epoch boundary is the only
-    # ordering the program needs.  Pass 1 faults everything in, pass 2
-    # proves the fixed point (identical values into resident pages,
-    # identical per-thread durations when the rows divide evenly) and
-    # records, every later pass replays.  The barrier-only epilogue gets
-    # a distinct key: its generator differs, so its digest must never
-    # collide with a pass record.
-    def factory(env, epoch):
-        if epoch < params.iterations:
-            return one_pass(env)
-
-        def fin(env):
-            yield from env.barrier()
-
-        return fin(env)
-
-    rt.spawn_epochs(
-        factory,
-        params.iterations + 1,
-        keys=["pass"] * params.iterations + ["fin"],
-    )
+    rt.spawn_all(worker)
     return arr_c
 
 
@@ -155,5 +115,5 @@ def run(
         result=result,
         valid=max_error < 1e-9,
         max_error=max_error,
-        aux={"n": params.n, "iterations": params.iterations},
+        aux={"n": params.n},
     )

@@ -137,9 +137,8 @@ def run(
         max(abs(m - r) for m, r in zip(measured, reference))
     ) if len(measured) == len(reference) else float("inf")
     # Replay counters live in result.replay_cache, NOT aux: aux is
-    # serialized into run-cache entries, and a store-warm run replays
-    # more phases than the run that recorded them — counters in aux
-    # would break cold/warm byte-identity.
+    # serialized into run-cache entries, which must not depend on
+    # whether phases were replayed or executed.
     return AppRun(
         name="scanphase",
         result=result,

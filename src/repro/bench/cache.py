@@ -178,11 +178,10 @@ def run_result_to_dict(result: RunResult) -> dict:
     transaction percentiles are bit-for-bit identical to the original.
 
     ``replay_cache`` is deliberately absent: how a run's phases were
-    obtained (simulated, replayed in-process, replayed from the
-    persistent store) is provenance, not behaviour, and including it
-    would make a replay-warm run's cache entry differ from a cold one's
-    — breaking ``check_identical`` and the byte-identity guarantees the
-    warm-sweep CI checks rely on.
+    obtained (simulated or replayed) is provenance, not behaviour, and
+    including it would make a replayed run's cache entry differ from an
+    executed one's — breaking ``check_identical`` and the byte-identity
+    guarantees the warm-sweep CI checks rely on.
     """
     return {
         "config": dataclasses.asdict(result.config),

@@ -42,14 +42,6 @@ Workloads:
 * ``write_block_fast`` — the write-side twin of ``hit_block``: every
   processor streams ``write_block`` over its own buffer, exercising the
   vectorized all-hit scatter path (fast vs slow engine, cycle-checked).
-* ``sweep_replay_warm`` — the persistent replay store
-  (``repro.runtime.replay.ReplayStore``): one priming run records the
-  phase deltas, then a replay-off run (the cold bound: every phase
-  executes) is timed against a store-warm run in a *fresh* runtime with
-  a *fresh* store instance — the cold-process model, nothing served
-  from in-process memory.  The warm run must replay every repeated
-  phase from the store (zero new records) and agree with the cold run
-  on simulated time and event count; ``speedup_warm`` is gated.
 
 Every run cross-checks fast-vs-slow cycle counts, so the perf smoke is
 also a determinism smoke.
@@ -89,7 +81,6 @@ GATES: dict[str, tuple[str, float]] = {
     "jacobi_fast": ("events_per_sec", 0.35),
     "swdsm_jacobi_fast": ("events_per_sec", 0.35),
     "figure_replay": ("speedup_replay", 0.25),
-    "sweep_replay_warm": ("speedup_warm", 0.25),
 }
 
 
@@ -304,79 +295,6 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
     }
 
 
-def _bench_sweep_replay_warm(phases: int, reps: int = 1) -> dict:
-    """Cold (replay off) vs store-warm (fresh runtime + persisted
-    deltas) phased run; the warm pass must be all store hits."""
-    from pathlib import Path
-
-    from repro.runtime.replay import REPLAY_STORES
-
-    config = MachineConfig(total_processors=8, cluster_size=2)
-    params = scanphase.ScanPhaseParams(phases=phases)
-
-    with tempfile.TemporaryDirectory() as tmp:
-        stored = RunOptions(replay_cache=Path(tmp))
-        # Prime: one recording run fills the store.
-        rt = scanphase.make_runtime(config, options=stored)
-        scanphase.build(rt, params)
-        rt.run()
-        if rt.phase_recorder is None or rt.phase_recorder.cache_stores < 1:
-            raise AssertionError("priming run persisted no replay records")
-
-        # Cold bound: no replay engine at all — every phase executes,
-        # the cost a fresh process pays without the store.
-        cold_seconds = None
-        for _ in range(reps):
-            rt_cold = scanphase.make_runtime(config, options=RunOptions(replay=False))
-            scanphase.build(rt_cold, params)
-            t0 = time.perf_counter()
-            result_cold = rt_cold.run()
-            elapsed = time.perf_counter() - t0
-            if cold_seconds is None or elapsed < cold_seconds:
-                cold_seconds = elapsed
-
-        # Warm: fresh runtime, fresh store instance (empty payload
-        # memo) — the cold-process model: every record comes off disk.
-        warm_seconds = None
-        for _ in range(reps):
-            REPLAY_STORES.clear()
-            rt_warm = scanphase.make_runtime(config, options=stored)
-            scanphase.build(rt_warm, params)
-            t0 = time.perf_counter()
-            result_warm = rt_warm.run()
-            elapsed = time.perf_counter() - t0
-            if warm_seconds is None or elapsed < warm_seconds:
-                warm_seconds = elapsed
-            recorder = rt_warm.phase_recorder
-            store = recorder.store
-            if store.stats.stores != 0 or recorder.cache_hits == 0:
-                raise AssertionError(
-                    f"warm replay run was not all store hits: "
-                    f"{recorder.cache_summary()}"
-                )
-            if recorder.cache_hits != recorder.replayed:
-                raise AssertionError(
-                    "warm run replayed phases not served by the store"
-                )
-        if (result_warm.total_time, rt_warm.sim.events_processed) != (
-            result_cold.total_time,
-            rt_cold.sim.events_processed,
-        ):
-            raise AssertionError(
-                "store-warm replay diverged from execution (scanphase)"
-            )
-
-    return {
-        "phases": phases,
-        "cold_seconds": round(cold_seconds, 4),
-        "warm_seconds": round(warm_seconds, 4),
-        "speedup_warm": round(cold_seconds / warm_seconds, 2),
-        "phases_replayed_warm": recorder.replayed,
-        "store_warm": {"dir": None, **store.stats.as_dict()},
-        "total_time": result_warm.total_time,
-    }
-
-
 def run_perfsmoke(quick: bool = False) -> dict:
     """Measure the workload set and return the report dict."""
     if quick:
@@ -420,7 +338,6 @@ def run_perfsmoke(quick: bool = False) -> dict:
     sweep = _bench_sweep(32, 3)
     cached = _bench_cached_sweep(32, 3)
     replay = _bench_figure_replay(phases, reps=jreps)
-    replay_warm = _bench_sweep_replay_warm(phases, reps=jreps)
 
     return {
         "schema": SCHEMA,
@@ -444,7 +361,6 @@ def run_perfsmoke(quick: bool = False) -> dict:
             "sweep": sweep,
             "sweep_cached": cached,
             "figure_replay": replay,
-            "sweep_replay_warm": replay_warm,
         },
         "speedups": {
             "hit_block_fastpath": round(
@@ -461,7 +377,6 @@ def run_perfsmoke(quick: bool = False) -> dict:
             ),
             "warm_cache": cached["speedup_warm"],
             "figure_replay": replay["speedup_replay"],
-            "sweep_replay_warm": replay_warm["speedup_warm"],
         },
     }
 
@@ -569,14 +484,6 @@ def main(argv: list[str] | None = None) -> int:
         f"   speedup {fr['speedup_replay']}x"
         f"   ({fr['replay']['phases_replayed']}/{fr['phases']} phases"
         " replayed, identical)"
-    )
-    rw = b["sweep_replay_warm"]
-    print(
-        f"  replay store cold {rw['cold_seconds']:.3f}s"
-        f"   warm {rw['warm_seconds']:.3f}s"
-        f"   speedup {rw['speedup_warm']}x"
-        f"   ({rw['phases_replayed_warm']}/{rw['phases']} phases from"
-        " store, identical)"
     )
     print(f"  report -> {args.out}")
 

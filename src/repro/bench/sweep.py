@@ -217,8 +217,8 @@ def run_sweep(
     Every point validates the application output against its sequential
     golden run, so a sweep doubles as a protocol correctness check.
 
-    ``options`` says how to execute every point (fast paths, replay and
-    its store, run cache, worker count); None resolves the ``REPRO_*``
+    ``options`` says how to execute every point (fast paths, replay,
+    run cache, worker count); None resolves the ``REPRO_*``
     environment once, here in the calling process, and the resolved
     object travels with every point into the pool workers.
 

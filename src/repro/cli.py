@@ -40,14 +40,12 @@ from repro.bench import (
 from repro.bench.micro import PAPER_TABLE3
 from repro.params import EXTERNAL_MODELS, NetworkConfig
 from repro.runtime import RunOptions
-from repro.runtime.replay import replay_store_totals
 
 __all__ = [
     "main",
     "network_from_args",
     "add_replay_args",
     "options_from_args",
-    "print_replay_summary",
 ]
 
 
@@ -109,12 +107,11 @@ def add_cache_args(parser: argparse.ArgumentParser) -> None:
 def add_replay_args(parser: argparse.ArgumentParser) -> None:
     """The phase-replay flag group (see :mod:`repro.runtime.replay`).
 
-    Mirrors ``REPRO_NO_REPLAY`` / ``REPRO_REPLAY_CACHE`` /
-    ``REPRO_REPLAY_CACHE_DIR`` the way ``--cache`` mirrors
-    ``REPRO_CACHE`` / ``REPRO_CACHE_DIR``.  Precedence: an explicit
-    flag always beats the inherited environment (``--replay`` overrides
-    an inherited ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no
-    flag the environment stands.
+    Mirrors ``REPRO_NO_REPLAY`` the way ``--cache`` mirrors
+    ``REPRO_CACHE``.  Precedence: an explicit flag always beats the
+    inherited environment (``--replay`` overrides an inherited
+    ``REPRO_NO_REPLAY``; ``--no-replay`` sets it); with no flag the
+    environment stands.
     """
     group = parser.add_argument_group("phase replay")
     group.add_argument(
@@ -128,19 +125,6 @@ def add_replay_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="execute every phase (overrides REPRO_NO_REPLAY for this "
         "invocation, including pool workers); bit-identical, just slower",
-    )
-    group.add_argument(
-        "--replay-cache",
-        action="store_true",
-        help="persist recorded phase deltas in the cross-run replay cache "
-        "(also enabled by REPRO_REPLAY_CACHE=1 or REPRO_REPLAY_CACHE_DIR)",
-    )
-    group.add_argument(
-        "--replay-cache-dir",
-        default=None,
-        metavar="DIR",
-        help="replay cache directory (default: REPRO_REPLAY_CACHE_DIR, "
-        "else <run-cache dir>/replay); implies --replay-cache",
     )
 
 
@@ -158,15 +142,11 @@ def options_from_args(args: argparse.Namespace) -> RunOptions:
     if args.jobs is not None:
         flags["REPRO_JOBS"] = str(args.jobs)
     if args.no_replay:
-        if args.replay or args.replay_cache or args.replay_cache_dir:
-            raise ValueError("--no-replay conflicts with the other replay flags")
+        if args.replay:
+            raise ValueError("--no-replay conflicts with --replay")
         flags["REPRO_NO_REPLAY"] = "1"
     elif args.replay:
         flags["REPRO_NO_REPLAY"] = "0"
-    if args.replay_cache_dir:
-        flags["REPRO_REPLAY_CACHE_DIR"] = args.replay_cache_dir
-    if args.replay_cache or args.replay_cache_dir:
-        flags["REPRO_REPLAY_CACHE"] = "1"
     given = vars(args)
     cache_on = given.get("cache") or given.get("cache_dir") or given.get("cache_verify")
     if given.get("no_cache"):
@@ -178,25 +158,6 @@ def options_from_args(args: argparse.Namespace) -> RunOptions:
         if given["cache_dir"]:
             flags["REPRO_CACHE_DIR"] = given["cache_dir"]
     return RunOptions.from_env(flags)
-
-
-def print_replay_summary() -> None:
-    """One summary line of process-wide replay-cache traffic, to stderr.
-
-    stderr so that two invocations sharing a warm replay cache keep
-    *byte-identical stdout* (the CI cross-process check compares it);
-    the counters necessarily differ between a priming run and a warm
-    one.
-    """
-    s = replay_store_totals()
-    if not (s["hits"] or s["misses"] or s["stores"]):
-        return
-    print(
-        f"replay cache: {s['hits']} hits, {s['misses']} misses, "
-        f"{s['stores']} stored, {s['bytes_read']}B read / "
-        f"{s['bytes_written']}B written",
-        file=sys.stderr,
-    )
 
 
 def parse_trace_pages(value: str) -> set[int] | None:
@@ -417,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _dispatch(parser, args, network, options, jobs, cache)
     finally:
-        print_replay_summary()
         if cache is not None:
             s = cache.stats
             print(

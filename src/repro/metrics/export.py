@@ -51,8 +51,8 @@ def run_result_to_dict(result: RunResult) -> dict:
         },
         "cache": result.cache_stats,
         # Provenance, not behavior: how many phases this execution
-        # replayed/recorded and how the persistent replay store served
-        # it.  Additive key (no schema bump); empty for non-phased runs.
+        # replayed/recorded.  Additive key (no schema bump); empty for
+        # non-phased runs.
         "replay_cache": result.replay_cache,
         "network": result.network_stats,
         "message_flows": result.message_flows,

@@ -1,9 +1,9 @@
 """Run settings: one frozen object, resolved once per entry point.
 
 :class:`RunOptions` holds every setting that changes *how* simulations
-execute — the fast-path access engine, phase replay and its persistent
-store, the run cache, the worker count — plus the problem-size scale of
-the benchmark workloads.  Each entry point (the CLI, ``repro compare``,
+execute — the fast-path access engine, phase replay, the run cache,
+the worker count — plus the problem-size scale of the benchmark
+workloads.  Each entry point (the CLI, ``repro compare``,
 the ``repro.serve`` daemon, or a library call with ``options=None``)
 resolves it once and passes the object down explicitly — to
 ``run_sweep``, into every pool job, to each app's ``run`` and on to
@@ -16,9 +16,8 @@ the process environment (the settings table in ``docs/PERFORMANCE.md``
 lists each variable with its CLI flag and default).  Booleans accept
 ``1/true/yes/on`` and ``0/false/no/off`` in any case; anything else,
 like a non-integer count, warns and keeps the default.  Precedence:
-``REPRO_NO_REPLAY`` beats the store selectors, ``REPRO_CACHE=0`` beats
-``REPRO_CACHE_DIR``, and setting a store directory alone turns that
-store on.
+``REPRO_CACHE=0`` beats ``REPRO_CACHE_DIR``, and setting
+``REPRO_CACHE_DIR`` alone turns the run cache on.
 """
 
 from __future__ import annotations
@@ -50,14 +49,13 @@ class RunOptions:
     """How to execute simulations.
 
     Every field but ``scale`` is bit-for-bit neutral: it changes wall
-    time, never a simulated result.  ``replay_cache`` and ``run_cache``
-    are store directories, or None for no store.  ``jobs=0`` means one
-    worker per core.
+    time, never a simulated result.  ``run_cache`` is the run cache's
+    directory, or None for no cache.  ``jobs=0`` means one worker per
+    core.
     """
 
     fastpath: bool = True
     replay: bool = True
-    replay_cache: Path | None = None
     run_cache: Path | None = None
     jobs: int = 1
     scale: int = 1
@@ -94,19 +92,10 @@ class RunOptions:
         use_cache = flag("REPRO_CACHE")
         if use_cache is None:
             use_cache = cache_dir is not None
-        replay = not flag("REPRO_NO_REPLAY")
-        replay_dir = env.get("REPRO_REPLAY_CACHE_DIR") or None
-        use_store = flag("REPRO_REPLAY_CACHE")
-        if use_store is None:
-            use_store = replay_dir is not None
-        base = Path(cache_dir or DEFAULT_CACHE_DIR)
         return cls(
             fastpath=not flag("REPRO_NO_FASTPATH"),
-            replay=replay,
-            replay_cache=(
-                Path(replay_dir or base / "replay") if replay and use_store else None
-            ),
-            run_cache=base if use_cache else None,
+            replay=not flag("REPRO_NO_REPLAY"),
+            run_cache=Path(cache_dir or DEFAULT_CACHE_DIR) if use_cache else None,
             jobs=integer("REPRO_JOBS", 1),
             scale=max(1, integer("REPRO_SCALE", 1)),
         )

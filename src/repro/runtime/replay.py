@@ -35,58 +35,19 @@ digest cannot translate) and when the analysis checkers are attached
 (``REPRO_NO_REPLAY=1``, ``--no-replay``) — the escape hatch mirroring
 the fast-path one — turns it off; ``tests/test_replay.py`` pins
 replay-on against replay-off bit-for-bit for every registered engine.
-
-Records optionally **persist across processes**: when the run's
-options name a store directory (``RunOptions.replay_cache``, set by
-``REPRO_REPLAY_CACHE=1`` / ``REPRO_REPLAY_CACHE_DIR`` or the
-``--replay-cache`` CLI flags), every recorded delta is also written to
-a :class:`ReplayStore`, a keyed view of the content-addressed
-:class:`repro.runtime.store.ContentStore` whose key is the SHA-256 of
-(replay schema, source fingerprint, canonical run context, phase
-digest), and every digest miss in the in-memory table falls through to
-a store lookup.  A cold process — a fresh CLI run, a pool worker, a
-``repro.serve`` job — then replays phases recorded by earlier runs or
-by sibling sweep points whose state digests coincide.  Decoding is
-defensive: an entry that is missing, truncated, schema-mismatched, or
-shaped wrong for this run's statistic layout simply decodes to
-``None``, the phase executes live, and the fresh recording overwrites
-the bad entry (self-healing, exactly like the run cache).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-from pathlib import Path
 from typing import TYPE_CHECKING, Any
 
-from repro.runtime.store import (
-    ContentStore,
-    StoreStats,
-    canonical_json,
-    source_fingerprint,
-)
 from repro.sim.snapshot import digest
 
 if TYPE_CHECKING:
-    from repro.runtime.options import RunOptions
     from repro.runtime.runner import Runtime
 
-__all__ = [
-    "REPLAY_SCHEMA",
-    "REPLAY_STORES",
-    "PhaseRecorder",
-    "ReplayStore",
-    "record_from_payload",
-    "record_to_payload",
-    "replay_store_totals",
-    "resolve_replay_store",
-]
-
-#: bump when the record payload layout or the replay key preimage
-#: changes incompatibly (older entries then read as misses and are
-#: overwritten by fresh recordings)
-REPLAY_SCHEMA = 3
+__all__ = ["PhaseRecorder"]
 
 
 class _StatCells:
@@ -222,141 +183,22 @@ class _PhaseRecord:
     machine: tuple
     #: statistics delta (see :class:`_StatCells`)
     stats: tuple
-    #: whether this record was decoded from the persistent replay store
-    #: (replays of such records count as cache hits)
-    from_store: bool = False
-
-
-def record_to_payload(rec: _PhaseRecord) -> dict:
-    """JSON-safe encoding of one :class:`_PhaseRecord`.
-
-    Every delta container is JSON-representable as-is except the
-    int-keyed per-page nested dict (keys become decimal strings) and
-    the flow 3-tuples (become lists), which ``record_from_payload``
-    inverts; the machine state's tuples become lists, which
-    ``Machine.set_state`` accepts as they are.
-    """
-    dints, dflats, dnested, dflows, dlats, dcounts = rec.stats
-    return {
-        "advance": rec.advance,
-        "events": rec.events,
-        "now_offset": rec.now_offset,
-        "machine": rec.machine,
-        "stats": {
-            "ints": list(dints),
-            "flats": [dict(d) for d in dflats],
-            "nested": {str(k): dict(v) for k, v in dnested.items()},
-            "flows": {k: list(v) for k, v in dflows.items()},
-            "lats": {k: list(v) for k, v in dlats.items()},
-            "counts": list(dcounts),
-        },
-    }
-
-
-def record_from_payload(
-    payload: dict, n_ints: int, n_counts: int, n_processors: int
-) -> _PhaseRecord | None:
-    """Decode a persisted record, or ``None`` when it cannot possibly
-    belong to this run's statistic layout.
-
-    The caller passes the live layout sizes (int-cell count, hardware
-    access-class slot count, processor count); a payload whose vectors
-    disagree was produced by different source or a different
-    configuration that slipped past the context key, and decoding it
-    would corrupt statistics silently — so any shape mismatch, missing
-    key, or non-numeric leaf rejects the record and the phase executes
-    live instead.
-    """
-    try:
-        stats = payload["stats"]
-        dints = [int(v) for v in stats["ints"]]
-        dflats = [
-            {str(k): int(v) for k, v in d.items()} for d in stats["flats"]
-        ]
-        dnested = {
-            int(k): {str(kk): int(vv) for kk, vv in v.items()}
-            for k, v in stats["nested"].items()
-        }
-        dflows = {}
-        for k, v in stats["flows"].items():
-            dc, db, dl = v
-            dflows[str(k)] = (int(dc), int(db), int(dl))
-        dlats = {
-            str(k): [int(s) for s in v] for k, v in stats["lats"].items()
-        }
-        dcounts = [int(v) for v in stats["counts"]]
-        procs, external, internal = payload["machine"]
-        procs = tuple((int(free), int(stolen)) for free, stolen in procs)
-        rec = _PhaseRecord(
-            advance=int(payload["advance"]),
-            events=int(payload["events"]),
-            now_offset=int(payload["now_offset"]),
-            machine=(procs, external, internal),
-            stats=(dints, dflats, dnested, dflows, dlats, dcounts),
-            from_store=True,
-        )
-    except (KeyError, TypeError, ValueError):
-        return None
-    if (
-        len(rec.stats[0]) != n_ints
-        or len(rec.stats[1]) != 4
-        or len(rec.stats[5]) != n_counts
-        or len(procs) != n_processors
-    ):
-        return None
-    return rec
 
 
 class PhaseRecorder:
-    """Record-once / replay-many driver state for one phased runtime.
+    """Record-once / replay-many driver state for one phased runtime."""
 
-    ``store`` (a :class:`ReplayStore`, or None) persists records across
-    processes.  The recorder asks the store for a context key derived
-    from everything that pins the record layout and meaning: source
-    fingerprint, full machine config and cost table, scheduling quantum,
-    engine class, and the app-dependent statistic layout (lock count,
-    int-cell count).  Two
-    runs share records only when their context keys agree, so a digest
-    can never be applied across engines, configs, or source revisions.
-    """
-
-    def __init__(self, rt: "Runtime", store: Any = None) -> None:
+    def __init__(self, rt: "Runtime") -> None:
         self.rt = rt
         self.cells = _StatCells(rt)
         self.records: dict[str, _PhaseRecord] = {}
         #: phases applied in closed form / recorded for reuse
         self.replayed = 0
         self.recorded = 0
-        self.store = store
-        #: persistent-store traffic attributable to this run
-        self.cache_loads = 0
-        self.cache_hits = 0
-        self.cache_stores = 0
-        self._ctx = (
-            store.context_key(self._context()) if store is not None else None
-        )
-
-    def _context(self) -> dict:
-        """Canonical description of everything that pins record layout."""
-        rt = self.rt
-        return {
-            "config": dataclasses.asdict(rt.config),
-            "costs": dataclasses.asdict(rt.costs),
-            "quantum": rt.quantum,
-            "engine": type(rt.protocol).__name__,
-            "n_locks": len(rt.locks),
-            "n_cells": len(self.cells.ints),
-        }
 
     def cache_summary(self) -> dict:
         """Replay activity of this run, for ``RunResult.replay_cache``."""
-        return {
-            "replayed": self.replayed,
-            "recorded": self.recorded,
-            "loads": self.cache_loads,
-            "hits": self.cache_hits,
-            "stores": self.cache_stores,
-        }
+        return {"replayed": self.replayed, "recorded": self.recorded}
 
     # -- digest --------------------------------------------------------
 
@@ -374,24 +216,8 @@ class PhaseRecorder:
     # -- record / replay -----------------------------------------------
 
     def lookup(self, digest: str) -> _PhaseRecord | None:
-        """Find a record for ``digest``: in-memory first, then the
-        persistent store.  Store hits are decoded defensively and cached
-        in the in-memory table so later phases of this run pay the file
-        read once."""
-        rec = self.records.get(digest)
-        if rec is None and self.store is not None:
-            payload = self.store.load(self._ctx, digest)
-            if payload is not None:
-                rec = record_from_payload(
-                    payload,
-                    n_ints=len(self.cells.ints),
-                    n_counts=len(self.cells.cache_counts),
-                    n_processors=len(self.rt.machine.processors),
-                )
-                if rec is not None:
-                    self.records[digest] = rec
-                    self.cache_loads += 1
-        return rec
+        """The record for ``digest``, or None."""
+        return self.records.get(digest)
 
     def record(
         self, digest: str, pre_snapshot: tuple, pre_base: int, events: int
@@ -408,9 +234,6 @@ class PhaseRecorder:
         )
         self.records[digest] = rec
         self.recorded += 1
-        if self.store is not None:
-            self.store.put(self._ctx, digest, record_to_payload(rec))
-            self.cache_stores += 1
 
     def apply(self, rec: _PhaseRecord) -> None:
         """Apply a recorded phase as a pure time translation."""
@@ -425,84 +248,3 @@ class PhaseRecorder:
         rt.sim.replay_advance(new_base + rec.now_offset, rec.events)
         self.cells.apply(rec.stats)
         self.replayed += 1
-        if rec.from_store:
-            self.cache_hits += 1
-
-
-class ReplayStore:
-    """Persisted phase-replay records: a keyed view of one ContentStore.
-
-    :meth:`context_key` hashes (replay schema, source fingerprint,
-    canonical run context) once per run; an entry's key hashes that with
-    the phase digest.  The context pins everything that gives a digest
-    meaning — full machine config, cost table, quantum, engine class,
-    statistic layout — and the source fingerprint retires every record
-    the moment any simulator source file changes, exactly like the run
-    cache.
-
-    Decoded payloads are memoized per process (``_mem``), so a
-    persistent pool worker serves its later jobs without re-reading
-    files; content-addressed, so the memo is never invalidated.  A memo
-    hit counts as a store hit: ``stats.hits`` is records read.
-    """
-
-    def __init__(self, root: str | Path, source: str | None = None) -> None:
-        self.source = source if source is not None else source_fingerprint()
-        self.store = ContentStore(root, REPLAY_SCHEMA, ("record",))
-        self.root = self.store.root
-        self.stats = self.store.stats
-        self._mem: dict[str, dict] = {}
-
-    def context_key(self, context: dict) -> str:
-        """SHA-256 key of one run context (see class docstring)."""
-        preimage = {
-            "replay_schema": REPLAY_SCHEMA,
-            "source": self.source,
-            "context": context,
-        }
-        return hashlib.sha256(canonical_json(preimage).encode()).hexdigest()
-
-    @staticmethod
-    def _key(ctx: str, digest: str) -> str:
-        return hashlib.sha256(f"{ctx}/{digest}".encode()).hexdigest()
-
-    def load(self, ctx: str, digest: str) -> dict | None:
-        """The persisted record payload for ``(ctx, digest)``, or None."""
-        key = self._key(ctx, digest)
-        payload = self._mem.get(key)
-        if payload is not None:
-            self.stats.add(hits=1)
-            return payload
-        entry = self.store.get(key)
-        if entry is None:
-            return None
-        payload = self._mem[key] = entry["record"]
-        return payload
-
-    def put(self, ctx: str, digest: str, payload: dict) -> None:
-        """Persist one record (atomic publish, deterministic bytes)."""
-        key = self._key(ctx, digest)
-        self.store.put(key, record=payload)
-        self._mem[key] = payload
-
-
-#: one store per directory per process, so every runtime resolving the
-#: same directory (sweep points, a pool worker's later jobs) shares its
-#: decoded-payload memo.  Clearing it models a cold process.
-REPLAY_STORES: dict[Path, ReplayStore] = {}
-
-
-def resolve_replay_store(options: RunOptions) -> ReplayStore | None:
-    """This process's store for ``options.replay_cache`` (None: no store)."""
-    root = options.replay_cache
-    if root is None:
-        return None
-    store = REPLAY_STORES.get(root)
-    if store is None:
-        store = REPLAY_STORES[root] = ReplayStore(root)
-    return store
-
-
-def replay_store_totals() -> dict:
-    """This process's replay-store traffic: the sum over REPLAY_STORES."""
-    return StoreStats.total(s.stats for s in REPLAY_STORES.values()).as_dict()

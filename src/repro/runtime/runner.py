@@ -24,7 +24,7 @@ from repro.machine import Machine
 from repro.params import CostModel, MachineConfig
 from repro.runtime.env import Env
 from repro.runtime.options import RunOptions
-from repro.runtime.replay import PhaseRecorder, resolve_replay_store
+from repro.runtime.replay import PhaseRecorder
 from repro.runtime.shared import SharedArray
 from repro.runtime.thread import ThreadContext
 from repro.sim import Simulator
@@ -56,11 +56,9 @@ class RunResult:
     message_flows: dict = field(default_factory=dict)
     #: fault/release transaction latency percentiles (p50/p95/max)
     transactions: dict = field(default_factory=dict)
-    #: phase-replay activity: phases replayed/recorded this run, plus
-    #: persistent replay-store traffic when a store was attached (loads:
-    #: records read, hits: phases replayed from them, stores).
+    #: phase-replay activity: phases replayed/recorded this run.
     #: Reporting only — deliberately *excluded* from the run-cache
-    #: payload so a replay-warm run stays byte-identical to a cold one
+    #: payload so a replayed run stays byte-identical to an executed one
     #: (``metrics.export`` publishes it; the cache does not).
     replay_cache: dict = field(default_factory=dict)
 
@@ -102,8 +100,8 @@ class Runtime:
         self.config = config
         self.costs = costs if costs is not None else CostModel()
         self.quantum = quantum
-        #: how to execute (fast paths, phase replay and its store); None
-        #: resolves the ``REPRO_*`` environment here
+        #: how to execute (fast paths, phase replay); None resolves the
+        #: ``REPRO_*`` environment here
         self.options = options if options is not None else RunOptions.from_env()
         self.sim = Simulator()
         self.machine = Machine(self.sim, config, self.costs)
@@ -193,12 +191,21 @@ class Runtime:
         """Run the application as a sequence of barrier-delimited phases.
 
         ``factory(env, phase_index)`` must return a *fresh* generator for
-        every call — one per (processor, phase).  Phases execute in order;
-        each thread's clock and cycle buckets carry across phases, so the
-        result is the same simulated execution an equivalent
-        :meth:`spawn_all` program would produce — phase boundaries only
-        add the scheduling points that already exist at the barrier each
-        phase is expected to end with.
+        every call — one per (processor, phase).  Phases execute in order
+        and each thread's clock and cycle buckets carry across phases.
+
+        This is *not* the simulated execution an equivalent
+        :meth:`spawn_all` program (one worker, a barrier per phase) would
+        produce.  Before each boundary the simulator drains every pending
+        event, including events stamped after some threads' clocks, and
+        only then do those threads resume their next phase; under
+        :meth:`spawn_all` they would resume as the barrier released them
+        and interleave with those events.  Jacobi shows the size of it:
+        rewritten as one :meth:`spawn_all` worker, its P=8 goldens still
+        match, but at the paper's P=32 fig6 C=1 moves from 2,149,884 to
+        2,186,946 cycles, and three lossy rows of
+        ``results/ablation_network.txt`` change ("fixed 10%": 653,840 to
+        664,083).  The phased execution is the one ``results/`` pins.
 
         The payoff is **phase replay**: because a fresh generator holds
         no state from earlier phases, the machine state at a phase
@@ -228,45 +235,6 @@ class Runtime:
         self._phase_keys = list(keys) if keys is not None else list(range(phases))
         for pid in range(self.config.total_processors):
             self.threads.append(ThreadContext(pid=pid, gen=None))  # type: ignore[arg-type]
-
-    def spawn_epochs(
-        self,
-        factory: Callable[[Env, int], object],
-        epochs: int,
-        keys: list | None = None,
-    ) -> None:
-        """Run a non-phased application as a sequence of epochs —
-        replay below barrier granularity.
-
-        The phased driver never required a literal barrier at a
-        boundary, only *quiescence*: every generator exhausted and the
-        event heap drained.  Any program point with that property — the
-        end of an outer loop iteration closed by its own lock releases,
-        a super-quantum of uniform per-thread work — is therefore a
-        legal replay boundary.  ``spawn_epochs`` exposes exactly that:
-        it is :meth:`spawn_phases` under a name that makes the
-        epoch-granularity contract explicit, and it shares all of its
-        machinery, digesting :meth:`snapshot` at every epoch boundary.
-
-        An epoch whose execution proves state-idempotent — matmul
-        recomputing an identical product, TSP re-walking a settled
-        search — is recorded once and replayed in closed form on every
-        later occurrence of its digest, in this run or (with the replay
-        store) any other.  Epochs that change state simply execute;
-        correctness never depends on the app's idempotence claim.  The
-        same auto-disable rules apply (faults, transport, analysis
-        checkers, ``RunOptions.replay`` off).
-
-        Args:
-            factory: ``(env, epoch_index) -> generator``, fresh per
-                (processor, epoch).
-            epochs: number of epochs to run.
-            keys: optional per-epoch replay keys; epochs replay only
-                when their key *and* machine-state digest coincide, so
-                give structurally different epochs (e.g. a drain/
-                epilogue) distinct keys.
-        """
-        self.spawn_phases(factory, epochs, keys=keys)
 
     def annotate_benign_race(
         self, addr: int, words: int = 1, reason: str = ""
@@ -336,9 +304,7 @@ class Runtime:
     def _run_phased(self, max_events: int | None) -> RunResult:
         recorder = None
         if self._replay_active():
-            recorder = PhaseRecorder(
-                self, store=resolve_replay_store(self.options)
-            )
+            recorder = PhaseRecorder(self)
         self.phase_recorder = recorder
         for index in range(self._phase_count):
             base = min(t.time for t in self.threads)

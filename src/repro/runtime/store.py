@@ -1,4 +1,4 @@
-"""One content-addressed store beneath the run cache and the replay store.
+"""The content-addressed store beneath the run cache.
 
 Entries are JSON files ``root/key[:2]/key.json``, one per SHA-256 hex
 key.  Each is one envelope, ``{"schema": S, "key": K, <payload>}``,
@@ -14,9 +14,8 @@ and the next :meth:`ContentStore.put` under that key overwrites it.
 Nothing is ever evicted: an entry written under an older schema or
 source tree is simply never asked for again.
 
-The consumers define what a key means: the run cache (``RunCache`` in
-``bench/cache.py``) hashes a whole sweep point,
-:class:`repro.runtime.replay.ReplayStore` one phase of one run context.
+The consumer defines what a key means: the run cache (``RunCache`` in
+``bench/cache.py``) hashes a whole sweep point.
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ from repro.bench.parallel import submission_order
 from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
 from repro.runtime import RunOptions
-from repro.runtime.replay import replay_store_totals
 from repro.runtime.store import StoreStats, publish
 from repro.serve.validate import JobRequest, validate_request
 
@@ -227,9 +226,6 @@ class JobQueue:
                     "failed": self.failed,
                 },
                 "cache": {"dir": str(self.cache_root), **cache_totals.as_dict()},
-                # The daemon process's own replay stores only: jobs farmed
-                # to --jobs pool workers count in those processes.
-                "replay_cache": replay_store_totals(),
             }
 
     # -- persistence ---------------------------------------------------

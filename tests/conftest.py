@@ -49,3 +49,36 @@ def protocol_sanitizer():
         yield sanitizers
     finally:
         Runtime.construction_hooks.remove(hook)
+
+
+@pytest.fixture
+def worker_replay_settings(tmp_path, monkeypatch):
+    """Observe ``options.replay`` inside pool workers.
+
+    Installs a construction hook that appends each new Runtime's
+    ``options.replay`` to a per-process log.  Fork the pool *after*
+    requesting this fixture so its workers inherit the hook.  Returns a
+    function that drains the logs into ``{pid: {settings}}`` for every
+    process other than this one, which must run nothing.
+    """
+    from repro.runtime import Runtime
+
+    logs = tmp_path / "replay-settings"
+    logs.mkdir()
+    parent = os.getpid()
+
+    def hook(rt):
+        with open(logs / f"{os.getpid()}.log", "a") as f:
+            f.write(f"{rt.options.replay}\n")
+
+    monkeypatch.setattr(Runtime, "construction_hooks", [hook])
+
+    def drain() -> dict[int, set[str]]:
+        seen = {}
+        for path in logs.glob("*.log"):
+            seen[int(path.stem)] = set(path.read_text().split())
+            path.unlink()
+        assert parent not in seen, "a job ran in the parent, not a worker"
+        return seen
+
+    return drain

@@ -1,7 +1,7 @@
 """The one full-state view the equivalence suites compare.
 
-Fast path vs slow path, replay on vs off, and replay store cold vs warm
-must agree on every observable of a finished run: the ``RunResult``
+Fast path vs slow path and replay on vs off must agree on every
+observable of a finished run: the ``RunResult``
 figures (total time, per-thread buckets, cache/protocol/lock
 statistics, message counts and flows), the simulator's event count, and
 the end-of-run :meth:`~repro.runtime.runner.Runtime.snapshot` of the

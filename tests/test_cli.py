@@ -44,7 +44,7 @@ def test_flags_never_write_the_environment(capsys):
 
 
 def test_no_replay_flag_beats_the_environment_in_pool_workers(
-    tmp_path, monkeypatch, capsys
+    monkeypatch, capsys, worker_replay_settings
 ):
     import os
 
@@ -52,16 +52,16 @@ def test_no_replay_flag_beats_the_environment_in_pool_workers(
 
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     par.shutdown_pool()
-    store = tmp_path / "rc"
-    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(store))
-    monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
+    monkeypatch.setenv("REPRO_NO_REPLAY", "0")
     sweep = ["sweep", "scanphase", "--processors", "4", "--jobs", "2", "--no-cache"]
     try:
-        assert main([*sweep, "--no-replay"]) == 0
+        assert main([*sweep, "--no-replay"]) == 0  # forks the pool
         off = capsys.readouterr().out
-        assert not store.exists()  # no worker touched the store
+        seen = worker_replay_settings()
+        assert seen and all(s == {"False"} for s in seen.values())
         assert main(sweep) == 0
         assert capsys.readouterr().out == off
-        assert any(store.rglob("*.json"))  # the control: workers record
+        seen = worker_replay_settings()  # the control: the environment stands
+        assert seen and all(s == {"True"} for s in seen.values())
     finally:
         par.shutdown_pool()

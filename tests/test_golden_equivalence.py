@@ -74,7 +74,7 @@ def test_jacobi_figure6_curve_is_bit_for_bit(network):
 
 def _full_state(fastpath: bool):
     config = MachineConfig(total_processors=8, cluster_size=2)
-    rt = jacobi.make_runtime(config, fastpath=fastpath)
+    rt = jacobi.make_runtime(config, options=RunOptions(fastpath=fastpath))
     final = jacobi.build(rt, JacobiParams(n=32, iterations=3))
     result = rt.run()
     return {**run_state(rt, result), "grid": final.snapshot().tolist()}

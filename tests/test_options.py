@@ -3,10 +3,10 @@
 Table-driven: each boolean variable accepts the same true/false
 spellings, every malformed value warns and keeps the default, and each
 precedence rule has its own row.  The end-to-end effect of each
-variable (a runtime's fast paths, replay, the stores, the worker count,
-the problem scale) is pinned next to the code it drives:
-``test_fastpath.py``, ``test_replay.py``, ``test_replay_cache.py``,
-``test_cache.py``, ``test_parallel.py`` and ``test_scale.py``.
+variable (a runtime's fast paths, replay, the run cache, the worker
+count, the problem scale) is pinned next to the code it drives:
+``test_fastpath.py``, ``test_replay.py``, ``test_cache.py``,
+``test_parallel.py`` and ``test_scale.py``.
 """
 
 import os
@@ -29,7 +29,6 @@ DEFAULT_DIR = Path(".repro_cache")
 BOOLEANS = {
     "REPRO_NO_FASTPATH": ("fastpath", False, True),
     "REPRO_NO_REPLAY": ("replay", False, True),
-    "REPRO_REPLAY_CACHE": ("replay_cache", DEFAULT_DIR / "replay", None),
     "REPRO_CACHE": ("run_cache", DEFAULT_DIR, None),
 }
 
@@ -80,25 +79,17 @@ def test_malformed_value_warns_and_keeps_the_default(var, raw, monkeypatch):
 
 #: (environment, expected fields) — one row per resolution rule
 RULES = [
-    # REPRO_NO_REPLAY beats the store selectors
-    (
-        {"REPRO_NO_REPLAY": "1", "REPRO_REPLAY_CACHE": "1",
-         "REPRO_REPLAY_CACHE_DIR": "rc"},
-        {"replay": False, "replay_cache": None},
-    ),
     # REPRO_CACHE=0 beats REPRO_CACHE_DIR
     ({"REPRO_CACHE": "0", "REPRO_CACHE_DIR": "cc"}, {"run_cache": None}),
-    # a directory alone turns its store on
-    ({"REPRO_CACHE_DIR": "cc"}, {"run_cache": Path("cc"), "replay_cache": None}),
-    ({"REPRO_REPLAY_CACHE_DIR": "rc"}, {"replay_cache": Path("rc")}),
-    # REPRO_REPLAY_CACHE=0 beats REPRO_REPLAY_CACHE_DIR
-    ({"REPRO_REPLAY_CACHE": "0", "REPRO_REPLAY_CACHE_DIR": "rc"},
-     {"replay_cache": None}),
-    # the replay store defaults to <cache dir>/replay
-    ({"REPRO_REPLAY_CACHE": "on", "REPRO_CACHE_DIR": "cc"},
-     {"replay_cache": Path("cc/replay"), "run_cache": Path("cc")}),
-    ({"REPRO_REPLAY_CACHE": "on", "REPRO_CACHE": "off", "REPRO_CACHE_DIR": "cc"},
-     {"replay_cache": Path("cc/replay"), "run_cache": None}),
+    # a directory alone turns the run cache on
+    ({"REPRO_CACHE_DIR": "cc"}, {"run_cache": Path("cc")}),
+    # REPRO_CACHE=1 uses REPRO_CACHE_DIR when it is set
+    ({"REPRO_CACHE": "1", "REPRO_CACHE_DIR": "cc"}, {"run_cache": Path("cc")}),
+    # the switches are independent of each other
+    ({"REPRO_NO_REPLAY": "1", "REPRO_CACHE_DIR": "cc"},
+     {"replay": False, "fastpath": True, "run_cache": Path("cc")}),
+    ({"REPRO_NO_FASTPATH": "1", "REPRO_CACHE": "0"},
+     {"fastpath": False, "replay": True, "run_cache": None}),
     # counts: REPRO_JOBS=0 is "all cores", REPRO_SCALE clamps at 1
     ({"REPRO_JOBS": "3"}, {"jobs": 3}),
     ({"REPRO_JOBS": "0"}, {"jobs": 0}),
@@ -107,6 +98,9 @@ RULES = [
     # empty means unset
     ({"REPRO_NO_REPLAY": "", "REPRO_CACHE_DIR": ""},
      {"replay": True, "run_cache": None}),
+    ({"REPRO_CACHE": "1", "REPRO_CACHE_DIR": ""}, {"run_cache": DEFAULT_DIR}),
+    ({"REPRO_NO_FASTPATH": "", "REPRO_JOBS": "", "REPRO_SCALE": ""},
+     {"fastpath": True, "jobs": 1, "scale": 1}),
 ]
 
 
@@ -118,10 +112,13 @@ def test_resolution_rules(env, want, monkeypatch):
 
 def test_overrides_beat_the_environment_through_the_same_rules(monkeypatch):
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
-    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", "rc")
-    assert RunOptions.from_env().replay_cache is None
-    on = RunOptions.from_env({"REPRO_NO_REPLAY": "0"})
-    assert on.replay and on.replay_cache == Path("rc")
+    monkeypatch.setenv("REPRO_CACHE_DIR", "cc")
+    off = RunOptions.from_env()
+    assert not off.replay and off.run_cache == Path("cc")
+    # REPRO_CACHE=0 from the overrides beats REPRO_CACHE_DIR from the
+    # environment, exactly as if both came from the environment
+    on = RunOptions.from_env({"REPRO_NO_REPLAY": "0", "REPRO_CACHE": "0"})
+    assert on.replay and on.run_cache is None
     assert os.environ["REPRO_NO_REPLAY"] == "1"  # the environment is untouched
 
 

@@ -25,23 +25,15 @@ def _maybe_boom(x):
     return x * 10
 
 
-def _replay_store_root(options):
-    """Worker-side view of the options' replay store (None when off)."""
-    from repro.runtime.replay import resolve_replay_store
-
-    store = resolve_replay_store(options)
-    return None if store is None else str(store.root)
-
-
-def _scanphase_replay_point(options):
-    """One persistent-replay-eligible scanphase point; replay counters."""
+def _scanphase_replayed(options):
+    """One scanphase point in this process: (pid, phases replayed)."""
     from repro.params import MachineConfig
 
     run = scanphase.run(
         MachineConfig(total_processors=4, cluster_size=2), SCAN, options=options
     )
     assert run.valid
-    return run.result.replay_cache
+    return os.getpid(), run.result.replay_cache.get("replayed", 0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,46 +175,38 @@ def _scan_sweep(options=None):
     )
 
 
-def test_workers_follow_the_parent_environment(fresh_pool, monkeypatch, tmp_path):
+def test_workers_follow_the_parent_environment(
+    fresh_pool, monkeypatch, worker_replay_settings
+):
     """Settings changed in the parent after the pool forked reach every
     later job: ``options=None`` resolves in the parent, per call."""
-    for var in ("REPRO_NO_REPLAY", "REPRO_REPLAY_CACHE", "REPRO_REPLAY_CACHE_DIR"):
-        monkeypatch.delenv(var, raising=False)
-    baseline = _scan_sweep()  # forks the pool: no replay store
+    monkeypatch.delenv("REPRO_NO_REPLAY", raising=False)
+    baseline = _scan_sweep()  # forks the pool with replay on
     assert par._POOL is not None
+    seen = worker_replay_settings()
+    assert seen and all(s == {"True"} for s in seen.values())
 
-    on = tmp_path / "on"
-    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(on))
-    assert dataclasses.asdict(_scan_sweep()) == dataclasses.asdict(baseline)
-    assert any(on.rglob("*.json"))  # the workers recorded into it
-
-    off = tmp_path / "off"
-    monkeypatch.setenv("REPRO_REPLAY_CACHE_DIR", str(off))
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     assert dataclasses.asdict(_scan_sweep()) == dataclasses.asdict(baseline)
-    assert not off.exists()  # replay off: no store at all
+    seen = worker_replay_settings()
+    assert seen and all(s == {"False"} for s in seen.values())
 
 
-def test_pool_warmed_with_replay_off_honors_replay_on_jobs(fresh_pool, tmp_path):
+def test_pool_warmed_with_replay_off_honors_replay_on_jobs(fresh_pool):
     """Workers hold no settings of their own: a pool warmed with replay
-    off records and replays into the store of a later replay-on job."""
-    store_dir = tmp_path / "rc"
-    off = RunOptions(replay=False)
-    on = RunOptions(replay_cache=store_dir)
+    off replays phases in a later replay-on job, and back."""
+    off, on = RunOptions(replay=False), RunOptions(replay=True)
     sweep = _scan_sweep(off)
-    assert parallel_map(_replay_store_root, [(off,), (off,)], jobs=2) == [None, None]
 
+    def replayed(options):
+        points = parallel_map(_scanphase_replayed, [(options,)] * 2, jobs=2)
+        assert os.getpid() not in {pid for pid, _ in points}
+        return [n for _, n in points]
+
+    assert replayed(off) == [0, 0]
     assert dataclasses.asdict(_scan_sweep(on)) == dataclasses.asdict(sweep)
-    assert any(store_dir.rglob("*.json"))
-    assert parallel_map(_replay_store_root, [(on,), (on,)], jobs=2) == [
-        str(store_dir),
-        str(store_dir),
-    ]
-    counters = parallel_map(_scanphase_replay_point, [(on,), (on,)], jobs=2)
-    assert all(c["replayed"] > 0 for c in counters)
-
-    # Back off: the same workers resolve no store.
-    assert parallel_map(_replay_store_root, [(off,), (off,)], jobs=2) == [None, None]
+    assert all(n > 0 for n in replayed(on))
+    assert replayed(off) == [0, 0]  # back off: the same workers replay nothing
 
 
 def test_errors_raise_lowest_input_index(fresh_pool):

@@ -11,6 +11,8 @@ hatch, the spawn/spawn_phases mutual exclusion, and that replay actually
 *fires* on the workload built to show it off (scanphase).
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,9 +28,6 @@ ENGINES = engine_names()
 PAPER_APPS = {
     "jacobi": (jacobi, jacobi.JacobiParams(n=16, iterations=4)),
     "matmul": (matmul, matmul.MatmulParams(n=8)),
-    # Iterative (epoch-granularity) variant: passes replay without
-    # barriers between them (Runtime.spawn_epochs).
-    "matmul-iter": (matmul, matmul.MatmulParams(n=8, iterations=4)),
     "tsp": (tsp, tsp.TSPParams(ncities=6)),
     "water": (water, water.WaterParams(n_molecules=9, iterations=1)),
     "barnes-hut": (
@@ -80,17 +79,6 @@ def test_replay_equivalence_and_fires_scanphase(engine):
         assert on[key] == off[key], f"{engine}: replay changed {key}"
 
 
-def test_matmul_epoch_replay_fires():
-    """A non-phased (no inter-pass barrier) app collapses under epoch
-    replay: pass 0 installs, pass 1 records, later passes replay."""
-    config = MachineConfig(total_processors=4, cluster_size=2)
-    run = matmul.run(
-        config, matmul.MatmulParams(n=8, iterations=5), options=RunOptions()
-    ).require_valid()
-    assert run.result.replay_cache["replayed"] > 0
-    assert run.result.replay_cache["recorded"] >= 1
-
-
 def test_scanphase_validates_under_replay():
     config = MachineConfig(total_processors=4, cluster_size=2)
     run = scanphase.run(config, SCAN_PARAMS).require_valid()
@@ -116,7 +104,8 @@ def test_replay_flag_overrides_environment(monkeypatch):
     on = RunOptions(replay=True)
     assert scanphase.make_runtime(config, options=on).options.replay is True
     # a single field changed on top of the environment's options
-    assert scanphase.make_runtime(config, replay=True).options.replay is True
+    changed = replace(RunOptions.from_env(), replay=True)
+    assert scanphase.make_runtime(config, options=changed).options.replay is True
     monkeypatch.delenv("REPRO_NO_REPLAY")
     off = RunOptions(replay=False)
     assert scanphase.make_runtime(config, options=off).options.replay is False

@@ -1,10 +1,11 @@
-"""The one content-addressed store beneath the run cache and the replay store.
+"""The content-addressed store beneath the run cache.
 
-Both stores read through :class:`repro.runtime.store.ContentStore`, so
-one table of damaged entries covers both: every damage reads as a miss
-(never a crash, never a hit) and the next put heals the entry back to
-the exact bytes it had.  A layering guard keeps the store where it
-lives: nothing under ``src/repro/runtime/`` may import ``repro.bench``.
+The run cache reads through :class:`repro.runtime.store.ContentStore`;
+the table of damaged entries below has one row per store consumer.
+Every damage reads as a miss (never a crash, never a hit) and the next
+put heals the entry back to the exact bytes it had.  A layering guard
+keeps the store where it lives: nothing under ``src/repro/runtime/``
+may import ``repro.bench``.
 """
 
 import ast
@@ -17,7 +18,6 @@ import repro
 from repro.bench.cache import RunCache, fingerprint_run
 from repro.params import CostModel, MachineConfig
 from repro.runtime import DEFAULT_QUANTUM
-from repro.runtime.replay import ReplayStore
 from repro.runtime.store import StoreStats
 
 
@@ -32,18 +32,6 @@ def _run_cache(root):
         cache.stats,
         lambda: cache.get(key),
         lambda: cache.put(key, preimage, {"payload": [1, 2]}, 0.5),
-    )
-
-
-def _replay_store(root):
-    """``(stats, get, put)`` over one ReplayStore record; payload field
-    ``record``."""
-    store = ReplayStore(root, source="fixed")
-    ctx = store.context_key({"engine": "MGSProtocol"})
-    return (
-        store.stats,
-        lambda: store.load(ctx, "digest"),
-        lambda: store.put(ctx, "digest", {"advance": 7}),
     )
 
 
@@ -72,8 +60,8 @@ DAMAGES = {
 
 @pytest.mark.parametrize(
     "opener, field",
-    [(_run_cache, "run"), (_replay_store, "record")],
-    ids=["run_cache", "replay_store"],
+    [(_run_cache, "run")],
+    ids=["run_cache"],
 )
 @pytest.mark.parametrize("damage", list(DAMAGES))
 def test_damaged_entry_is_a_miss_and_heals(tmp_path, opener, field, damage):
@@ -92,13 +80,6 @@ def test_damaged_entry_is_a_miss_and_heals(tmp_path, opener, field, damage):
     stats, get, _ = opener(tmp_path)
     assert get() is not None
     assert (stats.hits, stats.misses) == (1, 0)
-
-
-def test_replay_memo_hits_count_as_records_read(tmp_path):
-    stats, get, put = _replay_store(tmp_path)
-    put()
-    assert get() == get() == {"advance": 7}
-    assert (stats.hits, stats.bytes_read, stats.stores) == (2, 0, 1)
 
 
 def test_store_stats_total_sums_every_counter():
