@@ -13,7 +13,8 @@ uses the fast paths, so the totals above must hold with them on, and
 ``test_fastpath_and_slow_path_full_state_identical`` compares every
 observable — clocks, stats, message flows, final memory — between the
 fast and slow engines; ``test_paper_apps_fast_and_slow_full_state_identical``
-does the same for every paper app on every registered coherence engine.
+does the same for every paper app on every registered coherence engine,
+and pins the fast run of each against a ``GOLDEN_STATE`` digest.
 """
 
 import numpy as np
@@ -24,6 +25,7 @@ from repro.apps.jacobi import JacobiParams
 from repro.core.engine import engine_names
 from repro.params import MachineConfig, NetworkConfig
 from repro.runtime import RunOptions
+from repro.sim.snapshot import digest
 from tests.machine_state import run_state
 
 #: network -> cluster size -> (total_time, inter_ssmp, intra_ssmp msgs)
@@ -118,6 +120,61 @@ def _app_state(module, params, engine: str, fastpath: bool) -> dict:
     return state
 
 
+def _plain(value):
+    """``value`` with every numpy scalar or array turned into plain
+    Python, so that a digest of its ``repr`` cannot move with numpy's
+    scalar formatting."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, dict):
+        return {_plain(k): _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(_plain(v) for v in value)
+    return value
+
+
+#: engine -> app -> ``digest`` of the fast run's full state (the
+#: ``_app_state`` dict, made plain): every cycle count, stat, message
+#: flow and the end-of-run machine snapshot of each engine on each
+#: paper app.  Any change in simulated behaviour moves one of these.
+GOLDEN_STATE = {
+    "gcs": {
+        "barnes_hut": "2bb230d5d3ab48620a4196bc2aae95c5",
+        "jacobi": "a4d3fe248c6d36ae4b611023e3fad51b",
+        "matmul": "ce3d51f0993ad90ed48e091e27dc72e7",
+        "scanphase": "e0d1c13d1e2048cb61709bbf32bdeffc",
+        "tsp": "3672f363acb39afcd5ef47ce4778937f",
+        "water": "8182b0995e8e9de1ae16181d75233747",
+    },
+    "mgs": {
+        "barnes_hut": "5214f0d5c938d4c874f5e8dde2d3025e",
+        "jacobi": "e7e928a45b77dd5af2079037dde662b8",
+        "matmul": "e5f4b284ac9d9592e0cb74e2b27dcf30",
+        "scanphase": "c6b72b416b7951c898451400a5ac0b6b",
+        "tsp": "0a4bfc3b7cdf0041d7e506e9f1babb3d",
+        "water": "ebcc86c7172b5667612a0a437284f2b0",
+    },
+    "sc_pages": {
+        "barnes_hut": "8a8433433a1f1c8ffc03d69b8fd78012",
+        "jacobi": "3ac90cc79c3ce13db172628bc496f19b",
+        "matmul": "13d6fc7afc69860be2c03bbfd0bf9a40",
+        "scanphase": "7990ec87f6703a414a1cb598d1366f74",
+        "tsp": "c676cc2c6370bbf8a355c88feafa5571",
+        "water": "e7f45e0b927408b2681167201b32ad93",
+    },
+    "swdsm": {
+        "barnes_hut": "320405f53ce6faa3cca18c7c6d0e1875",
+        "jacobi": "8e023a146d9517578c57399113a4c1ef",
+        "matmul": "eda4ba5c7ad7d92d2e235a7a81169c6e",
+        "scanphase": "9b983a6f496a42a486f792ac55d8623c",
+        "tsp": "954aa0357a552cdbc50df5705ca7970b",
+        "water": "199e4497d374e8412bf06e25a5c19d2c",
+    },
+}
+
+
 @pytest.mark.parametrize("app", sorted(PAPER_APPS))
 @pytest.mark.parametrize("engine", engine_names())
 def test_paper_apps_fast_and_slow_full_state_identical(app, engine):
@@ -126,3 +183,6 @@ def test_paper_apps_fast_and_slow_full_state_identical(app, engine):
     slow = _app_state(module, params, engine, fastpath=False)
     for key in fast:
         assert fast[key] == slow[key], f"{engine}/{app}: fastpath changed {key}"
+    assert digest(_plain(fast)) == GOLDEN_STATE[engine][app], (
+        f"{engine}/{app}: full run state moved from its golden digest"
+    )
