@@ -110,9 +110,9 @@ def _double_rack(rt: "Runtime") -> None:
     server = rt.protocol.server
     original = server._send_rack
 
-    def wrapper(home, rel, at):
-        original(home, rel, at)
-        original(home, rel, at)
+    def wrapper(rel, at):
+        original(rel, at)
+        original(rel, at)
 
     server._send_rack = wrapper
 

@@ -227,11 +227,6 @@ def build(rt: Runtime, params: WaterKernelParams):
                     return a * tile_mols + slot
                 return b * tile_mols + (slot - tile_mols)
 
-            def slot_of(m: int) -> int:
-                if tile_of(m) == a:
-                    return m - a * tile_mols
-                return tile_mols + (m - b * tile_mols)
-
             pairs = tile_pairs(a, b)
             if round_no == 0:
                 pairs = pairs + self_pairs(a) + self_pairs(b)

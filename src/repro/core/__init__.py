@@ -1,18 +1,20 @@
-"""Protocol-engine substrate: the message bus, page state, and the
-pluggable :class:`~repro.core.engine.Protocol` interface.
+"""Protocol-engine substrate: the plumbing every coherence engine shares.
 
-The concrete coherence engines live in :mod:`repro.protocols`; the MGS
-multigrain protocol (the paper's contribution) is
-:class:`repro.protocols.mgs.MGSProtocol` and remains importable from
-here for backward compatibility.  What stays in ``core`` is everything
-engines share:
+The concrete coherence engines live in :mod:`repro.protocols`, and each
+package there holds only its policy: the fault body, the release body,
+its ``@handles`` message handlers and its arc checks.  What stays in
+``core`` is everything they share:
 
-* :mod:`repro.core.bus` — the typed protocol message bus with
-  ``@handles`` registration, taps, and transaction tracking.
+* :mod:`repro.core.engine` — the :class:`Protocol` base, which owns the
+  fault and release entries (transaction, stats, fault overhead), the
+  intra/inter-SSMP message cost and the home page-shipping cost; the
+  :class:`ArcRules` base, which dispatches each delivered message to an
+  engine's ``_CHECKS`` table; and the string-keyed engine registry.
+* :mod:`repro.core.bus` — the typed protocol message bus: it builds each
+  message from its endpoints (``send``/``reply``), dispatches through
+  ``@handles`` registration, and keeps taps and transaction tracking.
 * :mod:`repro.core.messages` — the Table-2 message vocabulary.
 * :mod:`repro.core.page` — page frames, home pages, twin/diff helpers.
-* :mod:`repro.core.engine` — the :class:`Protocol` interface and the
-  string-keyed engine registry.
 """
 
 from repro.core.bus import MessageBus, MessageFlow, Transaction, handles
@@ -40,7 +42,6 @@ __all__ = [
     "Protocol",
     "ProtocolMessage",
     "ServerState",
-    "MGSProtocol",
     "ProtocolStats",
     "Transaction",
     "UnknownEngineError",
@@ -50,13 +51,3 @@ __all__ = [
     "handles",
     "register_engine",
 ]
-
-
-def __getattr__(name: str):
-    # MGSProtocol historically lived here; import it lazily so that
-    # ``import repro.core`` does not pull in the whole engine package.
-    if name == "MGSProtocol":
-        from repro.protocols.mgs.protocol import MGSProtocol
-
-        return MGSProtocol
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

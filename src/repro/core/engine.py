@@ -31,7 +31,7 @@ import numpy as np
 
 from repro.core.bus import MessageBus
 from repro.core.page import HomePage
-from repro.params import WORD_BYTES, CostModel, MachineConfig, ProtocolOptions
+from repro.params import CostModel, MachineConfig, ProtocolOptions
 from repro.sim.snapshot import array_digest
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -76,16 +76,35 @@ class ArcRules:
     owns the generic observation plumbing — bus taps, transaction traces,
     the message ring, violation raising — and delegates every semantic
     judgement to the rule object the engine's :meth:`Protocol.arc_rules`
-    returned.  The base class accepts everything; engines override the
-    three hooks with their own legal-arc catalogue.
+    returned.  The base class owns the dispatch: each delivered message
+    runs the check its label maps to in the subclass's literal
+    ``_CHECKS`` table (which ``repro.analysis.lint`` reads to prove
+    every bus label is covered).  Engines fill that table and override
+    the structural hooks with their own legal-arc catalogue.
     """
+
+    #: message label -> ``check(self, msg)``; empty accepts everything
+    _CHECKS: ClassVar[dict[str, Callable]] = {}
 
     def __init__(self, sanitizer) -> None:
         self.s = sanitizer
         self.protocol = sanitizer.protocol
+        self.config = sanitizer.config
 
     def on_message(self, msg) -> None:
         """Validate the pre-state of one delivered bus message."""
+        check = self._CHECKS.get(msg.label)
+        if check is not None:
+            check(self, msg)
+
+    def _fail(
+        self, rule: str, detail: str, msg=None, *, vpn: int = -1, txn: int = -1
+    ) -> None:
+        """Report a violation, located at ``msg``'s page and transaction
+        when a message is given, else at ``vpn``/``txn``."""
+        if msg is not None:
+            vpn, txn = msg.vpn, msg.txn
+        self.s.fail(rule, detail, vpn=vpn, txn=txn)
 
     def check_page(self, vpn: int) -> None:
         """Structural consistency of one page's distributed state."""
@@ -133,12 +152,15 @@ class ArcRules:
 class Protocol:
     """Abstract coherence engine behind the runtime's shared memory.
 
-    Subclasses must implement :meth:`fault` and :meth:`release` and
-    declare their bus surface via :meth:`bus_handlers`.  The base class
-    provides the state every engine shares — per-processor TLBs, the
-    typed message bus, home pages, stats — plus the default behaviors
-    MGS defined historically, so the MGS engine itself overrides almost
-    nothing and stays cycle-identical to the pre-refactor code.
+    Subclasses implement the fault body :meth:`_service`, optionally
+    the release body :meth:`_release`, and declare their bus surface via
+    :meth:`bus_handlers`.  The base class owns the two runtime entries
+    (:meth:`fault` and :meth:`release`: transaction, stats, fault
+    overhead) and the state and costs every engine shares —
+    per-processor TLBs, the typed message bus, home pages, stats, the
+    intra/inter-SSMP message cost (:meth:`msg_cost`) and the cost of
+    shipping a page out of its home SSMP (:meth:`ship_page`) — plus the
+    default behaviors MGS defined historically.
 
     State contract with :class:`repro.runtime.env.Env` (the application
     access engine binds these once, at spawn time):
@@ -205,13 +227,51 @@ class Protocol:
         """Service a TLB fault for ``pid`` on page ``vpn``.
 
         Must be invoked at the faulting thread's current time; ``on_done``
-        fires once the mapping is installed.
+        fires once the mapping is installed.  The fault is one bus
+        transaction; after the trap and page-table probe
+        (``fault_overhead``) the engine's :meth:`_service` runs it.
         """
+        txn = self.bus.begin(
+            "fault", pid, vpn, note="write" if want_write else "read"
+        )
+
+        def done() -> None:
+            self.bus.end(txn)
+            on_done()
+
+        self.stats.record("faults")
+        self.record_page(vpn, "faults")
+        self.sim.schedule(
+            self.costs.fault_overhead, self._service, pid, vpn, want_write,
+            done, txn,
+        )
+
+    def _service(
+        self,
+        pid: int,
+        vpn: int,
+        want_write: bool,
+        on_done: Callable[[], None],
+        txn: int,
+    ) -> None:
+        """Fault body, running with the page-table state visible; calls
+        ``on_done`` once the mapping is installed."""
         raise NotImplementedError
 
     def release(self, pid: int, on_done: Callable[[], None]) -> None:
-        """Perform release-point coherence for ``pid`` (unlock/barrier)."""
-        raise NotImplementedError
+        """Perform release-point coherence for ``pid`` (unlock/barrier),
+        as one bus transaction run by the engine's :meth:`_release`."""
+        txn = self.bus.begin("release", pid)
+
+        def done() -> None:
+            self.bus.end(txn)
+            on_done()
+
+        self._release(pid, done, txn)
+
+    def _release(self, pid: int, on_done: Callable[[], None], txn: int) -> None:
+        """Release body; the default has no release-point work."""
+        on_done()
 
     def acquire(self, pid: int, on_done: Callable[[], None]) -> None:
         """Perform acquire-side coherence for ``pid``.
@@ -392,14 +452,30 @@ class Protocol:
         return page
 
     def home_cluster(self, vpn: int) -> int:
-        return self.config.cluster_of(self.aspace.home_proc(vpn))
+        return self.aspace.home_proc(vpn) // self.config.cluster_size
 
-    def dispatch_cost(self, cluster: int, vpn: int) -> int:
-        """Handler dispatch cost for a message between ``cluster`` and
-        the page's home: cheaper when it never left the SSMP."""
-        if cluster == self.home_cluster(vpn):
+    def msg_cost(self, cluster: int, other: int) -> int:
+        """Send or dispatch cost of a message between two clusters:
+        cheaper when it never leaves the SSMP."""
+        if cluster == other:
             return self.costs.msg_intra_ssmp
         return self.costs.msg_inter_ssmp
+
+    def dispatch_cost(self, cluster: int, vpn: int) -> int:
+        """:meth:`msg_cost` between ``cluster`` and the page's home."""
+        return self.msg_cost(cluster, self.home_cluster(vpn))
+
+    def ship_page(self, home_cluster: int, vpn: int) -> int:
+        """Ship page ``vpn`` out of its home SSMP; returns the cost.
+
+        Sending a page requires global coherence: the home SSMP's cached
+        lines are cleaned first (section 4.2.4), then the page is DMAed.
+        """
+        lines = self.config.lines_per_page
+        self.cache.flush_page(home_cluster, vpn * lines, lines)
+        self.stats.record("pages_transferred")
+        self.record_page(vpn, "transfers")
+        return self.costs.clean_page(lines) + self.costs.dma_page(lines)
 
     def record_page(self, vpn: int, key: str, amount: int = 1) -> None:
         """Count a per-page protocol event for the locality report."""
@@ -450,12 +526,6 @@ class Protocol:
 
     def page_first_line(self, vpn: int) -> int:
         return vpn * self.config.lines_per_page
-
-    def addr_line(self, addr: int) -> int:
-        return addr // self.config.line_size
-
-    def word_index(self, addr: int) -> int:
-        return (addr % self.config.page_size) // WORD_BYTES
 
 
 # ---------------------------------------------------------------------------

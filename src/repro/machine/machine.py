@@ -41,10 +41,6 @@ from repro.sim import Simulator
 
 __all__ = ["Machine", "MessageStats", "ProcessorState"]
 
-#: Default wire latency, in cycles, of the internal (intra-SSMP) network.
-#: Kept for back-compat; the live value is ``MachineConfig.intra_wire_latency``.
-INTRA_WIRE_LATENCY = 5
-
 
 @dataclass
 class ProcessorState:

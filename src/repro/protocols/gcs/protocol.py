@@ -182,24 +182,6 @@ class GCSProtocol(Protocol):
     # fault handling (cluster side)
     # ------------------------------------------------------------------
 
-    def fault(
-        self, pid: int, vpn: int, want_write: bool, on_done: Callable[[], None]
-    ) -> None:
-        txn = self.bus.begin(
-            "fault", pid, vpn, note="write" if want_write else "read"
-        )
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self.stats.record("faults")
-        self.record_page(vpn, "faults")
-        self.sim.schedule(
-            self.costs.fault_overhead, self._service, pid, vpn, want_write,
-            done, txn,
-        )
-
     def _service(
         self,
         pid: int,
@@ -248,24 +230,11 @@ class GCSProtocol(Protocol):
         frame.lock_held = True
         frame.waiters.append(Waiter(pid, want_write, on_done, txn))
         home = self.home(vpn)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        send_cost = (
-            self.costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else self.costs.msg_inter_ssmp
-        )
         request = GWreq if want_write else GRreq
         self.stats.record("write_requests" if want_write else "read_requests")
         self.bus.send(
-            request(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home.home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-            ),
-            at=self.sim.now + send_cost,
+            request, vpn, pid, home.home_pid, txn,
+            at=self.sim.now + self.dispatch_cost(cluster, vpn),
         )
 
     def _fill(
@@ -292,36 +261,21 @@ class GCSProtocol(Protocol):
         costs = self.costs
         vpn = msg.vpn
         home = self.home(vpn)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        lines = self.config.lines_per_page
         work = self.dispatch_cost(msg.src_cluster, vpn) + costs.server_read
         if msg.want_write:
             work += costs.server_write_extra
-        work += costs.msg_send
-        if msg.src_cluster != home_cluster:
-            self.cache.flush_page(
-                home_cluster, self.page_first_line(vpn), lines
-            )
-            work += costs.clean_page(lines) + costs.dma_page(lines)
-            self.stats.record("pages_transferred")
-            self.record_page(vpn, "transfers")
-        else:
-            work += costs.dma_page(lines)
-        grant = GWdata if msg.want_write else GData
+        work += costs.msg_send + self._ship(msg)
         completion = self.machine.occupy(home.home_pid, work)
-        self.bus.send(
-            grant(
-                vpn=vpn,
-                src_pid=home.home_pid,
-                src_cluster=home_cluster,
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                version=self.versions.get(vpn, 0),
-                data=home.data.copy(),
-            ),
-            at=completion,
+        self.bus.reply(
+            GWdata if msg.want_write else GData, msg, completion,
+            version=self.versions.get(vpn, 0), data=home.data.copy(),
         )
+
+    def _ship(self, msg: GRreq | GWreq | GAreq) -> int:
+        """Cost of copying the page to the cluster that asked for it."""
+        if msg.src_cluster != msg.dst_cluster:
+            return self.ship_page(msg.dst_cluster, msg.vpn)
+        return self.costs.dma_page(self.config.lines_per_page)
 
     @handles("G_DATA", "G_WDATA")
     def on_grant(self, msg: GData | GWdata) -> None:
@@ -360,18 +314,9 @@ class GCSProtocol(Protocol):
     # release: diff every written page home, then write-protect it
     # ------------------------------------------------------------------
 
-    def release(self, pid: int, on_done: Callable[[], None]) -> None:
-        txn = self.bus.begin("release", pid)
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self._release_next(pid, done, txn)
-
-    def _release_next(
-        self, pid: int, on_done: Callable[[], None], txn: int
-    ) -> None:
+    def _release(self, pid: int, on_done: Callable[[], None], txn: int) -> None:
+        """Flush the next written page of ``pid``'s FIFO; re-entered
+        until the FIFO is empty."""
         costs = self.costs
         cluster = self.config.cluster_of(pid)
         pending = self.dirty[pid]
@@ -385,7 +330,7 @@ class GCSProtocol(Protocol):
             # Already flushed and write-protected by a concurrent release
             # from another processor of this cluster.
             self.sim.schedule(
-                costs.release_entry, self._release_next, pid, on_done, txn
+                costs.release_entry, self._release, pid, on_done, txn
             )
             return
         if frame.lock_held:
@@ -393,7 +338,7 @@ class GCSProtocol(Protocol):
             # once it lands (refreshes are bounded, so this terminates).
             pending[vpn] = None
             self.sim.schedule(
-                costs.release_entry, self._release_next, pid, on_done, txn
+                costs.release_entry, self._release, pid, on_done, txn
             )
             return
 
@@ -414,30 +359,17 @@ class GCSProtocol(Protocol):
         frame.state = FrameState.READ
         if len(indices) == 0:
             self.stats.record("empty_diffs")
-            self.sim.schedule(work, self._release_next, pid, on_done, txn)
+            self.sim.schedule(work, self._release, pid, on_done, txn)
             return
         self.stats.record("diffs_sent")
         self.record_page(vpn, "diffs")
         self._drain[pid] = (on_done, txn)
         home = self.home(vpn)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        send_cost = (
-            self.costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else self.costs.msg_inter_ssmp
-        )
         self.bus.send(
-            GDiff(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home.home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-                indices=indices,
-                values=values,
-            ),
-            at=self.sim.now + work + costs.msg_send + send_cost,
+            GDiff, vpn, pid, home.home_pid, txn,
+            at=self.sim.now + work + costs.msg_send
+            + self.dispatch_cost(cluster, vpn),
+            indices=indices, values=values,
         )
 
     @handles("G_DIFF")
@@ -455,18 +387,7 @@ class GCSProtocol(Protocol):
             + costs.msg_send
         )
         completion = self.machine.occupy(home.home_pid, work)
-        self.bus.send(
-            GRack(
-                vpn=vpn,
-                src_pid=home.home_pid,
-                src_cluster=self.config.cluster_of(home.home_pid),
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                version=version,
-            ),
-            at=completion,
-        )
+        self.bus.reply(GRack, msg, completion, version=version)
 
     @handles("G_RACK")
     def on_rack(self, msg: GRack) -> None:
@@ -482,7 +403,7 @@ class GCSProtocol(Protocol):
         )
         on_done, txn = self._drain.pop(msg.dst_pid)
         self.sim.schedule_at(
-            completion, self._release_next, msg.dst_pid, on_done, txn
+            completion, self._release, msg.dst_pid, on_done, txn
         )
 
     # ------------------------------------------------------------------
@@ -534,22 +455,9 @@ class GCSProtocol(Protocol):
             self._refreshing[key] = [dec]
             frame.lock_held = True
             home = self.home(vpn)
-            home_cluster = self.config.cluster_of(home.home_pid)
-            send_cost = (
-                self.costs.msg_intra_ssmp
-                if cluster == home_cluster
-                else self.costs.msg_inter_ssmp
-            )
             self.bus.send(
-                GAreq(
-                    vpn=vpn,
-                    src_pid=pid,
-                    src_cluster=cluster,
-                    dst_pid=home.home_pid,
-                    dst_cluster=home_cluster,
-                    txn=txn,
-                ),
-                at=self.sim.now + send_cost,
+                GAreq, vpn, pid, home.home_pid, txn,
+                at=self.sim.now + self.dispatch_cost(cluster, vpn),
             )
         if pending["n"] == 0:
             finish()
@@ -559,35 +467,16 @@ class GCSProtocol(Protocol):
         costs = self.costs
         vpn = msg.vpn
         home = self.home(vpn)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        lines = self.config.lines_per_page
         work = (
             self.dispatch_cost(msg.src_cluster, vpn)
             + costs.server_read
             + costs.msg_send
+            + self._ship(msg)
         )
-        if msg.src_cluster != home_cluster:
-            self.cache.flush_page(
-                home_cluster, self.page_first_line(vpn), lines
-            )
-            work += costs.clean_page(lines) + costs.dma_page(lines)
-            self.stats.record("pages_transferred")
-            self.record_page(vpn, "transfers")
-        else:
-            work += costs.dma_page(lines)
         completion = self.machine.occupy(home.home_pid, work)
-        self.bus.send(
-            GAdata(
-                vpn=vpn,
-                src_pid=home.home_pid,
-                src_cluster=home_cluster,
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                version=self.versions.get(vpn, 0),
-                data=home.data.copy(),
-            ),
-            at=completion,
+        self.bus.reply(
+            GAdata, msg, completion,
+            version=self.versions.get(vpn, 0), data=home.data.copy(),
         )
 
     @handles("G_ADATA")

@@ -27,21 +27,12 @@ class MGSArcRules(ArcRules):
     def __init__(self, sanitizer) -> None:
         super().__init__(sanitizer)
         self.bus = sanitizer.bus
-        self.config = sanitizer.config
         #: RELs awaiting their RACK, keyed ``(txn, vpn)``
         self._pending_rels: dict[tuple[int, int], str] = {}
 
-    def on_message(self, msg) -> None:
-        check = self._CHECKS.get(msg.label)
-        if check is not None:
-            check(self, msg)
-
     # ------------------------------------------------------------------
-    # violation plumbing
+    # frame lookup
     # ------------------------------------------------------------------
-
-    def _fail(self, rule: str, detail: str, vpn: int = -1, txn: int = -1):
-        self.s.fail(rule, detail, vpn=vpn, txn=txn)
 
     def _frame(self, cluster: int, vpn: int) -> "PageFrame | None":
         return self.protocol.frames[cluster].get(vpn)
@@ -69,16 +60,14 @@ class MGSArcRules(ArcRules):
                 "busy-request",
                 f"{msg.label} from cluster {msg.src_cluster} but frame is "
                 f"{frame.state.value} (lock={frame.lock_held})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if not any(w.txn == msg.txn for w in frame.waiters):
             self._fail(
                 "busy-waiter",
                 f"{msg.label} carries txn {msg.txn} but no waiter entered "
                 "with that transaction",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_grant(self, msg) -> None:
@@ -88,22 +77,19 @@ class MGSArcRules(ArcRules):
             self._fail(
                 "grant-busy",
                 f"{msg.label} but frame is {frame.state.value}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if not frame.lock_held or not frame.waiters:
             self._fail(
                 "grant-lock",
                 f"{msg.label} but mapping lock free or no waiters",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if msg.txn not in self.bus.open_txns:
             self._fail(
                 "grant-txn",
                 f"{msg.label} carries txn {msg.txn} which is not in flight",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_upgrade(self, msg) -> None:
@@ -114,8 +100,7 @@ class MGSArcRules(ArcRules):
                 "upgrade-read",
                 f"UPGRADE but frame is {frame.state.value} "
                 f"(lock={frame.lock_held})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_up_ack(self, msg) -> None:
@@ -126,8 +111,7 @@ class MGSArcRules(ArcRules):
                 "upack-write",
                 f"UP_ACK but frame is {frame.state.value} "
                 f"(lock={frame.lock_held})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_pinv(self, msg) -> None:
@@ -138,23 +122,20 @@ class MGSArcRules(ArcRules):
                 "pinv-inval",
                 "PINV outside an invalidation "
                 f"(kind={frame.inval_kind}, lock={frame.lock_held})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if frame.pinv_count < 1:
             self._fail(
                 "pinv-count",
                 f"PINV with pinv_count={frame.pinv_count}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if msg.dst_pid not in frame.tlb_dir:
             self._fail(
                 "pinv-target",
                 f"PINV for proc {msg.dst_pid} which is not in tlb_dir "
                 f"{sorted(frame.tlb_dir)}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_pinv_ack(self, msg) -> None:
@@ -165,8 +146,7 @@ class MGSArcRules(ArcRules):
                 "pinvack-count",
                 "PINV_ACK with no shootdown outstanding "
                 f"(kind={frame.inval_kind}, count={frame.pinv_count})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_inv(self, msg) -> None:
@@ -176,23 +156,20 @@ class MGSArcRules(ArcRules):
             self._fail(
                 "inv-round",
                 f"{msg.label} outside a release round",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if home.round_txn != msg.txn:
             self._fail(
                 "inv-txn",
                 f"{msg.label} carries txn {msg.txn} but the round is "
                 f"txn {home.round_txn}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if home.count < 1:
             self._fail(
                 "inv-count",
                 f"{msg.label} with round count={home.count}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         frame = self._need_frame(msg.dst_cluster, msg.vpn, msg.label, msg.txn)
         if getattr(msg, "recall", False):
@@ -204,8 +181,7 @@ class MGSArcRules(ArcRules):
                     "recall-state",
                     "recall INV but retained frame has lock="
                     f"{frame.lock_held}, kind={frame.inval_kind}",
-                    vpn=msg.vpn,
-                    txn=msg.txn,
+                    msg,
                 )
 
     def _check_inval_response(self, msg) -> None:
@@ -215,23 +191,20 @@ class MGSArcRules(ArcRules):
             self._fail(
                 "resp-round",
                 f"{msg.label} but the home is not in REL_IN_PROG",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if home.count < 1:
             self._fail(
                 "resp-count",
                 f"{msg.label} with round count={home.count}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if home.round_txn != msg.txn:
             self._fail(
                 "resp-txn",
                 f"{msg.label} carries txn {msg.txn} but the round is "
                 f"txn {home.round_txn}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_rel(self, msg) -> None:
@@ -240,16 +213,14 @@ class MGSArcRules(ArcRules):
             self._fail(
                 "rel-txn",
                 f"REL carries txn {msg.txn} which is not in flight",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         key = (msg.txn, msg.vpn)
         if key in self._pending_rels:
             self._fail(
                 "rel-duplicate",
                 f"second REL for vpn {msg.vpn} within txn {msg.txn}",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         self._pending_rels[key] = f"REL from p{msg.src_pid}"
 
@@ -261,8 +232,7 @@ class MGSArcRules(ArcRules):
                 "rack-unmatched",
                 f"RACK for vpn {msg.vpn} txn {msg.txn} matches no "
                 "outstanding REL (duplicate or spurious acknowledgement)",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_wnotify(self, msg) -> None:
@@ -278,15 +248,13 @@ class MGSArcRules(ArcRules):
             self._fail(
                 "wnotify-frame",
                 f"WNOTIFY from cluster {msg.src_cluster} which has no frame",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         if self.protocol.homes.get(msg.vpn) is None:
             self._fail(
                 "wnotify-home",
                 f"WNOTIFY for vpn {msg.vpn} which has no home page",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     def _check_retained_unlock(self, msg) -> None:
@@ -297,8 +265,7 @@ class MGSArcRules(ArcRules):
                 "retain-state",
                 f"1W_UNLOCK but retained frame is {frame.state.value} "
                 f"(lock={frame.lock_held})",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
         home = self.protocol.homes.get(msg.vpn)
         if home is None or msg.dst_cluster not in home.write_dir:
@@ -306,8 +273,7 @@ class MGSArcRules(ArcRules):
                 "retain-dir",
                 f"1W_UNLOCK but cluster {msg.dst_cluster} is not in "
                 "write_dir (retention must re-register the copy)",
-                vpn=msg.vpn,
-                txn=msg.txn,
+                msg,
             )
 
     _CHECKS = {

@@ -51,22 +51,6 @@ class LocalClient:
     # fault handling
     # ------------------------------------------------------------------
 
-    def fault(
-        self,
-        pid: int,
-        vpn: int,
-        want_write: bool,
-        on_done: Callable[[], None],
-        txn: int,
-    ) -> None:
-        """Entry point for a TLB fault: trap + page-table probe."""
-        ctx = self.ctx
-        ctx.stats.record("faults")
-        ctx.record_page(vpn, "faults")
-        ctx.sim.schedule(
-            ctx.costs.fault_overhead, self._service, pid, vpn, want_write, on_done, txn
-        )
-
     def _service(
         self,
         pid: int,
@@ -75,7 +59,8 @@ class LocalClient:
         on_done: Callable[[], None],
         txn: int,
     ) -> None:
-        """Fault body, running with the page-table state visible.
+        """Fault body, running with the page-table state visible (after
+        the trap and page-table probe of ``Protocol.fault``).
 
         Re-entered for waiters when the mapping lock is released, so it
         must handle every frame state.
@@ -133,16 +118,9 @@ class LocalClient:
         frame.lock_held = True
         ctx.stats.record("upgrades")
         ctx.bus.send(
-            Upgrade(
-                vpn=frame.vpn,
-                src_pid=pid,
-                src_cluster=frame.cluster,
-                dst_pid=frame.owner_pid,
-                dst_cluster=frame.cluster,
-                txn=txn,
-                on_done=on_done,
-            ),
+            Upgrade, frame.vpn, pid, frame.owner_pid, txn,
             at=ctx.sim.now + ctx.costs.msg_intra_ssmp,
+            on_done=on_done,
         )
 
     def _start_fetch(
@@ -170,21 +148,11 @@ class LocalClient:
         frame.state = FrameState.BUSY
         frame.lock_held = True
         frame.waiters.append(Waiter(pid, want_write, on_done, txn))
-        send_cost = (
-            ctx.costs.msg_intra_ssmp if aliases_home else ctx.costs.msg_inter_ssmp
-        )
         request = Wreq if want_write else Rreq
         ctx.stats.record("write_requests" if want_write else "read_requests")
         ctx.bus.send(
-            request(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-            ),
-            at=ctx.sim.now + send_cost,
+            request, vpn, pid, home_pid, txn,
+            at=ctx.sim.now + ctx.msg_cost(cluster, home_cluster),
         )
 
     # ------------------------------------------------------------------
@@ -257,7 +225,8 @@ class LocalClient:
     # ------------------------------------------------------------------
 
     def release(self, pid: int, on_done: Callable[[], None], txn: int) -> None:
-        """Release point: push every dirty page home, serially.
+        """Release body (run by ``Protocol.release``): push every dirty
+        page home, serially.
 
         Pages whose DUQ entry was stolen by an invalidation round (arc
         12) are re-queued as data-less "joins": their writes travelled
@@ -289,25 +258,14 @@ class LocalClient:
             return
         vpn = duq.pop_head()
         home_pid = ctx.aspace.home_proc(vpn)
-        cluster = ctx.config.cluster_of(pid)
-        home_cluster = ctx.home_cluster(vpn)
-        send_cost = (
-            ctx.costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else ctx.costs.msg_inter_ssmp
+        send_cost = ctx.msg_cost(
+            ctx.config.cluster_of(pid), ctx.config.cluster_of(home_pid)
         )
         ctx.stats.record("rel_pages")
         ctx.bus.send(
-            Rel(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-                on_done=on_done,
-            ),
+            Rel, vpn, pid, home_pid, txn,
             at=ctx.sim.now + ctx.costs.release_entry + send_cost,
+            on_done=on_done,
         )
 
     @handles(MsgType.RACK)

@@ -1,12 +1,13 @@
 """Protocol context and facade wiring the three MGS engines together.
 
-:class:`MGSProtocol` is the entry point the runtime uses:
+:class:`MGSProtocol` is the entry point the runtime uses; every entry is
+inherited from :class:`~repro.core.engine.Protocol`:
 
-* :meth:`MGSProtocol.fault` — a processor suffered a mapping (TLB) fault;
-  the Local Client services it and the callback fires at completion time.
-* :meth:`MGSProtocol.release` — a processor reached a release point
-  (unlock or barrier); the DUQ is drained, one ``REL`` at a time.
-* ``poke`` / ``peek`` (inherited) — zero-cost home copy initialization /
+* ``fault`` — a processor suffered a mapping (TLB) fault; the Local
+  Client services it and the callback fires at completion time.
+* ``release`` — a processor reached a release point (unlock or
+  barrier); the Local Client drains the DUQ, one ``REL`` at a time.
+* ``poke`` / ``peek`` — zero-cost home copy initialization /
   inspection, used to load application data before timing starts and to
   validate results afterwards.
 
@@ -15,8 +16,6 @@ DUQs, per-cluster page frames, and per-page home state.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 from repro.core.engine import Protocol, ProtocolStats, register_engine
 from repro.core.messages import MsgType
@@ -92,6 +91,9 @@ class MGSProtocol(Protocol):
         self.bus.register(self.remote)
         self.bus.register(self.server)
         self.bus.check_complete()
+        # The Local Client runs the fault and release bodies.
+        self._service = self.local._service
+        self._release = self.local.release
 
     # ------------------------------------------------------------------
     # engine surface
@@ -130,40 +132,6 @@ class MGSProtocol(Protocol):
 
     def frame(self, cluster: int, vpn: int) -> PageFrame | None:
         return self.frames[cluster].get(vpn)
-
-    # ------------------------------------------------------------------
-    # runtime-facing operations
-    # ------------------------------------------------------------------
-
-    def fault(
-        self, pid: int, vpn: int, want_write: bool, on_done: Callable[[], None]
-    ) -> None:
-        """Service a TLB fault for ``pid`` on page ``vpn``.
-
-        Must be invoked at the faulting thread's current time (the runtime
-        schedules it on the event queue).  ``on_done`` fires when the
-        mapping is installed; the elapsed interval is the fault latency,
-        tracked as one bus transaction.
-        """
-        txn = self.bus.begin(
-            "fault", pid, vpn, note="write" if want_write else "read"
-        )
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self.local.fault(pid, vpn, want_write, done, txn)
-
-    def release(self, pid: int, on_done: Callable[[], None]) -> None:
-        """Drain the DUQ of ``pid`` (release point semantics)."""
-        txn = self.bus.begin("release", pid)
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self.local.release(pid, done, txn)
 
     # ------------------------------------------------------------------
     # invariants (used by tests)

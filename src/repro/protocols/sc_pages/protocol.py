@@ -120,12 +120,6 @@ class SCPagesProtocol(Protocol):
             tuple(sorted(self.streaks.items())),
         )
 
-    def release(self, pid: int, on_done: Callable[[], None]) -> None:
-        """SC needs no release-point work: writes were ordered eagerly."""
-        txn = self.bus.begin("release", pid)
-        self.bus.end(txn)
-        on_done()
-
     def home_cluster(self, vpn: int) -> int:
         """Home migration rebinds ``home_pid`` away from the address-space
         default, so cost accounting must follow the live binding."""
@@ -145,26 +139,9 @@ class SCPagesProtocol(Protocol):
         return super().page_view(vpn)
 
     # ------------------------------------------------------------------
-    # fault handling (cluster side)
+    # fault handling (cluster side); SC needs no release-point work, as
+    # writes were ordered eagerly, so the default release hook stands
     # ------------------------------------------------------------------
-
-    def fault(
-        self, pid: int, vpn: int, want_write: bool, on_done: Callable[[], None]
-    ) -> None:
-        txn = self.bus.begin(
-            "fault", pid, vpn, note="write" if want_write else "read"
-        )
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self.stats.record("faults")
-        self.record_page(vpn, "faults")
-        self.sim.schedule(
-            self.costs.fault_overhead, self._service, pid, vpn, want_write,
-            done, txn,
-        )
 
     def _service(
         self,
@@ -213,24 +190,11 @@ class SCPagesProtocol(Protocol):
         frame.lock_held = True
         frame.waiters.append(Waiter(pid, want_write, on_done, txn))
         home = self.home(vpn)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        send_cost = (
-            self.costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else self.costs.msg_inter_ssmp
-        )
         request = ScWreq if want_write else ScRreq
         self.stats.record("write_requests" if want_write else "read_requests")
         self.bus.send(
-            request(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home.home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-            ),
-            at=self.sim.now + send_cost,
+            request, vpn, pid, home.home_pid, txn,
+            at=self.sim.now + self.dispatch_cost(cluster, vpn),
         )
 
     def _fill(
@@ -313,32 +277,16 @@ class SCPagesProtocol(Protocol):
             + self.costs.msg_send * home.count
         )
         completion = self.machine.occupy(home.home_pid, work)
-        home_cluster = self.config.cluster_of(home.home_pid)
         for cluster in downs:
-            frame = self.frames[cluster][home.vpn]
             self.bus.send(
-                ScDown(
-                    vpn=home.vpn,
-                    src_pid=home.home_pid,
-                    src_cluster=home_cluster,
-                    dst_pid=frame.owner_pid,
-                    dst_cluster=cluster,
-                    txn=msg.txn,
-                    drop=msg.want_write,
-                ),
-                at=completion,
+                ScDown, home.vpn, home.home_pid,
+                self.frames[cluster][home.vpn].owner_pid, msg.txn,
+                at=completion, drop=msg.want_write,
             )
         for cluster in invs:
-            frame = self.frames[cluster][home.vpn]
             self.bus.send(
-                ScInv(
-                    vpn=home.vpn,
-                    src_pid=home.home_pid,
-                    src_cluster=home_cluster,
-                    dst_pid=frame.owner_pid,
-                    dst_cluster=cluster,
-                    txn=msg.txn,
-                ),
+                ScInv, home.vpn, home.home_pid,
+                self.frames[cluster][home.vpn].owner_pid, msg.txn,
                 at=completion,
             )
 
@@ -350,19 +298,13 @@ class SCPagesProtocol(Protocol):
         req_cluster, req_pid = msg.src_cluster, msg.src_pid
         server_pid = home.home_pid
         home_cluster = self.config.cluster_of(server_pid)
-        lines = self.config.lines_per_page
         work = dispatch + costs.server_read + costs.msg_send
         if msg.want_write:
             work += costs.server_write_extra
         if req_cluster != home_cluster:
-            self.cache.flush_page(
-                home_cluster, self.page_first_line(vpn), lines
-            )
-            work += costs.clean_page(lines) + costs.dma_page(lines)
-            self.stats.record("pages_transferred")
-            self.record_page(vpn, "transfers")
+            work += self.ship_page(home_cluster, vpn)
         else:
-            work += costs.dma_page(lines)
+            work += costs.dma_page(self.config.lines_per_page)
         payload = home.data.copy()
         if msg.want_write:
             home.read_dir.discard(req_cluster)
@@ -374,18 +316,9 @@ class SCPagesProtocol(Protocol):
             if not home.write_dir:
                 home.state = ServerState.READ
         completion = self.machine.occupy(server_pid, work)
-        grant = ScWgrant if msg.want_write else ScData
         self.bus.send(
-            grant(
-                vpn=vpn,
-                src_pid=server_pid,
-                src_cluster=home_cluster,
-                dst_pid=req_pid,
-                dst_cluster=req_cluster,
-                txn=msg.txn,
-                data=payload,
-            ),
-            at=completion,
+            ScWgrant if msg.want_write else ScData, vpn, server_pid, req_pid,
+            msg.txn, at=completion, data=payload,
         )
 
     def _note_exclusive_grant(
@@ -455,19 +388,7 @@ class SCPagesProtocol(Protocol):
             kept = True
             self.stats.record("downgrades")
         completion = self.machine.occupy(msg.dst_pid, work)
-        self.bus.send(
-            ScWb(
-                vpn=vpn,
-                src_pid=msg.dst_pid,
-                src_cluster=cluster,
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                kept=kept,
-                data=payload,
-            ),
-            at=completion,
-        )
+        self.bus.reply(ScWb, msg, completion, kept=kept, data=payload)
 
     @handles("SC_INV")
     def on_inv(self, msg: ScInv) -> None:
@@ -505,17 +426,7 @@ class SCPagesProtocol(Protocol):
         else:
             self._drop_frame(frame)
         completion = self.machine.occupy(msg.dst_pid, work)
-        self.bus.send(
-            ScIack(
-                vpn=vpn,
-                src_pid=msg.dst_pid,
-                src_cluster=cluster,
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-            ),
-            at=completion,
-        )
+        self.bus.reply(ScIack, msg, completion)
 
     def _drop_frame(self, frame: PageFrame) -> None:
         for pid in sorted(frame.tlb_dir):

@@ -11,18 +11,6 @@ __all__ = ["SWDSMArcRules"]
 class SWDSMArcRules(ArcRules):
     """Legal-arc catalogue for ``protocols/swdsm``."""
 
-    def __init__(self, sanitizer) -> None:
-        super().__init__(sanitizer)
-        self.config = sanitizer.config
-
-    def on_message(self, msg) -> None:
-        check = self._CHECKS.get(msg.label)
-        if check is not None:
-            check(self, msg)
-
-    def _fail(self, rule: str, detail: str, msg) -> None:
-        self.s.fail(rule, detail, vpn=msg.vpn, txn=msg.txn)
-
     # ------------------------------------------------------------------
     # per-message pre-state checks
     # ------------------------------------------------------------------

@@ -137,24 +137,6 @@ class SWDSMProtocol(Protocol):
     # fault handling (node side)
     # ------------------------------------------------------------------
 
-    def fault(
-        self, pid: int, vpn: int, want_write: bool, on_done: Callable[[], None]
-    ) -> None:
-        txn = self.bus.begin(
-            "fault", pid, vpn, note="write" if want_write else "read"
-        )
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
-        self.stats.record("faults")
-        self.record_page(vpn, "faults")
-        self.sim.schedule(
-            self.costs.fault_overhead, self._service, pid, vpn, want_write,
-            done, txn,
-        )
-
     def _service(
         self,
         pid: int,
@@ -199,24 +181,11 @@ class SWDSMProtocol(Protocol):
         frame.state = FrameState.BUSY
         frame.waiters.append(Waiter(pid, want_write, on_done, txn))
         home_pid = self.aspace.home_proc(vpn)
-        home_cluster = self.config.cluster_of(home_pid)
-        send_cost = (
-            costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else costs.msg_inter_ssmp
-        )
         request = SWreq if want_write else SRreq
         self.stats.record("write_requests" if want_write else "read_requests")
         self.bus.send(
-            request(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-            ),
-            at=self.sim.now + send_cost,
+            request, vpn, pid, home_pid, txn,
+            at=self.sim.now + self.dispatch_cost(cluster, vpn),
         )
 
     def _fill(
@@ -256,37 +225,18 @@ class SWDSMProtocol(Protocol):
             (home.wr if msg.want_write else home.rd).append(msg)
             return
         costs = self.costs
-        req_pid = msg.src_pid
-        req_cluster = self.config.cluster_of(req_pid)
-        home_cluster = self.config.cluster_of(home.home_pid)
-        lines = self.config.lines_per_page
         work = dispatch + costs.server_read + costs.msg_send
         if msg.want_write:
             work += costs.server_write_extra
-        if req_cluster != home_cluster:
-            self.cache.flush_page(
-                home_cluster, self.page_first_line(home.vpn), lines
-            )
-            work += costs.clean_page(lines) + costs.dma_page(lines)
-            self.stats.record("pages_transferred")
-            self.record_page(home.vpn, "transfers")
+        if msg.src_cluster != msg.dst_cluster:
+            work += self.ship_page(msg.dst_cluster, home.vpn)
         else:
             # Even a same-SSMP node gets a private replica (no aliasing).
-            work += costs.dma_page(lines)
-        (home.write_dir if msg.want_write else home.read_dir).add(req_pid)
+            work += costs.dma_page(self.config.lines_per_page)
+        (home.write_dir if msg.want_write else home.read_dir).add(msg.src_pid)
         completion = self.machine.occupy(home.home_pid, work)
-        self.bus.send(
-            SData(
-                vpn=home.vpn,
-                src_pid=home.home_pid,
-                src_cluster=home_cluster,
-                dst_pid=req_pid,
-                dst_cluster=req_cluster,
-                txn=msg.txn,
-                write=msg.want_write,
-                data=home.data.copy(),
-            ),
-            at=completion,
+        self.bus.reply(
+            SData, msg, completion, write=msg.want_write, data=home.data.copy()
         )
 
     @handles("S_DATA")
@@ -321,13 +271,8 @@ class SWDSMProtocol(Protocol):
     # release operation (eager: diff home, invalidate every replica)
     # ------------------------------------------------------------------
 
-    def release(self, pid: int, on_done: Callable[[], None]) -> None:
-        txn = self.bus.begin("release", pid)
-
-        def done() -> None:
-            self.bus.end(txn)
-            on_done()
-
+    def _release(self, pid: int, on_done: Callable[[], None], txn: int) -> None:
+        """Push every dirty page's diff home, one page at a time."""
         dirty = self.dirty[pid]
         stolen = self.stolen[pid]
         if stolen:
@@ -336,10 +281,10 @@ class SWDSMProtocol(Protocol):
             stolen.clear()
             self.stats.record("stolen_joins")
         if not dirty:
-            done()
+            on_done()
             return
         self.stats.record("releases")
-        self._release_next(pid, done, txn)
+        self._release_next(pid, on_done, txn)
 
     def _release_next(
         self, pid: int, on_done: Callable[[], None], txn: int
@@ -351,14 +296,8 @@ class SWDSMProtocol(Protocol):
             return
         vpn = next(iter(dirty))
         del dirty[vpn]
-        cluster = self.config.cluster_of(pid)
         home_pid = self.aspace.home_proc(vpn)
-        home_cluster = self.config.cluster_of(home_pid)
-        send_cost = (
-            costs.msg_intra_ssmp
-            if cluster == home_cluster
-            else costs.msg_inter_ssmp
-        )
+        send_cost = self.dispatch_cost(self.config.cluster_of(pid), vpn)
         frame = self.frames[pid].get(vpn)
         self.stats.record("rel_pages")
         self.record_page(vpn, "releases")
@@ -366,17 +305,9 @@ class SWDSMProtocol(Protocol):
             # Stolen entry: the writes already travelled home with an
             # invalidation round; send a data-less join.
             self.bus.send(
-                SDiff(
-                    vpn=vpn,
-                    src_pid=pid,
-                    src_cluster=cluster,
-                    dst_pid=home_pid,
-                    dst_cluster=home_cluster,
-                    txn=txn,
-                    join=True,
-                    on_done=on_done,
-                ),
+                SDiff, vpn, pid, home_pid, txn,
                 at=self.sim.now + costs.release_entry + send_cost,
+                join=True, on_done=on_done,
             )
             return
         indices, values = make_diff(frame.data, frame.twin)
@@ -389,18 +320,9 @@ class SWDSMProtocol(Protocol):
             + costs.free_page
         )
         self.bus.send(
-            SDiff(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=cluster,
-                dst_pid=home_pid,
-                dst_cluster=home_cluster,
-                txn=txn,
-                indices=indices,
-                values=values,
-                on_done=on_done,
-            ),
+            SDiff, vpn, pid, home_pid, txn,
             at=self.sim.now + work + send_cost,
+            indices=indices, values=values, on_done=on_done,
         )
 
     def _drop(self, pid: int, frame: PageFrame) -> None:
@@ -431,7 +353,7 @@ class SWDSMProtocol(Protocol):
                 home.home_pid, dispatch + self.costs.msg_send
             )
             self.stats.record("joins_acked")
-            self._send_rack(home, msg, completion)
+            self.bus.reply(SRack, msg, completion, on_done=msg.on_done)
             return
         self._start_round(home, msg, dispatch)
 
@@ -457,18 +379,9 @@ class SWDSMProtocol(Protocol):
         if not targets:
             self.sim.schedule_at(completion, self._complete_round, home)
             return
-        home_cluster = self.config.cluster_of(home.home_pid)
         for pid in targets:
             self.bus.send(
-                SInv(
-                    vpn=home.vpn,
-                    src_pid=home.home_pid,
-                    src_cluster=home_cluster,
-                    dst_pid=pid,
-                    dst_cluster=self.config.cluster_of(pid),
-                    txn=msg.txn,
-                ),
-                at=completion,
+                SInv, home.vpn, home.home_pid, pid, msg.txn, at=completion
             )
 
     @handles("S_INV")
@@ -490,19 +403,7 @@ class SWDSMProtocol(Protocol):
             work += costs.free_page
             self._drop(pid, frame)
         completion = self.machine.occupy(pid, work)
-        self.bus.send(
-            SIack(
-                vpn=vpn,
-                src_pid=pid,
-                src_cluster=msg.dst_cluster,
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                indices=indices,
-                values=values,
-            ),
-            at=completion,
-        )
+        self.bus.reply(SIack, msg, completion, indices=indices, values=values)
 
     @handles("S_IACK")
     def on_iack(self, msg: SIack) -> None:
@@ -532,7 +433,7 @@ class SWDSMProtocol(Protocol):
             home.home_pid, self.costs.msg_send * len(racks)
         )
         for msg in racks:
-            self._send_rack(home, msg, completion)
+            self.bus.reply(SRack, msg, completion, on_done=msg.on_done)
         if home.pending_rels:
             nxt = home.pending_rels.pop(0)
             self.sim.schedule_at(completion, self._replay_rel, home, nxt)
@@ -548,20 +449,6 @@ class SWDSMProtocol(Protocol):
             home.pending_rels.append(msg)
             return
         self._start_round(home, msg, self.dispatch_cost(msg.src_cluster, msg.vpn))
-
-    def _send_rack(self, home: HomePage, msg: SDiff, at: int) -> None:
-        self.bus.send(
-            SRack(
-                vpn=msg.vpn,
-                src_pid=home.home_pid,
-                src_cluster=self.config.cluster_of(home.home_pid),
-                dst_pid=msg.src_pid,
-                dst_cluster=msg.src_cluster,
-                txn=msg.txn,
-                on_done=msg.on_done,
-            ),
-            at=at,
-        )
 
     @handles("S_RACK")
     def on_rack(self, msg: SRack) -> None:

@@ -115,9 +115,6 @@ class AddressSpace:
     def vpn_of(self, addr: int) -> int:
         return addr // self.config.page_size
 
-    def offset_of(self, addr: int) -> int:
-        return addr % self.config.page_size
-
     def word_of(self, addr: int) -> int:
         """Word offset within the page of ``addr``."""
         return (addr % self.config.page_size) // WORD_BYTES

@@ -55,9 +55,34 @@ def test_missing_handler_is_a_lookup_error():
     bus = MessageBus(rt.machine, config)  # nothing registered
     with pytest.raises(LookupError):
         bus.check_complete()
-    msg = Rreq(vpn=1, src_pid=0, src_cluster=0, dst_pid=2, dst_cluster=1, txn=0)
     with pytest.raises(LookupError):
-        bus.send(msg)
+        bus.send(Rreq, 1, 0, 2, 0)
+
+
+def test_send_derives_clusters_and_reply_swaps_endpoints():
+    rt, config = make_rt()
+    bus = MessageBus(rt.machine, config)
+    seen = []
+
+    class Echo:
+        @handles(MsgType.RREQ)
+        def on_request(self, msg):
+            seen.append(msg)
+            bus.reply(Rdat, msg, data=None)
+
+        @handles(MsgType.RDAT)
+        def on_data(self, msg):
+            seen.append(msg)
+
+    bus.register(Echo())
+    bus.send(Rreq, 7, 1, 2, 5)
+    rt.sim.run()
+    request, grant = seen
+    assert (request.vpn, request.txn) == (grant.vpn, grant.txn) == (7, 5)
+    assert (request.src_pid, request.src_cluster) == (1, 0)
+    assert (request.dst_pid, request.dst_cluster) == (2, 1)
+    assert (grant.src_pid, grant.src_cluster) == (2, 1)
+    assert (grant.dst_pid, grant.dst_cluster) == (1, 0)
 
 
 def test_registry_covers_table2():

@@ -3,7 +3,7 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.duq import DUQ
+from repro.protocols.mgs.duq import DUQ
 
 
 def test_fifo_order():

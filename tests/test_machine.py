@@ -1,7 +1,6 @@
 """Unit tests for the machine model: latencies, occupancy, stolen time."""
 
 from repro.machine import Machine
-from repro.machine.machine import INTRA_WIRE_LATENCY
 from repro.params import CostModel, MachineConfig
 from repro.sim import Simulator
 
@@ -17,7 +16,7 @@ def test_intra_cluster_wire_latency():
     arrivals = []
     m.send(0, 1, lambda: arrivals.append(sim.now))
     sim.run()
-    assert arrivals == [INTRA_WIRE_LATENCY]
+    assert arrivals == [5]
 
 
 def test_inter_cluster_wire_latency():

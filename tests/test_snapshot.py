@@ -141,8 +141,10 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
         "config": {"machine", "config", "_handlers", "_taps", "_txn_taps"},
     },
     # Engines report through Protocol.phase_state().
+    # _service/_release: the Local Client's fault and release bodies
     engine_class("mgs"): _engine(
-        {"duqs", "stolen"}, frozenset({"local", "remote", "server"})
+        {"duqs", "stolen"},
+        frozenset({"local", "remote", "server", "_service", "_release"}),
     ),
     engine_class("swdsm"): _engine({"dirty", "stolen"}),
     engine_class("sc_pages"): _engine({"pending", "streaks"}),
