@@ -2,8 +2,9 @@
 
 Section 4.2.2 models inter-SSMP communication as a fixed latency and
 explicitly notes that contention in the LAN and its interface is not
-accounted for.  The ``lan_bandwidth`` knob adds a shared-link model:
-inter-SSMP messages serialize at a configurable byte rate.  The sweep
+accounted for.  The shared-bus network model
+(``NetworkConfig(external="bus", bus_bandwidth=...)``) adds a shared
+link: inter-SSMP messages serialize at a configurable byte rate.  The sweep
 shows how sensitive DSSMP performance is to that simplification —
 especially at small cluster sizes, where every page moves over the LAN.
 """
@@ -12,11 +13,19 @@ from conftest import save_report
 
 from repro.apps import water
 from repro.bench import render_table
-from repro.params import MachineConfig
+from repro.params import MachineConfig, NetworkConfig
 
-#: bytes/cycle; 0 is the paper's model.  At 20 MHz, 1 byte/cycle is
-#: roughly a 160 Mbit/s link - generous for a mid-90s LAN.
+#: bytes/cycle; 0 is the paper's model (the default fixed-latency
+#: network).  At 20 MHz, 1 byte/cycle is roughly a 160 Mbit/s link -
+#: generous for a mid-90s LAN.
 BANDWIDTHS = (0.0, 4.0, 1.0, 0.25)
+
+
+def _network(bandwidth: float) -> NetworkConfig:
+    """The shared bus at ``bandwidth``, or the paper's network for 0."""
+    if bandwidth == 0.0:
+        return NetworkConfig()
+    return NetworkConfig(external="bus", bus_bandwidth=bandwidth)
 
 
 def _run():
@@ -28,7 +37,7 @@ def _run():
                 total_processors=16,
                 cluster_size=c,
                 inter_ssmp_delay=1000,
-                lan_bandwidth=bw,
+                network=_network(bw),
             )
             run = water.run(
                 config, water.WaterParams(n_molecules=33, iterations=1)

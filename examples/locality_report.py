@@ -12,12 +12,13 @@ Run:  python examples/locality_report.py
 from repro.apps import water
 from repro.metrics.locality import locality_report, render_locality_report
 from repro.params import MachineConfig
+from repro.runtime import Runtime
 
 
 def main() -> None:
     config = MachineConfig(total_processors=16, cluster_size=4,
                            inter_ssmp_delay=1000)
-    rt = water.make_runtime(config)
+    rt = Runtime(config)
     water.build(rt, water.WaterParams(n_molecules=33, iterations=1))
     result = rt.run()
 

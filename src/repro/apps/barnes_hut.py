@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import AppRun, block_range, make_runtime
+from repro.apps.common import AppRun, block_range
 from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 from repro.svm import AccessKind
@@ -493,7 +493,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else BarnesHutParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     bodies, nodes = build(rt, params)
     result = rt.run()
     reference = golden(params)

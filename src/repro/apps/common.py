@@ -5,15 +5,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.params import CostModel, MachineConfig
-from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult, Runtime
+from repro.params import MachineConfig
+from repro.runtime import RunResult
 
 __all__ = [
     "AppRun",
     "block_range",
     "block_owner",
     "page_home_block",
-    "make_runtime",
 ]
 
 
@@ -82,13 +81,3 @@ def page_home_block(
         return block_owner(n_items, nprocs, item)
 
     return home
-
-
-def make_runtime(
-    config: MachineConfig,
-    costs: CostModel | None = None,
-    quantum: int = DEFAULT_QUANTUM,
-    options: RunOptions | None = None,
-) -> Runtime:
-    """The app's Runtime under ``options`` (None: the environment's)."""
-    return Runtime(config, costs, quantum, options=options)

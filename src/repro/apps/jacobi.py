@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import AppRun, block_range, make_runtime
+from repro.apps.common import AppRun, block_range
 from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 
@@ -132,7 +132,7 @@ def run(
 ) -> AppRun:
     """Simulate Jacobi and validate against the sequential golden run."""
     params = params if params is not None else JacobiParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     final = build(rt, params)
     result = rt.run()
     reference = golden(params).ravel()

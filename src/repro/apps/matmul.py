@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import AppRun, block_range, make_runtime
+from repro.apps.common import AppRun, block_range
 from repro.params import WORD_BYTES, CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 
@@ -100,7 +100,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else MatmulParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     arr_c = build(rt, params)
     result = rt.run()
     n = params.n

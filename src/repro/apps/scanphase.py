@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import AppRun, block_range, make_runtime
+from repro.apps.common import AppRun, block_range
 from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 
@@ -128,7 +128,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else ScanPhaseParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     checksums = build(rt, params)
     result = rt.run()
     reference = golden(params, config.total_processors)

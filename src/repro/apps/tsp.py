@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from repro.apps.common import AppRun, make_runtime
+from repro.apps.common import AppRun
 from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 from repro.svm import AccessKind
@@ -225,7 +225,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else TSPParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     best_arr = build(rt, params)
     result = rt.run()
     measured = float(best_arr.snapshot()[0])

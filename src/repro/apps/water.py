@@ -31,7 +31,6 @@ from repro.apps.common import (
     AppRun,
     block_owner,
     block_range,
-    make_runtime,
     page_home_block,
 )
 from repro.params import CostModel, MachineConfig
@@ -222,7 +221,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     mols, stats = build(rt, params)
     result = rt.run()
     ref_pos, ref_pe = golden(params)

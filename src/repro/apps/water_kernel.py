@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.apps.common import AppRun, block_range, make_runtime
+from repro.apps.common import AppRun, block_range
 from repro.apps.water import _pair_force
 from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
@@ -283,7 +283,7 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterKernelParams()
-    rt = make_runtime(config, costs, options=options)
+    rt = Runtime(config, costs, options=options)
     mols, mol_word = build(rt, params)
     result = rt.run()
     reference = golden(params)

@@ -9,7 +9,7 @@ from repro.bench.compare import (
 )
 from repro.bench.figures import FIGURES, bench_params, figure_report, run_figure
 from repro.bench.micro import MicroCosts, measure_micro_costs
-from repro.bench.parallel import parallel_map, resolve_jobs, run_figures
+from repro.bench.parallel import parallel_map, resolve_jobs
 from repro.bench.report import (
     render_breakdown_figure,
     render_lock_figure,
@@ -29,7 +29,6 @@ __all__ = [
     "bench_params",
     "figure_report",
     "run_figure",
-    "run_figures",
     "run_sweep",
     "ProtocolComparison",
     "run_comparison",

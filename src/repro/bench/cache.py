@@ -26,9 +26,6 @@ run-cache directory (``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or
 ``.repro_cache/``): ``root/key[:2]/key.json``, one envelope carrying
 the key's preimage (``fingerprint``) and the serialized ``AppRun``
 (``run``), published atomically, identical bytes for identical keys.
-A sidecar ``index.json`` records per-key wall-clock times; the sweep
-runner uses them to schedule cache misses longest-job-first across
-workers.
 
 Verification
 ------------
@@ -61,26 +58,14 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import threading
 import time
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any
-
-try:  # POSIX-only; the index merge degrades gracefully without it
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None
 
 from repro.params import CostModel, MachineConfig, machine_config_from_dict
 from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult
 from repro.runtime.options import DEFAULT_CACHE_DIR
-from repro.runtime.store import (
-    ContentStore,
-    canonical_json,
-    publish,
-    source_fingerprint,
-)
+from repro.runtime.store import ContentStore, canonical_json, source_fingerprint
 from repro.runtime.thread import ThreadContext
 
 __all__ = [
@@ -264,16 +249,13 @@ class RunCache:
 
     A :class:`~repro.runtime.store.ContentStore` whose entries carry the
     key's preimage (``fingerprint``) and the serialized run (``run``),
-    plus what only the run cache has: :meth:`key_for`, the wall-time
-    index behind longest-job-first scheduling, and verify sampling.  One
-    instance tracks its own ``stats``; construct a fresh instance per
-    sweep/CLI invocation when you want per-run counters.
+    plus what only the run cache has: :meth:`key_for` and verify
+    sampling.  One instance tracks its own ``stats``; construct a fresh
+    instance per sweep/CLI invocation when you want per-run counters.
 
     Safe for concurrent use by multiple threads *and* multiple processes
-    sharing one directory (the ``repro.serve`` daemon does both): entries
-    publish atomically, and the wall-time index is maintained
-    read-merge-write under an advisory ``flock`` so concurrent writers
-    cannot lose each other's entries.
+    sharing one directory (the ``repro.serve`` daemon does both): every
+    entry publishes atomically, and identical keys carry identical bytes.
     """
 
     def __init__(
@@ -289,8 +271,6 @@ class RunCache:
         self.stats = self.store.stats
         self.source = source
         self.verify_fraction = verify_fraction
-        self._index: dict | None = None
-        self._mutex = threading.Lock()
 
     def key_for(
         self,
@@ -309,106 +289,9 @@ class RunCache:
         or None: a miss, overwritten by the next :meth:`put`."""
         return self.store.get(key)
 
-    def put(
-        self,
-        key: str,
-        preimage: dict,
-        run_payload: dict,
-        wall_seconds: float,
-    ) -> None:
-        """Store one executed run under ``key`` and index its wall time."""
+    def put(self, key: str, preimage: dict, run_payload: dict) -> None:
+        """Store one executed run under ``key``."""
         self.store.put(key, fingerprint=preimage, run=run_payload)
-        self._index_put(key, preimage, wall_seconds)
-
-    # -- wall-time index (cost-aware scheduling) -----------------------
-
-    @property
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
-
-    @contextmanager
-    def _index_flock(self):
-        """Advisory cross-process lock around index read-merge-write."""
-        if fcntl is None:  # pragma: no cover - non-POSIX platforms
-            yield
-            return
-        self.root.mkdir(parents=True, exist_ok=True)
-        with open(self.root / "index.lock", "a") as fh:
-            fcntl.flock(fh, fcntl.LOCK_EX)
-            try:
-                yield
-            finally:
-                fcntl.flock(fh, fcntl.LOCK_UN)
-
-    def _read_index_file(self) -> dict:
-        try:
-            index = json.loads(self._index_path.read_bytes())
-        except (OSError, ValueError):
-            index = None
-        if not isinstance(index, dict) or not isinstance(index.get("entries"), dict):
-            index = {"entries": {}}
-        return index
-
-    def _load_index(self) -> dict:
-        if self._index is None:
-            self._index = self._read_index_file()
-        return self._index
-
-    def _index_put(self, key: str, preimage: dict, wall_seconds: float) -> None:
-        config = preimage["config"]
-        record = {
-            "workload": preimage["workload"],
-            "cluster_size": config["cluster_size"],
-            "protocol": config["protocol"],
-            "wall_seconds": round(wall_seconds, 6),
-        }
-        with self._mutex, self._index_flock():
-            # Re-read and merge under the lock: another process (or
-            # thread through another RunCache) may have added entries
-            # since we cached the index, and a blind write-back of our
-            # stale copy would silently drop theirs.
-            index = self._read_index_file()
-            cached = self._index
-            if cached is not None:
-                for k, v in cached["entries"].items():
-                    index["entries"].setdefault(k, v)
-            index["entries"][key] = record
-            self._index = index
-            publish(self._index_path, (canonical_json(index) + "\n").encode())
-
-    def estimate_seconds(
-        self, workload: str, cluster_size: int, protocol: str = "mgs"
-    ) -> float | None:
-        """Expected wall time for one point, from past executions.
-
-        Exact ``(workload, cluster_size, protocol)`` matches win; then
-        the same workload and cluster size under any engine (engines
-        differ far less than workloads do); then the mean over the
-        workload; otherwise None (scheduler treats the point as
-        potentially long and runs it first).  Index entries written
-        before engines existed count as ``mgs``.
-        """
-        entries = self._load_index()["entries"].values()
-        exact = [
-            e["wall_seconds"]
-            for e in entries
-            if e["workload"] == workload
-            and e["cluster_size"] == cluster_size
-            and e.get("protocol", "mgs") == protocol
-        ]
-        if exact:
-            return sum(exact) / len(exact)
-        same_point = [
-            e["wall_seconds"]
-            for e in entries
-            if e["workload"] == workload and e["cluster_size"] == cluster_size
-        ]
-        if same_point:
-            return sum(same_point) / len(same_point)
-        same = [e["wall_seconds"] for e in entries if e["workload"] == workload]
-        if same:
-            return sum(same) / len(same)
-        return None
 
     # -- verification --------------------------------------------------
 

@@ -33,9 +33,9 @@ later call from the sweep engine, ``repro.bench.compare``, or the
 fork-and-import per sweep.  Two things keep reuse invisible to callers:
 
 * a call asking for fewer jobs than the pool has workers is *windowed*
-  — at most ``jobs`` futures are in flight at once, refilled in
-  longest-job-first order as results land, so concurrency (and thus
-  memory and CPU footprint) matches what the caller asked for;
+  — at most ``jobs`` futures are in flight at once, refilled in input
+  order as results land, so concurrency (and thus memory and CPU
+  footprint) matches what the caller asked for;
 * workers never read settings of their own: the caller resolves a
   :class:`~repro.runtime.RunOptions` and ships it as an argument of
   every job, so a worker forked long ago runs each job exactly as the
@@ -44,18 +44,14 @@ fork-and-import per sweep.  Two things keep reuse invisible to callers:
 ``shutdown_pool`` tears the workers down (registered with ``atexit``;
 tests use it to force a fresh pool).
 
-When the caller knows roughly how long each item takes (the run cache
-records wall time per point), ``priorities=`` schedules
-longest-job-first: items are *submitted* in descending priority so the
-slowest work starts immediately, while results still come back in input
-order.  Items with an unknown priority (None) run first — they might be
-long.
+Items are submitted in input order.  In a cluster-size sweep that
+already starts the slowest point first: C=1, where every coherence
+action crosses the inter-SSMP network.
 """
 
 from __future__ import annotations
 
 import atexit
-import math
 import multiprocessing as mp
 import os
 import sys
@@ -64,13 +60,7 @@ from typing import Any, Callable, Sequence
 
 from repro.runtime import RunOptions
 
-__all__ = [
-    "resolve_jobs",
-    "parallel_map",
-    "run_figures",
-    "submission_order",
-    "shutdown_pool",
-]
+__all__ = ["resolve_jobs", "parallel_map", "shutdown_pool"]
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -80,29 +70,6 @@ def resolve_jobs(jobs: int | None = None) -> int:
     if jobs <= 0:
         return os.cpu_count() or 1
     return jobs
-
-
-def submission_order(
-    n: int, priorities: Sequence[float | None] | None
-) -> list[int]:
-    """Indices in submission order: descending priority, stable on ties.
-
-    The longest-job-first scheduler shared by :func:`parallel_map` (work
-    submission to the process pool) and the ``repro.serve`` dispatcher
-    (which job to execute next, from cached wall-time estimates).  Items
-    with an unknown priority (None) come first — they might be long.
-    """
-    if priorities is None:
-        return list(range(n))
-    if len(priorities) != n:
-        raise ValueError(f"{len(priorities)} priorities for {n} items")
-    return sorted(
-        range(n),
-        key=lambda i: (
-            -(math.inf if priorities[i] is None else priorities[i]),
-            i,
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +113,6 @@ def parallel_map(
     fn: Callable[..., Any],
     arg_tuples: Sequence[tuple],
     jobs: int | None = None,
-    priorities: Sequence[float | None] | None = None,
 ) -> list[Any]:
     """``[fn(*args) for args in arg_tuples]`` over worker processes.
 
@@ -154,11 +120,9 @@ def parallel_map(
     callers see exactly the serial result list.  ``fn`` must be a
     module-level function (workers import it by reference).  With one
     job, one item, or one CPU this is the plain list comprehension — no
-    pool, no pickling.  ``priorities`` (optional, one float-or-None per
-    item) submits work longest-job-first; it never changes the result.
+    pool, no pickling.
     """
     items = list(arg_tuples)
-    order = submission_order(len(items), priorities)
     jobs = resolve_jobs(jobs)
     if jobs <= 1 or len(items) <= 1 or (os.cpu_count() or 1) <= 1:
         global _WARNED_SINGLE_CPU
@@ -179,11 +143,10 @@ def parallel_map(
     pool = _executor(workers)
     # Windowed submission: the persistent pool may have more workers
     # than this call's job count, so cap in-flight futures at `workers`
-    # and refill in longest-job-first order as results land.  Results
-    # are stored by input index, and errors are re-raised by lowest
-    # input index after the window drains — exactly the serial/one-shot
-    # pool behavior.
-    pending = iter(order)
+    # and refill in input order as results land.  Results are stored by
+    # input index, and errors are re-raised by lowest input index after
+    # the window drains — exactly the serial/one-shot pool behavior.
+    pending = iter(range(len(items)))
     inflight: dict[Any, int] = {}
     results: list[Any] = [None] * len(items)
     errors: dict[int, BaseException] = {}
@@ -214,39 +177,3 @@ def parallel_map(
     if errors:
         raise errors[min(errors)]
     return results
-
-
-def _figure_job(
-    key: str, total_processors: int, network, protocol, options: RunOptions
-):
-    from repro.bench.figures import run_figure
-
-    # Each worker runs its whole figure serially; parallelism is across
-    # figures here.
-    return run_figure(
-        key, total_processors, network, jobs=1, protocol=protocol, options=options
-    )
-
-
-def run_figures(
-    keys: Sequence[str],
-    total_processors: int = 32,
-    network=None,
-    jobs: int | None = None,
-    protocol: str | None = None,
-    options: RunOptions | None = None,
-) -> list[tuple[str, Any]]:
-    """Run several whole figures, one worker per figure.
-
-    Returns ``[(key, ClusterSweep), ...]`` in the order of ``keys`` —
-    the same sweeps ``run_figure`` produces one at a time.  ``options``
-    None resolves the environment here, once, for every figure.
-    """
-    if options is None:
-        options = RunOptions.from_env()
-    sweeps = parallel_map(
-        _figure_job,
-        [(key, total_processors, network, protocol, options) for key in keys],
-        options.jobs if jobs is None else jobs,
-    )
-    return list(zip(keys, sweeps))

@@ -172,7 +172,7 @@ def _bench_jacobi(
     # on shared hardware.
     seconds = None
     for _ in range(reps):
-        rt = jacobi.make_runtime(config, options=RunOptions(fastpath=fastpath))
+        rt = Runtime(config, options=RunOptions(fastpath=fastpath))
         final = jacobi.build(rt, params)
         t0 = time.perf_counter()
         result = rt.run()
@@ -264,7 +264,7 @@ def _bench_figure_replay(phases: int, reps: int = 1) -> dict:
         # on/off ratio.
         seconds = None
         for _ in range(reps):
-            rt = scanphase.make_runtime(config, options=RunOptions(replay=replay))
+            rt = Runtime(config, options=RunOptions(replay=replay))
             scanphase.build(rt, params)
             t0 = time.perf_counter()
             result = rt.run()

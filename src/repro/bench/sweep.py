@@ -1,9 +1,18 @@
-"""Cluster-size sweeps: the engine behind Figures 6-12."""
+"""Cluster-size sweeps: the engine behind Figures 6-12.
+
+``run_sweep`` is the one way a sweep point executes, whether it comes
+from a figure, a cross-engine comparison or a ``repro.serve`` job, and
+whether the run cache is on or off.  It looks every point up in the
+cache (when there is one), runs the misses plus any verify sample
+through one :func:`~repro.bench.parallel.parallel_map` call of the
+module-level worker ``_sweep_point``, submitted in input order, and then
+stores the misses and folds the hits in input order.  The sweep is
+therefore byte-identical at any job count, cached or not.
+"""
 
 from __future__ import annotations
 
 import importlib
-import time
 from typing import Any
 
 from repro.bench.cache import (
@@ -72,127 +81,25 @@ def _fold_point(run) -> SweepPoint:
 def _sweep_point(
     module_name: str,
     params: Any,
-    total_processors: int,
-    cluster_size: int,
+    config: MachineConfig,
     costs: CostModel | None,
-    inter_ssmp_delay: int,
-    network: NetworkConfig | None,
     require_valid: bool,
-    overrides: dict[str, Any] | None,
     options: RunOptions,
-) -> tuple[str, SweepPoint]:
+    serialize: bool,
+) -> tuple[str, SweepPoint, dict | None]:
     """Simulate one cluster-size point and fold it into a SweepPoint.
 
     Module-level and addressed by module *name* so the parallel driver
     can ship it to worker processes; the serial path runs the very same
     function, which is what makes parallel output byte-identical.
+    ``serialize`` also returns the serialized AppRun for the run cache
+    (the parent process owns every cache write, so workers never race
+    on the store); sweeps without a cache skip that work and get None.
     """
-    app_module = importlib.import_module(module_name)
-    config = _point_config(
-        total_processors, cluster_size, inter_ssmp_delay, network, overrides
-    )
-    run = app_module.run(config, params, costs, options)
+    run = importlib.import_module(module_name).run(config, params, costs, options)
     if require_valid:
         run.require_valid()
-    return run.name, _fold_point(run)
-
-
-def _sweep_point_payload(
-    module_name: str,
-    params: Any,
-    total_processors: int,
-    cluster_size: int,
-    costs: CostModel | None,
-    inter_ssmp_delay: int,
-    network: NetworkConfig | None,
-    require_valid: bool,
-    overrides: dict[str, Any] | None,
-    options: RunOptions,
-) -> tuple[str, SweepPoint, dict, float]:
-    """The cached-path worker: ``_sweep_point`` plus the cache payload.
-
-    Returns ``(name, point, serialized AppRun, wall seconds)``; the
-    parent process owns all cache writes, so workers never race on the
-    store.
-    """
-    app_module = importlib.import_module(module_name)
-    config = _point_config(
-        total_processors, cluster_size, inter_ssmp_delay, network, overrides
-    )
-    t0 = time.perf_counter()
-    run = app_module.run(config, params, costs, options)
-    wall = time.perf_counter() - t0
-    if require_valid:
-        run.require_valid()
-    return run.name, _fold_point(run), app_run_to_dict(run), wall
-
-
-def _cached_results(
-    cache: RunCache,
-    cache_verify: bool,
-    point_args: list[tuple],
-    jobs: int,
-) -> list[tuple[str, SweepPoint]]:
-    """The cache-aware sweep executor.
-
-    Hits are served in-process from the store (no fork); misses — and,
-    under ``cache_verify``, a deterministic sample of hits — are farmed
-    to workers longest-job-first using cached wall-time estimates, then
-    collected in input order, so the sweep is byte-identical to the
-    uncached serial loop at any job count.
-    """
-    keyed = []
-    for args in point_args:
-        (module_name, params, total_processors, c, costs, delay, network,
-         _, overrides, _) = args
-        config = _point_config(total_processors, c, delay, network, overrides)
-        keyed.append(cache.key_for(config, costs, module_name, params))
-
-    entries = [cache.get(key) for key, _ in keyed]
-    hit_positions = [i for i, e in enumerate(entries) if e is not None]
-    verify_set = (
-        {hit_positions[j] for j in cache.verify_sample(len(hit_positions))}
-        if cache_verify
-        else set()
-    )
-    work = [i for i, e in enumerate(entries) if e is None or i in verify_set]
-
-    priorities = [
-        cache.estimate_seconds(
-            point_args[i][0],
-            point_args[i][3],
-            (point_args[i][8] or {}).get("protocol", "mgs"),
-        )
-        for i in work
-    ]
-    executed = (
-        parallel_map(
-            _sweep_point_payload,
-            [point_args[i] for i in work],
-            jobs,
-            priorities=priorities,
-        )
-        if work
-        else []
-    )
-
-    fresh: dict[int, tuple[str, SweepPoint, dict, float]] = dict(zip(work, executed))
-    results: list[tuple[str, SweepPoint]] = []
-    for i, (key, preimage) in enumerate(keyed):
-        entry = entries[i]
-        if entry is None:
-            name, point, payload, wall = fresh[i]
-            cache.put(key, preimage, payload, wall)
-            results.append((name, point))
-            continue
-        if i in verify_set:
-            cache.check_identical(key, entry, fresh[i][2])
-        run = app_run_from_dict(entry["run"])
-        require_valid = point_args[i][7]
-        if require_valid:
-            run.require_valid()
-        results.append((run.name, _fold_point(run)))
-    return results
+    return run.name, _fold_point(run), app_run_to_dict(run) if serialize else None
 
 
 def run_sweep(
@@ -230,10 +137,10 @@ def run_sweep(
     :mod:`repro.bench.cache`): ``None`` uses ``options.run_cache``,
     ``True``/``False`` force it, or pass a
     :class:`~repro.bench.cache.RunCache` to collect hit/miss counters.
-    Cache hits skip the fork entirely; misses are scheduled
-    longest-job-first from cached wall-time estimates.  ``cache_verify``
-    re-executes a deterministic sample of hits and fails loudly if any
-    cached result is not reproduced bit-for-bit.
+    Cache hits skip the fork entirely; misses run through the same
+    worker and pool as an uncached sweep.  ``cache_verify`` re-executes
+    a deterministic sample of hits and fails loudly if any cached result
+    is not reproduced bit-for-bit.
 
     ``overrides`` are extra :class:`MachineConfig` keyword arguments
     applied to every point (page size, protocol options, ...); the
@@ -251,30 +158,52 @@ def run_sweep(
     if sizes is None:
         sizes = cluster_sizes(total_processors)
     module_name = getattr(app_module, "__name__", str(app_module))
-    point_args = [
-        (
-            module_name,
-            params,
-            total_processors,
-            c,
-            costs,
-            inter_ssmp_delay,
-            network,
-            require_valid,
-            overrides,
-            options,
-        )
-        for c in sizes
-    ]
     jobs = resolve_jobs(options.jobs if jobs is None else jobs)
     run_cache = resolve_cache(cache, options)
-    if run_cache is not None:
-        results = _cached_results(run_cache, cache_verify, point_args, jobs)
+    configs = [
+        _point_config(total_processors, c, inter_ssmp_delay, network, overrides)
+        for c in sizes
+    ]
+    # 1. Look every point up; without a cache every point is a miss.
+    if run_cache is None:
+        keyed, entries = [], [None] * len(configs)
     else:
-        results = parallel_map(_sweep_point, point_args, jobs)
+        keyed = [run_cache.key_for(cfg, costs, module_name, params) for cfg in configs]
+        entries = [run_cache.get(key) for key, _ in keyed]
+    # 2. The work list: every miss, plus the verify sample of the hits.
+    hits = [i for i, entry in enumerate(entries) if entry is not None]
+    verify = (
+        {hits[j] for j in run_cache.verify_sample(len(hits))}
+        if cache_verify and hits
+        else set()
+    )
+    work = [i for i, entry in enumerate(entries) if entry is None or i in verify]
+    # 3. One pool call runs it, submitted in input order.
+    serialize = run_cache is not None
+    executed = parallel_map(
+        _sweep_point,
+        [
+            (module_name, params, configs[i], costs, require_valid, options, serialize)
+            for i in work
+        ],
+        jobs,
+    )
+    fresh = dict(zip(work, executed))
+    # 4. Store the misses and fold the hits, in input order.
     app_name = name
     points = []
-    for run_name, point in results:
+    for i, entry in enumerate(entries):
+        if entry is None:
+            run_name, point, payload = fresh[i]
+            if run_cache is not None:
+                run_cache.put(*keyed[i], payload)
+        else:
+            if i in verify:
+                run_cache.check_identical(keyed[i][0], entry, fresh[i][2])
+            run = app_run_from_dict(entry["run"])
+            if require_valid:
+                run.require_valid()
+            run_name, point = run.name, _fold_point(run)
         app_name = app_name or run_name
         points.append(point)
     return ClusterSweep(

@@ -33,7 +33,6 @@ from repro.bench import (
     resolve_cache,
     resolve_jobs,
     run_figure,
-    run_figures,
     run_sweep,
     run_table4,
 )
@@ -252,18 +251,6 @@ def _print_transaction_stats(sweep) -> None:
             )
 
 
-def _fig11(options: RunOptions, jobs: int, protocol: str) -> str:
-    sweeps = [
-        sweep
-        for _, sweep in run_figures(
-            ["fig8", "fig9", "fig10"], jobs=jobs, protocol=protocol, options=options
-        )
-    ]
-    return render_lock_figure(
-        sweeps, "Figure 11: Hit rate for MGS lock vs cluster size"
-    )
-
-
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -436,24 +423,23 @@ def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> i
     if "all" in experiments:
         experiments = ["table3", "table4", *FIGURES, "fig11"]
 
-    # With workers available, farm whole figures out up front; the
-    # reports still print in the order the experiments were listed.
-    # With the run cache on, figures run in-process instead: cache hits
-    # skip forking entirely and the hit/miss counters stay accurate,
-    # while each figure still farms its cache *misses* to the workers.
-    figure_keys = [exp for exp in experiments if exp in FIGURES]
+    # Figures run one after another, each farming its own points; fig11
+    # reuses the fig8-fig10 sweeps when they have already run.
     sweeps: dict = {}
-    if cache is None and jobs > 1 and len(figure_keys) > 1:
-        sweeps = dict(
-            run_figures(
-                figure_keys,
+
+    def figure(key):
+        if key not in sweeps:
+            sweeps[key] = run_figure(
+                key,
                 total_processors=args.processors,
                 network=network,
                 jobs=jobs,
+                cache=cache if cache is not None else False,
+                cache_verify=args.cache_verify,
                 protocol=args.protocol,
                 options=options,
             )
-        )
+        return sweeps[key]
 
     for exp in experiments:
         print(f"\n{'=' * 72}")
@@ -462,20 +448,14 @@ def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> i
         elif exp == "table4":
             print("Table 4\n\n" + render_table4(run_table4()))
         elif exp == "fig11":
-            print(_fig11(options, jobs, args.protocol))
-        elif exp in FIGURES:
-            sweep = sweeps.get(exp)
-            if sweep is None:
-                sweep = run_figure(
-                    exp,
-                    total_processors=args.processors,
-                    network=network,
-                    jobs=jobs,
-                    cache=cache if cache is not None else False,
-                    cache_verify=args.cache_verify,
-                    protocol=args.protocol,
-                    options=options,
+            print(
+                render_lock_figure(
+                    [figure(key) for key in ("fig8", "fig9", "fig10")],
+                    "Figure 11: Hit rate for MGS lock vs cluster size",
                 )
+            )
+        elif exp in FIGURES:
+            sweep = figure(exp)
             print(figure_report(exp, sweep))
             _print_network_stats(sweep)
             _print_transaction_stats(sweep)

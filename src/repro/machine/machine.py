@@ -128,7 +128,7 @@ class Machine:
             for p in range(config.total_processors)
         ]
         self.stats = MessageStats()
-        net = config.resolved_network
+        net = config.network
         self.net_config = net
         self.internal = build_internal(net, config)
         self.external = build_external(net, config)

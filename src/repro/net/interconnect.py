@@ -157,8 +157,9 @@ class FixedLatency(Interconnect):
 class SharedBus(Interconnect):
     """One shared link: messages serialize at ``bandwidth`` bytes/cycle.
 
-    Subsumes the seed's ``lan_bandwidth`` hack, with the reservation
-    reordering bug fixed by ``contended`` two-stage scheduling.
+    The LAN contention model (``NetworkConfig(external="bus",
+    bus_bandwidth=...)``); ``contended`` two-stage scheduling makes its
+    link reservations in deterministic event order.
     """
 
     name = "bus"

@@ -174,12 +174,6 @@ class MachineConfig:
     intra_wire_latency: int = 5
     control_msg_bytes: int = 64
     hw_dir_pointers: int = 5
-    #: LAN bandwidth in bytes/cycle for the external network; 0 disables
-    #: contention modeling (the paper's fixed-latency model, section
-    #: 4.2.2 — which explicitly notes contention as unmodeled).  A
-    #: positive value is back-compat shorthand for
-    #: ``NetworkConfig(external="bus", bus_bandwidth=...)``.
-    lan_bandwidth: float = 0.0
     network: NetworkConfig = field(default_factory=NetworkConfig)
     options: ProtocolOptions = field(default_factory=ProtocolOptions)
     #: coherence engine by registry name (see :mod:`repro.protocols`)
@@ -245,19 +239,6 @@ class MachineConfig:
     def with_cluster_size(self, cluster_size: int) -> "MachineConfig":
         """A copy of this config with a different cluster size."""
         return replace(self, cluster_size=cluster_size)
-
-    @property
-    def resolved_network(self) -> NetworkConfig:
-        """The effective :class:`NetworkConfig`.
-
-        A positive ``lan_bandwidth`` with the default ``fixed`` external
-        model is promoted to the shared-bus model it always meant.
-        """
-        if self.lan_bandwidth > 0 and self.network.external == "fixed":
-            return replace(
-                self.network, external="bus", bus_bandwidth=self.lan_bandwidth
-            )
-        return self.network
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,7 @@ POST      ``/v1/jobs``            submit a sweep (body: see
                                   an identical in-flight job, 400 on
                                   validation errors, 429 when throttled
 GET       ``/v1/jobs/<id>``       job state + progress (points done /
-                                  total, wall-time estimate from the run
-                                  cache's index) + per-job cache counters
+                                  total) + per-job cache counters
 GET       ``/v1/jobs/<id>/result``  the finished sweep as the
                                   ``repro.metrics.export`` payload; 409
                                   until the job is done
@@ -24,7 +23,7 @@ POST      ``/v1/shutdown``        graceful shutdown: drain the running
 
 Architecture: a :class:`~http.server.ThreadingHTTPServer` answers
 requests while one dispatcher thread drains the
-:class:`~repro.serve.jobs.JobQueue` longest-job-first; each job fans its
+:class:`~repro.serve.jobs.JobQueue` in submission order; each job fans its
 cluster-size points to a bounded process pool through the sweep engine,
 and all jobs share one content-addressed run cache, so identical work —
 across requests, clients, daemon restarts, even the CLI — is simulated

@@ -1,4 +1,4 @@
-"""Job queue for the serve daemon: single-flight, cost-aware, durable.
+"""Job queue for the serve daemon: single-flight, FIFO, durable.
 
 A job is one validated sweep request (:class:`~repro.serve.validate
 .JobRequest`) plus its execution state.  The queue provides:
@@ -9,10 +9,8 @@ A job is one validated sweep request (:class:`~repro.serve.validate
   simulating twice.  (A resubmission *after* completion gets a fresh
   job: it runs through the shared content-addressed run cache, so it
   still simulates nothing — and its per-job hit counters prove it.)
-* **Longest-job-first dispatch** — the same
-  :func:`repro.bench.parallel.submission_order` scheduler the parallel
-  sweep runner uses, fed with wall-time estimates from the run cache's
-  index, so the slowest queued sweep starts first.
+* **FIFO dispatch** — one dispatcher thread runs queued jobs in the
+  order they were submitted.
 * **Per-job cache counters** — every job executes against its own
   :class:`~repro.bench.cache.RunCache` instance over the daemon's shared
   store, so ``GET /v1/jobs/<id>`` reports exactly how much of that job
@@ -38,7 +36,6 @@ from pathlib import Path
 
 from repro.apps import ALL_APPS
 from repro.bench.cache import RunCache
-from repro.bench.parallel import submission_order
 from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
 from repro.runtime import RunOptions
@@ -76,12 +73,10 @@ class Job:
 
 
 class JobQueue:
-    """Thread-safe job registry + FIFO-with-priorities dispatch queue."""
+    """Thread-safe job registry + FIFO dispatch queue."""
 
     def __init__(self, cache_root: str | Path) -> None:
         self.cache_root = Path(cache_root)
-        #: estimates only; jobs get their own counter-bearing instances
-        self._estimator = RunCache(self.cache_root)
         self._lock = threading.Lock()
         self._wakeup = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
@@ -123,23 +118,8 @@ class JobQueue:
 
     # -- dispatch ------------------------------------------------------
 
-    def estimate_remaining(self, job: Job) -> float | None:
-        """Wall-seconds estimate for the job's unfinished points, from
-        the run cache's index; None when nothing is known yet."""
-        remaining = job.request.sizes[job.points_done:]
-        estimates = [
-            self._estimator.estimate_seconds(
-                job.request.workload, c, job.request.protocol
-            )
-            for c in remaining
-        ]
-        known = [e for e in estimates if e is not None]
-        if not known:
-            return None
-        return sum(known)
-
     def take_next(self, timeout: float | None = None) -> Job | None:
-        """Pop the next job (longest-first) and mark it running.
+        """Pop the oldest queued job and mark it running.
 
         Blocks up to ``timeout`` seconds for work; None on timeout.
         """
@@ -148,11 +128,7 @@ class JobQueue:
                 self._wakeup.wait(timeout)
             if not self._queued:
                 return None
-            order = submission_order(
-                len(self._queued),
-                [self.estimate_remaining(j) for j in self._queued],
-            )
-            job = self._queued.pop(order[0])
+            job = self._queued.pop(0)
             job.state = RUNNING
             job.started = time.time()
             return job
@@ -199,11 +175,6 @@ class JobQueue:
                 "progress": {
                     "points_done": job.points_done,
                     "points_total": job.points_total,
-                    "estimate_seconds_remaining": (
-                        0.0
-                        if job.state in (DONE, FAILED)
-                        else self.estimate_remaining(job)
-                    ),
                 },
                 "cache": job.cache.stats.as_dict(),
                 "error": job.error,

@@ -162,7 +162,6 @@ def test_warm_sweep_is_all_hits_and_never_simulates(tmp_path, monkeypatch):
     def boom(*args, **kwargs):  # the acceptance criterion: zero simulation
         raise AssertionError("warm pass simulated a point")
 
-    monkeypatch.setattr(sweep_mod, "_sweep_point_payload", boom)
     monkeypatch.setattr(sweep_mod, "_sweep_point", boom)
     warm = RunCache(tmp_path / "c")
     sweep_warm = _sweep(warm)
@@ -239,17 +238,14 @@ def test_corrupt_entry_is_a_miss_and_heals(tmp_path):
 
 
 def test_identical_keys_carry_identical_bytes(tmp_path):
-    """Two stores putting one key write byte-identical entry files, even
-    when the executions took different wall times."""
+    """Two stores putting one key write byte-identical entry files."""
     key, preimage = fingerprint_run(
         MachineConfig(total_processors=4, cluster_size=2),
         CostModel(), 1500, "wl", None, source="fixed",
     )
     blobs = []
-    for name, wall in (("a", 0.25), ("b", 4.0)):
-        RunCache(tmp_path / name, source="fixed").put(
-            key, preimage, {"payload": 1}, wall
-        )
+    for name in ("a", "b"):
+        RunCache(tmp_path / name, source="fixed").put(key, preimage, {"payload": 1})
         blobs.append((tmp_path / name / key[:2] / f"{key}.json").read_bytes())
     assert blobs[0] == blobs[1]
 
@@ -287,7 +283,7 @@ def test_verify_sample_is_deterministic_and_nonempty():
 
 
 # ---------------------------------------------------------------------------
-# activation, estimates, reporting
+# activation, reporting
 # ---------------------------------------------------------------------------
 
 
@@ -315,33 +311,6 @@ def test_resolve_cache_env_activation(tmp_path, monkeypatch):
 
     passthrough = RunCache(tmp_path / "x")
     assert resolved(passthrough) is passthrough
-
-
-def test_estimates_feed_cost_aware_scheduling(tmp_path):
-    cold = RunCache(tmp_path / "c")
-    _sweep(cold)
-    fresh = RunCache(tmp_path / "c")
-    exact = fresh.estimate_seconds("repro.apps.jacobi", 2)
-    assert exact is not None and exact >= 0.0
-    # unknown cluster size falls back to the workload mean
-    assert fresh.estimate_seconds("repro.apps.jacobi", 64) is not None
-    # unknown workload has no estimate (scheduler runs it first)
-    assert fresh.estimate_seconds("repro.apps.nonesuch", 2) is None
-
-
-def test_estimates_are_indexed_per_engine(tmp_path):
-    """The wall-time LJF index keeps working with several engines in one
-    store: exact per-engine estimates first, any-engine fallback after."""
-    root = tmp_path / "c"
-    _sweep(RunCache(root))
-    _sweep(RunCache(root), protocol="swdsm")
-    fresh = RunCache(root)
-    assert fresh.estimate_seconds("repro.apps.jacobi", 2, "mgs") is not None
-    assert fresh.estimate_seconds("repro.apps.jacobi", 2, "swdsm") is not None
-    # an engine with no recorded points falls back to any-engine timings
-    # (better than scheduling blind), an unknown workload stays unknown
-    assert fresh.estimate_seconds("repro.apps.jacobi", 2, "gcs") is not None
-    assert fresh.estimate_seconds("repro.apps.nonesuch", 2, "gcs") is None
 
 
 def test_summary_counters_are_exported(tmp_path):
@@ -387,14 +356,14 @@ def _hammer_store(root, worker, n_keys):
             None,
             source="fixed",
         )
-        cache.put(key, preimage, {"payload": [worker, i]}, 0.01 * (i + 1))
+        cache.put(key, preimage, {"payload": [worker, i]})
     return cache.stats.stores
 
 
 def test_two_processes_share_one_cache_dir(tmp_path):
     # The serve daemon plus a CLI run (or two daemons) writing the same
-    # REPRO_CACHE_DIR concurrently: no torn entries, and the wall-time
-    # index keeps every writer's records (read-merge-write under flock).
+    # REPRO_CACHE_DIR concurrently: no torn entries, every key present,
+    # no temporary files left behind.
     import multiprocessing as mp
 
     root = tmp_path / "shared"
@@ -416,16 +385,8 @@ def test_two_processes_share_one_cache_dir(tmp_path):
         seen.add(entry["fingerprint"]["workload"])
     # 12 shared workloads + 12 private ones per worker
     assert len(files) == n_keys // 2 + 2 * (n_keys // 2)
-
-    # the index retained one record per distinct key from BOTH workers
-    index = json.loads((root / "index.json").read_text())
-    assert len(index["entries"]) == len(files)
     # and no temporary files leaked
     assert not list(root.rglob("*.tmp.*"))
-
-    # a fresh instance schedules from the merged index
-    reader = RunCache(root, source="fixed")
-    assert reader.estimate_seconds("wl-0", 2) == pytest.approx(0.01)
 
 
 def test_threads_sharing_one_runcache_do_not_tear(tmp_path):
@@ -442,7 +403,7 @@ def test_threads_sharing_one_runcache_do_not_tear(tmp_path):
     def writer():
         barrier.wait()
         for _ in range(10):
-            cache.put(key, preimage, {"payload": "identical"}, 0.5)
+            cache.put(key, preimage, {"payload": "identical"})
 
     threads = [threading.Thread(target=writer) for _ in range(4)]
     for t in threads:

@@ -65,3 +65,27 @@ def test_no_replay_flag_beats_the_environment_in_pool_workers(
         assert seen and all(s == {"True"} for s in seen.values())
     finally:
         par.shutdown_pool()
+
+
+def test_fig11_honours_processors(capsys):
+    assert main(["fig11", "--processors", "4"]) == 0
+    out = capsys.readouterr().out
+    header = next(line for line in out.splitlines() if line.strip().startswith("app"))
+    assert header.split() == ["app", "C=1", "C=2", "C=4"]
+
+
+def test_fig11_forwards_network_and_reuses_its_figures(monkeypatch, capsys):
+    from repro.metrics import ClusterSweep
+
+    calls = []
+
+    def fake_run_figure(key, total_processors, network, **kwargs):
+        calls.append((key, total_processors, network.external))
+        return ClusterSweep(app=key, total_processors=total_processors, points=[])
+
+    monkeypatch.setattr("repro.cli.run_figure", fake_run_figure)
+    args = ["fig11", "fig11", "--processors", "4", "--network", "bus"]
+    assert main(args) == 0
+    assert "Figure 11" in capsys.readouterr().out
+    # each figure runs once, on the requested machine and network
+    assert calls == [(key, 4, "bus") for key in ("fig8", "fig9", "fig10")]

@@ -24,7 +24,7 @@ from repro.apps import barnes_hut, jacobi, matmul, scanphase, tsp, water
 from repro.apps.jacobi import JacobiParams
 from repro.core.engine import engine_names
 from repro.params import MachineConfig, NetworkConfig
-from repro.runtime import RunOptions
+from repro.runtime import RunOptions, Runtime
 from repro.sim.snapshot import digest
 from tests.machine_state import run_state
 
@@ -76,7 +76,7 @@ def test_jacobi_figure6_curve_is_bit_for_bit(network):
 
 def _full_state(fastpath: bool):
     config = MachineConfig(total_processors=8, cluster_size=2)
-    rt = jacobi.make_runtime(config, options=RunOptions(fastpath=fastpath))
+    rt = Runtime(config, options=RunOptions(fastpath=fastpath))
     final = jacobi.build(rt, JacobiParams(n=32, iterations=3))
     result = rt.run()
     return {**run_state(rt, result), "grid": final.snapshot().tolist()}
@@ -111,7 +111,7 @@ def _app_state(module, params, engine: str, fastpath: bool) -> dict:
     # Replay off, so every phase runs through the Env access paths.
     config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
     options = RunOptions(fastpath=fastpath, replay=False)
-    rt = module.make_runtime(config, options=options)
+    rt = Runtime(config, options=options)
     final = module.build(rt, params)
     state = run_state(rt, rt.run())
     snapshot = getattr(final, "snapshot", None)

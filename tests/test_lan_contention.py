@@ -1,19 +1,27 @@
 """Tests for the LAN contention extension (paper section 4.2.2 notes the
-fixed-latency model ignores contention; ``lan_bandwidth`` closes that)."""
+fixed-latency model ignores contention; the shared-bus network model,
+``NetworkConfig(external="bus", bus_bandwidth=...)``, closes that)."""
 
 import pytest
 
 from repro.machine import Machine
-from repro.params import CostModel, MachineConfig
+from repro.params import CostModel, MachineConfig, NetworkConfig
 from repro.sim import Simulator
 from repro.apps import jacobi
+
+
+def lan(bandwidth):
+    """The shared bus at ``bandwidth``, or the paper's network for 0."""
+    if bandwidth == 0.0:
+        return NetworkConfig()
+    return NetworkConfig(external="bus", bus_bandwidth=bandwidth)
 
 
 def make_machine(bandwidth, delay=1000):
     sim = Simulator()
     config = MachineConfig(
         total_processors=4, cluster_size=2,
-        inter_ssmp_delay=delay, lan_bandwidth=bandwidth,
+        inter_ssmp_delay=delay, network=lan(bandwidth),
     )
     return sim, Machine(sim, config, CostModel())
 
@@ -65,7 +73,7 @@ def test_higher_bandwidth_shortens_transfers():
 def test_application_correct_under_contention(bandwidth):
     config = MachineConfig(
         total_processors=8, cluster_size=2,
-        inter_ssmp_delay=500, lan_bandwidth=bandwidth,
+        inter_ssmp_delay=500, network=lan(bandwidth),
     )
     run = jacobi.run(config, jacobi.JacobiParams(n=24, iterations=2))
     assert run.valid
@@ -76,7 +84,7 @@ def test_contention_slows_communication_bound_runs():
     def time_at(bw):
         config = MachineConfig(
             total_processors=8, cluster_size=1,
-            inter_ssmp_delay=500, lan_bandwidth=bw,
+            inter_ssmp_delay=500, network=lan(bw),
         )
         return jacobi.run(
             config, jacobi.JacobiParams(n=24, iterations=2, compute_per_point=20)

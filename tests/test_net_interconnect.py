@@ -132,18 +132,6 @@ def test_fabric_beats_bus_under_cross_traffic():
 # ----------------------------------------------------------------------
 
 
-def test_lan_bandwidth_back_compat_promotes_to_bus():
-    config = MachineConfig(lan_bandwidth=2.0)
-    net = config.resolved_network
-    assert net.external == "bus"
-    assert net.bus_bandwidth == 2.0
-    # An explicit model wins over the legacy knob.
-    config = MachineConfig(
-        lan_bandwidth=2.0, network=NetworkConfig(external="fabric")
-    )
-    assert config.resolved_network.external == "fabric"
-
-
 def test_default_config_builds_paper_models():
     sim, m = make_machine()
     assert m.external.name == "fixed"

@@ -6,7 +6,7 @@ import os
 import pytest
 
 from repro.apps import jacobi, scanphase
-from repro.bench import parallel_map, resolve_jobs, run_figures, run_sweep
+from repro.bench import RunCache, parallel_map, resolve_jobs, run_sweep
 from repro.bench import parallel as par
 from repro.runtime import RunOptions
 
@@ -106,28 +106,6 @@ def test_parallel_map_single_cpu_stays_in_process(monkeypatch):
 
     assert parallel_map(local, [(1,), (2,), (3,)], jobs=4) == [-1, -2, -3]
     assert calls == [1, 2, 3]
-
-
-def test_parallel_map_priorities_preserve_input_order(monkeypatch):
-    # Priorities reorder *submission* (longest-job-first), never results.
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    assert parallel_map(
-        abs, [(-1,), (2,), (-3,), (-4,)], jobs=2, priorities=[0.1, 5.0, None, 1.0]
-    ) == [1, 2, 3, 4]
-
-
-def test_parallel_map_priorities_length_mismatch_raises():
-    with pytest.raises(ValueError, match="priorities"):
-        parallel_map(abs, [(-1,), (2,)], jobs=2, priorities=[1.0])
-
-
-def test_submission_order_is_longest_first_unknowns_lead():
-    from repro.bench.parallel import submission_order
-
-    assert submission_order(4, [0.1, 5.0, None, 1.0]) == [2, 1, 3, 0]
-    assert submission_order(3, None) == [0, 1, 2]
-    # ties keep input order (stable, deterministic)
-    assert submission_order(3, [1.0, 1.0, 2.0]) == [2, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,16 +233,35 @@ def _tiny_params():
     return jacobi.JacobiParams(n=16, iterations=2)
 
 
-def test_run_sweep_parallel_matches_serial():
-    serial = run_sweep(jacobi, params=_tiny_params(), total_processors=4, jobs=1)
-    twice = run_sweep(jacobi, params=_tiny_params(), total_processors=4, jobs=2)
-    assert dataclasses.asdict(serial) == dataclasses.asdict(twice)
+#: cache mode -> (hits, misses, stores, verified) of each jacobi sweep
+#: over C = 1, 2, 4; under verify every other hit re-executes, starting
+#: with the first
+SWEEP_COUNTERS = {
+    "off": None,
+    "cold": (0, 3, 3, 0),
+    "warm-verify": (3, 0, 0, 2),
+}
 
 
-def test_run_figures_matches_individual_runs():
-    from repro.bench import run_figure
-
-    farmed = run_figures(["fig6"], total_processors=8, jobs=2)
-    assert [key for key, _ in farmed] == ["fig6"]
-    direct = run_figure("fig6", total_processors=8)
-    assert dataclasses.asdict(farmed[0][1]) == dataclasses.asdict(direct)
+def test_run_sweep_parallel_matches_serial(fresh_pool, tmp_path):
+    """One sweep path: identical sweeps at any job count, with the run
+    cache off, cold, or warm under verify."""
+    warm = tmp_path / "warm"
+    run_sweep(jacobi, params=_tiny_params(), total_processors=4,
+              cache=RunCache(warm))
+    sweeps = []
+    for mode, counters in SWEEP_COUNTERS.items():
+        for jobs in (1, 2):
+            cache = None
+            if mode != "off":
+                root = warm if mode == "warm-verify" else tmp_path / f"cold{jobs}"
+                cache = RunCache(root, verify_fraction=0.5)
+            sweep = run_sweep(
+                jacobi, params=_tiny_params(), total_processors=4, jobs=jobs,
+                cache=cache or False, cache_verify=mode == "warm-verify",
+            )
+            sweeps.append(dataclasses.asdict(sweep))
+            if cache is not None:
+                s = cache.stats
+                assert (s.hits, s.misses, s.stores, s.verified) == counters, mode
+    assert all(sweep == sweeps[0] for sweep in sweeps)

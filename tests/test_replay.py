@@ -45,7 +45,7 @@ def _full_state(module, params, protocol: str, replay: bool) -> dict:
     config = MachineConfig(
         total_processors=4, cluster_size=2, protocol=protocol
     )
-    rt = module.make_runtime(config, options=RunOptions(replay=replay))
+    rt = Runtime(config, options=RunOptions(replay=replay))
     final = module.build(rt, params)
     result = rt.run()
     state = run_state(rt, result)
@@ -91,7 +91,7 @@ def test_scanphase_validates_under_replay():
 def test_no_replay_env_escape_hatch(monkeypatch):
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     config = MachineConfig(total_processors=4, cluster_size=2)
-    rt = scanphase.make_runtime(config)
+    rt = Runtime(config)
     assert rt.options.replay is False
     scanphase.build(rt, SCAN_PARAMS)
     rt.run()
@@ -102,13 +102,13 @@ def test_replay_flag_overrides_environment(monkeypatch):
     monkeypatch.setenv("REPRO_NO_REPLAY", "1")
     config = MachineConfig(total_processors=4, cluster_size=2)
     on = RunOptions(replay=True)
-    assert scanphase.make_runtime(config, options=on).options.replay is True
+    assert Runtime(config, options=on).options.replay is True
     # a single field changed on top of the environment's options
     changed = replace(RunOptions.from_env(), replay=True)
-    assert scanphase.make_runtime(config, options=changed).options.replay is True
+    assert Runtime(config, options=changed).options.replay is True
     monkeypatch.delenv("REPRO_NO_REPLAY")
     off = RunOptions(replay=False)
-    assert scanphase.make_runtime(config, options=off).options.replay is False
+    assert Runtime(config, options=off).options.replay is False
 
 
 def test_spawn_and_spawn_phases_are_mutually_exclusive():

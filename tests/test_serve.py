@@ -14,14 +14,12 @@ The headline contracts (ISSUE 6 acceptance criteria):
 """
 
 import json
-import threading
 import time
 
 import pytest
 
-from repro.bench.cache import RunCache, fingerprint_run
+from repro.bench.cache import RunCache
 from repro.metrics.export import SCHEMA_VERSION
-from repro.params import CostModel, MachineConfig
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobs import JobQueue, execute_job
@@ -143,7 +141,7 @@ def test_client_table_is_per_client():
 
 
 # ---------------------------------------------------------------------------
-# the job queue: single-flight + longest-job-first + persistence
+# the job queue: single-flight + FIFO dispatch + persistence
 # ---------------------------------------------------------------------------
 
 
@@ -170,23 +168,14 @@ def test_single_flight_coalesces_in_flight_submissions(tmp_path):
     assert not coalesced4 and fresh is not job
 
 
-def test_dispatch_is_longest_job_first(tmp_path):
-    root = tmp_path / "c"
-    seed = RunCache(root, source="fixed")
-    for workload, wall in (("jacobi", 0.1), ("matmul", 5.0)):
-        key, preimage = fingerprint_run(
-            MachineConfig(total_processors=4, cluster_size=2),
-            CostModel(), 1500, workload, None, source="fixed",
-        )
-        seed.put(key, preimage, {"payload": 1}, wall)
-
-    queue = JobQueue(root)
-    quick, _ = queue.submit(validate_request(dict(JACOBI)), "a")
-    slow, _ = queue.submit(
+def test_dispatch_is_first_in_first_out(tmp_path):
+    queue = JobQueue(tmp_path / "c")
+    first, _ = queue.submit(validate_request(dict(JACOBI)), "a")
+    second, _ = queue.submit(
         validate_request({**JACOBI, "workload": "matmul", "params": {}}), "a"
     )
-    assert queue.take_next(0) is slow  # 5.0s estimate beats 0.1s
-    assert queue.take_next(0) is quick
+    assert queue.take_next(0) is first
+    assert queue.take_next(0) is second
 
 
 def test_queue_persist_and_restore_round_trip(tmp_path):
@@ -250,7 +239,6 @@ def test_e2e_submit_progress_result(daemon):
     assert status["state"] == "done"
     assert status["progress"]["points_done"] == 2
     assert status["progress"]["points_total"] == 2
-    assert status["progress"]["estimate_seconds_remaining"] == 0.0
 
 
 def _kwargs(body):

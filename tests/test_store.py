@@ -31,7 +31,7 @@ def _run_cache(root):
     return (
         cache.stats,
         lambda: cache.get(key),
-        lambda: cache.put(key, preimage, {"payload": [1, 2]}, 0.5),
+        lambda: cache.put(key, preimage, {"payload": [1, 2]}),
     )
 
 
