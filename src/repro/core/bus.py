@@ -1,9 +1,9 @@
 """The typed protocol message bus.
 
 No coherence engine calls :meth:`Machine.send` directly: every message
-is a frozen dataclass (MGS's Table 2 set from :mod:`repro.core.messages`,
-each baseline's own from its ``messages.py``), built and routed by one
-:class:`MessageBus`.  The bus
+is a slotted dataclass, never mutated after send (MGS's Table 2 set from
+:mod:`repro.core.messages`, each baseline's own from its
+``messages.py``), built and routed by one :class:`MessageBus`.  The bus
 
 * **builds every message** — :meth:`MessageBus.send` makes it from
   its class, page, endpoint pids and transaction (the cluster fields
@@ -12,10 +12,12 @@ each baseline's own from its ``messages.py``), built and routed by one
 * owns **handler registration** — engines mark methods with
   ``@handles(MsgType.RREQ)`` and :meth:`MessageBus.register` builds the
   dispatch table, enforcing exactly one handler per message type;
-* routes through ``Machine.send`` (and therefore :mod:`repro.net`)
-  **unchanged** — one simulator event per message, same label, same wire
-  size, so the default-configuration cycle counts are bit-for-bit those
-  of the hand-wired callbacks it replaced;
+* routes through one positional ``Machine.send`` (and therefore
+  :mod:`repro.net`) — one simulator event per message on the default
+  network, same label, same wire size, so the default-configuration
+  cycle counts are bit-for-bit those of the hand-wired callbacks it
+  replaced; the bus keeps its machine's ``sim`` and ``cluster_size`` at
+  hand, since every send and delivery reads them;
 * auto-records **per-type observability** — delivered message counts,
   wire bytes, and wire latency per :class:`MsgType`, plus the
   per-transaction latency log behind the fault/release percentiles in
@@ -39,7 +41,7 @@ histograms exported by ``metrics``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.core.messages import MsgType, ProtocolMessage
@@ -67,7 +69,7 @@ def handles(*types: MsgType | str) -> Callable:
     return mark
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageFlow:
     """Delivered-message statistics for one message type."""
 
@@ -84,7 +86,7 @@ class MessageFlow:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     """One protocol operation, from runtime entry to completion."""
 
@@ -110,6 +112,8 @@ class MessageBus:
     def __init__(self, machine: "Machine", config: "MachineConfig") -> None:
         self.machine = machine
         self.config = config
+        self.sim = machine.sim
+        self.cluster_size = config.cluster_size
         self._handlers: dict[str, Callable[[Any], None]] = {}
         self._taps: list[Callable[[ProtocolMessage, int, int], None]] = []
         self._txn_taps: list[Callable[[str, Transaction], None]] = []
@@ -175,7 +179,7 @@ class MessageBus:
         label = cls.label
         if label not in self._handlers:
             raise LookupError(f"no handler registered for {label}")
-        cluster_size = self.config.cluster_size
+        cluster_size = self.cluster_size
         # Positional, in ProtocolMessage's field order: the cheapest
         # construction, on the path every message takes.
         msg = cls(
@@ -187,18 +191,10 @@ class MessageBus:
             txn,
             **fields,
         )
-        sent_at = self.machine.sim.now if at is None else at
+        sent_at = self.sim.now if at is None else at
         size = msg.wire_bytes(self.config)
         self.machine.send(
-            msg.src_pid,
-            msg.dst_pid,
-            self._deliver,
-            msg,
-            sent_at,
-            size,
-            at=at,
-            label=label,
-            size=size,
+            src_pid, dst_pid, self._deliver, (msg, sent_at, size), label, sent_at, size
         )
 
     def reply(
@@ -218,10 +214,11 @@ class MessageBus:
         self.send(cls, to.vpn, to.dst_pid, to.src_pid, to.txn, at, **fields)
 
     def _deliver(self, msg: ProtocolMessage, sent_at: int, size: int) -> None:
-        now = self.machine.sim.now
-        flow = self.flows.get(msg.label)
+        now = self.sim.now
+        label = msg.label
+        flow = self.flows.get(label)
         if flow is None:
-            flow = self.flows[msg.label] = MessageFlow()
+            flow = self.flows[label] = MessageFlow()
         flow.count += 1
         flow.bytes += size
         flow.latency_cycles += now - sent_at
@@ -230,7 +227,7 @@ class MessageBus:
             txn.messages += 1
         for tap in self._taps:
             tap(msg, sent_at, now)
-        self._handlers[msg.label](msg)
+        self._handlers[label](msg)
 
     # ------------------------------------------------------------------
     # transactions
@@ -240,10 +237,7 @@ class MessageBus:
         """Open a transaction; returns the id its messages must carry."""
         txn = self._next_txn
         self._next_txn += 1
-        rec = Transaction(
-            txn=txn, kind=kind, pid=pid, vpn=vpn,
-            start=self.machine.sim.now, note=note,
-        )
+        rec = Transaction(txn, kind, pid, vpn, self.sim.now, note)
         self.open_txns[txn] = rec
         for tap in self._txn_taps:
             tap("begin", rec)
@@ -254,7 +248,7 @@ class MessageBus:
         rec = self.open_txns.pop(txn, None)
         if rec is None:
             return
-        rec.end = self.machine.sim.now
+        rec.end = self.sim.now
         self.latencies.setdefault(rec.kind, []).append(rec.latency)
         for tap in self._txn_taps:
             tap("end", rec)

@@ -1,6 +1,6 @@
 """Typed protocol messages (Table 2 of the paper).
 
-Every arc of the MGS protocol travels as a frozen dataclass from this
+Every arc of the MGS protocol travels as a slotted dataclass from this
 module: one class per Table 2 message type, each carrying the page it
 concerns (``vpn``), its endpoints (source/destination cluster and
 processor), and the **transaction id** (``txn``) of the fault or release
@@ -9,7 +9,10 @@ operation it belongs to, assigned by the
 protocol and threaded through every message until the operation
 completes.  Wire sizes are derived from the message type itself
 (:meth:`ProtocolMessage.wire_bytes`), so call sites never hand-compute
-payload bytes.  The full Table 2 set:
+payload bytes.  Messages are not frozen (a frozen ``__init__`` costs a
+``object.__setattr__`` per field on every send), but no code rebinds a
+field once a message is built: ``tests/test_messages.py`` pins that for
+every message a mixed workload delivers.  The full Table 2 set:
 
 =============  =====================================================
 Local Client -> Remote Client
@@ -111,7 +114,7 @@ class MsgType(enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ProtocolMessage:
     """Base of every protocol message.
 
@@ -149,7 +152,7 @@ class ProtocolMessage:
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Upgrade(ProtocolMessage):
     """Request read->write privilege upgrade (arc 2)."""
 
@@ -159,7 +162,7 @@ class Upgrade(ProtocolMessage):
     on_done: Callable[[], None] = None  # type: ignore[assignment]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class PinvAck(ProtocolMessage):
     """Acknowledge a TLB shootdown (arcs 15-16)."""
 
@@ -172,7 +175,7 @@ class PinvAck(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Pinv(ProtocolMessage):
     """Invalidate one processor's TLB entry (arcs 11-12)."""
 
@@ -180,7 +183,7 @@ class Pinv(ProtocolMessage):
     label: ClassVar[str] = MsgType.PINV.value
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class UpAck(ProtocolMessage):
     """Acknowledge an upgrade (arc 7)."""
 
@@ -195,7 +198,7 @@ class UpAck(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Rreq(ProtocolMessage):
     """Read data request (arc 5)."""
 
@@ -207,7 +210,7 @@ class Rreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Wreq(ProtocolMessage):
     """Write data request (arc 5)."""
 
@@ -219,7 +222,7 @@ class Wreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Rel(ProtocolMessage):
     """Release one dirty page (arc 8)."""
 
@@ -234,7 +237,7 @@ class Rel(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Rdat(ProtocolMessage):
     """Read data grant (arc 6): control header plus the page."""
 
@@ -251,7 +254,7 @@ class Rdat(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Wdat(ProtocolMessage):
     """Write data grant (arc 6): control header plus the page."""
 
@@ -268,7 +271,7 @@ class Wdat(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Rack(ProtocolMessage):
     """Acknowledge a release (arcs 9-10)."""
 
@@ -283,7 +286,7 @@ class Rack(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Ack(ProtocolMessage):
     """Acknowledge a read-copy invalidation (arc 15).
 
@@ -298,7 +301,7 @@ class Ack(ProtocolMessage):
     dirty: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Diff(ProtocolMessage):
     """Acknowledge a write-copy invalidation with the Munin diff."""
 
@@ -312,7 +315,7 @@ class Diff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * len(self.indices)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class OneWdata(ProtocolMessage):
     """Single-writer invalidation response: the whole page travels home,
     applied as a diff against the twin (see ``docs/PROTOCOL.md``)."""
@@ -327,7 +330,7 @@ class OneWdata(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Wnotify(ProtocolMessage):
     """Notify the home of a read->write upgrade (arc 18)."""
 
@@ -340,7 +343,7 @@ class Wnotify(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class Inv(ProtocolMessage):
     """Invalidate an SSMP's page copy (arc 14).
 
@@ -359,7 +362,7 @@ class Inv(ProtocolMessage):
         return "inv"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class OneWinv(ProtocolMessage):
     """Invalidate the single writer's copy, which it keeps (arc 14)."""
 
@@ -376,7 +379,7 @@ class OneWinv(ProtocolMessage):
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class RetainedUnlock(ProtocolMessage):
     """Release-round completion signal for a retained single-writer copy:
     the copy is consistent with home again and may serve mappings."""

@@ -72,11 +72,10 @@ class MessageStats:
     intra_ssmp: int = 0
     #: bytes shipped over the external network
     inter_ssmp_bytes: int = 0
-    #: cycles inter-SSMP messages spent queued behind earlier traffic
-    #: (nonzero only for contended external models: bus, fabric)
-    lan_queue_cycles: int = 0
     by_label: Counter = field(default_factory=Counter)
-    #: queue cycles split by link (one entry for "bus", one per fabric pair)
+    #: cycles inter-SSMP messages spent queued behind earlier traffic, by
+    #: link (one entry for "bus", one per fabric pair): the external
+    #: model's own ``queue_cycles`` counter
     queue_cycles_by_link: Counter = field(default_factory=Counter)
     #: datagrams actually put on the external wire (retransmissions,
     #: acks, and injected duplicates included; drops excluded)
@@ -90,6 +89,12 @@ class MessageStats:
     retransmits_by_link: Counter = field(default_factory=Counter)
     acks_sent: int = 0
     dups_suppressed: int = 0
+
+    @property
+    def lan_queue_cycles(self) -> int:
+        """Total queue cycles over every external link (nonzero only for
+        contended external models: bus, fabric)."""
+        return sum(self.queue_cycles_by_link.values())
 
     def network_summary(self) -> dict:
         """JSON-ready roll-up for ``metrics.export``."""
@@ -127,34 +132,35 @@ class Machine:
             ProcessorState(pid=p, cluster=config.cluster_of(p))
             for p in range(config.total_processors)
         ]
-        self.stats = MessageStats()
+        #: cluster of each processor, indexed by pid
+        self.clusters = [p.cluster for p in self.processors]
         net = config.network
         self.net_config = net
         self.internal = build_internal(net, config)
         self.external = build_external(net, config)
+        self.stats = MessageStats(queue_cycles_by_link=self.external.queue_cycles)
         self.faults = FaultInjector(net) if net.faults_enabled else None
         self.transport = (
             ReliableTransport(self, net, config) if net.reliable_effective else None
         )
-
-    def wire_latency(self, src: int, dst: int) -> int:
-        """Uncontended one-way latency between two processors."""
-        if self.processors[src].cluster == self.processors[dst].cluster:
-            return self.internal.latency(src, dst)
-        return self.config.inter_ssmp_delay
+        #: inter-SSMP messages need no staging: an uncontended network
+        #: with neither fault injection nor the reliable transport
+        self._direct_external = (
+            not self.external.contended
+            and self.faults is None
+            and self.transport is None
+        )
 
     def external_link(self, src: int, dst: int) -> str:
         """Stats key of the external link a ``src``→``dst`` message uses."""
-        return self.external.link_name(
-            self.processors[src].cluster, self.processors[dst].cluster
-        )
+        return self.external.link_name(self.clusters[src], self.clusters[dst])
 
     def send(
         self,
         src: int,
         dst: int,
         fn: Callable[..., None],
-        *args: Any,
+        args: tuple[Any, ...] = (),
         label: str = "msg",
         at: int | None = None,
         size: int | None = None,
@@ -163,9 +169,13 @@ class Machine:
 
         ``fn(*args)`` runs at the arrival time; it is responsible for
         calling :meth:`occupy` with its handler cost and for scheduling
-        any continuations at the returned completion time.
+        any continuations at the returned completion time.  ``args`` is
+        the callback's argument tuple.  On the paper's network (fixed
+        latency, no fault injection, no transport) an inter-SSMP message
+        is one event scheduled straight at its arrival time.
 
         Args:
+            label: statistics key of the message.
             at: send time; defaults to ``sim.now``.  Threads running ahead
                 of the global clock inside a quantum pass their local time.
             size: message size in bytes (control messages default to
@@ -173,21 +183,29 @@ class Machine:
                 their payload size).  Only matters to contended
                 interconnect models.
         """
+        stats = self.stats
+        if at is None:
+            at = self.sim.now
         if size is None:
             size = self.config.control_msg_bytes
-        send_time = self.sim.now if at is None else at
-        self.stats.by_label[label] += 1
-        if self.processors[src].cluster == self.processors[dst].cluster:
-            self.stats.intra_ssmp += 1
-            transit = self.internal.transit(src, dst, size, send_time)
-            self.sim.schedule_at(transit.arrival, fn, *args)
+        stats.by_label[label] += 1
+        src_c = self.clusters[src]
+        dst_c = self.clusters[dst]
+        if src_c == dst_c:
+            stats.intra_ssmp += 1
+            self.sim.schedule_at(self.internal.transit(src, dst, size, at), fn, *args)
             return
-        self.stats.inter_ssmp += 1
-        self.stats.inter_ssmp_bytes += size
-        if self.transport is not None:
-            self.transport.send(src, dst, fn, args, label, send_time, size)
+        stats.inter_ssmp += 1
+        stats.inter_ssmp_bytes += size
+        if self._direct_external:
+            stats.wire_messages += 1
+            self.sim.schedule_at(
+                self.external.transit(src_c, dst_c, size, at), fn, *args
+            )
+        elif self.transport is not None:
+            self.transport.send(src, dst, fn, args, label, at, size)
         else:
-            self._transmit_external(src, dst, fn, args, send_time, size)
+            self._transmit_external(src, dst, fn, args, at, size)
 
     def _transmit_external(
         self,
@@ -204,8 +222,8 @@ class Machine:
         original, duplicate, retransmission, ack — faces the same faults
         and the same contention.
         """
-        src_c = self.processors[src].cluster
-        dst_c = self.processors[dst].cluster
+        src_c = self.clusters[src]
+        dst_c = self.clusters[dst]
         entries = [time]
         if self.faults is not None:
             decision = self.faults.decide(self.external.link_name(src_c, dst_c), time)
@@ -224,8 +242,8 @@ class Machine:
                     entry, self._enter_external, src_c, dst_c, fn, args, size
                 )
             else:
-                transit = self.external.transit(src_c, dst_c, size, entry)
-                self.sim.schedule_at(transit.arrival, fn, *args)
+                arrival = self.external.transit(src_c, dst_c, size, entry)
+                self.sim.schedule_at(arrival, fn, *args)
 
     def _enter_external(
         self,
@@ -235,10 +253,8 @@ class Machine:
         args: tuple[Any, ...],
         size: int,
     ) -> None:
-        transit = self.external.transit(src_c, dst_c, size, self.sim.now)
-        self.stats.lan_queue_cycles += transit.queue_cycles
-        self.stats.queue_cycles_by_link[transit.link] += transit.queue_cycles
-        self.sim.schedule_at(transit.arrival, fn, *args)
+        arrival = self.external.transit(src_c, dst_c, size, self.sim.now)
+        self.sim.schedule_at(arrival, fn, *args)
 
     def occupy(self, pid: int, cycles: int) -> int:
         """Charge ``cycles`` of handler execution to processor ``pid``.
@@ -248,7 +264,9 @@ class Machine:
         the completion time, at which the caller should schedule replies.
         """
         proc = self.processors[pid]
-        start = max(self.sim.now, proc.handler_free_at)
+        start = self.sim.now
+        if proc.handler_free_at > start:
+            start = proc.handler_free_at
         finish = start + cycles
         proc.handler_free_at = finish
         proc.stolen_cycles += cycles

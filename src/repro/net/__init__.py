@@ -23,7 +23,6 @@ from repro.net.interconnect import (
     Mesh2D,
     SharedBus,
     SwitchedFabric,
-    Transit,
     Wire,
     build_external,
     build_internal,
@@ -32,7 +31,6 @@ from repro.net.transport import ReliableTransport
 
 __all__ = [
     "Interconnect",
-    "Transit",
     "Wire",
     "Mesh2D",
     "FixedLatency",

@@ -21,17 +21,21 @@ event at the send time and calls :meth:`Interconnect.transit` inside
 it, so link reservations happen in deterministic ``(time, seq)`` event
 order — never in the order threads happened to call ``send`` with
 thread-local future timestamps (the seed's LAN reservation bug).
+
+:meth:`Interconnect.transit` returns the arrival cycle as a plain
+``int``.  Cycles a message spends queued behind earlier traffic go to
+the model's per-link :attr:`Interconnect.queue_cycles` counter instead;
+the machine's ``MessageStats`` reads that same counter.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import Counter
 
 from repro.params import MachineConfig, NetworkConfig
 
 __all__ = [
-    "Transit",
     "Interconnect",
     "Wire",
     "Mesh2D",
@@ -43,18 +47,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Transit:
-    """Outcome of routing one message."""
-
-    #: absolute arrival time at the destination
-    arrival: int
-    #: cycles spent queued behind earlier traffic on the link
-    queue_cycles: int
-    #: stable name of the link used (per-link stats key)
-    link: str
-
-
 class Interconnect:
     """Common interface of every topology model."""
 
@@ -64,17 +56,19 @@ class Interconnect:
     #: called at the wire-entry time, in simulator event order
     contended: bool = False
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
-        """Route a ``size``-byte message entering the network at ``now``.
+    def __init__(self) -> None:
+        #: cycles messages spent queued behind earlier traffic, per link
+        #: name (stays empty on uncontended models)
+        self.queue_cycles: Counter = Counter()
+
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
+        """Route a ``size``-byte message entering the network at ``now``
+        and return its absolute arrival time.
 
         ``src``/``dst`` are processor ids for internal models and
         cluster ids for external models.
         """
         raise NotImplementedError
-
-    def latency(self, src: int, dst: int) -> int:
-        """Uncontended one-way latency (used for cost estimates)."""
-        return self.transit(src, dst, 0, 0).arrival
 
     def link_name(self, src: int, dst: int) -> str:
         """Stable stats key of the link a ``src``→``dst`` message uses."""
@@ -100,10 +94,11 @@ class Wire(Interconnect):
     name = "wire"
 
     def __init__(self, wire_latency: int) -> None:
+        super().__init__()
         self.wire_latency = wire_latency
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
-        return Transit(now + self.wire_latency, 0, "wire")
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
+        return now + self.wire_latency
 
 
 class Mesh2D(Interconnect):
@@ -117,6 +112,7 @@ class Mesh2D(Interconnect):
     name = "mesh"
 
     def __init__(self, cluster_size: int, wire_latency: int, hop_latency: int) -> None:
+        super().__init__()
         self.cluster_size = cluster_size
         self.wire_latency = wire_latency
         self.hop_latency = hop_latency
@@ -129,9 +125,8 @@ class Mesh2D(Interconnect):
         bx, by = b % self.side, b // self.side
         return abs(ax - bx) + abs(ay - by)
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
-        latency = self.wire_latency + self.hops(src, dst) * self.hop_latency
-        return Transit(now + latency, 0, "mesh")
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
+        return now + self.wire_latency + self.hops(src, dst) * self.hop_latency
 
 
 # ----------------------------------------------------------------------
@@ -145,10 +140,11 @@ class FixedLatency(Interconnect):
     name = "fixed"
 
     def __init__(self, delay: int) -> None:
+        super().__init__()
         self.delay = delay
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
-        return Transit(now + self.delay, 0, "lan")
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
+        return now + self.delay
 
     def link_name(self, src: int, dst: int) -> str:
         return "lan"
@@ -166,15 +162,17 @@ class SharedBus(Interconnect):
     contended = True
 
     def __init__(self, delay: int, bandwidth: float) -> None:
+        super().__init__()
         self.delay = delay
         self.bandwidth = bandwidth
         self._free_at = 0
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
         start = max(now, self._free_at)
         transfer = max(1, round(size / self.bandwidth))
         self._free_at = start + transfer
-        return Transit(start + transfer + self.delay, start - now, "bus")
+        self.queue_cycles["bus"] += start - now
+        return start + transfer + self.delay
 
     def state(self, base: int) -> int:
         return max(0, self._free_at - base)
@@ -194,16 +192,18 @@ class SwitchedFabric(Interconnect):
     contended = True
 
     def __init__(self, delay: int, bandwidth: float) -> None:
+        super().__init__()
         self.delay = delay
         self.bandwidth = bandwidth
         self._free_at: dict[tuple[int, int], int] = {}
 
-    def transit(self, src: int, dst: int, size: int, now: int) -> Transit:
+    def transit(self, src: int, dst: int, size: int, now: int) -> int:
         key = (src, dst)
         start = max(now, self._free_at.get(key, 0))
         transfer = max(1, round(size / self.bandwidth))
         self._free_at[key] = start + transfer
-        return Transit(start + transfer + self.delay, start - now, f"{src}->{dst}")
+        self.queue_cycles[f"{src}->{dst}"] += start - now
+        return start + transfer + self.delay
 
     def link_name(self, src: int, dst: int) -> str:
         return f"{src}->{dst}"

@@ -31,7 +31,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GRreq(ProtocolMessage):
     """Cluster -> home: fetch a read copy."""
 
@@ -42,7 +42,7 @@ class GRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GWreq(ProtocolMessage):
     """Cluster -> home: fetch a writable copy (no exclusivity implied)."""
 
@@ -53,7 +53,7 @@ class GWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GData(ProtocolMessage):
     """Home -> cluster: read copy, stamped with the home's version."""
 
@@ -70,7 +70,7 @@ class GData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GWdata(ProtocolMessage):
     """Home -> cluster: writable copy (the client twins it on arrival)."""
 
@@ -87,7 +87,7 @@ class GWdata(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GDiff(ProtocolMessage):
     """Releaser -> home: one dirty page's diff; bumps the home version."""
 
@@ -101,7 +101,7 @@ class GDiff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GRack(ProtocolMessage):
     """Home -> releaser: diff applied; carries the new page version."""
 
@@ -110,14 +110,14 @@ class GRack(ProtocolMessage):
     version: int = 0
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GAreq(ProtocolMessage):
     """Acquirer -> home: refresh a written page found stale at acquire."""
 
     label: ClassVar[str] = "G_AREQ"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class GAdata(ProtocolMessage):
     """Home -> acquirer: fresh base for an acquire-time refresh."""
 

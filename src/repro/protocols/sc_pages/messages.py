@@ -24,7 +24,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScRreq(ProtocolMessage):
     """Cluster -> home: fetch a shared (read) copy."""
 
@@ -35,7 +35,7 @@ class ScRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScWreq(ProtocolMessage):
     """Cluster -> home: request exclusive (write) ownership."""
 
@@ -46,7 +46,7 @@ class ScWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScData(ProtocolMessage):
     """Home -> cluster: shared read copy."""
 
@@ -62,7 +62,7 @@ class ScData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScWgrant(ProtocolMessage):
     """Home -> cluster: exclusive write copy (everyone else is gone)."""
 
@@ -78,7 +78,7 @@ class ScWgrant(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScDown(ProtocolMessage):
     """Home -> writer: write back; ``drop`` invalidates, else downgrade
     to a shared copy."""
@@ -88,7 +88,7 @@ class ScDown(ProtocolMessage):
     drop: bool = False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScWb(ProtocolMessage):
     """Writer -> home: the authoritative page travels back; ``kept``
     reports whether a downgraded shared copy remains."""
@@ -102,14 +102,14 @@ class ScWb(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScInv(ProtocolMessage):
     """Home -> reader: drop your shared copy."""
 
     label: ClassVar[str] = "SC_INV"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class ScIack(ProtocolMessage):
     """Reader -> home: shared copy dropped."""
 

@@ -20,7 +20,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["SRreq", "SWreq", "SData", "SDiff", "SInv", "SIack", "SRack"]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SRreq(ProtocolMessage):
     """Node -> home: fetch a read copy."""
 
@@ -31,7 +31,7 @@ class SRreq(ProtocolMessage):
         return False
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SWreq(ProtocolMessage):
     """Node -> home: fetch a write copy."""
 
@@ -42,7 +42,7 @@ class SWreq(ProtocolMessage):
         return True
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SData(ProtocolMessage):
     """Home -> node: page data grant (read or write)."""
 
@@ -55,7 +55,7 @@ class SData(ProtocolMessage):
         return config.control_msg_bytes + config.page_size
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SDiff(ProtocolMessage):
     """Releaser -> home: one dirty page's diff (eager release).
 
@@ -76,14 +76,14 @@ class SDiff(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SInv(ProtocolMessage):
     """Home -> node: invalidate your copy (eager release round)."""
 
     label: ClassVar[str] = "S_INV"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SIack(ProtocolMessage):
     """Node -> home: invalidation done; carries a diff when the dropped
     copy was a write copy with uncommitted changes."""
@@ -98,7 +98,7 @@ class SIack(ProtocolMessage):
         return config.control_msg_bytes + DIFF_ENTRY_BYTES * n
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False, slots=True)
 class SRack(ProtocolMessage):
     """Home -> releaser: release of one page acknowledged."""
 

@@ -78,8 +78,9 @@ class TreeBarrier:
                 pid,
                 self._root,
                 self._on_combine,
-                at=self.machine.sim.now + combine_cost,
-                label="BAR_COMBINE",
+                (),
+                "BAR_COMBINE",
+                self.machine.sim.now + combine_cost,
             )
 
     def _on_combine(self) -> None:
@@ -96,9 +97,9 @@ class TreeBarrier:
                 self._root,
                 self._manager(cluster),
                 self._on_release,
-                cluster,
-                at=completion,
-                label="BAR_RELEASE",
+                (cluster,),
+                "BAR_RELEASE",
+                completion,
             )
 
     def _on_release(self, cluster: int) -> None:

@@ -120,8 +120,8 @@ class MGSLock:
                 self._manager(cluster),
                 self._manager(self.home_cluster),
                 self._home_on_request,
-                cluster,
-                label="LOCK_REQ",
+                (cluster,),
+                "LOCK_REQ",
             )
 
     def release(self, pid: int, on_done: Callable[[], None]) -> None:
@@ -174,8 +174,9 @@ class MGSLock:
                 self._manager(self.home_cluster),
                 self._manager(self.token_cluster),
                 self._owner_on_handoff_request,
-                at=completion,
-                label="LOCK_HANDOFF_REQ",
+                (),
+                "LOCK_HANDOFF_REQ",
+                completion,
             )
 
     def _owner_on_handoff_request(self) -> None:
@@ -205,8 +206,9 @@ class MGSLock:
             src,
             self._manager(self.home_cluster),
             self._home_on_token_return,
-            at=completion,
-            label="LOCK_TOKEN",
+            (),
+            "LOCK_TOKEN",
+            completion,
         )
         if self._local_q[cluster]:
             # Waiters beyond the hand-off budget stay queued: their
@@ -220,9 +222,9 @@ class MGSLock:
                     src,
                     self._manager(self.home_cluster),
                     self._home_on_request,
-                    cluster,
-                    at=completion,
-                    label="LOCK_REQ",
+                    (cluster,),
+                    "LOCK_REQ",
+                    completion,
                 )
 
     def _home_on_token_return(self) -> None:
@@ -235,9 +237,9 @@ class MGSLock:
             home_mgr,
             self._manager(dest),
             self._cluster_on_token,
-            dest,
-            at=completion,
-            label="LOCK_TOKEN",
+            (dest,),
+            "LOCK_TOKEN",
+            completion,
         )
 
     def _cluster_on_token(self, cluster: int) -> None:
@@ -254,7 +256,8 @@ class MGSLock:
                 self._manager(self.home_cluster),
                 self._manager(cluster),
                 self._owner_on_handoff_request,
-                at=completion,
-                label="LOCK_HANDOFF_REQ",
+                (),
+                "LOCK_HANDOFF_REQ",
+                completion,
             )
         self._try_grant_local()

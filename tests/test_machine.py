@@ -54,8 +54,8 @@ def test_occupy_serializes_handlers():
     def handler(tag, cycles):
         completions.append((tag, m.occupy(2, cycles)))
 
-    m.send(0, 2, handler, "first", 100)
-    m.send(1, 2, handler, "second", 50)
+    m.send(0, 2, handler, ("first", 100))
+    m.send(1, 2, handler, ("second", 50))
     sim.run()
     # Both arrive at t=0; the second must start after the first finishes.
     assert completions == [("first", 100), ("second", 150)]

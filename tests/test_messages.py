@@ -1,5 +1,8 @@
 """Table 2 completeness: every protocol message type exists, has exactly
-one registered handler, and flows on the wire under a mixed workload."""
+one registered handler, and flows on the wire under a mixed workload;
+and no message is mutated once sent."""
+
+import dataclasses
 
 from repro.core.messages import TABLE2_CLASSES, MsgType, ProtocolMessage
 from repro.params import MachineConfig
@@ -18,7 +21,7 @@ def test_table2_message_set_is_complete():
     assert {m.value for m in MsgType} == expected
 
 
-def test_every_type_is_a_frozen_message_class():
+def test_every_type_is_a_documented_message_class():
     for mtype, cls in TABLE2_CLASSES.items():
         assert issubclass(cls, ProtocolMessage)
         assert cls.label == mtype.value
@@ -35,15 +38,15 @@ def test_each_type_has_exactly_one_handler():
     assert {m.value for m in MsgType} <= bus.handled_labels()
 
 
-def test_mixed_workload_exercises_all_sixteen_types():
-    """A lock/barrier multi-writer run sends every Table 2 message.
+def _mixed_workload() -> Runtime:
+    """A lock/barrier multi-writer run that sends every Table 2 message.
 
     Three clusters share two pages.  The mix is chosen so that every arc
     fires: remote read and blind-write faults (RREQ/RDAT, WREQ/WDAT),
     read-to-write upgrades (UPGRADE/UP_ACK/WNOTIFY), release rounds with
     dirty and clean replicas (REL/INV/DIFF/ACK/RACK), TLB shootdowns of
     second processors (PINV/PINV_ACK), and a single-writer round
-    (1WINV/1WDATA).
+    (1WINV/1WDATA).  Returned spawned, not yet run.
     """
     config = MachineConfig(total_processors=6, cluster_size=2,
                            inter_ssmp_delay=500)
@@ -70,6 +73,11 @@ def test_mixed_workload_exercises_all_sixteen_types():
             yield from env.barrier()
 
     rt.spawn_all(worker)
+    return rt
+
+
+def test_mixed_workload_exercises_all_sixteen_types():
+    rt = _mixed_workload()
     result = rt.run()
 
     flows = result.message_flows
@@ -80,3 +88,26 @@ def test_mixed_workload_exercises_all_sixteen_types():
     # and the bus saw exactly what the machine's label counters saw
     for label, flow in flows.items():
         assert rt.machine.stats.by_label[label] == flow["count"]
+
+
+def test_messages_are_never_mutated_after_send():
+    """Messages are slotted, not frozen: this pins that no handler (nor
+    anything after it) rebinds a field of a delivered message.  Fields
+    are compared by identity, since page arrays are shared with frames
+    by design and may change contents."""
+    rt = _mixed_workload()
+    seen = []
+
+    def tap(msg, sent_at, now):
+        fields = dataclasses.fields(msg)
+        seen.append((msg, [(f.name, getattr(msg, f.name)) for f in fields]))
+
+    rt.protocol.bus.add_tap(tap)
+    rt.run()
+
+    assert {m.value for m in MsgType} <= {msg.label for msg, _ in seen}
+    for msg, fields in seen:
+        for name, value in fields:
+            assert getattr(msg, name) is value, (
+                f"{msg.describe()}: field {name} rebound after delivery"
+            )

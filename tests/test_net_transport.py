@@ -48,7 +48,7 @@ def test_exactly_once_in_order_under_faults(schedule_seed):
         ch = (src, dst)
         payload = sent.get(ch, 0)
         sent[ch] = payload + 1
-        m.send(src, dst, handler, ch, payload, at=time, label="prop")
+        m.send(src, dst, handler, (ch, payload), "prop", time)
         time += rng.randrange(0, 200)
     sim.run(max_events=2_000_000)
 
@@ -96,7 +96,7 @@ def test_retransmission_recovers_a_dropped_message():
     sim, m = make_machine(net, delay=100)
     delivered = []
     for i in range(20):
-        m.send(0, 2, delivered.append, i, at=i * 1000)
+        m.send(0, 2, delivered.append, (i,), at=i * 1000)
     sim.run(max_events=500_000)
     assert delivered == list(range(20))
     assert m.stats.drops > 0
@@ -139,7 +139,7 @@ def test_transport_works_over_contended_bus():
     sim, m = make_machine(net)
     delivered = []
     for i in range(30):
-        m.send(0, 2, delivered.append, i, at=i * 500, size=400)
+        m.send(0, 2, delivered.append, (i,), at=i * 500, size=400)
     sim.run(max_events=500_000)
     assert delivered == list(range(30))
     assert m.stats.lan_queue_cycles >= 0

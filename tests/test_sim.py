@@ -101,9 +101,9 @@ def test_max_events_stops_before_executing_the_excess_event():
 
 
 def test_same_time_events_scheduled_mid_batch_keep_fifo_order():
-    # Events scheduled for the *current* time from inside an event join
-    # the in-flight batch; order must stay (time, seq) — i.e. schedule
-    # order — exactly as if every event had gone through the heap.
+    # An event scheduled for the *current* time from inside an event runs
+    # after every event already queued for that time: plain (time, seq)
+    # heap order, i.e. schedule order.
     sim = Simulator()
     order = []
 
@@ -127,9 +127,36 @@ def test_pending_counts_current_batch_after_guard_trips():
     sim.schedule(0, loop)
     with pytest.raises(RuntimeError):
         sim.run(max_events=10)
-    # The chained same-time event survives the abort and stays runnable.
+    # The guard trips before popping the next event, so the chained
+    # same-time event stays in the heap, counted and runnable.
     assert sim.pending == 1
     assert sim.step() is True
+
+
+def test_raising_handler_keeps_count_and_queue_consistent():
+    # run() adds its executed events to events_processed on the way out,
+    # raise or not; the raising event is not counted, and the events
+    # behind it stay queued.
+    sim = Simulator()
+    fired = []
+
+    def boom():
+        raise ValueError("handler failed")
+
+    sim.schedule(1, fired.append, 1)
+    sim.schedule(2, fired.append, 2)
+    sim.schedule(3, boom)
+    sim.schedule(4, fired.append, 4)
+    sim.schedule(5, fired.append, 5)
+    with pytest.raises(ValueError):
+        sim.run()
+    assert fired == [1, 2]
+    assert sim.events_processed == 2
+    assert sim.pending == 2
+    assert sim.now == 3
+    sim.run()
+    assert fired == [1, 2, 4, 5]
+    assert sim.events_processed == 4
 
 
 def test_step_single_event():

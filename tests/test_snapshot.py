@@ -93,7 +93,10 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
     Machine: {
         "parts": {"processors", "external", "internal"},
         "stats": {"stats"},
-        "config": {"sim", "config", "costs", "net_config"},
+        "config": {
+            "sim", "config", "costs", "net_config", "clusters",
+            "_direct_external",
+        },
         "off": {"faults", "transport"},
     },
     ProcessorState: {
@@ -101,11 +104,22 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
         "stats": {"handler_cycles_total", "messages_handled"},
         "config": {"pid", "cluster"},
     },
-    Wire: {"config": {"wire_latency"}},
-    Mesh2D: {"config": {"cluster_size", "wire_latency", "hop_latency", "side"}},
-    FixedLatency: {"config": {"delay"}},
-    SharedBus: {"state": {"_free_at"}, "config": {"delay", "bandwidth"}},
-    SwitchedFabric: {"state": {"_free_at"}, "config": {"delay", "bandwidth"}},
+    Wire: {"stats": {"queue_cycles"}, "config": {"wire_latency"}},
+    Mesh2D: {
+        "stats": {"queue_cycles"},
+        "config": {"cluster_size", "wire_latency", "hop_latency", "side"},
+    },
+    FixedLatency: {"stats": {"queue_cycles"}, "config": {"delay"}},
+    SharedBus: {
+        "state": {"_free_at"},
+        "stats": {"queue_cycles"},
+        "config": {"delay", "bandwidth"},
+    },
+    SwitchedFabric: {
+        "state": {"_free_at"},
+        "stats": {"queue_cycles"},
+        "config": {"delay", "bandwidth"},
+    },
     TLB: {
         "state": {"_entries"},
         "stats": {"fills", "invalidations"},
@@ -138,7 +152,10 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
         # _next_txn: raw ids are renumbered away; replay carries it as a
         # statistic so replayed runs allocate the same ids
         "stats": {"flows", "latencies", "_next_txn"},
-        "config": {"machine", "config", "_handlers", "_taps", "_txn_taps"},
+        "config": {
+            "machine", "config", "sim", "cluster_size", "_handlers", "_taps",
+            "_txn_taps",
+        },
     },
     # Engines report through Protocol.phase_state().
     # _service/_release: the Local Client's fault and release bodies
