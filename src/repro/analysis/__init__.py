@@ -16,16 +16,15 @@ Cooperating, default-off tools (see docs/ANALYSIS.md):
   (Imported lazily — it pulls in the tracer and hypothesis.)
 
 Enable dynamically via ``Runtime(config, analysis=...)`` (accepts
-``"invariants"``, ``"races"``, ``"all"``/``True``, or an
-:class:`AnalysisConfig`), the ``--analyze`` CLI flag, or the
-``protocol_sanitizer`` pytest fixture.  All checkers are pure observers:
-they charge no simulated cycles, so even *enabled* runs are cycle-
-identical, and disabled runs take exactly the pre-analysis code paths.
+``"invariants"``, ``"races"`` or ``"all"``/``True``), the ``--analyze``
+CLI flag, or the ``protocol_sanitizer`` pytest fixture.  All checkers
+are pure observers: they charge no simulated cycles, so even *enabled*
+runs are cycle-identical, and disabled runs take exactly the
+pre-analysis code paths.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.analysis.invariants import InvariantSanitizer, InvariantViolation
@@ -36,7 +35,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.runner import Runtime
 
 __all__ = [
-    "AnalysisConfig",
     "InvariantSanitizer",
     "InvariantViolation",
     "MUTATIONS",
@@ -49,36 +47,22 @@ __all__ = [
 ]
 
 
-@dataclass
-class AnalysisConfig:
-    """Which checkers ``Runtime(analysis=...)`` should attach."""
-
-    invariants: bool = True
-    races: bool = False
-    race_granularity: str = "word"  # or "page"
-
-
-def setup_analysis(rt: "Runtime", spec) -> AnalysisConfig:
+def setup_analysis(rt: "Runtime", spec) -> None:
     """Attach the checkers requested by ``spec`` to a runtime.
 
     ``spec`` may be ``True``/``"all"`` (sanitizer + race detector),
-    ``"invariants"``, ``"races"``, or an :class:`AnalysisConfig`.
+    ``"invariants"`` or ``"races"``.
     """
-    if isinstance(spec, AnalysisConfig):
-        config = spec
-    elif spec is True or spec == "all":
-        config = AnalysisConfig(invariants=True, races=True)
-    elif spec == "invariants":
-        config = AnalysisConfig(invariants=True, races=False)
-    elif spec == "races":
-        config = AnalysisConfig(invariants=False, races=True)
+    if spec is True or spec == "all":
+        invariants = races = True
+    elif spec in ("invariants", "races"):
+        invariants = spec == "invariants"
+        races = not invariants
     else:
         raise ValueError(
-            f"analysis must be 'invariants', 'races', 'all', True, or an "
-            f"AnalysisConfig: {spec!r}"
+            f"analysis must be 'invariants', 'races', 'all' or True: {spec!r}"
         )
-    if config.invariants:
+    if invariants:
         InvariantSanitizer(rt)
-    if config.races:
-        RaceDetector(rt, granularity=config.race_granularity)
-    return config
+    if races:
+        RaceDetector(rt)

@@ -16,13 +16,13 @@ operations bound by :class:`~repro.runtime.env.Env`; the wrappers
 delegate to the original generators unchanged and charge no cycles, so
 instrumented runs are cycle-identical to bare ones.
 
-Granularity is per-word by default — the paper's applications *rely* on
-page-level false sharing (TSP's path-element pool) being benign, so
-per-page tracking (``granularity="page"``) is offered as a cheaper,
-stricter mode.  Deliberate, algorithmically benign races (TSP's unlocked
-read of the monotonically tightening incumbent bound) are declared with
-:meth:`RaceDetector.exempt` / ``Runtime.annotate_benign_race`` and
-documented in docs/ANALYSIS.md.
+Locations are words: the paper's applications *rely* on page-level
+false sharing (TSP's path-element pool) being benign, so two threads
+touching different words of one page never race.  At most
+:data:`MAX_RACES` distinct races are kept.  Deliberate, algorithmically
+benign races (TSP's unlocked read of the monotonically tightening
+incumbent bound) are declared with :meth:`RaceDetector.exempt` /
+``Runtime.annotate_benign_race`` and documented in docs/ANALYSIS.md.
 """
 
 from __future__ import annotations
@@ -38,12 +38,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["Race", "RaceDetector", "RaceError"]
 
+#: races recorded before the detector stops collecting new ones
+MAX_RACES = 32
+
 
 @dataclass(frozen=True)
 class Race:
     """One pair of conflicting accesses unordered by happens-before."""
 
-    addr: int  # byte address of the location (word- or page-aligned)
+    addr: int  # byte address of the word
     vpn: int
     prev_pid: int
     prev_kind: str  # "read" or "write"
@@ -77,18 +80,9 @@ class RaceDetector:
     threads (construction hooks and ``Runtime(analysis=...)`` both do).
     """
 
-    def __init__(
-        self,
-        rt: "Runtime",
-        granularity: str = "word",
-        max_races: int = 32,
-    ) -> None:
-        if granularity not in ("word", "page"):
-            raise ValueError(f"granularity must be word or page: {granularity}")
+    def __init__(self, rt: "Runtime") -> None:
         self.rt = rt
-        self.granularity = granularity
         self._page_size = rt.config.page_size
-        self._unit = WORD_BYTES if granularity == "word" else rt.config.page_size
         n = rt.config.total_processors
         self._n = n
         #: per-thread vector clocks; C_u[u] starts at 1
@@ -102,7 +96,6 @@ class RaceDetector:
         #: declared-benign byte ranges: (lo, hi, reason)
         self._exempt: list[tuple[int, int, str]] = []
         self.races: list[Race] = []
-        self._max_races = max_races
         self._seen: set[tuple[int, int, int]] = set()
         # barrier episode state
         self._barrier_pending = [0] * n
@@ -175,7 +168,7 @@ class RaceDetector:
     def _record(self, addr: int, vpn: int, prev_pid: int, prev_kind: str,
                 pid: int, kind: str) -> None:
         key = (addr, prev_pid, pid)
-        if key in self._seen or len(self.races) >= self._max_races:
+        if key in self._seen or len(self.races) >= MAX_RACES:
             return
         self._seen.add(key)
         self.races.append(
@@ -184,14 +177,14 @@ class RaceDetector:
         )
 
     def on_read(self, pid: int, addr: int) -> None:
-        loc = addr // self._unit
+        loc = addr // WORD_BYTES
         vc = self._vc[pid]
         write = self._writes.get(loc)
         if write is not None:
             writer, clock = write
             if writer != pid and clock > vc[writer]:
                 if not self._is_exempt(addr):
-                    self._record(loc * self._unit, addr // self._page_size,
+                    self._record(loc * WORD_BYTES, addr // self._page_size,
                                  writer, "write", pid, "read")
         readers = self._reads.get(loc)
         if readers is None:
@@ -199,7 +192,7 @@ class RaceDetector:
         readers[pid] = vc[pid]
 
     def on_write(self, pid: int, addr: int) -> None:
-        loc = addr // self._unit
+        loc = addr // WORD_BYTES
         vc = self._vc[pid]
         exempt = None  # resolved lazily; most accesses race nothing
         write = self._writes.get(loc)
@@ -208,7 +201,7 @@ class RaceDetector:
             if writer != pid and clock > vc[writer]:
                 exempt = self._is_exempt(addr)
                 if not exempt:
-                    self._record(loc * self._unit, addr // self._page_size,
+                    self._record(loc * WORD_BYTES, addr // self._page_size,
                                  writer, "write", pid, "write")
         readers = self._reads.get(loc)
         if readers:
@@ -217,7 +210,7 @@ class RaceDetector:
                     if exempt is None:
                         exempt = self._is_exempt(addr)
                     if not exempt:
-                        self._record(loc * self._unit,
+                        self._record(loc * WORD_BYTES,
                                      addr // self._page_size,
                                      reader, "read", pid, "write")
             readers.clear()
@@ -225,15 +218,8 @@ class RaceDetector:
 
     def _on_range(self, pid: int, addr: int, nwords: int, write: bool) -> None:
         record = self.on_write if write else self.on_read
-        if self._unit == WORD_BYTES:
-            for a in range(addr, addr + nwords * WORD_BYTES, WORD_BYTES):
-                record(pid, a)
-        else:
-            # Page granularity: one record per page touched.
-            lo = addr // self._unit
-            hi = (addr + nwords * WORD_BYTES - 1) // self._unit
-            for page in range(lo, hi + 1):
-                record(pid, page * self._unit)
+        for a in range(addr, addr + nwords * WORD_BYTES, WORD_BYTES):
+            record(pid, a)
 
     # ------------------------------------------------------------------
     # Env instrumentation
@@ -253,7 +239,6 @@ class RaceDetector:
         inner_read_block = env.read_block
         inner_write_block = env.write_block
         inner_read_many = env.read_many
-        inner_write_many = env.write_many
 
         def read(addr: int, ptr: bool = False):
             value = yield from inner_read(addr, ptr)
@@ -280,18 +265,11 @@ class RaceDetector:
                 self.on_read(pid, a)
             return values
 
-        def write_many(addrs: Iterable[int], values, ptr: bool = False):
-            addrs = tuple(addrs)
-            yield from inner_write_many(addrs, values, ptr)
-            for a in addrs:
-                self.on_write(pid, a)
-
         env.read = read
         env.write = write
         env.read_block = read_block
         env.write_block = write_block
         env.read_many = read_many
-        env.write_many = write_many
 
     # ------------------------------------------------------------------
     # verdict

@@ -75,11 +75,10 @@ def build(rt: Runtime, params: MatmulParams):
             a_base = arr_a.addr(i * row_stride)
             a_addrs = tuple(a_base + k * WORD_BYTES for k in range(n))
             for j in range(n):
-                # One conflict-free access vector per dot product: row i
-                # of A plus column j of B, charged as a single aggregate
-                # by the vectorized read_many once both operands are
-                # resident; the n multiply-accumulates are one aggregated
-                # compute and one numpy dot.
+                # One read_many per dot product: row i of A plus column
+                # j of B in one generator call; the n multiply-
+                # accumulates are one aggregated compute and one numpy
+                # dot.
                 b_addr = arr_b.addr(j)
                 vals = yield from env.read_many(
                     a_addrs + tuple(b_addr + k * b_stride for k in range(n))

@@ -68,7 +68,13 @@ def bench_params(app: str, scale: int | None = None) -> Any:
     if app == "matmul":
         return matmul.MatmulParams(n=32 * s)
     if app == "tsp":
-        return tsp.TSPParams(ncities=min(11, 8 + s))
+        # The search tree, and so the path-element pool it allocates,
+        # grows about tenfold per city; 9 cities keep the 20000 that
+        # fixes the scale-1 memory layout.
+        ncities = min(11, 8 + s)
+        return tsp.TSPParams(
+            ncities=ncities, pool_size=20000 * 10 ** max(0, ncities - 9)
+        )
     if app == "water":
         return water.WaterParams(n_molecules=67 * s, iterations=2)
     if app == "barnes-hut":

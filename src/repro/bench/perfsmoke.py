@@ -41,7 +41,8 @@ Workloads:
   the headline number for the replay engine.
 * ``write_block_fast`` — the write-side twin of ``hit_block``: every
   processor streams ``write_block`` over its own buffer, exercising the
-  vectorized all-hit scatter path (fast vs slow engine, cycle-checked).
+  block walker's ``hit_run`` write runs (fast vs slow engine,
+  cycle-checked).
 
 Every run cross-checks fast-vs-slow cycle counts, so the perf smoke is
 also a determinism smoke.
@@ -134,11 +135,11 @@ def _write_block_runtime(fastpath: bool, nwords: int, passes: int) -> Runtime:
 
 
 def _bench_write_block(fastpath: bool, nwords: int, passes: int) -> dict:
-    """Hit-dominated write streaming: the vectorized scatter path.
+    """Hit-dominated write streaming through the block walker.
 
     The first pass faults ownership in; every later pass is all write
-    hits, so throughput measures ``_write_block_vector`` (fast) against
-    the word-at-a-time store loop (slow).
+    hits, so throughput measures the ``hit_run`` write runs of
+    ``write_block`` (fast) against the word-at-a-time store loop (slow).
     """
     rt = _write_block_runtime(fastpath, nwords, passes)
     words = nwords * passes * rt.config.total_processors

@@ -33,10 +33,10 @@ access`, so the common case — a hit — is resolved with one dict probe and
 an inline privilege check before the full classify-and-update runs.
 Statistics live in a fixed-slot integer list indexed by ``AccessClass``
 position (no ``Counter``/enum hashing per access); the ``stats`` property
-rebuilds the Counter view for reporting.  ``record_hits`` lets the
-runtime's fast path (``repro.runtime.env``) account hits it proved
-without a directory probe; see ``docs/PERFORMANCE.md`` for why that is
-safe.
+rebuilds the Counter view for reporting.  The runtime's fast path
+(``repro.runtime.env``) adds the hits it proved without a directory
+probe straight to the hit slot; see ``docs/PERFORMANCE.md`` for why
+that is safe.
 """
 
 from __future__ import annotations
@@ -139,8 +139,7 @@ class CacheSystem:
 
         A read-only probe — no directory update, no statistics.  The
         runtime's batched fast paths use it to charge whole runs of hit
-        words in closed form; the caller accounts the hits itself (e.g.
-        via :meth:`record_hits`).
+        words in closed form; the caller accounts the hits itself.
         """
         get = self._lines[cluster].get
         n = 0
@@ -160,36 +159,6 @@ class CacheSystem:
                     break
                 n += 1
         return n
-
-    def hit_lines(
-        self, cluster: int, pid: int, lines, is_write: bool
-    ) -> bool:
-        """Whether *every* line in ``lines`` is a guaranteed hit for ``pid``.
-
-        The vector-probe companion to :meth:`hit_run`: same read-only
-        hit criterion (sufficient privilege, so an ``access`` would make
-        no directory update), applied to an arbitrary iterable of line
-        ids instead of a consecutive run.  The runtime's vectorized
-        ``read_many``/``write_many`` and the ``write_block`` all-hit
-        preamble use it to prove a whole scatter/gather access vector
-        conflict-free before charging it in one aggregate; the caller
-        accounts the hits itself (via :meth:`record_hits`).
-        """
-        get = self._lines[cluster].get
-        if is_write:
-            for line in lines:
-                state = get(line)
-                if state is None or state[0] != pid:
-                    return False
-        else:
-            for line in lines:
-                state = get(line)
-                if state is None:
-                    return False
-                owner = state[0]
-                if owner != pid and (owner != -1 or pid not in state[1]):
-                    return False
-        return True
 
     def access_run(
         self,
@@ -256,15 +225,6 @@ class CacheSystem:
             total += cost_of[i] + extra
             k += 1
         return k, total
-
-    def record_hits(self, n: int) -> None:
-        """Account ``n`` hits classified outside the directory.
-
-        The runtime's fast path uses this for repeat accesses to the
-        line it touched last, which are hits by construction (the line
-        state cannot change while the thread runs uninterrupted).
-        """
-        self._counts[_HIT] += n
 
     def access(
         self, cluster: int, pid: int, line: int, is_write: bool, home_pid: int

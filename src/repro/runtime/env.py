@@ -35,9 +35,9 @@ the hardware cache lines it has read and written.  A repeat access to a
 resolved page skips the TLB and frame-dictionary probes; a repeat access
 to a known line skips the hardware directory entirely (it is a hit by
 construction).  The batched :meth:`Env.read_block` /
-:meth:`Env.write_block` / :meth:`Env.read_many` / :meth:`Env.write_many`
-APIs additionally resolve a whole run of accesses inside one generator,
-eliminating the per-word sub-generator round trip.
+:meth:`Env.write_block` / :meth:`Env.read_many` APIs additionally
+resolve a whole run of accesses inside one generator, eliminating the
+per-word sub-generator round trip.
 
 This is safe because thread execution between suspension points is
 atomic: no simulator event — and therefore no protocol action, TLB
@@ -75,25 +75,20 @@ removed, six alternating performance-ledger run pairs put the
 reference-host seconds; slower in 5 of 6 pairs), ``figs_protocol``
 about 2% slower, and ``figs_hit`` unchanged.
 
-Vectorized batches
-------------------
+Batches
+-------
 
-``read_many``, ``write_many`` and ``write_block`` first try to prove a
-whole access vector all-hit (:meth:`Env._charge_hits`): the charge fits
-the quantum, every page resolves without a fault, every line is a
-guaranteed hit.  The vector is then charged as one aggregate and moved
-with one numpy gather or scatter per touched page.  A failed
-precondition falls back to the per-word loop before a cycle is charged,
-so the vector path is observation-equivalent by construction.  Miss
-runs in the block walkers batch through :meth:`CacheSystem.access_run`
-(:meth:`Env._miss_run`).
+Each memory operation has one fast implementation beside its slow
+reference.  ``read_many`` is an inlined per-word loop.  ``read_block``
+and ``write_block`` walk each page in line runs: a run of guaranteed
+hits is charged in closed form after one :meth:`CacheSystem.hit_run`
+probe, and a run of misses goes to one :meth:`CacheSystem.access_run`
+call (:meth:`Env._miss_run`).
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Iterable, Sequence
-
-import numpy as np
 
 from repro.params import WORD_BYTES
 from repro.svm import MapMode
@@ -105,24 +100,11 @@ if TYPE_CHECKING:
 
 __all__ = ["Env"]
 
-#: below this many addresses, the per-word loop beats the vector setup
-_VEC_MIN_ADDRS = 8
-
-
-def _store_targets(addrs: Iterable[int], values: Sequence[float]):
-    """``addrs`` as a sequence, once it is known to pair up with ``values``."""
-    if not isinstance(addrs, (tuple, list)):
-        addrs = tuple(addrs)
-    if len(addrs) != len(values):
-        raise ValueError(f"write_many: {len(addrs)} addresses, {len(values)} values")
-    return addrs
-
-
 class Env:
     """Per-thread view of the machine.
 
     The memory operations (``read``, ``write``, ``read_block``,
-    ``write_block``, ``read_many``, ``write_many``) are bound per
+    ``write_block``, ``read_many``) are bound per
     instance: to the fast-path implementations normally, or to the
     original slow paths when the runtime's options say
     ``fastpath=False`` (e.g. via the ``REPRO_NO_FASTPATH=1`` escape
@@ -162,7 +144,6 @@ class Env:
         "read_block",
         "write_block",
         "read_many",
-        "write_many",
     )
 
     def __init__(self, runtime: "Runtime", thread: "ThreadContext") -> None:
@@ -203,18 +184,16 @@ class Env:
             self.read_block = self._read_block_fast
             self.write_block = self._write_block_fast
             self.read_many = self._read_many_fast
-            self.write_many = self._write_many_fast
         else:
             self.read = self._read_slow
             self.write = self._write_slow
             self.read_block = self._read_block_slow
             self.write_block = self._write_block_slow
             self.read_many = self._read_many_slow
-            self.write_many = self._write_many_slow
         detector = runtime.race_detector
         if detector is not None:
             # Opt-in happens-before race detection (repro.analysis):
-            # rebinds the six operations to recording wrappers that
+            # rebinds the five operations to recording wrappers that
             # delegate to the originals unchanged and charge nothing.
             # The adaptive bypass must not rebind over those wrappers.
             self._fp_adaptive = False
@@ -260,7 +239,6 @@ class Env:
         self.read_block = self._read_block_slow
         self.write_block = self._write_block_slow
         self.read_many = self._read_many_slow
-        self.write_many = self._write_many_slow
 
     @property
     def fastpath_bypassed(self) -> bool:
@@ -292,75 +270,6 @@ class Env:
             entry = (frame.data, write or tlb.has_write(vpn), frame.owner_pid)
         self._fp_pages[vpn] = entry
         return entry
-
-    def _fp_resolve(self, vpn: int, write: bool = False):
-        """Resolve ``vpn`` as :meth:`_fp_load` would, iff no fault is needed.
-
-        The non-suspending sibling of :meth:`_fp_load`: returns and
-        caches the same entry when the page is already mapped (with
-        write privilege, if ``write``), or None (caching nothing,
-        charging nothing) when a fault — or, at C == P, the one-time TLB
-        fill charge — would be required.  The vector paths use it to
-        prove a whole batch fault-free before committing to it; entries
-        it caches are valid for the rest of the burst either way.
-        """
-        tlb = self._tlb
-        if tlb.lookup(vpn) is None:
-            return None
-        if self._hw_only:
-            entry = (
-                self._protocol.home(vpn).data,
-                True,
-                self._rt.aspace.home_proc(vpn),
-            )
-        else:
-            writable = tlb.has_write(vpn)
-            if write and not writable:
-                return None
-            frame = self._frames[vpn]
-            entry = (frame.data, writable, frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
-
-    def _charge_hits(self, n: int, whit: int, vpns, lines, write: bool):
-        """Prove ``n`` accesses all-hit, then charge them in aggregate.
-
-        ``vpns``/``lines`` are the distinct pages/lines touched.  Proved
-        before anything is charged: the ``n * whit`` charge fits the
-        quantum, every page resolves without a fault (writable, if
-        ``write``), and every line is a guaranteed hit — via the burst
-        caches or one :meth:`CacheSystem.hit_lines` probe.  Then ``n``
-        hits are recorded, the clock bumped once, and the probed lines
-        remembered.  Returns how many lines the probe newly proved, or
-        None: the caller goes word by word.  The caller moves the data
-        and credits the adaptive sampler.
-        """
-        t = self._t
-        if n * whit > t.last_yield + self._quantum - t.time:
-            return None
-        pages = self._fp_pages
-        for vpn in vpns:
-            entry = pages.get(vpn)
-            if entry is None or (write and not entry[1]):
-                if self._fp_resolve(vpn, write) is None:
-                    return None
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
-        unknown = [
-            line
-            for line in lines
-            if line not in wlines and (write or line not in rlines)
-        ]
-        if unknown and not self._cache.hit_lines(
-            self.cluster, self.pid, unknown, write
-        ):
-            return None
-        (wlines if write else rlines).update(unknown)
-        self._cache_counts[0] += n
-        cost = n * whit
-        t.time += cost
-        t.user += cost
-        return len(unknown)
 
     def _miss_run(self, addr, chunk_end, write, owner, tcost, budget):
         """Service a run of missing lines from ``addr`` in one
@@ -456,53 +365,15 @@ class Env:
             yield ("pause",)
             self._fp_reset()
 
-    def _read_vector(self, addrs, n: int, tcost: int):
-        """All-hit aggregate load of ``addrs``; None → caller goes scalar.
-
-        :meth:`_charge_hits` proves and charges the batch; this adds the
-        burst-hit credit the per-word loop would have sampled (every
-        access but the first to each newly probed line) and one numpy
-        gather per touched page.
-        """
-        arr = np.asarray(addrs, dtype=np.int64)
-        vpns = arr // self._page_size
-        uvpns = np.unique(vpns).tolist()
-        lines = np.unique(arr // self._line_size).tolist()
-        newly = self._charge_hits(n, tcost + self._hit_cost, uvpns, lines, False)
-        if newly is None:
-            return None
-        self._fp_hits += n - newly
-        pages = self._fp_pages
-        widx = (arr % self._page_size) // WORD_BYTES
-        out = np.empty(n, dtype=np.float64)
-        if len(uvpns) == 1:
-            out[:] = pages[uvpns[0]][0][widx]
-        else:
-            for vpn in uvpns:
-                sel = vpns == vpn
-                out[sel] = pages[vpn][0][widx[sel]]
-        return out.tolist()
-
     def _read_many_fast(self, addrs: Iterable[int], ptr: bool = False):
         """Load several shared words in one call.
 
         Usage: ``a, b = yield from env.read_many((addr_a, addr_b))``.
         Equivalent — cycle for cycle, fault for fault, pause for pause —
         to a sequence of ``env.read`` calls over ``addrs``, but resolves
-        the whole run inside one generator.  Batches long enough to
-        amortize the setup first try the all-hit vector path
-        (:meth:`_read_vector`); anything it cannot prove conflict-free
-        falls through to the per-word loop untouched.
+        the whole run inside one generator.
         """
         t = self._t
-        if not isinstance(addrs, (tuple, list)):
-            addrs = tuple(addrs)
-        if len(addrs) >= _VEC_MIN_ADDRS:
-            out = self._read_vector(
-                addrs, len(addrs), self._tp if ptr else self._ta
-            )
-            if out is not None:
-                return out
         pages = self._fp_pages
         rlines = self._fp_rlines
         wlines = self._fp_wlines
@@ -551,105 +422,6 @@ class Env:
         t.time = ttime
         t.user = tuser
         return out
-
-    def _write_vector(self, addrs, values, n: int, tcost: int):
-        """All-hit aggregate scatter of ``values`` to ``addrs``; None →
-        caller goes scalar.
-
-        The write twin of :meth:`_read_vector`: :meth:`_charge_hits`
-        proves every page write-resolved and every line a guaranteed
-        *write* hit, and charges the batch; then one numpy fancy-indexed
-        scatter per touched page.  Duplicate target addresses bail to
-        the per-word loop, whose last-store-wins order is explicit.
-        """
-        arr = np.asarray(addrs, dtype=np.int64)
-        if len(np.unique(arr)) != n:
-            return None
-        vpns = arr // self._page_size
-        uvpns = np.unique(vpns).tolist()
-        lines = np.unique(arr // self._line_size).tolist()
-        if self._charge_hits(n, tcost + self._hit_cost, uvpns, lines, True) is None:
-            return None
-        self._fp_hits += n
-        pages = self._fp_pages
-        vals = np.asarray(values, dtype=np.float64)
-        widx = (arr % self._page_size) // WORD_BYTES
-        if len(uvpns) == 1:
-            pages[uvpns[0]][0][widx] = vals
-        else:
-            for vpn in uvpns:
-                sel = vpns == vpn
-                pages[vpn][0][widx[sel]] = vals[sel]
-        return True
-
-    def _write_many_fast(
-        self, addrs: Iterable[int], values: Sequence[float], ptr: bool = False
-    ):
-        """Store several shared words in one call.
-
-        Usage: ``yield from env.write_many((a0, a1), (v0, v1))``.
-        Equivalent — cycle for cycle, fault for fault, pause for pause —
-        to a sequence of ``env.write`` calls over ``(addrs, values)``
-        pairs, but resolves the whole scatter inside one generator.
-        Batches long enough to amortize the setup first try the all-hit
-        vector path (:meth:`_write_vector`); anything it cannot prove
-        conflict-free falls through to the per-word loop untouched.
-        Raises ValueError, before charging anything, unless ``addrs``
-        and ``values`` have the same length.
-        """
-        t = self._t
-        addrs = _store_targets(addrs, values)
-        if len(addrs) >= _VEC_MIN_ADDRS:
-            done = self._write_vector(
-                addrs, values, len(addrs), self._tp if ptr else self._ta
-            )
-            if done is not None:
-                return
-        pages = self._fp_pages
-        wlines = self._fp_wlines
-        access = self._cache.access
-        counts = self._cache_counts
-        cluster = self.cluster
-        pid = self.pid
-        page_size = self._page_size
-        line_size = self._line_size
-        quantum = self._quantum
-        hit_cost = self._hit_cost
-        tcost = self._tp if ptr else self._ta
-        ttime = t.time
-        tuser = t.user
-        for addr, value in zip(addrs, values):
-            ttime += tcost
-            tuser += tcost
-            entry = pages.get(addr // page_size)
-            if entry is None or not entry[1]:
-                t.time = ttime
-                t.user = tuser
-                entry = yield from self._fp_load(addr // page_size, True)
-                ttime = t.time
-                tuser = t.user
-            line = addr // line_size
-            if line in wlines:
-                counts[0] += 1
-                self._fp_hits += 1
-                ttime += hit_cost
-                tuser += hit_cost
-            else:
-                cost = access(cluster, pid, line, True, entry[2])
-                wlines.add(line)
-                ttime += cost
-                tuser += cost
-            # Stores land before a pause, as env.write does.
-            entry[0][(addr % page_size) // WORD_BYTES] = value
-            if ttime - t.last_yield > quantum:
-                t.time = ttime
-                t.user = tuser
-                yield ("pause",)
-                self._fp_reset()
-                ttime = t.time
-                tuser = t.user
-        t.time = ttime
-        t.user = tuser
 
     def _read_block_fast(self, addr: int, nwords: int, ptr: bool = False):
         """Load ``nwords`` consecutive shared words starting at ``addr``.
@@ -787,39 +559,6 @@ class Env:
         t.user = tuser
         return out
 
-    def _write_block_vector(
-        self, addr: int, values: Sequence[float], n: int, tcost: int
-    ):
-        """All-hit aggregate store of a whole contiguous block; None →
-        caller runs the chunked loop.
-
-        The contiguous sibling of :meth:`_write_vector`:
-        :meth:`_charge_hits` proves and charges every page and every
-        line in ``[first, last]`` at once, then one contiguous slice
-        store per page, with no per-chunk probing at all.
-        """
-        page_size = self._page_size
-        line_size = self._line_size
-        last = addr + (n - 1) * WORD_BYTES
-        vpns = range(addr // page_size, last // page_size + 1)
-        lines = range(addr // line_size, last // line_size + 1)
-        if self._charge_hits(n, tcost + self._hit_cost, vpns, lines, True) is None:
-            return None
-        self._fp_hits += n
-        pages = self._fp_pages
-        vi = 0
-        end = addr + n * WORD_BYTES
-        while addr < end:
-            vpn = addr // page_size
-            page_end = (vpn + 1) * page_size
-            chunk_end = page_end if page_end < end else end
-            m = (chunk_end - addr) // WORD_BYTES
-            w0 = (addr % page_size) // WORD_BYTES
-            pages[vpn][0][w0 : w0 + m] = values[vi : vi + m]
-            vi += m
-            addr = chunk_end
-        return True
-
     def _write_block_fast(
         self, addr: int, values: Sequence[float], ptr: bool = False
     ):
@@ -827,17 +566,8 @@ class Env:
 
         Usage: ``yield from env.write_block(a.addr(i), values)``.
         Equivalent to sequential ``env.write`` calls over ``values``,
-        with the same closed-form hit-run batching as ``read_block``,
-        plus an all-hit whole-block scatter preamble
-        (:meth:`_write_block_vector`) for blocks it can prove
-        conflict-free in one probe.
+        with the same closed-form hit-run batching as ``read_block``.
         """
-        if len(values) >= _VEC_MIN_ADDRS:
-            done = self._write_block_vector(
-                addr, values, len(values), self._tp if ptr else self._ta
-            )
-            if done is not None:
-                return
         t = self._t
         pages = self._fp_pages
         wlines = self._fp_wlines
@@ -1002,12 +732,6 @@ class Env:
             value = yield from self._read_slow(addr, ptr)
             out.append(value)
         return out
-
-    def _write_many_slow(
-        self, addrs: Iterable[int], values: Sequence[float], ptr: bool = False
-    ):
-        for addr, value in zip(_store_targets(addrs, values), values):
-            yield from self._write_slow(addr, value, ptr)
 
     def _read_block_slow(self, addr: int, nwords: int, ptr: bool = False):
         return (

@@ -8,12 +8,7 @@ right checkers, and that detach really detaches.
 
 import pytest
 
-from repro.analysis import (
-    AnalysisConfig,
-    InvariantSanitizer,
-    InvariantViolation,
-    RaceDetector,
-)
+from repro.analysis import InvariantSanitizer, InvariantViolation, RaceDetector
 from repro.apps import jacobi
 from repro.params import MachineConfig
 from repro.runtime import Runtime
@@ -54,13 +49,6 @@ class TestAttachment:
         rt = Runtime(make_config(), analysis=spec)
         assert isinstance(rt.sanitizer, InvariantSanitizer)
         assert isinstance(rt.race_detector, RaceDetector)
-
-    def test_config_spec(self):
-        spec = AnalysisConfig(invariants=False, races=True,
-                              race_granularity="page")
-        rt = Runtime(make_config(), analysis=spec)
-        assert rt.sanitizer is None
-        assert rt.race_detector.granularity == "page"
 
     def test_bad_spec_rejected(self):
         with pytest.raises(ValueError, match="analysis must be"):

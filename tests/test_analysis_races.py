@@ -124,47 +124,40 @@ class TestDirectedPrograms:
         rt.run()
         rt.race_detector.certify()
 
-    def test_page_granularity_flags_false_sharing(self):
-        from repro.analysis import AnalysisConfig
-
-        config = MachineConfig(total_processors=4, cluster_size=2)
-        rt = Runtime(config, analysis=AnalysisConfig(
-            invariants=False, races=True, race_granularity="page"
-        ))
-        arr = shared_word(rt)
-
-        def worker(env):
-            yield from env.write(arr.addr(env.pid), 1.0)
-            yield from env.barrier()
-
-        rt.spawn_all(worker)
-        rt.run()
-        assert rt.race_detector.races
-
-    def test_block_accesses_are_tracked(self):
+    @pytest.mark.parametrize(
+        "op", ["read", "write", "read_block", "write_block", "read_many"]
+    )
+    def test_block_accesses_are_tracked(self, op):
+        """Every memory operation Env binds is recorded: proc 0 writes
+        word 0 while proc 1 reaches it, unlocked, through ``op``."""
         rt = make_rt()
         arr = shared_word(rt)
+        a = arr.addr(0)
+        accesses = {
+            "read": lambda env: env.read(a),
+            "write": lambda env: env.write(a, 2.0),
+            "read_block": lambda env: env.read_block(a, 2),
+            "write_block": lambda env: env.write_block(a, [2.0, 3.0]),
+            "read_many": lambda env: env.read_many((a, arr.addr(1))),
+        }
 
         def worker(env):
-            yield from env.write_block(arr.addr(0), [1.0, 2.0])
-            values = yield from env.read_block(arr.addr(0), 2)
-            assert len(values) == 2
+            if env.pid == 0:
+                yield from env.write(a, 1.0)
+            elif env.pid == 1:
+                yield from accesses[op](env)
             yield from env.barrier()
 
         rt.spawn_all(worker)
         rt.run()
-        assert rt.race_detector.races  # overlapping unlocked blocks
+        races = rt.race_detector.races
+        assert [(r.addr, {r.prev_pid, r.pid}) for r in races] == [(a, {0, 1})]
 
     def test_race_describe(self):
         race = Race(addr=0x100, vpn=0, prev_pid=1, prev_kind="write",
                     pid=2, kind="read")
         assert "write by proc 1" in race.describe()
         assert "races read by proc 2" in race.describe()
-
-    def test_bad_granularity_rejected(self):
-        rt = Runtime(MachineConfig(total_processors=2, cluster_size=1))
-        with pytest.raises(ValueError, match="granularity"):
-            RaceDetector(rt, granularity="line")
 
 
 #: the five paper applications with the small shapes test_apps.py uses

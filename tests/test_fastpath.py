@@ -1,13 +1,12 @@
 """The fast-path access engine is invisible except for wall-clock.
 
 ``Env`` binds ``read``/``write``/``read_block``/``write_block``/
-``read_many``/``write_many`` to either the fast or the slow
-implementations depending on ``RunOptions.fastpath``.  These tests pin the
-contract:
+``read_many`` to either the fast or the slow implementations depending
+on ``RunOptions.fastpath``.  These tests pin the contract:
 
-* the batched block/many APIs charge exactly the same cycles as the
-  equivalent loop of single-word accesses (same thread clocks, same
-  cache and protocol stats, same simulator event count);
+* the block APIs and ``read_many`` charge exactly the same cycles as
+  the equivalent loop of single-word accesses (same thread clocks,
+  same cache and protocol stats, same simulator event count);
 * fast and slow paths are bit-for-bit identical, including across
   faults and quantum pauses that land mid-block;
 * the quantum boundary is strict (> quantum pauses, == quantum does
@@ -183,158 +182,6 @@ def _writer_loop(arr, nwords, captured):
 def test_write_block_equals_write_loop(engine):
     _assert_equivalent(_writer_block, _writer_loop, engine=engine)
     _assert_equivalent(_writer_block, _writer_loop, quantum=97, engine=engine)
-
-
-def _scatter_plan(env, nwords):
-    """Disjoint per-pid write targets: a permutation of the worker's own
-    stripe, then (after a barrier) a scatter into the stripe of a worker
-    in the *other* cluster — so the vectorized path sees both the all-hit
-    case and cross-cluster ownership faults.  Strides 5 and 3 are coprime
-    to the stripe length, so no worker ever writes a word twice and no
-    two workers ever write the same word in the same phase."""
-    per = nwords // env.nprocs
-    base = env.pid * per
-    own = tuple(base + (5 * k) % per for k in range(per))
-    victim = ((env.pid + 2) % env.nprocs) * per
-    cross = tuple(victim + (3 * k) % per for k in range(per // 2))
-    return own, cross
-
-
-def _readback(arr, nwords, env, captured):
-    per = nwords // env.nprocs
-    got = yield from env.read_block(arr.addr(env.pid * per), per)
-    captured.append((env.pid, got))
-
-
-def _writer_many(arr, nwords, captured):
-    def worker(env):
-        own, cross = _scatter_plan(env, nwords)
-        yield from env.write_many(
-            tuple(arr.addr(w) for w in own),
-            [float(env.pid * 1000 + i) for i in range(len(own))],
-        )
-        yield from env.barrier()
-        yield from env.write_many(
-            tuple(arr.addr(w) for w in cross),
-            [float(env.pid * 77 + i) for i in range(len(cross))],
-        )
-        yield from env.barrier()
-        yield from _readback(arr, nwords, env, captured)
-        yield from env.barrier()
-
-    return worker
-
-
-def _writer_many_loop(arr, nwords, captured):
-    def worker(env):
-        own, cross = _scatter_plan(env, nwords)
-        for i, w in enumerate(own):
-            yield from env.write(arr.addr(w), float(env.pid * 1000 + i))
-        yield from env.barrier()
-        for i, w in enumerate(cross):
-            yield from env.write(arr.addr(w), float(env.pid * 77 + i))
-        yield from env.barrier()
-        yield from _readback(arr, nwords, env, captured)
-        yield from env.barrier()
-
-    return worker
-
-
-def test_write_many_equals_write_loop(engine):
-    _assert_equivalent(_writer_many, _writer_many_loop, engine=engine)
-
-
-def test_write_many_equals_write_loop_with_tiny_quantum(engine):
-    # quantum 97 pauses inside nearly every scatter: the budget bail in
-    # the vector path and the store-before-pause ordering both fire.
-    _assert_equivalent(_writer_many, _writer_many_loop, quantum=97, engine=engine)
-
-
-def _dup_plan(env, nwords):
-    """Own-stripe scatter where the tail re-targets earlier words: the
-    vector path must bail (numpy fancy assignment has no last-wins
-    guarantee) and the per-word order defines the final data."""
-    per = nwords // env.nprocs
-    base = env.pid * per
-    addrs = tuple(base + (5 * k) % per for k in range(per)) + tuple(
-        base + k for k in range(6)
-    )
-    return addrs
-
-
-def _writer_many_dup(arr, nwords, captured):
-    def worker(env):
-        addrs = _dup_plan(env, nwords)
-        yield from env.write_many(
-            tuple(arr.addr(w) for w in addrs),
-            [float(env.pid * 31 + i) for i in range(len(addrs))],
-        )
-        yield from env.barrier()
-        yield from _readback(arr, nwords, env, captured)
-        yield from env.barrier()
-
-    return worker
-
-
-def _writer_many_dup_loop(arr, nwords, captured):
-    def worker(env):
-        addrs = _dup_plan(env, nwords)
-        for i, w in enumerate(addrs):
-            yield from env.write(arr.addr(w), float(env.pid * 31 + i))
-        yield from env.barrier()
-        yield from _readback(arr, nwords, env, captured)
-        yield from env.barrier()
-
-    return worker
-
-
-def test_write_many_duplicate_addresses_are_last_wins(engine):
-    _assert_equivalent(_writer_many_dup, _writer_many_dup_loop, engine=engine)
-    _assert_equivalent(
-        _writer_many_dup, _writer_many_dup_loop, quantum=97, engine=engine
-    )
-
-
-def _writer_many_mismatched(nvalues):
-    """Eight own-stripe targets made write hits, then a ``write_many``
-    handed ``nvalues`` values: records (raised?, cycles charged by the
-    failed call, the words read back)."""
-
-    def factory(arr, nwords, captured):
-        def worker(env):
-            per = nwords // env.nprocs
-            addrs = tuple(arr.addr(env.pid * per + k) for k in range(8))
-            yield from env.write_many(addrs, [1.0] * 8)
-            before = env.now
-            try:
-                yield from env.write_many(addrs, [7.0] * nvalues)
-                raised = False
-            except ValueError:
-                raised = True
-            charged = env.now - before
-            got = yield from env.read_many(addrs)
-            captured.append((raised, charged, got))
-            yield from env.barrier()
-
-        return worker
-
-    return factory
-
-
-@pytest.mark.parametrize("fastpath", [True, False])
-@pytest.mark.parametrize("nvalues", [1, 7, 9])
-def test_write_many_rejects_mismatched_lengths(fastpath, nvalues, engine):
-    # Once the targets are write hits the vector path takes the batch;
-    # it used to broadcast a single value (or raise after charging)
-    # while the word loop silently truncated.  Both must refuse before
-    # charging a cycle or storing a word.
-    _, captured = _run(
-        _writer_many_mismatched(nvalues), fastpath=fastpath, engine=engine
-    )
-    assert len(captured) == 4
-    for raised, charged, got in captured:
-        assert raised and charged == 0
-        assert got == [1.0] * 8
 
 
 def test_written_values_are_the_values_read_back(engine):

@@ -1,5 +1,5 @@
-"""Edge cases for the batched cache probes: hit_run / hit_lines /
-access_run, including under the non-MGS protocol engines.
+"""Edge cases for the batched cache probes: hit_run / access_run,
+including under the non-MGS protocol engines.
 
 ``CacheSystem.hit_run`` powers the runtime's batched fast paths, so a
 wrong run length would not just misprice a block — it would misclassify
@@ -28,7 +28,7 @@ def cache():
 
 
 # ---------------------------------------------------------------------------
-# hit_run / hit_lines unit edges
+# hit_run unit edges
 # ---------------------------------------------------------------------------
 
 
@@ -65,15 +65,6 @@ def test_hit_run_is_read_only(cache):
     cache.hit_run(0, 1, 100, 4, False)
     cache.hit_run(0, 1, 100, 4, True)
     assert list(cache._counts) == counts_before
-
-
-def test_hit_lines_scatter(cache):
-    for line in (10, 20, 30):
-        cache.access(0, 1, line, False, 0)
-    assert cache.hit_lines(0, 1, (10, 20, 30), False)
-    assert not cache.hit_lines(0, 1, (10, 20, 31), False)
-    assert not cache.hit_lines(0, 1, (10, 20, 30), True)
-    assert cache.hit_lines(0, 1, (), False)
 
 
 def test_hit_run_across_flush_page(cache):

@@ -9,7 +9,9 @@ import warnings
 
 import pytest
 
+from repro.apps import tsp
 from repro.bench import bench_params
+from repro.params import MachineConfig
 
 
 def test_default_scale_is_one(monkeypatch):
@@ -56,3 +58,16 @@ def test_scale_grows_every_workload(monkeypatch):
 def test_explicit_scale_argument_overrides_env(monkeypatch):
     monkeypatch.setenv("REPRO_SCALE", "4")
     assert bench_params("jacobi", scale=1).n == 64
+
+
+def test_scale1_tsp_pool_keeps_its_layout():
+    # The pool size places every later array, so it fixes the cycle
+    # counts behind the committed scale-1 results.
+    assert bench_params("tsp", scale=1).pool_size == 20000
+
+
+def test_scale2_tsp_point_runs():
+    # The paper's 10-city tree outgrows the 9-city pool: this point used
+    # to raise "TSP pool exhausted".
+    config = MachineConfig(total_processors=32, cluster_size=32)
+    tsp.run(config, bench_params("tsp", scale=2)).require_valid()
