@@ -13,6 +13,7 @@ def test_fig06_jacobi(benchmark):
     # Coarse-grain phases: performance is largely independent of cluster
     # size in the multigrain region (paper: flat curve, 16% breakup).
     assert times[2] / times[16] < 1.6, "Jacobi should be nearly flat across C"
-    assert sweep.breakup_penalty < 1.0
+    # Breakup penalty: committed 12%, paper 16%.
+    assert sweep.breakup_penalty < 0.25
     # No locks in Jacobi.
     assert all(p.lock_acquires == 0 for p in sweep.points)

@@ -13,5 +13,6 @@ def test_fig07_matmul(benchmark):
     # Essentially zero breakup penalty and a flat multigrain region: the
     # read-shared B operand replicates once per SSMP and C rows have a
     # single writer each.
-    assert sweep.breakup_penalty < 0.5
+    # Breakup penalty: committed 5%, paper 0%.
+    assert sweep.breakup_penalty < 0.1
     assert times[1] / times[16] < 1.5, "Matmul should be flat across C"

@@ -22,8 +22,9 @@ def test_fig12_water_kernel(benchmark):
         [figure_report("fig12-unopt", unopt), figure_report("fig12-opt", opt)]
     )
     save_report("fig12_water_kernel", report)
-    # The loop transformation slashes the breakup penalty...
-    assert opt.breakup_penalty < unopt.breakup_penalty / 2, (
+    # The loop transformation cuts the breakup penalty more than tenfold
+    # (committed: 721% -> 32%; paper: 334% -> 26%)...
+    assert opt.breakup_penalty < unopt.breakup_penalty / 10, (
         f"opt {opt.breakup_penalty:.2f} vs unopt {unopt.breakup_penalty:.2f}"
     )
     # ...while a large multigrain potential remains.

@@ -24,6 +24,7 @@ to the direct O(N^2) sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -208,10 +209,12 @@ def _force_on(i, pos, mass, tree: "_SeqTree", root: int) -> np.ndarray:
     return acc
 
 
+@lru_cache(maxsize=None)
 def golden(params: BarnesHutParams):
     """Sequential Barnes-Hut over all iterations.
 
-    Returns final positions and the per-iteration root invariants.
+    Returns the final positions, read-only: the result is memoized per
+    ``params``.
     """
     pos, mass = params.initial_bodies()
     pos = pos.copy()
@@ -227,6 +230,7 @@ def golden(params: BarnesHutParams):
         )
         vel += acc * DT
         pos += vel * DT
+    pos.setflags(write=False)
     return pos
 
 

@@ -10,6 +10,7 @@ performance curve independent of cluster size.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -36,9 +37,14 @@ class MatmulParams:
         return a, b
 
 
+@lru_cache(maxsize=None)
 def golden(params: MatmulParams) -> np.ndarray:
+    """Sequential reference ``A @ B``, memoized per ``params`` and
+    returned read-only."""
     a, b = params.operands()
-    return a @ b
+    product = a @ b
+    product.setflags(write=False)
+    return product
 
 
 def build(rt: Runtime, params: MatmulParams):

@@ -64,8 +64,9 @@ class TSPParams:
         return dist
 
 
+@lru_cache(maxsize=None)
 def golden(params: TSPParams) -> float:
-    """Optimal tour cost by Held-Karp dynamic programming."""
+    """Optimal tour cost by Held-Karp dynamic programming (memoized)."""
     dist = params.distances()
     n = params.ncities
 

@@ -32,6 +32,7 @@ paper.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,8 +79,12 @@ def _half_shell(i: int, n: int) -> list[int]:
     return partners
 
 
+@lru_cache(maxsize=None)
 def golden(params: WaterKernelParams) -> np.ndarray:
-    """Sequential reference: total force on every molecule."""
+    """Sequential reference: total force on every molecule.
+
+    Memoized per ``params``; the forces come back read-only.
+    """
     n = params.n_molecules
     pos = params.initial_positions()
     force = np.zeros_like(pos)
@@ -88,6 +93,7 @@ def golden(params: WaterKernelParams) -> np.ndarray:
             f = _pair_force(pos[i], pos[j])
             force[i] += f
             force[j] -= f
+    force.setflags(write=False)
     return force
 
 

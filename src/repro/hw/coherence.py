@@ -22,6 +22,15 @@ Classification rules:
   pointers, so a software handler services the miss (Table 3's "Remote
   Software", 425 cycles).
 
+Each directory entry is ``[owner, sharer_mask]``: ``owner`` is the pid
+holding the line dirty (``-1`` when clean), and bit ``p`` of the integer
+``sharer_mask`` is set while processor ``p`` holds a shared copy (a
+dirty line has mask 0).  The mask stands in for Alewife's hardware
+sharer pointers: the LimitLESS overflow test is its ``bit_count()``
+against ``MachineConfig.hw_dir_pointers``.  A small int costs 28 bytes
+and even a one-element ``set`` 216, which matters because the line
+directories are the largest piece of a simulation's memory.
+
 Capacity and conflict misses are not modeled (the directory acts as if
 caches were infinite); the paper's working sets at our scaled problem
 sizes fit comfortably in Alewife's 64 KB SRAM, and the effects the paper
@@ -87,7 +96,6 @@ class CacheSystem:
         "_cost_of",
         "_hw_ptrs",
         "hit_cost",
-        "worst_miss",
         "worst_hw_miss",
     )
 
@@ -95,7 +103,7 @@ class CacheSystem:
         self.config = config
         self.costs = costs
         self._hw_ptrs = config.hw_dir_pointers
-        # One directory per cluster: line id -> [owner_pid or -1, sharer set]
+        # One directory per cluster: line id -> [owner_pid or -1, sharer mask]
         self._lines: list[dict[int, list]] = [
             {} for _ in range(config.num_clusters)
         ]
@@ -111,13 +119,11 @@ class CacheSystem:
         #: cost of a hit, exposed so the runtime fast path can charge it
         #: without a method call
         self.hit_cost = costs.cache_hit
-        #: most expensive miss class overall, and the most expensive
-        #: *hardware* class (software servicing needs a sharer set that
-        #: already outgrew the hardware pointers, so any other line is
-        #: bounded by the hardware classes).  access_run admits lines
-        #: under the per-line tight bound; the runtime fast path reads
-        #: ``worst_hw_miss`` to skip hopeless batch attempts.
-        self.worst_miss = max(self._cost_of[1:])
+        #: most expensive *hardware* miss class (software servicing needs
+        #: a sharer set that already outgrew the hardware pointers, so
+        #: any other line is bounded by the hardware classes).
+        #: access_run admits lines under the per-line tight bound; the
+        #: runtime fast path reads it to skip hopeless batch attempts.
         self.worst_hw_miss = max(self._cost_of[1:_SOFTWARE])
 
     @property
@@ -155,7 +161,7 @@ class CacheSystem:
                 if state is None:
                     break
                 owner = state[0]
-                if owner != pid and (owner != -1 or pid not in state[1]):
+                if owner != pid and (owner != -1 or not state[1] >> pid & 1):
                     break
                 n += 1
         return n
@@ -212,10 +218,10 @@ class CacheSystem:
                 if (
                     owner == pid
                     if is_write
-                    else owner == pid or (owner == -1 and pid in state[1])
+                    else owner == pid or (owner == -1 and state[1] >> pid & 1)
                 ):
                     break  # guaranteed hit: the caller's hit-run takes over
-                bound = soft if len(state[1]) > hw_ptrs else worst_hw
+                bound = soft if state[1].bit_count() > hw_ptrs else worst_hw
             else:
                 bound = worst_hw
             if total + bound + extra > budget:
@@ -248,7 +254,7 @@ class CacheSystem:
             if (
                 owner == pid
                 if is_write
-                else owner == pid or (owner == -1 and pid in state[1])
+                else owner == pid or (owner == -1 and state[1] >> pid & 1)
             ):
                 self._counts[_HIT] += 1
                 return self.hit_cost
@@ -268,9 +274,9 @@ class CacheSystem:
         home_pid: int,
     ) -> int:
         if state is None:
-            state = [-1, set()]
+            state = [-1, 0]
             directory[line] = state
-        owner, sharers = state[0], state[1]
+        owner, mask = state
 
         if is_write:
             if owner == pid:
@@ -285,32 +291,31 @@ class CacheSystem:
                     if home_pid == pid or home_pid == owner
                     else _THREE_PARTY
                 )
-            elif len(sharers) > self._hw_ptrs:
+            elif mask.bit_count() > self._hw_ptrs:
                 klass = _SOFTWARE
             else:
-                # Invalidate shared copies; cost scales with parties
-                # involved.  Count sharers other than the issuer without
-                # materializing the difference set — this runs on every
-                # upgrade write.
-                in_set = pid in sharers
-                nothers = len(sharers) - in_set
-                if nothers == 0:
+                # Invalidate shared copies; cost scales with the parties
+                # involved.  ``others`` holds the sharers but the issuer.
+                others = mask & ~(1 << pid)
+                if not others:
                     klass = _LOCAL if home_pid == pid else _REMOTE
-                elif nothers > 1 or home_pid == pid:
-                    # >1 invalidation targets is always 3-party; a
-                    # single target with the issuer at home is 2-party.
-                    klass = _THREE_PARTY if nothers > 1 else _TWO_PARTY
+                elif others & (others - 1):
+                    # more than one invalidation target
+                    klass = _THREE_PARTY
                 else:
-                    third = min(sharers - {pid}) if in_set else min(sharers)
+                    # One target: 2-party when the issuer or the
+                    # target is the home node.
                     klass = (
-                        _TWO_PARTY if home_pid == third else _THREE_PARTY
+                        _TWO_PARTY
+                        if home_pid == pid or others == 1 << home_pid
+                        else _THREE_PARTY
                     )
             state[0] = pid
-            state[1] = set()
+            state[1] = 0
             return klass
 
         # Load.
-        if owner == pid or (owner == -1 and pid in sharers):
+        if owner == pid or (owner == -1 and mask >> pid & 1):
             return _HIT
         if owner != -1:
             # Issuer and owner differ (same-owner loads are hits), so
@@ -320,27 +325,19 @@ class CacheSystem:
                 if home_pid == pid or home_pid == owner
                 else _THREE_PARTY
             )
-            state[1] = {pid, owner}
+            state[1] = 1 << pid | 1 << owner
             state[0] = -1
             return klass
-        if len(sharers) > self._hw_ptrs:
-            sharers.add(pid)
+        state[1] = mask | 1 << pid
+        if mask.bit_count() > self._hw_ptrs:
             return _SOFTWARE
-        sharers.add(pid)
         return _LOCAL if home_pid == pid else _REMOTE
 
-    def flush_page(self, cluster: int, first_line: int, nlines: int) -> int:
-        """Drop all line state of a page in ``cluster`` (page cleaning).
-
-        Returns the number of lines that were actually present, which the
-        protocol can use for the ``fast_read_clean`` ablation.
-        """
-        directory = self._lines[cluster]
-        present = 0
+    def flush_page(self, cluster: int, first_line: int, nlines: int) -> None:
+        """Drop all line state of a page in ``cluster`` (page cleaning)."""
+        pop = self._lines[cluster].pop
         for line in range(first_line, first_line + nlines):
-            if directory.pop(line, None) is not None:
-                present += 1
-        return present
+            pop(line, None)
 
     def state(self) -> tuple:
         """Per cluster, the ``(line, owner, sharer-mask)`` stream sorted
@@ -349,18 +346,12 @@ class CacheSystem:
         numeric = self.config.total_processors <= 60
         out = []
         for directory in self._lines:
-            flat = []
-            extend = flat.extend
-            for line, (owner, sharers) in directory.items():
-                mask = 0
-                for p in sharers:
-                    mask |= 1 << p
-                extend((line, owner, mask))
+            rows = [(line, owner, mask) for line, (owner, mask) in directory.items()]
             if numeric:
-                rows = np.array(flat, dtype=np.int64).reshape(-1, 3)
-                out.append(array_digest(rows[rows[:, 0].argsort()]))
+                arr = np.array(rows, dtype=np.int64).reshape(-1, 3)
+                out.append(array_digest(arr[arr[:, 0].argsort()]))
             else:
-                out.append(tuple(sorted(zip(flat[::3], flat[1::3], flat[2::3]))))
+                out.append(tuple(sorted(rows)))
         return tuple(out)
 
     def lines_cached(self, cluster: int) -> int:

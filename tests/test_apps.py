@@ -127,3 +127,26 @@ def test_tsp_golden_matches_bruteforce():
         for p in itertools.permutations(range(1, 7))
     )
     assert tsp.golden(params) == best
+
+
+@pytest.mark.parametrize(
+    "golden, params",
+    [
+        (jacobi.golden, jacobi.JacobiParams(n=24, iterations=3)),
+        (matmul.golden, matmul.MatmulParams(n=12)),
+        (water.golden, water.WaterParams(n_molecules=9, iterations=1)),
+        (water_kernel.golden, water_kernel.WaterKernelParams(n_molecules=16)),
+        (barnes_hut.golden, barnes_hut.BarnesHutParams(n_bodies=12, iterations=1)),
+    ],
+)
+def test_golden_is_memoized_and_read_only(golden, params):
+    """Each sweep point shares one sequential reference per ``params``,
+    so the shared arrays must refuse writes."""
+    ref = golden(params)
+    assert golden(params) is ref
+    arrays = ref if isinstance(ref, tuple) else (ref,)
+    for arr in arrays:
+        if hasattr(arr, "flags"):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr.ravel()[0] = 1.0

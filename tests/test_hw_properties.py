@@ -1,10 +1,13 @@
 """Property-based tests for the hardware coherence directory."""
 
-from hypothesis import given, settings
+import numpy as np
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hw import CacheSystem
+from repro.hw.coherence import _CLASSES
 from repro.params import CostModel, MachineConfig
+from repro.sim.snapshot import array_digest
 
 COSTS = CostModel()
 
@@ -65,9 +68,9 @@ def test_read_sharing_accumulates_sharers(readers, home):
     cache = CacheSystem(config, COSTS)
     for pid in readers:
         cache.access(0, pid, 0, False, home)
-    state = cache._lines[0][0]
-    assert state[0] == -1
-    assert state[1] == set(readers)
+    owner, mask = cache._lines[0][0]
+    assert owner == -1
+    assert mask == sum(1 << pid for pid in set(readers))
 
 
 @settings(max_examples=100, deadline=None)
@@ -79,3 +82,151 @@ def test_flush_resets_everything(ops):
         cache.access(0, pid, 7, is_write, 0)
     cache.flush_page(0, 0, 64)
     assert cache.lines_cached(0) == 0
+
+
+# ---------------------------------------------------------------------------
+# differential: the sharer-mask directory against a sharer-set reference
+# ---------------------------------------------------------------------------
+
+_HIT, _LOCAL, _REMOTE, _TWO, _THREE, _SOFT = range(len(_CLASSES))
+
+
+class _SetDirectory:
+    """Reference Table 3 classifier keeping each line's sharers as a set,
+    as the directory did before it stored bitmasks."""
+
+    def __init__(self, config: MachineConfig) -> None:
+        self.hw_ptrs = config.hw_dir_pointers
+        self.lines = [{} for _ in range(config.num_clusters)]
+        self.counts = [0] * len(_CLASSES)
+
+    def hit(self, cluster, pid, line, is_write):
+        state = self.lines[cluster].get(line)
+        if state is None:
+            return False
+        owner, sharers = state
+        return owner == pid or (
+            not is_write and owner == -1 and pid in sharers
+        )
+
+    def access(self, cluster, pid, line, is_write, home_pid):
+        i = self._classify(cluster, pid, line, is_write, home_pid)
+        self.counts[i] += 1
+        return i
+
+    def _classify(self, cluster, pid, line, is_write, home_pid):
+        state = self.lines[cluster].setdefault(line, [-1, set()])
+        owner, sharers = state
+        if is_write:
+            if owner == pid:
+                return _HIT
+            if owner != -1:
+                klass = _TWO if home_pid in (pid, owner) else _THREE
+            elif len(sharers) > self.hw_ptrs:
+                klass = _SOFT
+            else:
+                others = sharers - {pid}
+                if not others:
+                    klass = _LOCAL if home_pid == pid else _REMOTE
+                elif len(others) > 1:
+                    klass = _THREE
+                elif home_pid == pid:
+                    klass = _TWO
+                else:
+                    klass = _TWO if home_pid == min(others) else _THREE
+            state[0], state[1] = pid, set()
+            return klass
+        if owner == pid or (owner == -1 and pid in sharers):
+            return _HIT
+        if owner != -1:
+            klass = _TWO if home_pid in (pid, owner) else _THREE
+            state[0], state[1] = -1, {pid, owner}
+            return klass
+        klass = _SOFT if len(sharers) > self.hw_ptrs else None
+        sharers.add(pid)
+        if klass is None:
+            klass = _LOCAL if home_pid == pid else _REMOTE
+        return klass
+
+    def state(self):
+        out = []
+        for directory in self.lines:
+            rows = [
+                (line, owner, sum(1 << p for p in sharers))
+                for line, (owner, sharers) in directory.items()
+            ]
+            rows = np.array(rows, dtype=np.int64).reshape(-1, 3)
+            out.append(array_digest(rows[rows[:, 0].argsort()]))
+        return tuple(out)
+
+
+@st.composite
+def sharing_traces(draw):
+    """Traces on a few hot lines with up to 8 readers per line, so the
+    5-pointer LimitLESS boundary is crossed in both directions."""
+    nprocs = draw(st.sampled_from([4, 8]))
+    clusters = draw(st.sampled_from([1, 2]))
+    ops = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, clusters - 1),  # cluster
+                st.integers(0, nprocs - 1),  # pid
+                st.integers(0, 3),  # line
+                st.integers(0, 3).map(lambda k: k == 0),  # mostly loads
+                st.integers(0, nprocs - 1),  # home pid
+                st.booleans(),  # through access_run
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    return nprocs, clusters, ops
+
+
+#: eight readers overflow the five pointers, then writes upgrade lines
+#: with one other sharer: at the issuer's home, at the sharer's home
+#: (pid 0 included, the lowest bit) and at a third node
+_BOUNDARY_TRACE = (
+    8,
+    1,
+    [(0, p, 0, False, 0, False) for p in range(8)]
+    + [(0, 3, 0, True, 0, True), (0, 5, 0, False, 2, False)]
+    + [(0, p, 1, False, 7, True) for p in range(6)]
+    + [(0, 7, 1, True, 7, False)]
+    + [(0, 0, 2, False, 0, False), (0, 1, 2, True, 1, False)]
+    + [(0, 0, 3, False, 0, False), (0, 2, 3, True, 0, True)]
+    + [(0, 4, 2, False, 4, False), (0, 2, 2, True, 6, False)]
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=sharing_traces())
+@example(trace=_BOUNDARY_TRACE)
+def test_mask_directory_matches_set_reference(trace):
+    """The mask directory charges every access the class the set-based
+    classifier charges, and ends in the same ``state()`` digest."""
+    nprocs, clusters, ops = trace
+    config = MachineConfig(
+        total_processors=nprocs * clusters, cluster_size=nprocs
+    )
+    cache = CacheSystem(config, COSTS)
+    ref = _SetDirectory(config)
+    cost_of = cache._cost_of
+    for cluster, local_pid, line, is_write, home, batched in ops:
+        pid = cluster * nprocs + local_pid
+        home_pid = cluster * nprocs + home
+        expect_hit = ref.hit(cluster, pid, line, is_write)
+        assert cache.hit_run(cluster, pid, line, 1, is_write) == expect_hit
+        expected = cost_of[ref.access(cluster, pid, line, is_write, home_pid)]
+        if batched:
+            k, cost = cache.access_run(
+                cluster, pid, line, is_write, home_pid, [0], 10**9
+            )
+            assert k == (not expect_hit)
+            if k == 0:
+                cost = cache.access(cluster, pid, line, is_write, home_pid)
+        else:
+            cost = cache.access(cluster, pid, line, is_write, home_pid)
+        assert cost == expected
+    assert cache._counts == ref.counts
+    assert cache.state() == ref.state()

@@ -130,7 +130,7 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
         "stats": {"_counts"},
         "config": {
             "config", "costs", "_cost_of", "_hw_ptrs", "hit_cost",
-            "worst_miss", "worst_hw_miss",
+            "worst_hw_miss",
         },
     },
     MGSLock: {
@@ -257,7 +257,10 @@ PERTURB: dict[type, dict] = {
         ),
     },
     TLB: {"_entries": lambda tlb, rt: tlb._entries.__setitem__(_FAR, MapMode.READ)},
-    CacheSystem: {"_lines": lambda c, rt: c._lines[0].__setitem__(_FAR, [0, set()])},
+    # a clean line shared by processor 1: [owner, sharer mask]
+    CacheSystem: {
+        "_lines": lambda c, rt: c._lines[0].__setitem__(_FAR, [-1, 1 << 1])
+    },
     MGSLock: {
         "token_cluster": lambda lk, rt: setattr(
             lk, "token_cluster", (lk.token_cluster + 1) % rt.config.num_clusters
