@@ -15,7 +15,9 @@ executable:
   (no future event can be scheduled before it, so any value at or
   before it means "free now").  Engines whose
   :meth:`repro.core.engine.Protocol.phase_state` returns ``None``
-  simply never replay.
+  simply never replay.  Only a phase whose key occurs more than once
+  in the run is digested: a phase with a unique key could never be
+  looked up again.
 * The first time a phase executes from a given digest, the recorder
   captures its full effect as a delta: the per-thread cycle-bucket
   advances, the event count, and the change in every statistic the

@@ -15,6 +15,7 @@ Typical use (what every app in :mod:`repro.apps` does):
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -217,10 +218,12 @@ class Runtime:
         Args:
             factory: ``(env, phase_index) -> generator``.
             phases: number of phases to run.
-            keys: optional per-phase replay keys (default: the phase
-                index, which never replays; iterative apps pass a value
-                that repeats, e.g. ``0`` for every sweep iteration, or
-                the iteration's parameter tuple).
+            keys: optional hashable per-phase replay keys.  Only
+                phases whose key occurs more than once are digested, so
+                the default (the phase index) never replays; iterative
+                apps whose phases return to their entry state pass a
+                value that repeats, e.g. ``0`` for every sweep
+                iteration, or the iteration's parameter tuple.
         """
         if self.threads:
             raise RuntimeError("spawn_phases cannot be mixed with spawn")
@@ -306,6 +309,10 @@ class Runtime:
         if self._replay_active():
             recorder = PhaseRecorder(self)
         self.phase_recorder = recorder
+        keys = self._phase_keys
+        # A phase whose key occurs once can never be looked up again, so
+        # only phases with a recurring key are digested and recorded.
+        recurring = {key for key, n in Counter(keys).items() if n > 1}
         for index in range(self._phase_count):
             base = min(t.time for t in self.threads)
             # Phase boundaries are quiescent; rewind the clock to the
@@ -313,8 +320,8 @@ class Runtime:
             self.sim.reset_quiescent(base)
             digest = None
             pre_snapshot = pre_events = None
-            if recorder is not None:
-                digested = recorder.state_digest(self._phase_keys[index])
+            if recorder is not None and keys[index] in recurring:
+                digested = recorder.state_digest(keys[index])
                 if digested is not None:
                     digest = digested[0]
                     rec = recorder.lookup(digest)
@@ -331,7 +338,7 @@ class Runtime:
                 # execution must have returned the machine to its entry
                 # digest (clocks aside), so applying the delta later
                 # needs no state restoration at all.
-                post = recorder.state_digest(self._phase_keys[index])
+                post = recorder.state_digest(keys[index])
                 if post is not None and post[0] == digest:
                     recorder.record(
                         digest,

@@ -7,8 +7,9 @@ per-thread cycle buckets, cache and protocol statistics, message flows,
 event counts, and the computed output must be identical whether repeated
 phases are re-executed or applied as recorded deltas.  These tests pin
 that, plus the surrounding contract: the ``REPRO_NO_REPLAY`` escape
-hatch, the spawn/spawn_phases mutual exclusion, and that replay actually
-*fires* on the workload built to show it off (scanphase).
+hatch, the spawn/spawn_phases mutual exclusion, that replay actually
+*fires* on the workload built to show it off (scanphase), and that only
+phases whose key recurs pay for a digest (Jacobi pays for none).
 """
 
 from dataclasses import replace
@@ -20,6 +21,7 @@ from repro.apps import barnes_hut, jacobi, matmul, scanphase, tsp, water
 from repro.core.engine import engine_names
 from repro.params import MachineConfig
 from repro.runtime import RunOptions, Runtime
+from repro.runtime.replay import PhaseRecorder
 from tests.machine_state import run_state
 
 ENGINES = engine_names()
@@ -75,6 +77,65 @@ def test_replay_equivalence_and_fires_scanphase(engine):
     assert recorder is not None and recorder.replayed > 0, (
         f"{engine}: no phase replayed on the replay showcase"
     )
+    for key in on:
+        assert on[key] == off[key], f"{engine}: replay changed {key}"
+
+
+def _count_digests(monkeypatch) -> list:
+    """Record the phase key of every ``PhaseRecorder.state_digest`` call."""
+    keys = []
+    real = PhaseRecorder.state_digest
+
+    def spy(self, phase_key):
+        keys.append(phase_key)
+        return real(self, phase_key)
+
+    monkeypatch.setattr(PhaseRecorder, "state_digest", spy)
+    return keys
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_jacobi_digests_no_phase(engine, monkeypatch):
+    """Jacobi's phases never return to their entry state, so it passes
+    no replay keys and no phase boundary is digested."""
+    keys = _count_digests(monkeypatch)
+    module, params = PAPER_APPS["jacobi"]
+    _, rt = _full_state(module, params, engine, replay=True)
+    assert rt.phase_recorder is not None
+    assert keys == []
+
+
+@pytest.mark.parametrize("engine", ENGINES)
+def test_only_recurring_keys_digest_and_replay_equivalence(engine, monkeypatch):
+    """Keys ``[0, 1, 0, 2]``: only the two key-0 phases are digested
+    (before and after each executes), and the run still matches the
+    replay-off run on every observable."""
+    config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
+
+    def run(replay: bool):
+        rt = Runtime(config, options=RunOptions(replay=replay))
+        data = rt.array("data", 64)
+        data.init(range(64))
+
+        def factory(env, phase):
+            def gen():
+                yield from env.read_block(data.addr(16 * env.pid), 16)
+                yield from env.compute(500)
+                yield from env.barrier()
+
+            return gen()
+
+        rt.spawn_phases(factory, 4, keys=[0, 1, 0, 2])
+        return run_state(rt, rt.run()), rt
+
+    keys = _count_digests(monkeypatch)
+    on, rt = run(replay=True)
+    assert keys == [0, 0, 0, 0]
+    # the cold first phase changes the state; the warm second one is
+    # state-idempotent and recorded
+    assert rt.phase_recorder.recorded == 1
+    off, _ = run(replay=False)
+    assert keys == [0, 0, 0, 0]
     for key in on:
         assert on[key] == off[key], f"{engine}: replay changed {key}"
 
