@@ -19,18 +19,6 @@ enforces the source-level rules that determinism silently rests on:
   set iteration order depends on insertion history and hash seeding.
   Size/membership tests (``len``, ``in``, ``any`` over ``sorted``) are
   fine.
-* ``handler-coverage`` — every :class:`MsgType` member must have exactly
-  one ``@handles`` registration across the engines in ``core/`` and
-  ``protocols/`` (the static mirror of ``MessageBus.check_complete``),
-  and every engine package under ``protocols/`` must declare a literal
-  ``REQUIRED_LABELS`` tuple whose labels exactly match the package's
-  ``@handles`` registrations (the static mirror of
-  ``Protocol.bus_handlers`` / ``Protocol.check_bus``).
-* ``arc-coverage`` — every engine package that registers bus handlers
-  must ship an :class:`ArcRules` subclass whose literal ``_CHECKS``
-  table names each label the package's ``@handles`` decorators
-  register: a message the sanitizer cannot validate is a message the
-  explorer cannot police either.
 
 Run it as::
 
@@ -48,8 +36,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-__all__ = ["Finding", "lint_paths", "lint_source", "check_handler_coverage",
-           "check_engine_handlers", "check_arc_coverage", "main"]
+__all__ = ["Finding", "lint_paths", "lint_source", "main"]
 
 
 @dataclass(frozen=True)
@@ -275,339 +262,6 @@ def lint_source(path: Path, source: str) -> list[Finding]:
 
 
 # ----------------------------------------------------------------------
-# handler exhaustiveness (cross-file)
-# ----------------------------------------------------------------------
-
-def _msgtype_members(messages_path: Path) -> dict[str, int]:
-    """``MsgType`` member names -> line numbers, from the enum's AST."""
-    tree = ast.parse(messages_path.read_text(), filename=str(messages_path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "MsgType":
-            members = {}
-            for stmt in node.body:
-                if isinstance(stmt, ast.Assign):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            members[target.id] = stmt.lineno
-            return members
-    return {}
-
-
-def _msgtype_values(messages_path: Path) -> dict[str, str]:
-    """``MsgType`` member names -> label values (string enum constants)."""
-    if not messages_path.is_file():
-        return {}
-    tree = ast.parse(messages_path.read_text(), filename=str(messages_path))
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == "MsgType":
-            values = {}
-            for stmt in node.body:
-                if (
-                    isinstance(stmt, ast.Assign)
-                    and isinstance(stmt.value, ast.Constant)
-                    and isinstance(stmt.value.value, str)
-                ):
-                    for target in stmt.targets:
-                        if isinstance(target, ast.Name):
-                            values[target.id] = stmt.value.value
-            return values
-    return {}
-
-
-def _handles_registrations(core_files: Iterable[Path]) -> dict[str, list[str]]:
-    """``MsgType`` member name -> list of "file:line" registration sites."""
-    sites: dict[str, list[str]] = {}
-    for path in core_files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for deco in node.decorator_list:
-                if not (
-                    isinstance(deco, ast.Call)
-                    and isinstance(deco.func, ast.Name)
-                    and deco.func.id == "handles"
-                ):
-                    continue
-                for arg in deco.args:
-                    if (
-                        isinstance(arg, ast.Attribute)
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id == "MsgType"
-                    ):
-                        sites.setdefault(arg.attr, []).append(
-                            f"{path}:{deco.lineno}"
-                        )
-    return sites
-
-
-def check_handler_coverage(core_dir: Path) -> list[Finding]:
-    """Statically verify every MsgType member has exactly one handler.
-
-    Registrations are collected from ``core/`` itself plus — when the
-    sibling ``protocols/`` tree exists — every engine package in it
-    (the MGS handlers live in ``protocols/mgs/``).
-    """
-    messages_path = core_dir / "messages.py"
-    if not messages_path.is_file():
-        return []
-    members = _msgtype_members(messages_path)
-    files = sorted(core_dir.glob("*.py"))
-    protocols_dir = core_dir.parent / "protocols"
-    if protocols_dir.is_dir():
-        files.extend(sorted(protocols_dir.rglob("*.py")))
-    registrations = _handles_registrations(files)
-    findings = []
-    for name, line in members.items():
-        sites = registrations.get(name, [])
-        if not sites:
-            findings.append(Finding(
-                str(messages_path), line, "handler-coverage",
-                f"MsgType.{name} has no @handles registration in core/ "
-                "or protocols/",
-            ))
-        elif len(sites) > 1:
-            findings.append(Finding(
-                str(messages_path), line, "handler-coverage",
-                f"MsgType.{name} has {len(sites)} @handles registrations: "
-                + ", ".join(sites),
-            ))
-    return findings
-
-
-def _required_labels(package_files: Iterable[Path]):
-    """The engine package's literal ``REQUIRED_LABELS`` declaration.
-
-    Returns ``(labels, path, line)`` or ``None`` when no module in the
-    package declares one.
-    """
-    for path in package_files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in tree.body:
-            if not isinstance(node, ast.Assign):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Name)
-                    and target.id == "REQUIRED_LABELS"
-                    and isinstance(node.value, (ast.Tuple, ast.List, ast.Set))
-                ):
-                    labels = [
-                        elt.value
-                        for elt in node.value.elts
-                        if isinstance(elt, ast.Constant)
-                        and isinstance(elt.value, str)
-                    ]
-                    return labels, path, node.lineno
-    return None
-
-
-def _class_label_table(files: Iterable[Path]) -> dict[str, str]:
-    """Message class name -> ``label`` class attribute (string constant)."""
-    table: dict[str, str] = {}
-    for path in files:
-        if not path.is_file():
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                value = None
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ) and stmt.target.id == "label":
-                    value = stmt.value
-                elif isinstance(stmt, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "label"
-                    for t in stmt.targets
-                ):
-                    value = stmt.value
-                if isinstance(value, ast.Constant) and isinstance(
-                    value.value, str
-                ):
-                    table[node.name] = value.value
-    return table
-
-
-def _handles_label_sites(
-    files: Iterable[Path],
-    name_to_value: dict[str, str],
-    class_labels: dict[str, str],
-) -> dict[str, list[str]]:
-    """Bus label -> list of "file:line" ``@handles`` registration sites.
-
-    All three registration spellings resolve to labels: ``MsgType.X``
-    attributes via the enum's value table, ``SomeMessage.label``
-    attributes via the class table, and bare string literals (the
-    spelling rival engines use for their own message vocabulary).
-    """
-    sites: dict[str, list[str]] = {}
-    for path in files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            for deco in node.decorator_list:
-                if not (
-                    isinstance(deco, ast.Call)
-                    and isinstance(deco.func, ast.Name)
-                    and deco.func.id == "handles"
-                ):
-                    continue
-                for arg in deco.args:
-                    label = None
-                    if (
-                        isinstance(arg, ast.Attribute)
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id == "MsgType"
-                    ):
-                        label = name_to_value.get(arg.attr, arg.attr)
-                    elif (
-                        isinstance(arg, ast.Attribute)
-                        and arg.attr == "label"
-                        and isinstance(arg.value, ast.Name)
-                        and arg.value.id in class_labels
-                    ):
-                        label = class_labels[arg.value.id]
-                    elif isinstance(arg, ast.Constant) and isinstance(
-                        arg.value, str
-                    ):
-                        label = arg.value
-                    if label is not None:
-                        sites.setdefault(label, []).append(
-                            f"{path}:{deco.lineno}"
-                        )
-    return sites
-
-
-def check_engine_handlers(
-    protocols_dir: Path, messages_path: Path
-) -> list[Finding]:
-    """Per-engine bus handler tables: declaration vs. registration.
-
-    Every engine package under ``protocols/`` that registers bus
-    handlers must declare a literal ``REQUIRED_LABELS`` tuple, and the
-    package's ``@handles`` registrations must cover those labels exactly
-    once each, with no undeclared extras — the static mirror of
-    ``Protocol.bus_handlers()`` / ``Protocol.check_bus()``.
-    """
-    name_to_value = _msgtype_values(messages_path)
-    findings = []
-    for package in sorted(p for p in protocols_dir.iterdir() if p.is_dir()):
-        files = sorted(package.rglob("*.py"))
-        if not files:
-            continue
-        class_labels = _class_label_table([messages_path, *files])
-        sites = _handles_label_sites(files, name_to_value, class_labels)
-        declared = _required_labels(files)
-        if declared is None:
-            if sites:
-                findings.append(Finding(
-                    str(package / "__init__.py"), 1, "handler-coverage",
-                    f"engine package {package.name!r} registers bus "
-                    "handlers but declares no literal REQUIRED_LABELS",
-                ))
-            continue
-        labels, decl_path, decl_line = declared
-        for label in labels:
-            n = len(sites.get(label, []))
-            if n == 0:
-                findings.append(Finding(
-                    str(decl_path), decl_line, "handler-coverage",
-                    f"engine {package.name!r} declares label {label!r} "
-                    "with no @handles registration",
-                ))
-            elif n > 1:
-                findings.append(Finding(
-                    str(decl_path), decl_line, "handler-coverage",
-                    f"engine {package.name!r} label {label!r} has {n} "
-                    "@handles registrations: " + ", ".join(sites[label]),
-                ))
-        for label in sorted(set(sites) - set(labels)):
-            findings.append(Finding(
-                sites[label][0].rsplit(":", 1)[0],
-                int(sites[label][0].rsplit(":", 1)[1]),
-                "handler-coverage",
-                f"engine {package.name!r} registers label {label!r} "
-                "missing from its REQUIRED_LABELS declaration",
-            ))
-    return findings
-
-
-def _arc_check_labels(package_files: Iterable[Path]):
-    """The engine package's literal ``_CHECKS`` arc table.
-
-    Scans class bodies for an assignment ``_CHECKS = {...}`` with string
-    keys (the ``ArcRules`` dispatch table convention every engine's
-    ``arcs.py`` follows).  Returns ``(labels, path, line)`` or ``None``
-    when no module in the package declares one.
-    """
-    for path in package_files:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.ClassDef):
-                continue
-            for stmt in node.body:
-                if not (
-                    isinstance(stmt, ast.Assign)
-                    and any(
-                        isinstance(t, ast.Name) and t.id == "_CHECKS"
-                        for t in stmt.targets
-                    )
-                    and isinstance(stmt.value, ast.Dict)
-                ):
-                    continue
-                labels = [
-                    key.value
-                    for key in stmt.value.keys
-                    if isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                ]
-                return labels, path, stmt.lineno
-    return None
-
-
-def check_arc_coverage(
-    protocols_dir: Path, messages_path: Path
-) -> list[Finding]:
-    """Per-engine arc rules: every registered label must have a check.
-
-    A message type the sanitizer has no arc check for is a blind spot —
-    the fuzz suite and the bounded model checker both dispatch through
-    the same ``_CHECKS`` table, so an uncovered label ships protocol
-    traffic no tool validates.  Engines fix findings by adding checks,
-    never by exempting labels.
-    """
-    name_to_value = _msgtype_values(messages_path)
-    findings = []
-    for package in sorted(p for p in protocols_dir.iterdir() if p.is_dir()):
-        files = sorted(package.rglob("*.py"))
-        if not files:
-            continue
-        class_labels = _class_label_table([messages_path, *files])
-        sites = _handles_label_sites(files, name_to_value, class_labels)
-        if not sites:
-            continue
-        declared = _arc_check_labels(files)
-        if declared is None:
-            findings.append(Finding(
-                str(package / "arcs.py"), 1, "arc-coverage",
-                f"engine package {package.name!r} registers bus handlers "
-                "but ships no ArcRules _CHECKS table",
-            ))
-            continue
-        labels, decl_path, decl_line = declared
-        for label in sorted(set(sites) - set(labels)):
-            findings.append(Finding(
-                str(decl_path), decl_line, "arc-coverage",
-                f"engine {package.name!r} registers a handler for label "
-                f"{label!r} with no arc check in its _CHECKS table",
-            ))
-    return findings
-
-
-# ----------------------------------------------------------------------
 # driver
 # ----------------------------------------------------------------------
 
@@ -622,24 +276,12 @@ def _python_files(paths: Iterable[Path]) -> list[Path]:
 
 
 def lint_paths(paths: Iterable[Path]) -> list[Finding]:
-    """Lint files/directories; adds handler coverage when core/ is in scope."""
-    files = _python_files(paths)
-    findings: list[Finding] = []
-    core_dirs = set()
-    for path in files:
-        findings.extend(lint_source(path, path.read_text()))
-        if path.name == "messages.py" and path.parent.name == "core":
-            core_dirs.add(path.parent)
-    for core_dir in sorted(core_dirs):
-        findings.extend(check_handler_coverage(core_dir))
-        protocols_dir = core_dir.parent / "protocols"
-        if protocols_dir.is_dir():
-            findings.extend(
-                check_engine_handlers(protocols_dir, core_dir / "messages.py")
-            )
-            findings.extend(
-                check_arc_coverage(protocols_dir, core_dir / "messages.py")
-            )
+    """Lint files and directories."""
+    findings = [
+        finding
+        for path in _python_files(paths)
+        for finding in lint_source(path, path.read_text())
+    ]
     findings.sort(key=lambda f: (f.path, f.line, f.rule))
     return findings
 

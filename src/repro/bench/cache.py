@@ -43,14 +43,6 @@ Enabling
   cache on for anything that routes through ``run_sweep``;
   ``REPRO_CACHE=0`` forces it off (both via ``RunOptions.run_cache``);
 * API: pass a :class:`RunCache` to ``run_sweep``/``run_figure``.
-
-Self-test
----------
-
-``python -m repro.bench.cache selftest fig6`` regenerates one figure
-twice against a fresh cache directory and fails unless the warm pass
-serves *every* point from cache (hit counter == point count, zero
-misses) and a verify pass reproduces the cached results bit-for-bit.
 """
 
 from __future__ import annotations
@@ -58,7 +50,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import time
 from pathlib import Path
 from typing import Any
 
@@ -345,79 +336,8 @@ def resolve_cache(
 
 
 # ---------------------------------------------------------------------------
-# CLI: stats / selftest
+# CLI: stats
 # ---------------------------------------------------------------------------
-
-
-def _selftest(args) -> int:
-    """Regenerate one figure twice; fail unless the warm pass is all hits."""
-    import tempfile
-
-    from repro.bench.figures import FIGURES, run_figure
-
-    if args.figure not in FIGURES:
-        print(f"unknown figure {args.figure!r} (want one of {list(FIGURES)})")
-        return 2
-
-    with tempfile.TemporaryDirectory() as tmp:
-        cache_dir = args.dir or tmp
-
-        cold = RunCache(cache_dir)
-        t0 = time.perf_counter()
-        sweep_cold = run_figure(args.figure, args.processors, cache=cold)
-        t_cold = time.perf_counter() - t0
-
-        warm = RunCache(cache_dir)
-        t0 = time.perf_counter()
-        sweep_warm = run_figure(args.figure, args.processors, cache=warm)
-        t_warm = time.perf_counter() - t0
-
-        verify = RunCache(cache_dir, verify_fraction=1.0)
-        run_figure(
-            args.figure, args.processors, cache=verify, cache_verify=True
-        )
-
-    npoints = len(sweep_cold.points)
-    report = {
-        "figure": args.figure,
-        "processors": args.processors,
-        "points": npoints,
-        "cold_seconds": round(t_cold, 3),
-        "warm_seconds": round(t_warm, 3),
-        "speedup_warm": round(t_cold / t_warm, 1) if t_warm > 0 else None,
-        "cold": cold.summary(),
-        "warm": warm.summary(),
-        "verify": verify.summary(),
-    }
-    if args.out:
-        with open(args.out, "w") as fh:
-            json.dump(report, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    print(
-        f"run-cache selftest [{args.figure}]: cold {t_cold:.2f}s "
-        f"({cold.stats.misses} misses), warm {t_warm:.2f}s "
-        f"({warm.stats.hits} hits), verified {verify.stats.verified}"
-    )
-
-    failures = []
-    if dataclasses.asdict(sweep_cold) != dataclasses.asdict(sweep_warm):
-        failures.append("warm sweep diverged from cold sweep")
-    if cold.stats.misses != npoints:
-        failures.append(
-            f"cold pass expected {npoints} misses, saw {cold.stats.misses}"
-        )
-    if warm.stats.hits != npoints or warm.stats.misses != 0:
-        failures.append(
-            f"warm pass simulated work: hits={warm.stats.hits} "
-            f"misses={warm.stats.misses}, expected {npoints} hits / 0 misses"
-        )
-    if verify.stats.verified != npoints:
-        failures.append(
-            f"verify pass re-checked {verify.stats.verified} of {npoints} points"
-        )
-    for failure in failures:
-        print(f"SELFTEST FAILED: {failure}")
-    return 1 if failures else 0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -431,21 +351,7 @@ def main(argv: list[str] | None = None) -> int:
     p_stats = sub.add_parser("stats", help="print cache directory statistics")
     p_stats.add_argument("--dir", default=None, help="cache directory")
 
-    p_self = sub.add_parser(
-        "selftest",
-        help="regenerate a figure twice; fail unless warm pass is all hits",
-    )
-    p_self.add_argument("figure", nargs="?", default="fig6")
-    p_self.add_argument("--processors", type=int, default=32)
-    p_self.add_argument(
-        "--dir", default=None, help="cache directory (default: a temp dir)"
-    )
-    p_self.add_argument("--out", default=None, help="write the JSON report here")
-
     args = parser.parse_args(argv)
-    if args.command == "selftest":
-        return _selftest(args)
-
     root = Path(
         args.dir or RunOptions.from_env().run_cache or DEFAULT_CACHE_DIR
     )

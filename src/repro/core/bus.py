@@ -9,9 +9,13 @@ is a slotted dataclass, never mutated after send (MGS's Table 2 set from
   its class, page, endpoint pids and transaction (the cluster fields
   follow from the pids), and :meth:`MessageBus.reply` answers an
   incoming message with its endpoints swapped;
-* owns **handler registration** — engines mark methods with
-  ``@handles(MsgType.RREQ)`` and :meth:`MessageBus.register` builds the
-  dispatch table, enforcing exactly one handler per message type;
+* owns **handler registration** — engines mark methods with the
+  message classes they handle, ``@handles(Rreq, Wreq)``, and
+  :meth:`MessageBus.register` builds the label-keyed dispatch table,
+  refusing a second handler for a label.  The marks are the one
+  declaration of an engine's vocabulary; the conformance test
+  (``tests/test_protocol_conformance.py``) holds them to the engine's
+  arc-rule table and to every message class in the tree;
 * routes through one positional ``Machine.send`` (and therefore
   :mod:`repro.net`) — one simulator event per message on the default
   network, same label, same wire size, so the default-configuration
@@ -19,7 +23,7 @@ is a slotted dataclass, never mutated after send (MGS's Table 2 set from
   replaced; the bus keeps its machine's ``sim`` and ``cluster_size`` at
   hand, since every send and delivery reads them;
 * auto-records **per-type observability** — delivered message counts,
-  wire bytes, and wire latency per :class:`MsgType`, plus the
+  wire bytes, and wire latency per message label, plus the
   per-transaction latency log behind the fault/release percentiles in
   ``RunResult`` (see :mod:`repro.metrics.transactions`);
 * exposes **tap hooks** — :meth:`add_tap` observes every delivered
@@ -44,7 +48,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
-from repro.core.messages import MsgType, ProtocolMessage
+from repro.core.messages import ProtocolMessage
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.machine import Machine
@@ -53,14 +57,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["MessageBus", "MessageFlow", "Transaction", "handles"]
 
 
-def handles(*types: MsgType | str) -> Callable:
-    """Mark an engine method as the handler for the given message types.
+def handles(*classes: type[ProtocolMessage]) -> Callable:
+    """Mark an engine method as the handler for the given message classes.
 
-    Accepts :class:`MsgType` members for Table 2 messages and bare label
-    strings for implementation-internal ones.  The mark is inert until
-    the engine is passed to :meth:`MessageBus.register`.
+    The mark keys on each class's ``label``, the wire label the bus
+    dispatches and counts flows by.  It is inert until the engine is
+    passed to :meth:`MessageBus.register`.
     """
-    keys = tuple(t.value if isinstance(t, MsgType) else t for t in types)
+    keys = tuple(cls.label for cls in classes)
 
     def mark(fn: Callable) -> Callable:
         fn._bus_handles = keys
@@ -144,14 +148,8 @@ class MessageBus:
                     self._handlers[key] = bound
 
     def handled_labels(self) -> set[str]:
-        """Labels with a registered handler (Table 2 plus internal)."""
+        """Labels with a registered handler."""
         return set(self._handlers)
-
-    def check_complete(self) -> None:
-        """Raise if any Table 2 message type lacks a handler."""
-        missing = [m.value for m in MsgType if m.value not in self._handlers]
-        if missing:
-            raise LookupError(f"no handler registered for {missing}")
 
     # ------------------------------------------------------------------
     # sending

@@ -15,11 +15,11 @@ coherence engines can be swapped in behind ``MachineConfig.protocol``:
 
 Engines register themselves by name (:func:`register_engine`); the
 runtime constructs whatever ``config.protocol`` names via
-:func:`create_engine`.  Two hooks keep the tooling engine-agnostic:
-:meth:`Protocol.bus_handlers` declares the message labels an engine must
-have registered on its bus (checked at construction, mirrored statically
-by ``repro.analysis.lint``), and :meth:`Protocol.arc_rules` hands the
-invariant sanitizer an engine-specific rule set.
+:func:`create_engine`.  An engine declares its message vocabulary once,
+with the ``@handles`` marks it registers on its bus
+(:mod:`repro.core.bus`), and :meth:`Protocol.arc_rules` hands the
+invariant sanitizer an engine-specific rule set whose ``_CHECKS`` table
+names the same labels.
 """
 
 from __future__ import annotations
@@ -77,10 +77,10 @@ class ArcRules:
     the message ring, violation raising — and delegates every semantic
     judgement to the rule object the engine's :meth:`Protocol.arc_rules`
     returned.  The base class owns the dispatch: each delivered message
-    runs the check its label maps to in the subclass's literal
-    ``_CHECKS`` table (which ``repro.analysis.lint`` reads to prove
-    every bus label is covered).  Engines fill that table and override
-    the structural hooks with their own legal-arc catalogue.
+    runs the check its label maps to in the subclass's ``_CHECKS``
+    table, keyed by exactly the labels the engine's ``@handles`` marks
+    register.  Engines fill that table and override the structural
+    hooks with their own legal-arc catalogue.
     """
 
     #: message label -> ``check(self, msg)``; empty accepts everything
@@ -153,10 +153,10 @@ class Protocol:
     """Abstract coherence engine behind the runtime's shared memory.
 
     Subclasses implement the fault body :meth:`_service`, optionally
-    the release body :meth:`_release`, and declare their bus surface via
-    :meth:`bus_handlers`.  The base class owns the two runtime entries
-    (:meth:`fault` and :meth:`release`: transaction, stats, fault
-    overhead) and the state and costs every engine shares —
+    the release body :meth:`_release`, and register their ``@handles``
+    message handlers on :attr:`bus`.  The base class owns the two
+    runtime entries (:meth:`fault` and :meth:`release`: transaction,
+    stats, fault overhead) and the state and costs every engine shares —
     per-processor TLBs, the typed message bus, home pages, stats, the
     intra/inter-SSMP message cost (:meth:`msg_cost`) and the cost of
     shipping a page out of its home SSMP (:meth:`ship_page`) — plus the
@@ -310,25 +310,12 @@ class Protocol:
         """
         return self.frames[cluster].get(vpn)
 
-    def bus_handlers(self) -> frozenset[str]:
-        """The message labels this engine must have handlers for."""
-        raise NotImplementedError
-
     def arc_rules(self, sanitizer) -> ArcRules:
         """Sanitizer rules for this engine (default: structural no-op)."""
         return ArcRules(sanitizer)
 
     def check_invariants(self) -> None:
         """Assert cross-engine invariants; raises AssertionError on bugs."""
-
-    def check_bus(self) -> None:
-        """Verify every declared label has a registered bus handler."""
-        missing = sorted(self.bus_handlers() - self.bus.handled_labels())
-        if missing:
-            raise LookupError(
-                f"engine {self.name!r} declares labels with no handler: "
-                f"{missing}"
-            )
 
     # ------------------------------------------------------------------
     # phase-replay surface (see repro.runtime.replay)

@@ -13,10 +13,11 @@ string-keyed registry in :mod:`repro.core.engine`:
   copies are invalidated lazily at acquire points.
 
 Adding an engine: subclass :class:`repro.core.engine.Protocol` in a new
-package here, decorate it with ``@register_engine``, declare a literal
-``REQUIRED_LABELS`` tuple next to it (the analysis lint checks it
-against the package's ``@handles`` registrations), and import the module
-below.  See docs/PROTOCOL.md, "Engines".
+package here, decorate it with ``@register_engine``, mark its handlers
+with ``@handles`` for the package's message classes, give its
+``ArcRules._CHECKS`` table the same labels, and import the module below.
+The conformance test (``tests/test_protocol_conformance.py``) enforces
+that the labels match.  See docs/PROTOCOL.md, "Engines".
 """
 
 from repro.protocols import gcs, mgs, sc_pages, swdsm  # noqa: F401

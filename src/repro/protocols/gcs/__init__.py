@@ -1,5 +1,5 @@
 """Synchronization-piggybacked lazy release consistency (``gcs``)."""
 
-from repro.protocols.gcs.protocol import GCSProtocol, REQUIRED_LABELS
+from repro.protocols.gcs.protocol import GCSProtocol
 
-__all__ = ["GCSProtocol", "REQUIRED_LABELS"]
+__all__ = ["GCSProtocol"]

@@ -57,20 +57,7 @@ from repro.protocols.gcs.messages import (
 from repro.sim import Simulator
 from repro.svm import AddressSpace, MapMode
 
-__all__ = ["GCSProtocol", "REQUIRED_LABELS"]
-
-#: every bus label this engine registers a handler for; checked
-#: statically by ``repro.analysis.lint`` against the ``@handles`` marks.
-REQUIRED_LABELS = (
-    "G_RREQ",
-    "G_WREQ",
-    "G_DATA",
-    "G_WDATA",
-    "G_DIFF",
-    "G_RACK",
-    "G_AREQ",
-    "G_ADATA",
-)
+__all__ = ["GCSProtocol"]
 
 
 @register_engine
@@ -113,14 +100,10 @@ class GCSProtocol(Protocol):
         #: pid -> (on_done, txn) of the release drain awaiting a G_RACK
         self._drain: dict[int, tuple[Callable[[], None], int]] = {}
         self.bus.register(self)
-        self.check_bus()
 
     # ------------------------------------------------------------------
     # engine surface
     # ------------------------------------------------------------------
-
-    def bus_handlers(self) -> frozenset[str]:
-        return frozenset(REQUIRED_LABELS)
 
     def arc_rules(self, sanitizer):
         from repro.protocols.gcs.arcs import GCSArcRules
@@ -256,7 +239,7 @@ class GCSProtocol(Protocol):
     # fetch service (home side) — always grants, no rounds
     # ------------------------------------------------------------------
 
-    @handles("G_RREQ", "G_WREQ")
+    @handles(GRreq, GWreq)
     def on_request(self, msg: GRreq | GWreq) -> None:
         costs = self.costs
         vpn = msg.vpn
@@ -277,7 +260,7 @@ class GCSProtocol(Protocol):
             return self.ship_page(msg.dst_cluster, msg.vpn)
         return self.costs.dma_page(self.config.lines_per_page)
 
-    @handles("G_DATA", "G_WDATA")
+    @handles(GData, GWdata)
     def on_grant(self, msg: GData | GWdata) -> None:
         cluster, vpn = msg.dst_cluster, msg.vpn
         frame = self.frames[cluster][vpn]
@@ -372,7 +355,7 @@ class GCSProtocol(Protocol):
             indices=indices, values=values,
         )
 
-    @handles("G_DIFF")
+    @handles(GDiff)
     def on_diff(self, msg: GDiff) -> None:
         costs = self.costs
         vpn = msg.vpn
@@ -389,7 +372,7 @@ class GCSProtocol(Protocol):
         completion = self.machine.occupy(home.home_pid, work)
         self.bus.reply(GRack, msg, completion, version=version)
 
-    @handles("G_RACK")
+    @handles(GRack)
     def on_rack(self, msg: GRack) -> None:
         cluster, vpn = msg.dst_cluster, msg.vpn
         # The replica is current at the new version only if it was
@@ -462,7 +445,7 @@ class GCSProtocol(Protocol):
         if pending["n"] == 0:
             finish()
 
-    @handles("G_AREQ")
+    @handles(GAreq)
     def on_areq(self, msg: GAreq) -> None:
         costs = self.costs
         vpn = msg.vpn
@@ -479,7 +462,7 @@ class GCSProtocol(Protocol):
             version=self.versions.get(vpn, 0), data=home.data.copy(),
         )
 
-    @handles("G_ADATA")
+    @handles(GAdata)
     def on_adata(self, msg: GAdata) -> None:
         costs = self.costs
         cluster, vpn = msg.dst_cluster, msg.vpn

@@ -18,6 +18,6 @@ engines to the machine, hardware-coherence, and SVM substrates.
 """
 
 from repro.protocols.mgs.duq import DUQ
-from repro.protocols.mgs.protocol import REQUIRED_LABELS, MGSProtocol
+from repro.protocols.mgs.protocol import MGSProtocol
 
-__all__ = ["DUQ", "MGSProtocol", "REQUIRED_LABELS"]
+__all__ = ["DUQ", "MGSProtocol"]

@@ -22,7 +22,6 @@ from typing import TYPE_CHECKING, Callable
 
 from repro.core.bus import handles
 from repro.core.messages import (
-    MsgType,
     Rack,
     Rdat,
     Rel,
@@ -159,7 +158,7 @@ class LocalClient:
     # data arrival (RDAT / WDAT, arcs 6-7)
     # ------------------------------------------------------------------
 
-    @handles(MsgType.RDAT, MsgType.WDAT)
+    @handles(Rdat, Wdat)
     def on_data(self, msg: Rdat | Wdat) -> None:
         """RDAT/WDAT arrived: install the frame and drain waiters."""
         ctx = self.ctx
@@ -182,7 +181,7 @@ class LocalClient:
         completion = ctx.machine.occupy(req_pid, work)
         ctx.sim.schedule_at(completion, self.release_mapping_lock, frame)
 
-    @handles(MsgType.UP_ACK)
+    @handles(UpAck)
     def on_up_ack(self, msg: UpAck) -> None:
         """UP_ACK arrived: complete the upgrading fault (arc 7)."""
         ctx = self.ctx
@@ -268,7 +267,7 @@ class LocalClient:
             on_done=on_done,
         )
 
-    @handles(MsgType.RACK)
+    @handles(Rack)
     def on_rack(self, msg: Rack) -> None:
         """RACK arrived: continue with the next DUQ entry (arcs 9-10)."""
         ctx = self.ctx

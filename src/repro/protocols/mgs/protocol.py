@@ -18,7 +18,6 @@ DUQs, per-cluster page frames, and per-page home state.
 from __future__ import annotations
 
 from repro.core.engine import Protocol, ProtocolStats, register_engine
-from repro.core.messages import MsgType
 from repro.core.page import FrameState, PageFrame
 from repro.hw import CacheSystem
 from repro.machine import Machine
@@ -27,31 +26,7 @@ from repro.protocols.mgs.duq import DUQ
 from repro.sim import Simulator
 from repro.svm import AddressSpace
 
-__all__ = ["MGSProtocol", "ProtocolStats", "REQUIRED_LABELS"]
-
-#: every bus label the MGS engines must have a handler for: the sixteen
-#: Table-2 message types plus the internal retained-copy unlock.  Kept as
-#: a literal so ``repro.analysis.lint`` can check it statically against
-#: the ``@handles`` registrations; the assert below pins it to ``MsgType``.
-REQUIRED_LABELS = (
-    "RREQ",
-    "WREQ",
-    "RDAT",
-    "WDAT",
-    "UPGRADE",
-    "UP_ACK",
-    "PINV",
-    "PINV_ACK",
-    "INV",
-    "ACK",
-    "DIFF",
-    "REL",
-    "RACK",
-    "WNOTIFY",
-    "1WINV",
-    "1WDATA",
-    "1W_UNLOCK",
-)
+__all__ = ["MGSProtocol", "ProtocolStats"]
 
 
 @register_engine
@@ -90,7 +65,6 @@ class MGSProtocol(Protocol):
         self.bus.register(self.local)
         self.bus.register(self.remote)
         self.bus.register(self.server)
-        self.bus.check_complete()
         # The Local Client runs the fault and release bodies.
         self._service = self.local._service
         self._release = self.local.release
@@ -98,9 +72,6 @@ class MGSProtocol(Protocol):
     # ------------------------------------------------------------------
     # engine surface
     # ------------------------------------------------------------------
-
-    def bus_handlers(self) -> frozenset[str]:
-        return frozenset(REQUIRED_LABELS)
 
     def arc_rules(self, sanitizer):
         from repro.protocols.mgs.arcs import MGSArcRules
@@ -164,8 +135,3 @@ class MGSProtocol(Protocol):
                 assert frame is not None, (
                     f"write_dir of vpn {vpn} lists cluster {cluster} with no frame"
                 )
-
-
-assert set(REQUIRED_LABELS) == {t.value for t in MsgType} | {"1W_UNLOCK"}, (
-    "REQUIRED_LABELS out of sync with MsgType"
-)

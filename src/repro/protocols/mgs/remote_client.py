@@ -34,7 +34,6 @@ from repro.core.messages import (
     Ack,
     Diff,
     Inv,
-    MsgType,
     OneWdata,
     OneWinv,
     Pinv,
@@ -62,7 +61,7 @@ class RemoteClient:
     # upgrades (arc 13)
     # ------------------------------------------------------------------
 
-    @handles(MsgType.UPGRADE)
+    @handles(Upgrade)
     def on_upgrade(self, msg: Upgrade) -> None:
         """UPGRADE: twin the read page and raise privilege to write."""
         ctx = self.ctx
@@ -91,7 +90,7 @@ class RemoteClient:
     # invalidations (arcs 11-16)
     # ------------------------------------------------------------------
 
-    @handles(MsgType.INV, MsgType.ONE_WINV)
+    @handles(Inv, OneWinv)
     def on_inv(self, msg: Inv | OneWinv) -> None:
         """INV or 1WINV arrived from the Server."""
         ctx = self.ctx
@@ -179,7 +178,7 @@ class RemoteClient:
                 Pinv, frame.vpn, frame.owner_pid, pid, txn, at=completion
             )
 
-    @handles(MsgType.PINV)
+    @handles(Pinv)
     def on_pinv(self, msg: Pinv) -> None:
         """PINV: drop the TLB entry and the DUQ entry (arcs 11-12)."""
         ctx = self.ctx
@@ -197,7 +196,7 @@ class RemoteClient:
             PinvAck, frame.vpn, pid, frame.owner_pid, msg.txn, at=completion
         )
 
-    @handles(MsgType.PINV_ACK)
+    @handles(PinvAck)
     def on_pinv_ack(self, msg: PinvAck) -> None:
         """Collect TLB shootdown acknowledgements (arcs 15-16)."""
         ctx = self.ctx
@@ -269,7 +268,7 @@ class RemoteClient:
             return
         ctx.sim.schedule_at(completion, ctx.local.release_mapping_lock, frame)
 
-    @handles(RetainedUnlock.label)
+    @handles(RetainedUnlock)
     def on_retained_unlock(self, msg: RetainedUnlock) -> None:
         """The release round completed: the retained copy is consistent
         with the home again and may serve local mappings."""

@@ -41,7 +41,6 @@ from repro.core.messages import (
     Ack,
     Diff,
     Inv,
-    MsgType,
     OneWdata,
     OneWinv,
     Rack,
@@ -71,7 +70,7 @@ class Server:
     # replication requests (arcs 17-19)
     # ------------------------------------------------------------------
 
-    @handles(MsgType.RREQ, MsgType.WREQ)
+    @handles(Rreq, Wreq)
     def on_request(self, msg: Rreq | Wreq) -> None:
         ctx = self.ctx
         home = ctx.home(msg.vpn)
@@ -112,7 +111,7 @@ class Server:
             req.src_pid, req.txn, at=completion, data=payload,
         )
 
-    @handles(MsgType.WNOTIFY)
+    @handles(Wnotify)
     def on_wnotify(self, msg: Wnotify) -> None:
         """WNOTIFY: a read copy was upgraded to write (arc 18)."""
         ctx = self.ctx
@@ -133,7 +132,7 @@ class Server:
     # release operations (arcs 20-23)
     # ------------------------------------------------------------------
 
-    @handles(MsgType.REL)
+    @handles(Rel)
     def on_rel(self, msg: Rel) -> None:
         ctx = self.ctx
         vpn, rel_cluster, rel_pid = msg.vpn, msg.src_cluster, msg.src_pid
@@ -233,7 +232,7 @@ class Server:
             on_done=rel.on_done,
         )
 
-    @handles(MsgType.ACK, MsgType.DIFF, MsgType.ONE_WDATA)
+    @handles(Ack, Diff, OneWdata)
     def on_inval_response(self, msg: Ack | Diff | OneWdata) -> None:
         """ACK / DIFF / 1WDATA from a Remote Client (arcs 22-23)."""
         ctx = self.ctx

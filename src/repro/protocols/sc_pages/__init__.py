@@ -1,5 +1,5 @@
 """Sequentially-consistent single-writer pages (``protocol = "sc_pages"``)."""
 
-from repro.protocols.sc_pages.protocol import REQUIRED_LABELS, SCPagesProtocol
+from repro.protocols.sc_pages.protocol import SCPagesProtocol
 
-__all__ = ["REQUIRED_LABELS", "SCPagesProtocol"]
+__all__ = ["SCPagesProtocol"]

@@ -50,20 +50,7 @@ from repro.protocols.sc_pages.messages import (
 from repro.sim import Simulator
 from repro.svm import AddressSpace, MapMode
 
-__all__ = ["SCPagesProtocol", "REQUIRED_LABELS"]
-
-#: every bus label this engine registers a handler for; checked
-#: statically by ``repro.analysis.lint`` against the ``@handles`` marks.
-REQUIRED_LABELS = (
-    "SC_RREQ",
-    "SC_WREQ",
-    "SC_DATA",
-    "SC_WGRANT",
-    "SC_DOWN",
-    "SC_WB",
-    "SC_INV",
-    "SC_IACK",
-)
+__all__ = ["SCPagesProtocol"]
 
 
 @register_engine
@@ -94,14 +81,10 @@ class SCPagesProtocol(Protocol):
         #: vpn -> (cluster, consecutive remote exclusive grants)
         self.streaks: dict[int, tuple[int, int]] = {}
         self.bus.register(self)
-        self.check_bus()
 
     # ------------------------------------------------------------------
     # engine surface
     # ------------------------------------------------------------------
-
-    def bus_handlers(self) -> frozenset[str]:
-        return frozenset(REQUIRED_LABELS)
 
     def arc_rules(self, sanitizer):
         from repro.protocols.sc_pages.arcs import SCPagesArcRules
@@ -236,7 +219,7 @@ class SCPagesProtocol(Protocol):
     # request service (home side)
     # ------------------------------------------------------------------
 
-    @handles("SC_RREQ", "SC_WREQ")
+    @handles(ScRreq, ScWreq)
     def on_request(self, msg: ScRreq | ScWreq) -> None:
         home = self.home(msg.vpn)
         dispatch = self.dispatch_cost(msg.src_cluster, msg.vpn)
@@ -343,7 +326,7 @@ class SCPagesProtocol(Protocol):
     # coherence round (client side)
     # ------------------------------------------------------------------
 
-    @handles("SC_DOWN")
+    @handles(ScDown)
     def on_down(self, msg: ScDown) -> None:
         frame = self.frames[msg.dst_cluster][msg.vpn]
         # Defer while a just-granted access is pending (progress
@@ -390,7 +373,7 @@ class SCPagesProtocol(Protocol):
         completion = self.machine.occupy(msg.dst_pid, work)
         self.bus.reply(ScWb, msg, completion, kept=kept, data=payload)
 
-    @handles("SC_INV")
+    @handles(ScInv)
     def on_inv(self, msg: ScInv) -> None:
         frame = self.frames[msg.dst_cluster][msg.vpn]
         # Defer while a just-granted access is pending, or while the read
@@ -439,7 +422,7 @@ class SCPagesProtocol(Protocol):
     # coherence round (home side)
     # ------------------------------------------------------------------
 
-    @handles("SC_WB")
+    @handles(ScWb)
     def on_wb(self, msg: ScWb) -> None:
         home = self.home(msg.vpn)
         assert home.state is ServerState.REL_IN_PROG and home.count > 0, (
@@ -457,7 +440,7 @@ class SCPagesProtocol(Protocol):
         )
         self._ack_round(home, work)
 
-    @handles("SC_IACK")
+    @handles(ScIack)
     def on_iack(self, msg: ScIack) -> None:
         home = self.home(msg.vpn)
         assert home.state is ServerState.REL_IN_PROG and home.count > 0, (
@@ -491,7 +474,7 @@ class SCPagesProtocol(Protocol):
     # grants (client side)
     # ------------------------------------------------------------------
 
-    @handles("SC_DATA", "SC_WGRANT")
+    @handles(ScData, ScWgrant)
     def on_grant(self, msg: ScData | ScWgrant) -> None:
         cluster, vpn = msg.dst_cluster, msg.vpn
         frame = self.frames[cluster][vpn]

@@ -1,5 +1,5 @@
 """Single-grain software page DSM engine (``protocol = "swdsm"``)."""
 
-from repro.protocols.swdsm.protocol import REQUIRED_LABELS, SWDSMProtocol
+from repro.protocols.swdsm.protocol import SWDSMProtocol
 
-__all__ = ["REQUIRED_LABELS", "SWDSMProtocol"]
+__all__ = ["SWDSMProtocol"]

@@ -56,19 +56,7 @@ from repro.protocols.swdsm.messages import (
 from repro.sim import Simulator
 from repro.svm import AddressSpace, MapMode
 
-__all__ = ["SWDSMProtocol", "REQUIRED_LABELS"]
-
-#: every bus label this engine registers a handler for; checked
-#: statically by ``repro.analysis.lint`` against the ``@handles`` marks.
-REQUIRED_LABELS = (
-    "S_RREQ",
-    "S_WREQ",
-    "S_DATA",
-    "S_DIFF",
-    "S_INV",
-    "S_IACK",
-    "S_RACK",
-)
+__all__ = ["SWDSMProtocol"]
 
 
 @register_engine
@@ -102,14 +90,10 @@ class SWDSMProtocol(Protocol):
         #: pages whose dirty entry was stolen by an invalidation round
         self.stolen: list[set[int]] = [set() for _ in range(n)]
         self.bus.register(self)
-        self.check_bus()
 
     # ------------------------------------------------------------------
     # engine surface
     # ------------------------------------------------------------------
-
-    def bus_handlers(self) -> frozenset[str]:
-        return frozenset(REQUIRED_LABELS)
 
     @property
     def hw_bypass(self) -> bool:
@@ -207,7 +191,7 @@ class SWDSMProtocol(Protocol):
     # replication (home side)
     # ------------------------------------------------------------------
 
-    @handles("S_RREQ", "S_WREQ")
+    @handles(SRreq, SWreq)
     def on_request(self, msg: SRreq | SWreq) -> None:
         home = self.home(msg.vpn)
         dispatch = self.dispatch_cost(msg.src_cluster, msg.vpn)
@@ -239,7 +223,7 @@ class SWDSMProtocol(Protocol):
             SData, msg, completion, write=msg.want_write, data=home.data.copy()
         )
 
-    @handles("S_DATA")
+    @handles(SData)
     def on_data(self, msg: SData) -> None:
         pid, vpn = msg.dst_pid, msg.vpn
         frame = self.frames[pid][vpn]
@@ -332,7 +316,7 @@ class SWDSMProtocol(Protocol):
         frame.tlb_dir.discard(pid)
         self.tlbs[pid].invalidate(frame.vpn)
 
-    @handles("S_DIFF")
+    @handles(SDiff)
     def on_diff(self, msg: SDiff) -> None:
         home = self.home(msg.vpn)
         dispatch = self.dispatch_cost(msg.src_cluster, msg.vpn)
@@ -384,7 +368,7 @@ class SWDSMProtocol(Protocol):
                 SInv, home.vpn, home.home_pid, pid, msg.txn, at=completion
             )
 
-    @handles("S_INV")
+    @handles(SInv)
     def on_inv(self, msg: SInv) -> None:
         pid, vpn = msg.dst_pid, msg.vpn
         costs = self.costs
@@ -405,7 +389,7 @@ class SWDSMProtocol(Protocol):
         completion = self.machine.occupy(pid, work)
         self.bus.reply(SIack, msg, completion, indices=indices, values=values)
 
-    @handles("S_IACK")
+    @handles(SIack)
     def on_iack(self, msg: SIack) -> None:
         home = self.home(msg.vpn)
         assert home.state is ServerState.REL_IN_PROG and home.count > 0, (
@@ -450,7 +434,7 @@ class SWDSMProtocol(Protocol):
             return
         self._start_round(home, msg, self.dispatch_cost(msg.src_cluster, msg.vpn))
 
-    @handles("S_RACK")
+    @handles(SRack)
     def on_rack(self, msg: SRack) -> None:
         completion = self.machine.occupy(
             msg.dst_pid, self.dispatch_cost(msg.dst_cluster, msg.vpn)

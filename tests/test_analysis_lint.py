@@ -9,13 +9,7 @@ clean — the same check CI's ``analysis`` job enforces.
 
 from pathlib import Path
 
-from repro.analysis.lint import (
-    check_arc_coverage,
-    check_handler_coverage,
-    lint_paths,
-    lint_source,
-    main,
-)
+from repro.analysis.lint import lint_paths, lint_source, main
 
 REPO = Path(__file__).resolve().parent.parent
 
@@ -127,98 +121,6 @@ class TestSetIteration:
     def test_list_iteration_is_fine(self, tmp_path):
         source = "xs = [1, 2]\nfor x in xs:\n    go(x)\n"
         assert findings_for(tmp_path, "core/x.py", source) == []
-
-
-class TestHandlerCoverage:
-    def write_core(self, tmp_path, engine_source):
-        core = tmp_path / "repro" / "core"
-        core.mkdir(parents=True, exist_ok=True)
-        (core / "messages.py").write_text(
-            "class MsgType:\n    RREQ = 'RREQ'\n    RDAT = 'RDAT'\n"
-        )
-        (core / "engine.py").write_text(engine_source)
-        return core
-
-    def test_missing_handler_flagged(self, tmp_path):
-        core = self.write_core(
-            tmp_path,
-            "@handles(MsgType.RREQ)\ndef on_rreq(self, msg):\n    pass\n",
-        )
-        found = check_handler_coverage(core)
-        assert rules(found) == ["handler-coverage"]
-        assert "MsgType.RDAT has no @handles" in found[0].message
-
-    def test_duplicate_handler_flagged(self, tmp_path):
-        core = self.write_core(
-            tmp_path,
-            "@handles(MsgType.RREQ)\ndef a(self, msg):\n    pass\n"
-            "@handles(MsgType.RREQ)\ndef b(self, msg):\n    pass\n"
-            "@handles(MsgType.RDAT)\ndef c(self, msg):\n    pass\n",
-        )
-        found = check_handler_coverage(core)
-        assert rules(found) == ["handler-coverage"]
-        assert "2 @handles registrations" in found[0].message
-
-    def test_exact_coverage_is_clean(self, tmp_path):
-        core = self.write_core(
-            tmp_path,
-            "@handles(MsgType.RREQ)\ndef a(self, msg):\n    pass\n"
-            "@handles(MsgType.RDAT)\ndef b(self, msg):\n    pass\n",
-        )
-        assert check_handler_coverage(core) == []
-
-
-class TestArcCoverage:
-    HANDLERS = (
-        "@handles('X_REQ')\ndef on_req(self, msg):\n    pass\n"
-        "@handles('X_DAT')\ndef on_dat(self, msg):\n    pass\n"
-    )
-
-    def write_engine(self, tmp_path, arcs_source=None):
-        protocols = tmp_path / "repro" / "protocols"
-        package = protocols / "toy"
-        package.mkdir(parents=True, exist_ok=True)
-        (package / "protocol.py").write_text(self.HANDLERS)
-        if arcs_source is not None:
-            (package / "arcs.py").write_text(arcs_source)
-        core = tmp_path / "repro" / "core"
-        core.mkdir(parents=True, exist_ok=True)
-        messages = core / "messages.py"
-        messages.write_text("class MsgType:\n    pass\n")
-        return protocols, messages
-
-    def test_missing_check_flagged(self, tmp_path):
-        protocols, messages = self.write_engine(
-            tmp_path,
-            "class ToyArcRules:\n    _CHECKS = {'X_REQ': None}\n",
-        )
-        found = check_arc_coverage(protocols, messages)
-        assert rules(found) == ["arc-coverage"]
-        assert "'X_DAT' with no arc check" in found[0].message
-
-    def test_missing_table_flagged(self, tmp_path):
-        protocols, messages = self.write_engine(tmp_path, arcs_source=None)
-        found = check_arc_coverage(protocols, messages)
-        assert rules(found) == ["arc-coverage"]
-        assert "ships no ArcRules _CHECKS table" in found[0].message
-
-    def test_full_coverage_is_clean(self, tmp_path):
-        protocols, messages = self.write_engine(
-            tmp_path,
-            "class ToyArcRules:\n"
-            "    _CHECKS = {'X_REQ': None, 'X_DAT': None}\n",
-        )
-        assert check_arc_coverage(protocols, messages) == []
-
-    def test_extra_checks_are_fine(self, tmp_path):
-        # A check for a label the engine no longer registers is dead
-        # code, not a blind spot; handler-coverage owns declarations.
-        protocols, messages = self.write_engine(
-            tmp_path,
-            "class ToyArcRules:\n"
-            "    _CHECKS = {'X_REQ': None, 'X_DAT': None, 'X_OLD': None}\n",
-        )
-        assert check_arc_coverage(protocols, messages) == []
 
 
 class TestDriver:

@@ -1,6 +1,7 @@
-"""Table 2 completeness: every protocol message type exists, has exactly
-one registered handler, and flows on the wire under a mixed workload;
-and no message is mutated once sent."""
+"""Table 2 completeness: every protocol message type exists and flows on
+the wire under a mixed workload; and no message is mutated once sent.
+That each type has exactly one handler is checked for every engine in
+``test_protocol_conformance.py``."""
 
 import dataclasses
 
@@ -27,15 +28,6 @@ def test_every_type_is_a_documented_message_class():
         assert cls.label == mtype.value
         msg = cls.__doc__ or ""
         assert msg.strip(), f"{cls.__name__} must document its Table 2 arc"
-
-
-def test_each_type_has_exactly_one_handler():
-    rt = Runtime(MachineConfig(total_processors=4, cluster_size=2))
-    bus = rt.protocol.bus
-    rt.protocol.bus.check_complete()
-    # `register` raises on duplicates, so presence in the dispatch table
-    # proves uniqueness; cover all of Table 2 plus nothing dangling.
-    assert {m.value for m in MsgType} <= bus.handled_labels()
 
 
 def _mixed_workload() -> Runtime:

@@ -8,6 +8,10 @@ them (TSP 2270%, Water 322%, Barnes-Hut 161%, Jacobi 16%, Matmul 0%),
 and that ranking is the multigrain argument.  This module reads the
 ``breakup penalty`` row of each committed figure (the drift gate keeps
 those files equal to what the code produces) and asserts the ranking.
+
+CI's drift gate does not regenerate Figures 8, 11 and 12 (the slowest
+three), so their benchmarks' own claims are asserted here too, with
+the same bounds, on the committed files.
 """
 
 import csv
@@ -16,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.metrics import breakup_penalty
+from repro.metrics import breakup_penalty, multigrain_potential
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -44,15 +48,21 @@ def _measured_penalty(stem: str) -> float:
     return int(rows[0][0]) / 100
 
 
+def _csv_rows(stem: str) -> dict[int, dict[str, str]]:
+    """``results/<stem>.csv`` rows keyed by cluster size."""
+    with open(RESULTS / f"{stem}.csv", newline="") as f:
+        return {int(row["cluster_size"]): row for row in csv.DictReader(f)}
+
+
+def _csv_times(stem: str) -> dict[int, int]:
+    return {c: int(row["total_time"]) for c, row in _csv_rows(stem).items()}
+
+
 @pytest.mark.parametrize("app", FIGURES)
 def test_printed_penalty_matches_the_csv(app):
     """The printed row is ``T(P/2)/T(P) - 1`` of the figure's own sweep."""
     stem = FIGURES[app]
-    with open(RESULTS / f"{stem}.csv", newline="") as f:
-        times = {
-            int(row["cluster_size"]): int(row["total_time"])
-            for row in csv.DictReader(f)
-        }
+    times = _csv_times(stem)
     total = max(times)
     expected = round(breakup_penalty(times, total) * 100)
     assert round(_measured_penalty(stem) * 100) == expected
@@ -67,3 +77,107 @@ def test_breakup_penalty_ordering_across_figures():
     assert water > bh, penalties
     assert bh >= MUCH_LARGER * jacobi, penalties
     assert jacobi > matmul, penalties
+
+
+def test_fig8_tsp_claims():
+    """``bench_fig08_tsp``: TSP is pathological on a DSSMP, lock time
+    dominates, and little is gained by the first doubling of C."""
+    rows = _csv_rows("fig08_tsp")
+    times = _csv_times("fig08_tsp")
+    total = max(times)
+    assert times[1] / times[total] > 10, times
+    assert breakup_penalty(times, total) > 3.0, times
+    half = rows[total // 2]
+    assert int(half["lock"]) > int(half["user"]), half
+    assert times[2] > 0.5 * times[1], times
+
+
+#: ``bench_fig11_lock_hit``'s monotonicity slack per app: the saturated
+#: TSP queue lock wobbles in the middle range (EXPERIMENTS.md)
+LOCK_SLACK = {"tsp": 0.15, "water": 0.05, "barnes-hut": 0.05}
+
+#: Figure 11 prints ratios to two decimals, each within 0.005 of the
+#: measured one: a bound between two printed ratios, tightened by this
+#: margin, holds for the measured ratios too
+PRINTED = 0.01
+
+_LOCK_ROW = re.compile(r"^\s*([a-z-]+)((?:\s+\d\.\d\d)+)\s*$", re.M)
+
+
+def _lock_hit_rows() -> tuple[list[int], dict[str, list[float]]]:
+    """Figure 11's cluster sizes and per-app printed hit ratios."""
+    text = (RESULTS / "fig11_lock_hit.txt").read_text()
+    sizes = [int(c) for c in re.findall(r"C=(\d+)", text)]
+    rows = {
+        m.group(1): [float(x) for x in m.group(2).split()]
+        for m in _LOCK_ROW.finditer(text)
+    }
+    assert set(rows) == set(LOCK_SLACK), rows
+    assert all(len(ratios) == len(sizes) for ratios in rows.values()), rows
+    return sizes, rows
+
+
+def test_fig11_rows_are_the_figure_sweeps():
+    """Figure 11 renders the Figure 8-10 sweeps' lock hit ratios; at
+    C = P the lock token never leaves the one SSMP, so every hit ratio
+    is exactly 1."""
+    sizes, rows = _lock_hit_rows()
+    for app, ratios in rows.items():
+        csv_rows = _csv_rows(FIGURES[app])
+        assert sorted(csv_rows) == sizes
+        measured = [float(csv_rows[c]["lock_hit_ratio"]) for c in sizes]
+        assert all(
+            abs(p - m) <= 0.005 + 1e-9 for p, m in zip(ratios, measured)
+        ), (app, ratios, measured)
+        assert measured[-1] == 1.0, (app, measured)
+
+
+def test_fig11_lock_hit_ratio_claims():
+    """``bench_fig11_lock_hit``: each hit ratio rises with cluster size,
+    and Water and Barnes-Hut beat TSP at small cluster sizes."""
+    sizes, rows = _lock_hit_rows()
+    for app, ratios in rows.items():
+        slack = LOCK_SLACK[app] - PRINTED
+        assert all(b >= a - slack for a, b in zip(ratios, ratios[1:])), (
+            f"{app}: hit ratio must increase with cluster size: {ratios}"
+        )
+        assert ratios[-1] == 1.0, (app, ratios)
+    for c in (2, 4):
+        i = sizes.index(c)
+        tsp = rows["tsp"][i]
+        for app in ("water", "barnes-hut"):
+            assert rows[app][i] > tsp - 0.05 + PRINTED, (c, app, rows)
+
+
+_BAR = re.compile(r"^C=\s*(\d+) \|[A-Z ]*\|\s+([\d,]+) cycles$", re.M)
+
+
+def _fig12_sections() -> list[tuple[dict[int, int], str]]:
+    """Figure 12's (untransformed, transformed) sections: each one's
+    per-C cycle counts and its text."""
+    text = (RESULTS / "fig12_water_kernel.txt").read_text()
+    sections = text.split("Figure 12 (loop-transformed)")
+    assert len(sections) == 2, "expected an untransformed and a transformed part"
+    return [
+        ({int(c): int(t.replace(",", "")) for c, t in _BAR.findall(part)}, part)
+        for part in sections
+    ]
+
+
+def test_fig12_water_kernel_claims():
+    """``bench_fig12_water_kernel``: the loop transformation cuts the
+    breakup penalty more than tenfold while a large multigrain potential
+    remains.  Computed from the printed cycle counts, which must agree
+    with the printed metric rows."""
+    penalties, potentials = [], []
+    for times, text in _fig12_sections():
+        total = max(times)
+        assert sorted(times) == [1, 2, 4, 8, 16, 32], times
+        penalty = breakup_penalty(times, total)
+        rows = _ROW.findall(text)
+        assert len(rows) == 1 and int(rows[0][0]) == round(penalty * 100), rows
+        penalties.append(penalty)
+        potentials.append(multigrain_potential(times, total))
+    unopt, opt = penalties
+    assert opt < unopt / 10, (opt, unopt)
+    assert potentials[1] > 0.4, potentials

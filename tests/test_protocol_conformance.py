@@ -8,15 +8,24 @@ race detector and the invariant sanitizer loaded with the engine's own
 ``arc_rules()`` (``Runtime.run`` sweeps the quiescence rules at the end
 of every run).  A new engine gets this entire matrix for free the moment
 it registers.
+
+It also holds each engine's message vocabulary to one declaration: the
+labels its ``@handles`` marks register on the bus.
 """
 
 import dataclasses
+import importlib
+import pkgutil
 
 import pytest
 
+import repro
+from repro.analysis.invariants import InvariantSanitizer
 from repro.apps import barnes_hut, jacobi, matmul, tsp, water
 from repro.core.engine import UnknownEngineError, engine_class, engine_names
+from repro.core.messages import ProtocolMessage
 from repro.params import MachineConfig
+from repro.runtime import Runtime
 
 #: every paper app at conformance size: big enough to fault, share, and
 #: synchronize across clusters; small enough that the full engine x app
@@ -70,6 +79,64 @@ def test_engine_runs_app(engine, app, analyzed_runtimes):
     # engine's own structural invariants on top.
     rt.race_detector.certify()
     rt.protocol.check_invariants()
+
+
+def _runtime(engine):
+    return Runtime(
+        MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
+    )
+
+
+def _message_classes():
+    """Every ProtocolMessage subclass defined in the ``repro`` package;
+    each module is imported first, so none is missed."""
+    for info in pkgutil.walk_packages(repro.__path__, "repro."):
+        importlib.import_module(info.name)
+    found, todo = [], [ProtocolMessage]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("repro."):
+                found.append(sub)
+    return found
+
+
+@pytest.fixture(scope="module")
+def vocabularies():
+    """Engine name -> the labels its bus has handlers for."""
+    return {
+        name: _runtime(name).protocol.bus.handled_labels()
+        for name in engine_names()
+    }
+
+
+@pytest.mark.parametrize("engine", engine_names())
+def test_engine_vocabulary_is_declared_once(engine, vocabularies):
+    """The ``@handles`` marks are an engine's one declaration of its
+    messages (``MessageBus.register`` already refuses a second handler
+    for a label): the engine's arc rules check exactly those labels, no
+    other engine handles any of them, and together the engines handle
+    every message class in the tree."""
+    rt = _runtime(engine)
+    labels = rt.protocol.bus.handled_labels()
+    arc_labels = set(InvariantSanitizer(rt).rules._CHECKS)
+    assert labels == arc_labels, (
+        f"handled but unchecked: {sorted(labels - arc_labels)}; "
+        f"checked but unhandled: {sorted(arc_labels - labels)}"
+    )
+    for other, theirs in vocabularies.items():
+        if other != engine:
+            assert not labels & theirs, (
+                f"{engine} and {other} both handle {sorted(labels & theirs)}"
+            )
+    classes = _message_classes()
+    declared = {cls.label for cls in classes}
+    assert len(declared) == len(classes), "two message classes share a label"
+    handled = set().union(*vocabularies.values())
+    assert handled == declared, (
+        f"no engine handles {sorted(declared - handled)}; "
+        f"no class sends {sorted(handled - declared)}"
+    )
 
 
 def test_registry_is_complete():
