@@ -155,15 +155,17 @@ class InvariantSanitizer:
     # ------------------------------------------------------------------
 
     def check_quiescent(self) -> None:
-        """Full-state leak check once the simulation has drained.
+        """Full-state leak check once the simulation has drained: the
+        engine's structural invariants, then its quiescence arc rules.
 
         Valid at clean run completion (``Runtime.run`` calls it when a
-        sanitizer is attached) or after a manually driven protocol storm
-        has quiesced.
+        sanitizer is attached, before an app's ``run()`` closes the
+        Runtime) or after a manually driven protocol storm has quiesced.
         """
         if self.protocol.hw_bypass:
             # Software coherence is nulled; there is no protocol state.
             return
+        self.protocol.check_invariants()
         if self.bus.open_txns:
             stuck = sorted(self.bus.open_txns)
             self.fail(

@@ -52,8 +52,8 @@ class Finding:
 
 #: modules whose iteration order feeds the simulation event stream
 ORDER_SENSITIVE_PARTS = ("core", "protocols", "runtime", "sync", "svm", "hw",
-                         "net")
-ORDER_SENSITIVE_FILES = ("machine.py", "sim.py", "trace.py")
+                         "net", "sim", "machine")
+ORDER_SENSITIVE_FILES = ("trace.py",)
 
 #: modules allowed to read the wall clock: ``bench`` measures it, and
 #: ``serve`` needs real time for rate limiting, ETAs, and job timestamps

@@ -497,11 +497,12 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else BarnesHutParams()
-    rt = Runtime(config, costs, options=options)
-    bodies, nodes = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        bodies, nodes = build(rt, params)
+        result = rt.run()
+        snap = bodies.snapshot()
+        node_snap = nodes.snapshot()
     reference = golden(params)
-    snap = bodies.snapshot()
     n = params.n_bodies
     measured = np.stack([snap[i * 16 : i * 16 + 3] for i in range(n)])
     max_error = float(np.max(np.abs(measured - reference)))
@@ -510,7 +511,6 @@ def run(
     # insertion-order independent.
     pool = params.pool_per_iteration
     last_base = (params.iterations - 1) * pool * NODE_WORDS
-    node_snap = nodes.snapshot()
     root_mass = node_snap[last_base + F_MASS]
     total_mass = float(params.initial_bodies()[1].sum())
     return AppRun(

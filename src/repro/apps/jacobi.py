@@ -134,11 +134,11 @@ def run(
 ) -> AppRun:
     """Simulate Jacobi and validate against the sequential golden run."""
     params = params if params is not None else JacobiParams()
-    rt = Runtime(config, costs, options=options)
-    final = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        final = build(rt, params)
+        result = rt.run()
+        measured = final.snapshot()
     reference = golden(params).ravel()
-    measured = final.snapshot()
     max_error = float(np.max(np.abs(measured - reference)))
     return AppRun(
         name="jacobi",

@@ -105,14 +105,14 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else MatmulParams()
-    rt = Runtime(config, costs, options=options)
-    arr_c = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        arr_c = build(rt, params)
+        result = rt.run()
+        snap = arr_c.snapshot()
     n = params.n
     wpp = config.words_per_page
     row_stride = ((n + wpp - 1) // wpp) * wpp
     reference = golden(params)
-    snap = arr_c.snapshot()
     measured = np.stack([snap[i * row_stride : i * row_stride + n] for i in range(n)])
     max_error = float(np.max(np.abs(measured - reference)))
     return AppRun(

@@ -130,9 +130,9 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else ScanPhaseParams()
-    rt = Runtime(config, costs, options=options)
-    checksums = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        checksums = build(rt, params)
+        result = rt.run()
     reference = golden(params, config.total_processors)
     measured = [v for _, v in sorted(checksums)]
     max_error = float(

@@ -226,10 +226,10 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else TSPParams()
-    rt = Runtime(config, costs, options=options)
-    best_arr = build(rt, params)
-    result = rt.run()
-    measured = float(best_arr.snapshot()[0])
+    with Runtime(config, costs, options=options) as rt:
+        best_arr = build(rt, params)
+        result = rt.run()
+        measured = float(best_arr.snapshot()[0])
     reference = golden(params)
     return AppRun(
         name="tsp",

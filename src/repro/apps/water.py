@@ -227,17 +227,18 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterParams()
-    rt = Runtime(config, costs, options=options)
-    mols, stats = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        mols, stats = build(rt, params)
+        result = rt.run()
+        snap = mols.snapshot()
+        pe = float(stats.snapshot()[0])
     ref_pos, ref_pe = golden(params)
-    snap = mols.snapshot()
     n = params.n_molecules
     measured_pos = np.stack(
         [snap[i * MOL_WORDS + POS : i * MOL_WORDS + POS + 3] for i in range(n)]
     )
     pos_error = float(np.max(np.abs(measured_pos - ref_pos)))
-    pe_error = abs(float(stats.snapshot()[0]) - ref_pe) / max(abs(ref_pe), 1.0)
+    pe_error = abs(pe - ref_pe) / max(abs(ref_pe), 1.0)
     return AppRun(
         name="water",
         result=result,

@@ -289,11 +289,11 @@ def run(
     options: RunOptions | None = None,
 ) -> AppRun:
     params = params if params is not None else WaterKernelParams()
-    rt = Runtime(config, costs, options=options)
-    mols, mol_word = build(rt, params)
-    result = rt.run()
+    with Runtime(config, costs, options=options) as rt:
+        mols, mol_word = build(rt, params)
+        result = rt.run()
+        snap = mols.snapshot()
     reference = golden(params)
-    snap = mols.snapshot()
     n = params.n_molecules
     measured = np.stack(
         [snap[mol_word(i, FRC) : mol_word(i, FRC) + 3] for i in range(n)]

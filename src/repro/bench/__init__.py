@@ -1,46 +1,45 @@
-"""Benchmark harness: regenerates every table and figure of the paper."""
+"""Benchmark harness: regenerates every table and figure of the paper.
 
-from repro.bench.cache import CacheVerifyError, RunCache, resolve_cache
-from repro.bench.compare import (
-    ProtocolComparison,
-    comparison_to_csv,
-    render_comparison,
-    run_comparison,
-)
-from repro.bench.figures import FIGURES, bench_params, figure_report, run_figure
-from repro.bench.micro import MicroCosts, measure_micro_costs
-from repro.bench.parallel import parallel_map, resolve_jobs
-from repro.bench.report import (
-    render_breakdown_figure,
-    render_lock_figure,
-    render_metrics,
-    render_table,
-)
-from repro.bench.sweep import default_config, run_sweep
-from repro.bench.table4 import render_table4, run_table4
+The exports load on first use (PEP 562), so importing the package
+imports none of its modules: ``python -m repro.bench.cache`` then runs
+the cache module once, as ``__main__``, instead of after this package
+has already imported it.
+"""
 
-__all__ = [
-    "RunCache",
-    "CacheVerifyError",
-    "resolve_cache",
-    "MicroCosts",
-    "measure_micro_costs",
-    "FIGURES",
-    "bench_params",
-    "figure_report",
-    "run_figure",
-    "run_sweep",
-    "ProtocolComparison",
-    "run_comparison",
-    "render_comparison",
-    "comparison_to_csv",
-    "parallel_map",
-    "resolve_jobs",
-    "default_config",
-    "render_breakdown_figure",
-    "render_lock_figure",
-    "render_metrics",
-    "render_table",
-    "run_table4",
-    "render_table4",
-]
+import importlib
+
+#: public name -> the module of this package that defines it
+_EXPORTS = {
+    "RunCache": "cache",
+    "CacheVerifyError": "cache",
+    "resolve_cache": "cache",
+    "MicroCosts": "micro",
+    "measure_micro_costs": "micro",
+    "FIGURES": "figures",
+    "bench_params": "figures",
+    "figure_report": "figures",
+    "run_figure": "figures",
+    "run_sweep": "sweep",
+    "default_config": "sweep",
+    "ProtocolComparison": "compare",
+    "run_comparison": "compare",
+    "render_comparison": "compare",
+    "comparison_to_csv": "compare",
+    "parallel_map": "parallel",
+    "resolve_jobs": "parallel",
+    "render_breakdown_figure": "report",
+    "render_lock_figure": "report",
+    "render_metrics": "report",
+    "render_table": "report",
+    "run_table4": "table4",
+    "render_table4": "table4",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)

@@ -45,6 +45,7 @@ histograms exported by ``metrics``.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable
 
@@ -124,8 +125,9 @@ class MessageBus:
         self.flows: dict[str, MessageFlow] = {}
         self._next_txn = 0
         self.open_txns: dict[int, Transaction] = {}
-        #: closed-transaction latency samples, per kind
-        self.latencies: dict[str, list[int]] = {}
+        #: closed-transaction latency samples, per kind, as machine
+        #: integers: one per fault and release, the biggest log a run keeps
+        self.latencies: dict[str, array] = {}
 
     # ------------------------------------------------------------------
     # handler registration
@@ -146,6 +148,14 @@ class MessageBus:
                             f"{self._handlers[key]} and {bound}"
                         )
                     self._handlers[key] = bound
+
+    def close(self) -> None:
+        """Unbind the handlers and taps, which are bound methods of the
+        engines and observers that hold this bus; flows and latency
+        samples stay."""
+        self._handlers.clear()
+        self._taps.clear()
+        self._txn_taps.clear()
 
     def handled_labels(self) -> set[str]:
         """Labels with a registered handler."""
@@ -247,7 +257,10 @@ class MessageBus:
         if rec is None:
             return
         rec.end = self.sim.now
-        self.latencies.setdefault(rec.kind, []).append(rec.latency)
+        samples = self.latencies.get(rec.kind)
+        if samples is None:
+            samples = self.latencies[rec.kind] = array("q")
+        samples.append(rec.latency)
         for tap in self._txn_taps:
             tap("end", rec)
 

@@ -317,6 +317,17 @@ class Protocol:
     def check_invariants(self) -> None:
         """Assert cross-engine invariants; raises AssertionError on bugs."""
 
+    def close(self) -> None:
+        """Drop the page state and the bus's handler table of a finished
+        run (see :meth:`repro.runtime.runner.Runtime.close`); the
+        statistics stay."""
+        for tlb in self.tlbs:
+            tlb.close()
+        for frames in self.frames:
+            frames.clear()
+        self.homes.clear()
+        self.bus.close()
+
     # ------------------------------------------------------------------
     # phase-replay surface (see repro.runtime.replay)
     # ------------------------------------------------------------------

@@ -126,6 +126,12 @@ class CacheSystem:
         #: runtime fast path reads it to skip hopeless batch attempts.
         self.worst_hw_miss = max(self._cost_of[1:_SOFTWARE])
 
+    def close(self) -> None:
+        """Drop the line directories of a finished run; the access-class
+        counts stay."""
+        for directory in self._lines:
+            directory.clear()
+
     @property
     def stats(self) -> Counter:
         """Access counts by :class:`AccessClass` (Counter view).

@@ -151,6 +151,12 @@ class Machine:
             and self.transport is None
         )
 
+    def close(self) -> None:
+        """Cut the reliable transport's back-reference to this machine
+        (see :meth:`repro.runtime.runner.Runtime.close`)."""
+        if self.transport is not None:
+            self.transport.machine = None
+
     def external_link(self, src: int, dst: int) -> str:
         """Stats key of the external link a ``src``→``dst`` message uses."""
         return self.external.link_name(self.clusters[src], self.clusters[dst])

@@ -8,10 +8,12 @@ by ``RunResult``, ``metrics.export`` and the CLI.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 __all__ = ["percentile", "latency_summary"]
 
 
-def percentile(samples: list[int], q: float) -> int:
+def percentile(samples: Sequence[int], q: float) -> int:
     """Nearest-rank percentile of ``samples`` (q in [0, 100]).
 
     Deterministic and interpolation-free, so exported summaries are
@@ -25,7 +27,7 @@ def percentile(samples: list[int], q: float) -> int:
     return ordered[min(n, max(1, int(rank))) - 1]
 
 
-def latency_summary(samples: list[int]) -> dict[str, float]:
+def latency_summary(samples: Sequence[int]) -> dict[str, float]:
     """JSON-ready ``{count, mean, p50, p95, max}`` of latency samples."""
     if not samples:
         return {"count": 0, "mean": 0.0, "p50": 0, "p95": 0, "max": 0}

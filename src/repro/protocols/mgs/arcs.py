@@ -430,7 +430,6 @@ class MGSArcRules(ArcRules):
     def check_quiescent(self) -> None:
         """Full-state leak check once the simulation has drained."""
         protocol = self.protocol
-        protocol.check_invariants()
         if self._pending_rels:
             (txn, vpn), who = sorted(self._pending_rels.items())[0]
             self._fail(

@@ -24,6 +24,10 @@ class DUQ:
         self.enqueues = 0
         self.early_removals = 0
 
+    def close(self) -> None:
+        """Drop the queued pages; the counts stay."""
+        self._pages.clear()
+
     def add(self, vpn: int) -> None:
         """Queue a page (idempotent)."""
         if vpn not in self._pages:

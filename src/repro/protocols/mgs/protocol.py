@@ -97,6 +97,13 @@ class MGSProtocol(Protocol):
             cells.append((duq, "early_removals"))
         return cells
 
+    def close(self) -> None:
+        super().close()
+        for duq in self.duqs:
+            duq.close()
+        # the three engines point back at this context
+        self.local.ctx = self.remote.ctx = self.server.ctx = None
+
     # ------------------------------------------------------------------
     # state accessors
     # ------------------------------------------------------------------

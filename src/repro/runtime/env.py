@@ -138,6 +138,7 @@ class Env:
         "_fp_adaptive",
         "_fp_sample_bursts",
         "_fp_bypass_threshold",
+        "fastpath_bypassed",
         # per-instance bindings (fast or slow implementation)
         "read",
         "write",
@@ -178,6 +179,9 @@ class Env:
         self._fp_adaptive = runtime.options.fastpath
         self._fp_sample_bursts = runtime.protocol.fp_sample_bursts
         self._fp_bypass_threshold = runtime.protocol.fp_bypass_hits_per_burst
+        #: whether the adaptive sampler demoted this Env to the slow
+        #: paths (never under the race detector, which turns it off)
+        self.fastpath_bypassed = False
         if runtime.options.fastpath:
             self.read = self._read_fast
             self.write = self._write_fast
@@ -239,18 +243,15 @@ class Env:
         self.read_block = self._read_block_slow
         self.write_block = self._write_block_slow
         self.read_many = self._read_many_slow
+        self.fastpath_bypassed = True
 
-    @property
-    def fastpath_bypassed(self) -> bool:
-        """Whether the adaptive sampler demoted this Env to slow paths.
-
-        (``read`` may also be a race-detector wrapper function, which has
-        no ``__func__`` — those runs never demote, so report False.)
-        """
-        return (
-            self._rt.options.fastpath
-            and getattr(self.read, "__func__", None) is Env._read_slow
-        )
+    def close(self) -> None:
+        """Cut this finished Env's reference cycles (see
+        :meth:`Runtime.close`): the Runtime points back at it, and the
+        five memory operations are bound methods of the Env itself."""
+        self._rt = None
+        self.read = self.write = self.read_block = self.write_block = None
+        self.read_many = None
 
     def _fp_load(self, vpn: int, write: bool = False):
         """Resolve ``vpn`` with read (or, if ``write``, write) privilege;

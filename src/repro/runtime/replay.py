@@ -42,6 +42,7 @@ replay-on against replay-off bit-for-bit for every registered engine.
 from __future__ import annotations
 
 import dataclasses
+from array import array
 from typing import TYPE_CHECKING, Any
 
 from repro.sim.snapshot import digest
@@ -164,7 +165,7 @@ class _StatCells:
             f.bytes += db
             f.latency_cycles += dl
         for k, samples in dlats.items():
-            self.latencies.setdefault(k, []).extend(samples)
+            self.latencies.setdefault(k, array("q")).extend(samples)
         for i, d in enumerate(dcounts):
             if d:
                 self.cache_counts[i] += d
@@ -197,6 +198,12 @@ class PhaseRecorder:
         #: phases applied in closed form / recorded for reuse
         self.replayed = 0
         self.recorded = 0
+
+    def close(self) -> None:
+        """Drop the runtime and the records (``Runtime.close``); the
+        ``replayed`` and ``recorded`` counts stay."""
+        self.rt = self.cells = None
+        self.records.clear()
 
     def cache_summary(self) -> dict:
         """Replay activity of this run, for ``RunResult.replay_cache``."""

@@ -295,7 +295,10 @@ class Runtime:
         )
 
     def _start_phase(self, index: int) -> None:
-        """Hand every thread a fresh generator and schedule its resume."""
+        """Hand every thread a fresh generator and schedule its resume.
+        The last phase's Envs are finished; closing them frees them."""
+        for env in self.envs:
+            env.close()
         self.envs = []
         for t in self.threads:
             t.done = False
@@ -393,6 +396,52 @@ class Runtime:
                 recorder.cache_summary() if recorder is not None else {}
             ),
         )
+
+    # ------------------------------------------------------------------
+    # teardown
+    # ------------------------------------------------------------------
+
+    def close(self) -> None:
+        """Free the machine state of a finished run; keep its statistics.
+
+        A Runtime is a web of back-references: every Env points at it,
+        and the engine and its message bus point at each other.  Dropped
+        as it is, it is cyclic garbage that only the collector's oldest
+        generation frees, so a process that simulates point after point
+        (a sweep, a pool worker, the daemon) would hold finished machines
+        until the collector happened to run.  ``close`` empties the line
+        directories, frames, home pages, TLBs, DUQs and lock queues,
+        drops the thread generators and the bus's handler table, and
+        cuts those back-references, so reference counting frees the
+        Runtime as soon as its last holder lets go.
+
+        Every statistic stays readable: ``cache.stats``,
+        ``protocol.stats``, the bus's flows and latency samples,
+        ``machine.stats``, each lock's ``stats``,
+        ``sim.events_processed``, each Env's ``fastpath_bypassed`` and
+        the phase recorder's counts.  Each app's ``run()`` closes its
+        Runtime (``with Runtime(...) as rt``) once validation has read
+        the results; a Runtime built directly stays open until its
+        owner closes it.
+        """
+        for env in self.envs:
+            env.close()
+        for t in self.threads:
+            t.gen = None
+        self._phase_factory = None
+        self.machine.close()
+        self.cache.close()
+        self.protocol.close()
+        for lk in self.locks:
+            lk.close()
+        if self.phase_recorder is not None:
+            self.phase_recorder.close()
+
+    def __enter__(self) -> "Runtime":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
 
     # ------------------------------------------------------------------
     # the driver

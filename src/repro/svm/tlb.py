@@ -50,6 +50,10 @@ class TLB:
             self.invalidations += 1
         return existed
 
+    def close(self) -> None:
+        """Drop every mapping; the fill and invalidation counts stay."""
+        self._entries.clear()
+
     def has_write(self, vpn: int) -> bool:
         return self._entries.get(vpn) == MapMode.WRITE
 

@@ -121,6 +121,13 @@ class MGSLock:
             self._handoff_budget,
         )
 
+    def close(self) -> None:
+        """Drop the queued waiters and their wake-up callbacks; the
+        statistics stay."""
+        for q in self._local_q:
+            q.clear()
+        self._home_pending.clear()
+
     # ------------------------------------------------------------------
 
     def _manager(self, cluster: int) -> int:

@@ -78,6 +78,15 @@ class TestIdOrder:
         source = "keys = {id(frame): 1}\n"
         assert findings_for(tmp_path, "apps/x.py", source) == []
 
+    def test_event_heap_and_message_substrate_are_in_scope(self, tmp_path):
+        # sim/ and machine/ are packages: the event heap and the message
+        # substrate feed the event stream like the engines do.
+        source = "keys = {id(frame): 1}\nfor c in home.write_dir:\n    go(c)\n"
+        for rel in ("sim/engine.py", "machine/machine.py"):
+            assert rules(findings_for(tmp_path, rel, source)) == [
+                "id-order", "set-iteration"
+            ], rel
+
 
 class TestSetIteration:
     def test_for_over_set_attr_flagged(self, tmp_path):

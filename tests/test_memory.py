@@ -1,4 +1,5 @@
-"""Memory footprint of the simulator's two largest containers.
+"""Memory footprint of the simulator's two largest containers, and the
+teardown that frees a finished run.
 
 Locks and line-directory entries dominate a simulation's own memory:
 Barnes-Hut creates one lock per tree node, and every cached line keeps a
@@ -6,15 +7,25 @@ directory entry per cluster.  These bounds sit between the slotted,
 list-queued locks and sharer-bitmask lines (about 4.2 MB and 2.7 MB) and
 the ``deque``-per-SSMP locks and sharer sets they replaced (40.0 MB and
 7.0 MB), so a regression to either older layout fails.
+
+A sweep builds one machine per point, so an app's ``run()`` closes its
+Runtime (``Runtime.close``): reference counting alone must then free it,
+and every statistic a caller reads afterwards must be unchanged.
 """
 
 from __future__ import annotations
 
+import gc
 import tracemalloc
+import weakref
 
+import pytest
+
+from repro.apps import jacobi, scanphase, tsp
+from repro.core.engine import engine_names
 from repro.hw import CacheSystem
 from repro.params import CostModel, MachineConfig
-from repro.runtime import Runtime
+from repro.runtime import RunOptions, Runtime
 
 
 def _allocated_mb(build) -> float:
@@ -48,3 +59,77 @@ def test_two_sharer_directory_lines_stay_small():
     mb = _allocated_mb(fill)
     assert cache.lines_cached(0) == 20_000
     assert mb < 5.0, f"20,000 two-sharer lines took {mb:.1f} MB"
+
+
+#: small points of a phased app (fresh Envs every phase) and a lock-bound one
+_APPS = {
+    "jacobi": (jacobi, jacobi.JacobiParams(n=16, iterations=3)),
+    "tsp": (tsp, tsp.TSPParams(ncities=6)),
+}
+_POINTS = [("jacobi", e) for e in engine_names()] + [("tsp", "mgs")]
+
+
+@pytest.mark.parametrize("app,engine", _POINTS)
+def test_app_run_frees_its_runtime_without_the_collector(app, engine):
+    module, params = _APPS[app]
+    config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
+    caught: list[Runtime] = []
+    hook = caught.append
+    Runtime.construction_hooks.append(hook)
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        try:
+            run = module.run(config, params)
+        finally:
+            Runtime.construction_hooks.remove(hook)
+        alive = weakref.ref(caught.pop())
+        assert run.require_valid().total_time > 0
+        del run
+        assert alive() is None, "the finished Runtime is left to the collector"
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _statistics(rt: Runtime) -> dict:
+    """Every count a caller reads from a finished Runtime, the
+    performance ledger's included."""
+    recorder = rt.phase_recorder
+    return {
+        "cache": dict(rt.cache.stats),
+        "protocol": rt.protocol.stats.as_dict(),
+        "flows": rt.protocol.bus.flow_summary(),
+        "transactions": rt.protocol.bus.transaction_summary(),
+        "inter_ssmp": rt.machine.stats.inter_ssmp,
+        "locks": [(lk.stats.acquires, lk.stats.hits) for lk in rt.locks],
+        "events": rt.sim.events_processed,
+        "bypassed": [env.fastpath_bypassed for env in rt.envs],
+        "replayed": None if recorder is None else recorder.replayed,
+    }
+
+
+@pytest.mark.parametrize(
+    "module,params",
+    [
+        (tsp, tsp.TSPParams(ncities=6)),
+        (scanphase, scanphase.ScanPhaseParams(words=512, phases=6)),
+    ],
+    ids=["tsp", "scanphase"],
+)
+def test_close_keeps_every_statistic_and_drops_the_state(module, params):
+    rt = Runtime(
+        MachineConfig(total_processors=4, cluster_size=2), options=RunOptions()
+    )
+    module.build(rt, params)
+    rt.run()
+    before = _statistics(rt)
+    assert before["events"] and before["flows"] and rt.protocol.homes
+    if module is scanphase:
+        assert before["replayed"], "no phase replayed: pick a repeating point"
+    rt.close()
+    assert _statistics(rt) == before
+    assert not rt.protocol.homes
+    assert not any(rt.protocol.frames)
+    assert not any(rt.cache.lines_cached(c) for c in range(2))
+    assert not any(len(tlb) for tlb in rt.protocol.tlbs)

@@ -74,11 +74,11 @@ def test_engine_runs_app(engine, app, analyzed_runtimes):
     assert run.result.total_time > 0
     rt = analyzed_runtimes[-1]
     assert rt.protocol.name == engine
-    # Runtime.run already swept the engine's quiescence arc rules via the
-    # attached sanitizer; certify the happens-before race check and the
-    # engine's own structural invariants on top.
+    # Runtime.run already checked the engine's structural invariants and
+    # swept its quiescence arc rules through the attached sanitizer,
+    # before the app's run() closed the runtime; certify the
+    # happens-before race check on top.
     rt.race_detector.certify()
-    rt.protocol.check_invariants()
 
 
 def _runtime(engine):
