@@ -99,6 +99,14 @@ class InvariantSanitizer:
         self.bus.add_txn_tap(self._on_txn)
         rt.sanitizer = self
 
+    def close(self) -> None:
+        """Cut the references back into a closed runtime (see
+        :meth:`repro.runtime.runner.Runtime.close`, which calls this and
+        has already dropped the bus taps): the runtime itself and the
+        arc rules, which point back at this sanitizer.  ``checked``
+        stays readable."""
+        self.rt = self.rules = None
+
     def detach(self) -> None:
         """Remove the bus taps; the sanitizer stops observing."""
         self.bus.remove_tap(self._on_message)

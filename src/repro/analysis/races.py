@@ -81,7 +81,6 @@ class RaceDetector:
     """
 
     def __init__(self, rt: "Runtime") -> None:
-        self.rt = rt
         self._page_size = rt.config.page_size
         n = rt.config.total_processors
         self._n = n

@@ -139,9 +139,8 @@ def make_diff(data: np.ndarray, twin: np.ndarray) -> tuple[np.ndarray, np.ndarra
     new values.  This is the Munin-style diff the Remote Client computes
     at invalidation time (Table 1, arc 14, ``make diff``).
     """
-    changed = data != twin
-    indices = np.flatnonzero(changed)
-    return indices, data[indices].copy()
+    indices = (data != twin).nonzero()[0]
+    return indices, data[indices]  # fancy indexing already copies
 
 
 def apply_diff(home: np.ndarray, indices: np.ndarray, values: np.ndarray) -> None:
@@ -150,7 +149,13 @@ def apply_diff(home: np.ndarray, indices: np.ndarray, values: np.ndarray) -> Non
 
 
 def dirty_lines(indices: np.ndarray, words_per_line: int) -> int:
-    """Number of distinct cache lines touched by a diff (for DMA sizing)."""
+    """Number of distinct cache lines touched by a diff (for DMA sizing).
+
+    ``indices`` ascend (:func:`make_diff` takes them from
+    ``nonzero``), so the count is one line plus one per boundary
+    between neighbouring indices in different lines: no sort needed.
+    """
     if len(indices) == 0:
         return 0
-    return len(np.unique(indices // words_per_line))
+    lines = indices // words_per_line
+    return 1 + int(np.count_nonzero(lines[1:] != lines[:-1]))

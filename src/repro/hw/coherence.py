@@ -31,6 +31,15 @@ against ``MachineConfig.hw_dir_pointers``.  A small int costs 28 bytes
 and even a one-element ``set`` 216, which matters because the line
 directories are the largest piece of a simulation's memory.
 
+Page cleaning (section 4.2.4) drops every cached line of a page, and it
+runs on every release round and every outbound page grant, while a page
+usually has only a line or two cached.  So each cluster also keeps a
+page index, ``page -> [line, ...]`` of the page's lines that have a
+directory entry: a line is appended where its entry is created (the only
+place one is), and :meth:`CacheSystem.flush_page` pops the page's list
+and then just those lines.  The index is derived from the directory,
+which is all that :meth:`CacheSystem.state` digests.
+
 Capacity and conflict misses are not modeled (the directory acts as if
 caches were infinite); the paper's working sets at our scaled problem
 sizes fit comfortably in Alewife's 64 KB SRAM, and the effects the paper
@@ -51,7 +60,7 @@ that is safe.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, defaultdict
 
 import numpy as np
 
@@ -92,6 +101,8 @@ class CacheSystem:
         "config",
         "costs",
         "_lines",
+        "_pages",
+        "_lines_per_page",
         "_counts",
         "_cost_of",
         "_hw_ptrs",
@@ -107,6 +118,13 @@ class CacheSystem:
         self._lines: list[dict[int, list]] = [
             {} for _ in range(config.num_clusters)
         ]
+        #: per cluster, page -> the page's lines that have an entry in
+        #: ``_lines``, in creation order: the index page cleaning walks
+        #: instead of every line of the page
+        self._pages: list[defaultdict[int, list[int]]] = [
+            defaultdict(list) for _ in range(config.num_clusters)
+        ]
+        self._lines_per_page = config.lines_per_page
         self._counts: list[int] = [0] * len(_CLASSES)
         self._cost_of: list[int] = [
             costs.cache_hit,
@@ -131,6 +149,8 @@ class CacheSystem:
         counts stay."""
         for directory in self._lines:
             directory.clear()
+        for pages in self._pages:
+            pages.clear()
 
     @property
     def stats(self) -> Counter:
@@ -208,6 +228,8 @@ class CacheSystem:
         """
         directory = self._lines[cluster]
         get = directory.get
+        pages = self._pages[cluster]
+        lpp = self._lines_per_page
         counts = self._counts
         cost_of = self._cost_of
         classify = self._classify_and_update
@@ -232,7 +254,10 @@ class CacheSystem:
                 bound = worst_hw
             if total + bound + extra > budget:
                 break
-            i = classify(directory, state, pid, line, is_write, home_pid)
+            if state is None:
+                state = directory[line] = [-1, 0]
+                pages[line // lpp].append(line)
+            i = classify(state, pid, is_write, home_pid)
             counts[i] += 1
             total += cost_of[i] + extra
             k += 1
@@ -253,7 +278,11 @@ class CacheSystem:
         """
         directory = self._lines[cluster]
         state = directory.get(line)
-        if state is not None:
+        if state is None:
+            # A new entry: index it under its page for page cleaning.
+            state = directory[line] = [-1, 0]
+            self._pages[cluster][line // self._lines_per_page].append(line)
+        else:
             # Inline hit check: sufficient privilege means no directory
             # update, so the full classification can be skipped.
             owner = state[0]
@@ -264,24 +293,15 @@ class CacheSystem:
             ):
                 self._counts[_HIT] += 1
                 return self.hit_cost
-        i = self._classify_and_update(
-            directory, state, pid, line, is_write, home_pid
-        )
+        i = self._classify_and_update(state, pid, is_write, home_pid)
         self._counts[i] += 1
         return self._cost_of[i]
 
     def _classify_and_update(
-        self,
-        directory: dict[int, list],
-        state: list | None,
-        pid: int,
-        line: int,
-        is_write: bool,
-        home_pid: int,
+        self, state: list, pid: int, is_write: bool, home_pid: int
     ) -> int:
-        if state is None:
-            state = [-1, 0]
-            directory[line] = state
+        """Class of one access to the directory entry ``state`` (created
+        by the caller when the line was absent), updating it in place."""
         owner, mask = state
 
         if is_write:
@@ -339,11 +359,12 @@ class CacheSystem:
             return _SOFTWARE
         return _LOCAL if home_pid == pid else _REMOTE
 
-    def flush_page(self, cluster: int, first_line: int, nlines: int) -> None:
-        """Drop all line state of a page in ``cluster`` (page cleaning)."""
+    def flush_page(self, cluster: int, vpn: int) -> None:
+        """Drop all line state of page ``vpn`` in ``cluster`` (page
+        cleaning), visiting only the lines the page index lists."""
         pop = self._lines[cluster].pop
-        for line in range(first_line, first_line + nlines):
-            pop(line, None)
+        for line in self._pages[cluster].pop(vpn, ()):
+            pop(line)
 
     def state(self) -> tuple:
         """Per cluster, the ``(line, owner, sharer-mask)`` stream sorted

@@ -65,14 +65,14 @@ class LocalClient:
         must handle every frame state.
         """
         ctx = self.ctx
-        cluster = ctx.config.cluster_of(pid)
+        cluster = pid // ctx.cluster_size
         frame = ctx.frames[cluster].get(vpn)
 
         if frame is not None and frame.lock_held:
             # Mapping lock busy (fault, upgrade, or invalidation in
             # progress): queue, exactly like spinning on the lock.
             frame.waiters.append(Waiter(pid, want_write, on_done, txn))
-            ctx.stats.record("fault_lock_waits")
+            ctx.stats["fault_lock_waits"] += 1
             return
 
         if frame is not None and frame.state is FrameState.WRITE:
@@ -105,7 +105,7 @@ class LocalClient:
         if want_write:
             ctx.duqs[pid].add(frame.vpn)
             frame.post_snapshot_writes = True
-        ctx.stats.record("tlb_fill_local")
+        ctx.stats["tlb_fill_local"] += 1
         ctx.sim.schedule(ctx.costs.map_fill, on_done)
 
     def _start_upgrade(
@@ -115,7 +115,7 @@ class LocalClient:
         Client that owns this SSMP's copy."""
         ctx = self.ctx
         frame.lock_held = True
-        ctx.stats.record("upgrades")
+        ctx.stats["upgrades"] += 1
         ctx.bus.send(
             Upgrade, frame.vpn, pid, frame.owner_pid, txn,
             at=ctx.sim.now + ctx.costs.msg_intra_ssmp,
@@ -133,9 +133,9 @@ class LocalClient:
     ) -> None:
         """Arc 5: enter BUSY and request the page from the home Server."""
         ctx = self.ctx
-        cluster = ctx.config.cluster_of(pid)
-        home_pid = ctx.aspace.home_proc(vpn)
-        home_cluster = ctx.config.cluster_of(home_pid)
+        cluster = pid // ctx.cluster_size
+        home_pid = ctx.aspace.home_pids[vpn]
+        home_cluster = home_pid // ctx.cluster_size
         aliases_home = cluster == home_cluster
         owner = home_pid if aliases_home else pid  # first-touch placement
         if frame is None:
@@ -148,7 +148,7 @@ class LocalClient:
         frame.lock_held = True
         frame.waiters.append(Waiter(pid, want_write, on_done, txn))
         request = Wreq if want_write else Rreq
-        ctx.stats.record("write_requests" if want_write else "read_requests")
+        ctx.stats["write_requests" if want_write else "read_requests"] += 1
         ctx.bus.send(
             request, vpn, pid, home_pid, txn,
             at=ctx.sim.now + ctx.msg_cost(cluster, home_cluster),
@@ -167,8 +167,8 @@ class LocalClient:
         assert frame.state is FrameState.BUSY, (
             f"data grant for vpn {vpn} in cluster {cluster} but frame is {frame.state}"
         )
-        dispatch = ctx.dispatch_cost(cluster, vpn)
-        work = dispatch
+        # the grant comes from the page's home
+        work = ctx.msg_cost(cluster, msg.src_cluster)
         frame.data = msg.data
         if msg.write_grant:
             frame.state = FrameState.WRITE
@@ -242,11 +242,11 @@ class LocalClient:
             for vpn in sorted(stolen):
                 duq.add(vpn)
             stolen.clear()
-            ctx.stats.record("stolen_joins")
+            ctx.stats["stolen_joins"] += 1
         if not duq:
             on_done()
             return
-        ctx.stats.record("releases")
+        ctx.stats["releases"] += 1
         self._release_next(pid, on_done, txn)
 
     def _release_next(self, pid: int, on_done: Callable[[], None], txn: int) -> None:
@@ -256,11 +256,11 @@ class LocalClient:
             ctx.sim.schedule(ctx.costs.release_resume, on_done)
             return
         vpn = duq.pop_head()
-        home_pid = ctx.aspace.home_proc(vpn)
+        home_pid = ctx.aspace.home_pids[vpn]
         send_cost = ctx.msg_cost(
-            ctx.config.cluster_of(pid), ctx.config.cluster_of(home_pid)
+            pid // ctx.cluster_size, home_pid // ctx.cluster_size
         )
-        ctx.stats.record("rel_pages")
+        ctx.stats["rel_pages"] += 1
         ctx.bus.send(
             Rel, vpn, pid, home_pid, txn,
             at=ctx.sim.now + ctx.costs.release_entry + send_cost,

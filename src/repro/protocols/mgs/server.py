@@ -74,12 +74,12 @@ class Server:
     def on_request(self, msg: Rreq | Wreq) -> None:
         ctx = self.ctx
         home = ctx.home(msg.vpn)
-        dispatch = ctx.dispatch_cost(msg.src_cluster, msg.vpn)
+        dispatch = ctx.msg_cost(msg.src_cluster, msg.dst_cluster)
         if home.state is ServerState.REL_IN_PROG:
             ctx.machine.occupy(home.home_pid, dispatch)
             queue = home.wr if msg.want_write else home.rd
             queue.append(msg)
-            ctx.stats.record("requests_queued_on_release")
+            ctx.stats["requests_queued_on_release"] += 1
             return
         self._grant(home, msg, dispatch)
 
@@ -88,7 +88,7 @@ class Server:
         ctx = self.ctx
         costs = ctx.costs
         req_cluster = req.src_cluster
-        home_cluster = ctx.config.cluster_of(home.home_pid)
+        home_cluster = home.home_pid // ctx.cluster_size
         want_write = req.want_write
         work = dispatch + costs.server_read + costs.msg_send
         if want_write:
@@ -116,7 +116,9 @@ class Server:
         """WNOTIFY: a read copy was upgraded to write (arc 18)."""
         ctx = self.ctx
         home = ctx.home(msg.vpn)
-        ctx.machine.occupy(home.home_pid, ctx.dispatch_cost(msg.src_cluster, msg.vpn))
+        ctx.machine.occupy(
+            home.home_pid, ctx.msg_cost(msg.src_cluster, msg.dst_cluster)
+        )
         if home.state is ServerState.REL_IN_PROG:
             home.pending_wnotify.append(msg.src_cluster)
             return
@@ -137,7 +139,7 @@ class Server:
         ctx = self.ctx
         vpn, rel_cluster, rel_pid = msg.vpn, msg.src_cluster, msg.src_pid
         home = ctx.home(vpn)
-        dispatch = ctx.dispatch_cost(rel_cluster, vpn)
+        dispatch = ctx.msg_cost(rel_cluster, msg.dst_cluster)
         if home.state is ServerState.REL_IN_PROG:
             ctx.machine.occupy(home.home_pid, dispatch)
             frame = ctx.frame(rel_cluster, vpn)
@@ -152,15 +154,16 @@ class Server:
                 # whose data never reached home.  Re-play it as a fresh
                 # round once the current one completes.
                 home.pending_rels.append(msg)
-                ctx.stats.record("releases_deferred")
+                ctx.stats["releases_deferred"] += 1
                 return
             # Arc 22: queue the releaser; the in-flight round collects its
             # diff, so a single completion satisfies everyone.
             home.rl.append(msg)
-            ctx.stats.record("releases_coalesced")
+            ctx.stats["releases_coalesced"] += 1
             return
 
-        rel_frame = ctx.frame(rel_cluster, vpn)
+        frames = ctx.frames
+        rel_frame = frames[rel_cluster].get(vpn)
         if rel_frame is None or rel_frame.state is FrameState.INVALID:
             # A "join" release: the releaser's copy was already
             # invalidated (its diff collected and merged by the round
@@ -170,7 +173,7 @@ class Server:
             completion = ctx.machine.occupy(
                 home.home_pid, dispatch + ctx.costs.msg_send
             )
-            ctx.stats.record("joins_acked")
+            ctx.stats["joins_acked"] += 1
             self._send_rack(msg, at=completion)
             return
 
@@ -178,7 +181,7 @@ class Server:
         candidates = directories | {rel_cluster}
         live: list[int] = []
         for cluster in sorted(candidates):
-            frame = ctx.frame(cluster, vpn)
+            frame = frames[cluster].get(vpn)
             if frame is None or frame.state is FrameState.INVALID:
                 continue
             if frame.state is FrameState.BUSY and cluster not in directories:
@@ -198,7 +201,7 @@ class Server:
             # would make the retained copy stale.
             and not any(
                 c != rel_cluster
-                and (f := ctx.frame(c, vpn)) is not None
+                and (f := frames[c].get(vpn)) is not None
                 and (f.state is FrameState.WRITE or f.lock_held)
                 for c in live
             )
@@ -210,7 +213,7 @@ class Server:
         home.count = len(live)
         home.single_writer = rel_cluster if single_writer else None
         home.round_txn = msg.txn
-        ctx.stats.record("release_rounds")
+        ctx.stats["release_rounds"] += 1
 
         work = dispatch + ctx.costs.server_release + ctx.costs.msg_send * len(live)
         completion = ctx.machine.occupy(home.home_pid, work)
@@ -218,7 +221,7 @@ class Server:
             ctx.sim.schedule_at(completion, self._complete_release, home)
             return
         for cluster in live:
-            frame = ctx.frame(cluster, vpn)
+            frame = frames[cluster].get(vpn)
             inval = OneWinv if (single_writer and cluster == rel_cluster) else Inv
             ctx.bus.send(
                 inval, vpn, home.home_pid, frame.owner_pid, msg.txn,
@@ -238,17 +241,15 @@ class Server:
         ctx = self.ctx
         home = ctx.home(msg.vpn)
         assert home.state is ServerState.REL_IN_PROG
-        cluster = msg.src_cluster
-        dispatch = ctx.dispatch_cost(cluster, msg.vpn)
-        work = dispatch
+        work = ctx.msg_cost(msg.src_cluster, msg.dst_cluster)
         if isinstance(msg, Diff):
             apply_diff(home.data, msg.indices, msg.values)
             work += ctx.costs.apply_fixed + len(msg.indices) * ctx.costs.apply_per_word
-            ctx.stats.record("diffs_merged")
+            ctx.stats["diffs_merged"] += 1
         elif isinstance(msg, OneWdata):
             apply_diff(home.data, msg.indices, msg.values)
             work += ctx.words_per_page * ctx.costs.apply_full_per_word
-            ctx.stats.record("full_pages_merged")
+            ctx.stats["full_pages_merged"] += 1
         foreign_writer = isinstance(msg, Diff) or (isinstance(msg, Ack) and msg.dirty)
         if foreign_writer and home.single_writer is not None:
             # A cluster the server believed was a reader contributed
@@ -277,7 +278,7 @@ class Server:
             if frame is not None and frame.state is not FrameState.INVALID:
                 home.count = 1
                 completion = ctx.machine.occupy(home.home_pid, ctx.costs.msg_send)
-                ctx.stats.record("one_writer_recalls")
+                ctx.stats["one_writer_recalls"] += 1
                 ctx.bus.send(
                     Inv, home.vpn, home.home_pid, frame.owner_pid,
                     home.round_txn, at=completion, recall=True,

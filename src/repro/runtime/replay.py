@@ -92,7 +92,7 @@ class _StatCells:
             machine.stats.by_label,
             machine.stats.queue_cycles_by_link,
             machine.stats.retransmits_by_link,
-            rt.protocol.stats.counters,
+            rt.protocol.stats,
         ]
         #: ``key -> {key -> int}`` (per-page protocol event counts)
         self.nested: dict = rt.protocol.page_stats

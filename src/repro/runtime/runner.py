@@ -418,11 +418,12 @@ class Runtime:
         Every statistic stays readable: ``cache.stats``,
         ``protocol.stats``, the bus's flows and latency samples,
         ``machine.stats``, each lock's ``stats``,
-        ``sim.events_processed``, each Env's ``fastpath_bypassed`` and
-        the phase recorder's counts.  Each app's ``run()`` closes its
-        Runtime (``with Runtime(...) as rt``) once validation has read
-        the results; a Runtime built directly stays open until its
-        owner closes it.
+        ``sim.events_processed``, each Env's ``fastpath_bypassed``, the
+        phase recorder's counts, and the attached checkers' reports
+        (``sanitizer.checked``, ``race_detector.races``).  Each app's
+        ``run()`` closes its Runtime (``with Runtime(...) as rt``) once
+        validation has read the results; a Runtime built directly stays
+        open until its owner closes it.
         """
         for env in self.envs:
             env.close()
@@ -436,6 +437,8 @@ class Runtime:
             lk.close()
         if self.phase_recorder is not None:
             self.phase_recorder.close()
+        if self.sanitizer is not None:
+            self.sanitizer.close()
 
     def __enter__(self) -> "Runtime":
         return self

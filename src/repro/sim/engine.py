@@ -10,7 +10,9 @@ Hot-path note: :meth:`Simulator.run` is one plain heap loop, and ``now``
 and ``events_processed`` are plain slot attributes (``now`` is read on
 nearly every protocol step).  ``run`` counts the events it executes in a
 local and adds them to ``events_processed`` once, when it returns or
-raises.
+raises.  ``Machine.send`` pushes fixed-delay messages onto ``_heap``
+itself, making exactly the ``(time, seq, fn, args)`` entry
+:meth:`Simulator.schedule_at` would, with the same ``seq`` increment.
 """
 
 from __future__ import annotations

@@ -69,7 +69,9 @@ class AddressSpace:
         self.config = config
         self._next = self.BASE
         self._segments: list[Segment] = []
-        self._home: dict[int, int] = {}  # vpn -> home processor
+        #: vpn -> home processor; the protocol engines index it directly
+        #: on their message paths (``home_proc`` is the checked lookup)
+        self.home_pids: dict[int, int] = {}
 
     @property
     def segments(self) -> Sequence[Segment]:
@@ -109,7 +111,7 @@ class AddressSpace:
                 owner = home
             if not 0 <= owner < self.config.total_processors:
                 raise ValueError(f"home processor {owner} out of range")
-            self._home[vpn] = owner
+            self.home_pids[vpn] = owner
         return seg
 
     def vpn_of(self, addr: int) -> int:
@@ -122,7 +124,7 @@ class AddressSpace:
     def home_proc(self, vpn: int) -> int:
         """Home processor of a virtual page."""
         try:
-            return self._home[vpn]
+            return self.home_pids[vpn]
         except KeyError:
             raise KeyError(f"vpn {vpn:#x} is not an allocated shared page") from None
 
@@ -132,4 +134,4 @@ class AddressSpace:
     def is_shared(self, addr: int) -> bool:
         """True if ``addr`` falls inside an allocated shared segment."""
         vpn = addr // self.config.page_size
-        return vpn in self._home
+        return vpn in self.home_pids

@@ -138,7 +138,7 @@ class MGSLock:
 
     def acquire(self, pid: int, on_done: Callable[[], None]) -> None:
         """Request the lock for ``pid``; ``on_done`` fires once held."""
-        cluster = self.config.cluster_of(pid)
+        cluster = self.machine.clusters[pid]
         token_here = self.token_cluster == cluster and not self.token_in_transit
         self.stats.acquires += 1
         waiter = _Waiter(pid, on_done, local_at_enqueue=token_here)

@@ -78,7 +78,7 @@ def test_hit_run_across_flush_page(cache):
     assert cache.hit_run(0, 1, 0, 2 * lines_per_page, False) == (
         2 * lines_per_page
     )
-    cache.flush_page(0, lines_per_page, lines_per_page)
+    cache.flush_page(0, 1)
     assert cache.hit_run(0, 1, 0, 2 * lines_per_page, False) == lines_per_page
 
 

@@ -77,7 +77,7 @@ def test_flush_page_drops_state(cache):
     for line in range(64, 72):
         cache.access(0, 1, line, False, 0)
     assert cache.lines_cached(0) == 8
-    cache.flush_page(0, 64, 8)
+    cache.flush_page(0, 1)  # lines 64-127: page 1
     assert cache.lines_cached(0) == 0
     # After a flush the next access misses again.
     assert cache.access(0, 1, 64, False, 0) == COSTS.miss_remote

@@ -80,7 +80,7 @@ def test_flush_resets_everything(ops):
     cache = CacheSystem(config, COSTS)
     for pid, is_write in ops:
         cache.access(0, pid, 7, is_write, 0)
-    cache.flush_page(0, 0, 64)
+    cache.flush_page(0, 0)
     assert cache.lines_cached(0) == 0
 
 
@@ -229,4 +229,114 @@ def test_mask_directory_matches_set_reference(trace):
             cost = cache.access(cluster, pid, line, is_write, home_pid)
         assert cost == expected
     assert cache._counts == ref.counts
+    assert cache.state() == ref.state()
+
+
+# ---------------------------------------------------------------------------
+# differential: page cleaning through the page index against the
+# full-range flush that probed every line of the page
+# ---------------------------------------------------------------------------
+
+#: 8 lines per page, so four pages span the traced lines
+_SMALL_PAGES = dict(page_size=128, line_size=16)
+
+
+class _PopLog(dict):
+    """A line directory recording every line ``pop`` is asked for."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.popped: list[int] = []
+
+    def pop(self, line, *default):
+        self.popped.append(line)
+        return super().pop(line, *default)
+
+
+def _full_range_flush(cache: CacheSystem, cluster: int, vpn: int) -> None:
+    """Page cleaning as it was before the page index: probe every line."""
+    lines = cache.config.lines_per_page
+    pop = cache._lines[cluster].pop
+    for line in range(vpn * lines, (vpn + 1) * lines):
+        pop(line, None)
+
+
+def _index_of(directory: dict, lines_per_page: int) -> dict:
+    """The page -> sorted lines index a directory's entries imply."""
+    pages: dict[int, list[int]] = {}
+    for line in sorted(directory):
+        pages.setdefault(line // lines_per_page, []).append(line)
+    return pages
+
+
+@st.composite
+def cleaning_traces(draw):
+    """Accesses, miss runs and page flushes over four pages in two
+    clusters."""
+    nprocs = draw(st.sampled_from([2, 4]))
+    access = st.tuples(
+        st.just("access"),
+        st.integers(0, 1),  # cluster
+        st.integers(0, nprocs - 1),  # pid
+        st.integers(0, 31),  # line
+        st.booleans(),  # is_write
+        st.integers(0, nprocs - 1),  # home pid
+    )
+    run = st.tuples(
+        st.just("run"),
+        st.integers(0, 1),
+        st.integers(0, nprocs - 1),
+        st.integers(0, 31),  # first line
+        st.booleans(),
+        st.integers(0, nprocs - 1),
+        st.integers(1, 12),  # lines offered
+    )
+    flush = st.tuples(st.just("flush"), st.integers(0, 1), st.integers(0, 3))
+    ops = draw(st.lists(st.one_of(access, run, flush), min_size=1, max_size=80))
+    return nprocs, ops
+
+
+@settings(max_examples=200, deadline=None)
+@given(trace=cleaning_traces())
+def test_indexed_flush_matches_full_range_flush(trace):
+    """Directories, class counts and ``state()`` digests match a cache
+    cleaned by probing every line; the index always lists exactly the
+    cached lines, and a flush pops only those."""
+    nprocs, ops = trace
+    config = MachineConfig(
+        total_processors=2 * nprocs, cluster_size=nprocs, **_SMALL_PAGES
+    )
+    lines_per_page = config.lines_per_page
+    cache = CacheSystem(config, COSTS)
+    ref = CacheSystem(config, COSTS)
+    cache._lines = [_PopLog() for _ in range(config.num_clusters)]
+    for op in ops:
+        kind, cluster = op[0], op[1]
+        if kind == "flush":
+            vpn = op[2]
+            directory = cache._lines[cluster]
+            cached = sorted(
+                line for line in directory if line // lines_per_page == vpn
+            )
+            directory.popped.clear()
+            cache.flush_page(cluster, vpn)
+            assert sorted(directory.popped) == cached
+            _full_range_flush(ref, cluster, vpn)
+        else:
+            local_pid, line, is_write, home = op[2:6]
+            pid = cluster * nprocs + local_pid
+            home_pid = cluster * nprocs + home
+            for c in (cache, ref):
+                if kind == "access":
+                    c.access(cluster, pid, line, is_write, home_pid)
+                else:
+                    c.access_run(
+                        cluster, pid, line, is_write, home_pid,
+                        [0] * op[6], 10**9,
+                    )
+        for c in range(config.num_clusters):
+            assert cache._lines[c] == ref._lines[c]
+            index = {page: sorted(lines) for page, lines in cache._pages[c].items()}
+            assert index == _index_of(cache._lines[c], lines_per_page)
+    assert cache._counts == ref._counts
     assert cache.state() == ref.state()

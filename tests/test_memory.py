@@ -21,6 +21,7 @@ import weakref
 
 import pytest
 
+from repro.analysis import setup_analysis
 from repro.apps import jacobi, scanphase, tsp
 from repro.core.engine import engine_names
 from repro.hw import CacheSystem
@@ -87,6 +88,42 @@ def test_app_run_frees_its_runtime_without_the_collector(app, engine):
         assert run.require_valid().total_time > 0
         del run
         assert alive() is None, "the finished Runtime is left to the collector"
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def test_analyzed_run_leaves_no_cyclic_garbage():
+    """A run with both checkers attached (``setup_analysis(rt, "all")``)
+    is freed by reference counting too, and the checkers' reports stay
+    readable through the closed Runtime."""
+    module, params = _APPS["jacobi"]
+    config = MachineConfig(total_processors=4, cluster_size=2)
+    caught: list[Runtime] = []
+
+    def hook(rt: Runtime) -> None:
+        setup_analysis(rt, "all")
+        caught.append(rt)
+
+    collecting = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    Runtime.construction_hooks.append(hook)
+    try:
+        try:
+            run = module.run(config, params)
+        finally:
+            Runtime.construction_hooks.remove(hook)
+        assert run.require_valid().total_time > 0
+        rt = caught.pop()
+        alive = weakref.ref(rt)
+        sanitizer, detector = rt.sanitizer, rt.race_detector
+        del run, rt
+        assert alive() is None, "a checker keeps the closed Runtime alive"
+        assert sanitizer.checked > 0
+        detector.certify()
+        del sanitizer, detector
+        assert gc.collect() == 0, "the checkers are left to the collector"
     finally:
         if collecting:
             gc.enable()
