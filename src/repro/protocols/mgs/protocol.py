@@ -122,7 +122,7 @@ class MGSProtocol(Protocol):
             # for SVM fill costs and have no frames behind them.
             return
         for pid, tlb in enumerate(self.tlbs):
-            cluster = self.config.cluster_of(pid)
+            cluster = pid // self.cluster_size
             for vpn in tlb.mapped_vpns():
                 frame = self.frame(cluster, vpn)
                 assert frame is not None and frame.mapped, (
