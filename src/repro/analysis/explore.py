@@ -23,17 +23,18 @@ Two complementary drivers over the same harness, both engine-agnostic:
   transaction-grouped tracer rendering the counterexample.
 
 The seeded corruptions of :mod:`repro.analysis.mutations` are the
-benchmark: :func:`mutation_benchmark` must catch every one, each in
-strictly fewer simulator events than the random storm fuzzing of
-``tests/test_protocol_fuzz.py`` needs for the same mutation
-(:func:`fuzz_shortest_failure` reproduces that discipline exactly,
-including hypothesis shrinking).
+yardstick: :func:`mutation_benchmark` explores every one on the shape
+its :class:`~repro.analysis.mutations.MutationSpec` names and must
+catch it.  The reports' summaries are pinned in
+``results/mutation_catch.txt``, so each bug's detection cost (ops,
+events, schedule length, states) is checked across commits.
 
 Determinism: everything here replays deterministic simulations from
 explicit choice sequences — no wall clock, no unseeded randomness — so
 the same (engine, program, mutation) triple always yields the same
 counterexample.  ``tests/test_explore.py`` golden-pins two minimized
-traces under ``results/``.
+traces under ``results/``, and ``tests/test_analysis_mutations.py`` the
+mutation catch table.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ import dataclasses
 import enum
 import sys
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.invariants import InvariantViolation
-from repro.analysis.mutations import MUTATIONS, apply_mutation
+from repro.analysis.mutations import MUTATIONS, Op, apply_mutation
 from repro.analysis.semantics import MemoryModel
-from repro.core.bus import MessageBus
 from repro.core.engine import engine_names
 from repro.core.messages import ProtocolMessage
 from repro.core.page import HomePage, PageFrame
@@ -67,18 +66,13 @@ __all__ = [
     "default_programs",
     "counterexample_trace",
     "inflight_messages",
-    "fuzz_shortest_failure",
+    "mutation_config",
+    "explore_mutation",
     "mutation_benchmark",
-    "MUTATION_SETUPS",
     "walk_machine",
     "run_walk",
     "main",
 ]
-
-#: one program step: ("read", page, word) / ("write", page, word) /
-#: ("lock",) / ("unlock",) / ("barrier",)
-Op = tuple
-
 
 @dataclass(frozen=True)
 class ExploreConfig:
@@ -800,293 +794,43 @@ def counterexample_trace(
 
 
 # ---------------------------------------------------------------------------
-# The fuzz baseline: what the storm suite needs to find the same bug
+# The mutation catch table
 # ---------------------------------------------------------------------------
 
 
-def _run_storm(engine: str, mutation: str | None, storm) -> int | None:
-    """One storm under the fuzz-suite discipline; events-at-failure or None.
-
-    Mirrors ``tests/test_protocol_fuzz.py`` exactly: schedule the ops
-    with the one-outstanding-per-pid rule, drain completely, then check
-    liveness and quiescence.  The cost of a detection is the number of
-    simulator events processed when the failure raised — for mid-run
-    sanitizer violations that is the failure point, for quiescence-only
-    detections it is the whole drained storm.
-    """
-    total, cluster_size, delay, npages, ops = storm
-    config = MachineConfig(
-        total_processors=total,
-        cluster_size=cluster_size,
-        inter_ssmp_delay=delay,
-        protocol=engine,
-    )
-    rt = Runtime(config, analysis="invariants")
-    arr = rt.array("storm", npages * config.words_per_page, home=0)
-    base_vpn = arr.base // config.page_size
-    if mutation is not None:
-        apply_mutation(rt, mutation)
-    completed: list[int] = []
-    expected = 0
-    busy: set[int] = set()
-    for pid, page, op, start in ops:
-        if pid in busy:
-            continue
-        busy.add(pid)
-        expected += 1
-        if op == "release":
-            rt.sim.schedule_at(
-                start,
-                rt.protocol.release,
-                pid,
-                lambda pid=pid: (completed.append(pid), busy.discard(pid)),
-            )
-        else:
-            rt.sim.schedule_at(
-                start,
-                rt.protocol.fault,
-                pid,
-                base_vpn + page,
-                op == "write",
-                lambda pid=pid: (completed.append(pid), busy.discard(pid)),
-            )
-    try:
-        rt.sim.run(max_events=1_000_000)
-        assert len(completed) == expected, (
-            f"{expected - len(completed)} operations never completed"
-        )
-        rt.protocol.check_invariants()
-        rt.sanitizer.check_quiescent()
-    except AssertionError:
-        return rt.sim.events_processed
-    return None
-
-
-def fuzz_shortest_failure(
-    engine: str,
-    mutation: str,
-    max_examples: int = 60,
-) -> int | None:
-    """Shortest failing storm the fuzz suite finds, in simulator events.
-
-    Runs the storm strategy of ``tests/test_protocol_fuzz.py`` (minus
-    the MGS-only single-writer toggle) under hypothesis with
-    ``derandomize=True``, lets shrinking minimize the first failure, and
-    returns the events-at-failure of the minimal example — or None when
-    ``max_examples`` storms never trip over the mutation at all.
-    """
-    from hypothesis import HealthCheck, given, settings
-    from hypothesis import strategies as st
-
-    @st.composite
-    def storms(draw):
-        nclusters = draw(st.sampled_from([2, 3, 4]))
-        cluster_size = draw(st.sampled_from([1, 2]))
-        total = nclusters * cluster_size
-        delay = draw(st.sampled_from([0, 700, 2500]))
-        npages = draw(st.integers(1, 3))
-        ops = draw(
-            st.lists(
-                st.tuples(
-                    st.integers(0, total - 1),
-                    st.integers(0, npages - 1),
-                    st.sampled_from(["read", "write", "release"]),
-                    st.integers(0, 30_000),
-                ),
-                min_size=1,
-                max_size=30,
-            )
-        )
-        return total, cluster_size, delay, npages, ops
-
-    best: dict[str, int] = {}
-
-    class _Found(Exception):
-        pass
-
-    @settings(
-        max_examples=max_examples,
-        derandomize=True,
-        database=None,
-        deadline=None,
-        suppress_health_check=list(HealthCheck),
-    )
-    @given(storm=storms())
-    def case(storm):
-        events = _run_storm(engine, mutation, storm)
-        if events is not None:
-            # Shrinking re-runs ever smaller failing storms; the last
-            # failing execution hypothesis performs is the minimal one.
-            best["events"] = events
-            raise _Found()
-
-    try:
-        case()
-    except _Found:
-        return best["events"]
-    return None
-
-
-# ---------------------------------------------------------------------------
-# The mutation-catch benchmark
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MutationSetup:
-    """Exploration shape that reaches one seeded corruption."""
-
-    cfg: ExploreConfig
-    programs: tuple[tuple[Op, ...], ...]
-
-
-def _setup(
-    engine: str,
-    threads: int,
-    nclusters: int,
-    cluster_size: int,
-    programs,
-    pages: int = 1,
-) -> MutationSetup:
-    return MutationSetup(
-        cfg=ExploreConfig(
-            engine=engine,
-            threads=threads,
-            pages=pages,
-            nclusters=nclusters,
-            cluster_size=cluster_size,
-        ),
-        programs=tuple(tuple(p) for p in programs),
+def mutation_config(name: str) -> ExploreConfig:
+    """The exploration bounds for one seeded mutation, built from the
+    shape its :class:`~repro.analysis.mutations.MutationSpec` names."""
+    spec = MUTATIONS[name]
+    return ExploreConfig(
+        engine=spec.engine,
+        threads=len(spec.programs),
+        nclusters=spec.nclusters,
+        cluster_size=spec.cluster_size,
     )
 
 
-#: write then publish under the lock; the second thread reads under the
-#: lock — the smallest program that exercises grant, invalidation-round,
-#: and release arcs on one page
-_WR_PAIR = (
-    (("write", 0, 0), ("lock",), ("write", 0, 1), ("unlock",)),
-    (("lock",), ("read", 0, 1), ("unlock",), ("read", 0, 0)),
-)
-#: the writer lives on the *non-home* cluster (thread 1 → pid 1 →
-#: cluster 1), so the grant crosses the machine and twin/directory
-#: bookkeeping on the requester side actually matters
-_WR_REMOTE = (
-    (("lock",), ("read", 0, 1), ("unlock",), ("read", 0, 0)),
-    (("write", 0, 0), ("lock",), ("write", 0, 1), ("unlock",)),
-)
-#: same-cluster sharer plus a remote writer: forces TLB shootdowns
-#: (PINV) inside the writer's cluster during the release round
-_SHOOTDOWN = (
-    (("write", 0, 0), ("lock",), ("unlock",)),
-    (("read", 0, 0),),
-    (("read", 0, 0),),
-)
-#: thread 1 dirties its replica, thread 0's release opens an
-#: invalidation round that steals thread 1's writes, then thread 1
-#: re-reads its own word — the diff-steal shape for eager DSM engines
-_STEAL = (
-    (("lock",), ("write", 0, 1), ("unlock",)),
-    (("write", 0, 0), ("lock",), ("read", 0, 0), ("unlock",)),
-)
-#: a reader caches the page first, then the writer publishes under the
-#: lock and the reader re-reads under the lock — the stale-copy shape
-#: for lazy engines
-_STALE_READ = (
-    (("read", 0, 0), ("lock",), ("read", 0, 0), ("unlock",)),
-    (("lock",), ("write", 0, 0), ("unlock",)),
-)
-
-MUTATION_SETUPS: dict[str, MutationSetup] = {
-    # -- mgs ----------------------------------------------------------
-    "skip_pinv_ack": _setup("mgs", 3, 2, 2, _SHOOTDOWN),
-    "forget_directory_refill": _setup("mgs", 2, 2, 1, _WR_REMOTE),
-    "drop_twin": _setup("mgs", 2, 2, 1, _WR_REMOTE),
-    "leak_duq": _setup("mgs", 3, 2, 2, _SHOOTDOWN),
-    "double_rack": _setup("mgs", 2, 2, 1, _WR_PAIR),
-    "dir_exclusion": _setup("mgs", 2, 2, 1, _WR_PAIR),
-    # -- swdsm --------------------------------------------------------
-    "swdsm_stale_diff": _setup("swdsm", 2, 2, 1, _STEAL),
-    "swdsm_lost_iack": _setup("swdsm", 2, 2, 1, _STEAL),
-    # -- sc_pages -----------------------------------------------------
-    "sc_shared_writer": _setup("sc_pages", 2, 2, 1, _WR_REMOTE),
-    "sc_lost_wb": _setup("sc_pages", 2, 2, 1, _WR_REMOTE),
-    # -- gcs ----------------------------------------------------------
-    "gcs_dropped_write_notice": _setup("gcs", 2, 2, 1, _STALE_READ),
-    "gcs_stale_version": _setup("gcs", 2, 2, 1, _WR_REMOTE),
-}
+def explore_mutation(name: str) -> ExploreReport:
+    """Explore one seeded mutation on its own shape."""
+    return explore(mutation_config(name), MUTATIONS[name].programs, name)
 
 
-def _benchmark_job(name: str, fuzz_examples: int) -> tuple:
-    setup = MUTATION_SETUPS[name]
-    report = explore(setup.cfg, setup.programs, mutation=name)
-    fuzz_events = fuzz_shortest_failure(
-        setup.cfg.engine, name, max_examples=fuzz_examples
-    )
-    return (
-        name,
-        setup.cfg.engine,
-        report.caught,
-        report.rule,
-        report.events,
-        report.ops,
-        fuzz_events,
-    )
+def mutation_benchmark(names=None, jobs: int | None = None) -> list[ExploreReport]:
+    """Explore every named seeded mutation (default: all, sorted).
 
-
-@dataclass
-class BenchRow:
-    mutation: str
-    engine: str
-    caught: bool
-    rule: str | None
-    explore_events: int
-    explore_ops: int
-    fuzz_events: int | None
-
-    @property
-    def strictly_shorter(self) -> bool:
-        return self.caught and (
-            self.fuzz_events is None or self.explore_events < self.fuzz_events
-        )
-
-    def summary(self) -> str:
-        fuzz = (
-            "not found"
-            if self.fuzz_events is None
-            else f"{self.fuzz_events} events"
-        )
-        status = "OK " if self.strictly_shorter else "FAIL"
-        return (
-            f"{status} {self.engine:9s} {self.mutation:26s} "
-            f"explorer: {self.rule or 'MISSED'} @ {self.explore_events} "
-            f"events / {self.explore_ops} ops; fuzz: {fuzz}"
-        )
-
-
-def mutation_benchmark(
-    names=None, fuzz_examples: int = 60, jobs: int | None = None
-) -> list[BenchRow]:
-    """Run the explorer and the fuzz baseline over seeded mutations.
-
-    Every registered mutation must be caught, in strictly fewer
-    simulator events than the fuzz suite's minimal failing storm (or
-    with the fuzz suite failing to find it at all).  Farms mutations to
-    the persistent worker pool of :mod:`repro.bench.parallel`.
+    Each report must be caught and not truncated; ``repro analyze
+    benchmark`` prints their summaries, which ``results/mutation_catch.txt``
+    pins.  Farms mutations to the persistent worker pool of
+    :mod:`repro.bench.parallel`.
     """
     from repro.bench.parallel import parallel_map
 
     if names is None:
-        names = sorted(MUTATION_SETUPS)
-    missing = [n for n in names if n not in MUTATION_SETUPS]
+        names = sorted(MUTATIONS)
+    missing = [n for n in names if n not in MUTATIONS]
     if missing:
-        raise ValueError(f"no exploration setup for mutations: {missing}")
-    unset = sorted(set(MUTATIONS) - set(MUTATION_SETUPS))
-    if unset:
-        raise ValueError(f"mutations without exploration setups: {unset}")
-    rows = parallel_map(
-        _benchmark_job, [(n, fuzz_examples) for n in names], jobs=jobs
-    )
-    return [BenchRow(*row) for row in rows]
+        raise ValueError(f"unknown mutations: {missing}")
+    return parallel_map(explore_mutation, [(n,) for n in names], jobs=jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -1306,10 +1050,9 @@ def main(argv=None) -> int:
     px.add_argument("--max-states", type=int, default=250_000)
     px.add_argument("--jobs", type=int, default=None)
     pb = sub.add_parser(
-        "benchmark", help="mutation-catch benchmark vs the fuzz baseline"
+        "benchmark", help="the explorer on every seeded mutation"
     )
     pb.add_argument("--mutation", action="append", default=None)
-    pb.add_argument("--fuzz-examples", type=int, default=60)
     pb.add_argument("--jobs", type=int, default=None)
     args = parser.parse_args(argv)
 
@@ -1340,15 +1083,10 @@ def main(argv=None) -> int:
             bad += report.caught or report.truncated
         return 1 if bad else 0
 
-    rows = mutation_benchmark(
-        names=args.mutation,
-        fuzz_examples=args.fuzz_examples,
-        jobs=args.jobs,
-    )
     bad = 0
-    for row in rows:
-        print(row.summary())
-        bad += not row.strictly_shorter
+    for report in mutation_benchmark(names=args.mutation, jobs=args.jobs):
+        print(report.summary())
+        bad += not report.caught or report.truncated
     return 1 if bad else 0
 
 

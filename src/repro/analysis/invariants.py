@@ -108,7 +108,10 @@ class InvariantSanitizer:
         self.rt = self.rules = None
 
     def detach(self) -> None:
-        """Remove the bus taps; the sanitizer stops observing."""
+        """Remove the bus taps; the sanitizer stops observing.  A no-op
+        once the runtime is closed, which already dropped the taps."""
+        if self.rt is None:
+            return
         self.bus.remove_tap(self._on_message)
         self.bus.remove_txn_tap(self._on_txn)
         if getattr(self.rt, "sanitizer", None) is self:

@@ -1,14 +1,15 @@
-"""Seeded protocol corruptions for validating the invariant sanitizer.
+"""Seeded protocol corruptions for validating the protocol checkers.
 
 Each mutation deliberately breaks one protocol rule the way a real bug
 would — a handler forgetting a bookkeeping step, a message dropped, an
 acknowledgement duplicated, a diff silently emptied — by wrapping the
 live bus handlers or engine methods of a runtime.
 ``tests/test_analysis_mutations.py`` asserts the
-:class:`~repro.analysis.invariants.InvariantSanitizer` (or, for the
-data-staleness corruptions only the explorer's release-consistency
-oracle can see, :func:`repro.analysis.explore.explore`) catches every
-one.
+:class:`~repro.analysis.invariants.InvariantSanitizer` catches every MGS
+corruption on a direct drive, and that the bounded model checker of
+:mod:`repro.analysis.explore` catches every one — including the
+data-staleness corruptions only its release-consistency oracle can see
+— with the cost pinned in ``results/mutation_catch.txt``.
 
 Usage::
 
@@ -17,9 +18,10 @@ Usage::
     ... drive the protocol ...
     rt.sanitizer.check_quiescent()   # raises InvariantViolation
 
-The registry maps mutation name -> :class:`MutationSpec`; each spec is
-tagged with the engine it corrupts, and :func:`apply_mutation` refuses
-to apply a mutation to a runtime driving a different engine.
+The registry maps mutation name -> :class:`MutationSpec`.  Each spec
+names the engine it corrupts (:func:`apply_mutation` refuses any other)
+and the small machine and per-thread programs the explorer runs to
+reach it, so one entry states everything about a mutation.
 """
 
 from __future__ import annotations
@@ -33,13 +35,24 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["MutationSpec", "MUTATIONS", "apply_mutation"]
 
 
+#: one program step: ("read", page, word) / ("write", page, word) /
+#: ("lock",) / ("unlock",) / ("barrier",)
+Op = tuple
+
+
 @dataclass(frozen=True)
 class MutationSpec:
-    """One seeded corruption: which engine it targets, what it breaks."""
+    """One seeded corruption: which engine it targets, what it breaks,
+    and the exploration shape that reaches it — one program per thread
+    over one page, on ``nclusters`` SSMPs of ``cluster_size``
+    processors (thread i runs on processor i)."""
 
     engine: str
     description: str
     applier: Callable[["Runtime"], None]
+    programs: tuple[tuple[Op, ...], ...]
+    nclusters: int = 2
+    cluster_size: int = 1
 
 
 def _wrap_handler(rt: "Runtime", label: str, wrapper: Callable) -> None:
@@ -229,66 +242,126 @@ def _gcs_stale_version(rt: "Runtime") -> None:
     _wrap_handler(rt, "G_DIFF", wrapper)
 
 
+# ---------------------------------------------------------------------------
+# exploration shapes: the smallest programs that reach each corruption
+# ---------------------------------------------------------------------------
+
+#: write then publish under the lock; the second thread reads under the
+#: lock — the smallest program that exercises grant, invalidation-round,
+#: and release arcs on one page
+_WR_PAIR = (
+    (("write", 0, 0), ("lock",), ("write", 0, 1), ("unlock",)),
+    (("lock",), ("read", 0, 1), ("unlock",), ("read", 0, 0)),
+)
+#: the writer lives on the *non-home* cluster (thread 1 → pid 1 →
+#: cluster 1), so the grant crosses the machine and twin/directory
+#: bookkeeping on the requester side actually matters
+_WR_REMOTE = (
+    (("lock",), ("read", 0, 1), ("unlock",), ("read", 0, 0)),
+    (("write", 0, 0), ("lock",), ("write", 0, 1), ("unlock",)),
+)
+#: same-cluster sharer plus a remote writer: forces TLB shootdowns
+#: (PINV) inside the writer's cluster during the release round; run it
+#: with ``cluster_size=2``
+_SHOOTDOWN = (
+    (("write", 0, 0), ("lock",), ("unlock",)),
+    (("read", 0, 0),),
+    (("read", 0, 0),),
+)
+#: thread 1 dirties its replica, thread 0's release opens an
+#: invalidation round that steals thread 1's writes, then thread 1
+#: re-reads its own word — the diff-steal shape for eager DSM engines
+_STEAL = (
+    (("lock",), ("write", 0, 1), ("unlock",)),
+    (("write", 0, 0), ("lock",), ("read", 0, 0), ("unlock",)),
+)
+#: a reader caches the page first, then the writer publishes under the
+#: lock and the reader re-reads under the lock — the stale-copy shape
+#: for lazy engines
+_STALE_READ = (
+    (("read", 0, 0), ("lock",), ("read", 0, 0), ("unlock",)),
+    (("lock",), ("write", 0, 0), ("unlock",)),
+)
+
+
 MUTATIONS: dict[str, MutationSpec] = {
+    # -- mgs ----------------------------------------------------------
     "skip_pinv_ack": MutationSpec(
         "mgs",
         "swallow a PINV_ACK so a release round never completes",
         _skip_pinv_ack,
+        _SHOOTDOWN,
+        cluster_size=2,
     ),
     "forget_directory_refill": MutationSpec(
         "mgs",
         "grant a write copy without recording it in write_dir",
         _forget_directory_refill,
+        _WR_REMOTE,
     ),
     "drop_twin": MutationSpec(
         "mgs",
         "lose the twin of a write copy",
         _drop_twin,
+        _WR_REMOTE,
     ),
     "leak_duq": MutationSpec(
         "mgs",
         "leave a DUQ entry behind after its TLB shootdown",
         _leak_duq,
+        _SHOOTDOWN,
+        cluster_size=2,
     ),
     "double_rack": MutationSpec(
         "mgs",
         "acknowledge every REL twice",
         _double_rack,
+        _WR_PAIR,
     ),
     "dir_exclusion": MutationSpec(
         "mgs",
         "record a read grant in both directories",
         _dir_exclusion,
+        _WR_PAIR,
     ),
+    # -- swdsm --------------------------------------------------------
     "swdsm_stale_diff": MutationSpec(
         "swdsm",
         "drop the diff an invalidation acknowledgement carried",
         _swdsm_stale_diff,
+        _STEAL,
     ),
     "swdsm_lost_iack": MutationSpec(
         "swdsm",
         "swallow an S_IACK so the invalidation round never closes",
         _swdsm_lost_iack,
+        _STEAL,
     ),
+    # -- sc_pages -----------------------------------------------------
     "sc_shared_writer": MutationSpec(
         "sc_pages",
         "register the exclusive writer as a reader too",
         _sc_shared_writer,
+        _WR_REMOTE,
     ),
     "sc_lost_wb": MutationSpec(
         "sc_pages",
         "swallow an SC_WB so the coherence round never completes",
         _sc_lost_wb,
+        _WR_REMOTE,
     ),
+    # -- gcs ----------------------------------------------------------
     "gcs_dropped_write_notice": MutationSpec(
         "gcs",
         "skip the acquire staleness scan (write notices lost)",
         _gcs_dropped_write_notice,
+        _STALE_READ,
     ),
     "gcs_stale_version": MutationSpec(
         "gcs",
         "forget the version bump a diff produced",
         _gcs_stale_version,
+        _WR_REMOTE,
     ),
 }
 

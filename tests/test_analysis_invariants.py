@@ -77,6 +77,14 @@ class TestObservation:
         rt.run()
         assert sanitizer.checked == 0
 
+    def test_detach_after_close_is_a_no_op(self):
+        rt, _result = run_jacobi(analysis="invariants")
+        sanitizer = rt.sanitizer
+        checked = sanitizer.checked
+        rt.close()
+        sanitizer.detach()
+        assert sanitizer.checked == checked > 0
+
     def test_violation_carries_rule_and_trace(self):
         exc = InvariantViolation(
             "dir-exclusion", "cluster 1 in both", vpn=7, txn=3,

@@ -7,10 +7,14 @@ directly (the way ``test_protocol_races.py`` does) and asserts an
 quiescence sweep.  The cross-engine tests hand the same job to the
 bounded model checker (:func:`repro.analysis.explore.explore`), which
 must catch *every* registered mutation — including the data-staleness
-ones only its release-consistency read oracle can see.  A final test
-pins that the registry and this file stay in sync: a new mutation
-without a detection entry fails here.
+ones only its release-consistency read oracle can see — with exactly
+the report pinned in ``results/mutation_catch.txt`` (the output of
+``repro analyze benchmark``), so each bug's detection cost is checked
+across commits.  A final test pins that the registry and this file stay
+in sync: a new mutation without a detection entry fails here.
 """
+
+from pathlib import Path
 
 import pytest
 
@@ -20,9 +24,13 @@ from repro.analysis import (
     MutationSpec,
     apply_mutation,
 )
-from repro.analysis.explore import MUTATION_SETUPS, explore
+from repro.analysis.explore import explore_mutation
 from repro.params import MachineConfig
 from repro.runtime import Runtime
+
+CATCH_TABLE = (
+    Path(__file__).resolve().parent.parent / "results" / "mutation_catch.txt"
+)
 
 # How each mutation is caught: "drive" entries have a direct-drive test
 # below; "explore" entries are caught by the bounded model checker in
@@ -42,6 +50,15 @@ DETECTED_BY = {
     "gcs_dropped_write_notice": "explore",
     "gcs_stale_version": "explore",
 }
+
+
+def catch_rows() -> dict[str, str]:
+    """The rows of the pinned catch table, by mutation name; the table
+    has exactly one row per registered mutation, in sorted order."""
+    lines = CATCH_TABLE.read_text().splitlines()
+    names = [line.split(":", 1)[0].split("+", 1)[1] for line in lines]
+    assert names == sorted(MUTATIONS), "one row per registered mutation"
+    return dict(zip(names, lines))
 
 
 def make_rt(nclusters=2, cluster_size=1, protocol="mgs"):
@@ -142,11 +159,11 @@ def test_dir_exclusion_detected():
 @pytest.mark.parametrize("name", sorted(MUTATIONS))
 def test_explorer_catches_every_mutation(name):
     """The bounded checker finds a violating interleaving for each bug."""
-    setup = MUTATION_SETUPS[name]
-    report = explore(setup.cfg, programs=setup.programs, mutation=name)
+    report = explore_mutation(name)
     assert report.caught, report.summary()
     assert not report.truncated
     assert report.schedule, "a counterexample needs a schedule to replay"
+    assert report.summary() == catch_rows()[name]
 
 
 def test_mutation_targets_wrong_engine_refused():
@@ -157,7 +174,6 @@ def test_mutation_targets_wrong_engine_refused():
 
 def test_every_registered_mutation_has_a_test():
     assert set(MUTATIONS) == set(DETECTED_BY)
-    assert set(MUTATIONS) == set(MUTATION_SETUPS)
 
 
 def test_mutation_registry_is_well_formed():

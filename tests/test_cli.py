@@ -34,6 +34,13 @@ def test_analyze_hands_off_to_explorer(capsys):
     assert "swdsm: clean" in out
 
 
+def test_analyze_benchmark_prints_the_pinned_row(capsys):
+    from tests.test_analysis_mutations import catch_rows
+
+    assert main(["analyze", "benchmark", "--mutation", "drop_twin"]) == 0
+    assert capsys.readouterr().out == catch_rows()["drop_twin"] + "\n"
+
+
 def test_flags_never_write_the_environment(capsys):
     import os
 
@@ -67,25 +74,26 @@ def test_no_replay_flag_beats_the_environment_in_pool_workers(
         par.shutdown_pool()
 
 
-def test_fig11_honours_processors(capsys):
-    assert main(["fig11", "--processors", "4"]) == 0
-    out = capsys.readouterr().out
-    header = next(line for line in out.splitlines() if line.strip().startswith("app"))
-    assert header.split() == ["app", "C=1", "C=2", "C=4"]
-
-
 def test_fig11_forwards_network_and_reuses_its_figures(monkeypatch, capsys):
-    from repro.metrics import ClusterSweep
+    from repro.metrics import ClusterSweep, SweepPoint, cluster_sizes
 
     calls = []
 
     def fake_run_figure(key, total_processors, network, **kwargs):
         calls.append((key, total_processors, network.external))
-        return ClusterSweep(app=key, total_processors=total_processors, points=[])
+        points = [
+            SweepPoint(cluster_size=c, total_time=1, breakdown={}, lock_hit_ratio=1.0)
+            for c in cluster_sizes(total_processors)
+        ]
+        return ClusterSweep(app=key, total_processors=total_processors, points=points)
 
     monkeypatch.setattr("repro.cli.run_figure", fake_run_figure)
     args = ["fig11", "fig11", "--processors", "4", "--network", "bus"]
     assert main(args) == 0
-    assert "Figure 11" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "Figure 11" in out
     # each figure runs once, on the requested machine and network
     assert calls == [(key, 4, "bus") for key in ("fig8", "fig9", "fig10")]
+    # one column per cluster size of the requested machine
+    header = next(line for line in out.splitlines() if line.strip().startswith("app"))
+    assert header.split() == ["app", "C=1", "C=2", "C=4"]

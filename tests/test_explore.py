@@ -1,6 +1,6 @@
 """The bounded model checker and the stateful walk harness.
 
-Three layers, mirroring docs/ANALYSIS.md:
+Two layers, mirroring docs/ANALYSIS.md:
 
 * **Exhaustive runs are clean** — on every engine the checker visits the
   full 2-thread × 1-page interleaving space of the default program and
@@ -8,15 +8,13 @@ Three layers, mirroring docs/ANALYSIS.md:
 * **Mutations are caught, deterministically** — seeded corruptions are
   found with a minimal schedule, the same schedule every run (BFS over a
   deterministic simulator), and the rendered counterexample matches the
-  golden traces pinned under ``results/``.
-* **The explorer beats the fuzz suite** — for each mutation the
-  counterexample costs fewer simulator events than the shortest failing
-  storm ``tests/test_protocol_fuzz.py``'s discipline can find.
+  golden traces pinned under ``results/``.  Every registered mutation's
+  report is pinned row by row in ``results/mutation_catch.txt`` by
+  ``tests/test_analysis_mutations.py``.
 
-The full cross-engine matrix (every engine exhausted, every mutation
-benchmarked against the fuzz baseline, mutation walks) runs when
-``REPRO_EXPLORE_FULL=1`` — CI's ``explore`` job sets it; the default run
-keeps a representative slice so the suite stays fast.
+The full cross-engine walk matrix runs when ``REPRO_EXPLORE_FULL=1`` —
+CI's ``explore`` job sets it; the default run keeps a representative
+slice so the suite stays fast.
 """
 
 import os
@@ -25,15 +23,16 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.explore import (
-    MUTATION_SETUPS,
     ExploreConfig,
     counterexample_trace,
     default_programs,
     explore,
-    fuzz_shortest_failure,
+    explore_mutation,
     mutation_benchmark,
+    mutation_config,
     run_walk,
 )
+from repro.analysis.mutations import MUTATIONS
 from repro.core.engine import engine_names
 
 FULL = bool(os.environ.get("REPRO_EXPLORE_FULL"))
@@ -68,15 +67,15 @@ def test_exhaustive_state_space_is_clean(engine):
 
 
 def test_counterexample_shrinking_is_deterministic():
-    setup = MUTATION_SETUPS["dir_exclusion"]
-    first = explore(setup.cfg, setup.programs, mutation="dir_exclusion")
-    second = explore(setup.cfg, setup.programs, mutation="dir_exclusion")
+    cfg = mutation_config("dir_exclusion")
+    programs = MUTATIONS["dir_exclusion"].programs
+    first = explore_mutation("dir_exclusion")
+    second = explore_mutation("dir_exclusion")
     assert first.caught and second.caught
     assert first.schedule == second.schedule
     assert first.events == second.events
-    assert (
-        counterexample_trace(setup.cfg, first, setup.programs)
-        == counterexample_trace(setup.cfg, second, setup.programs)
+    assert counterexample_trace(cfg, first, programs) == counterexample_trace(
+        cfg, second, programs
     )
 
 
@@ -93,36 +92,13 @@ def test_walk_shrinking_is_deterministic():
 @pytest.mark.parametrize("name", GOLDEN)
 def test_golden_counterexample_traces(name):
     """The pinned minimized traces under results/ regenerate exactly."""
-    setup = MUTATION_SETUPS[name]
-    report = explore(setup.cfg, setup.programs, mutation=name)
+    report = explore_mutation(name)
     assert report.caught, report.summary()
-    rendered = counterexample_trace(setup.cfg, report, setup.programs)
+    rendered = counterexample_trace(
+        mutation_config(name), report, MUTATIONS[name].programs
+    )
     golden = (RESULTS / f"explore_trace_{name}.txt").read_text()
     assert rendered.strip() == golden.strip()
-
-
-# ---------------------------------------------------------------------------
-# the explorer vs. the fuzz suite
-# ---------------------------------------------------------------------------
-
-
-def test_explorer_beats_fuzz_on_representative_mutation():
-    """Strictly fewer simulator events than the shortest failing storm."""
-    setup = MUTATION_SETUPS["drop_twin"]
-    report = explore(setup.cfg, setup.programs, mutation="drop_twin")
-    assert report.caught
-    fuzz_events = fuzz_shortest_failure("mgs", "drop_twin", max_examples=25)
-    assert fuzz_events is not None, "fuzz baseline should catch drop_twin"
-    assert report.events < fuzz_events
-
-
-@full_only
-def test_mutation_benchmark_full_matrix():
-    """Every mutation: caught, and strictly shorter than the fuzz find."""
-    rows = mutation_benchmark()
-    assert [r.mutation for r in rows] == sorted(MUTATION_SETUPS)
-    bad = [r.summary() for r in rows if not r.strictly_shorter]
-    assert not bad, "\n".join(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -164,3 +140,8 @@ def test_default_programs_cover_the_op_vocabulary():
 def test_explore_rejects_unknown_mutation_engine():
     with pytest.raises(ValueError):
         explore(ExploreConfig(engine="mgs"), mutation="swdsm_lost_iack")
+
+
+def test_mutation_benchmark_rejects_unknown_names():
+    with pytest.raises(ValueError, match="unknown mutations"):
+        mutation_benchmark(["nonesuch"])
