@@ -74,6 +74,13 @@ def test_no_replay_flag_beats_the_environment_in_pool_workers(
         par.shutdown_pool()
 
 
+def test_fig11_honours_processors(capsys):
+    assert main(["fig11", "--processors", "4"]) == 0
+    out = capsys.readouterr().out
+    header = next(line for line in out.splitlines() if line.strip().startswith("app"))
+    assert header.split() == ["app", "C=1", "C=2", "C=4"]
+
+
 def test_fig11_forwards_network_and_reuses_its_figures(monkeypatch, capsys):
     from repro.metrics import ClusterSweep, SweepPoint, cluster_sizes
 
