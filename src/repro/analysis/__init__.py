@@ -6,8 +6,12 @@ Cooperating, default-off tools (see docs/ANALYSIS.md):
   protocol state it acts on against the legal arcs of docs/PROTOCOL.md;
   raises :class:`InvariantViolation` with the transaction trace.
 * :class:`RaceDetector` — vector-clock happens-before race detection
-  over the release-consistency synchronization (locks, barriers);
-  :meth:`RaceDetector.certify` raises :class:`RaceError` on races.
+  over the release-consistency synchronization (locks, barriers), plus
+  the value oracle it implies: a race-free read must return the last
+  write ordered before it.  :meth:`RaceDetector.certify` raises
+  :class:`RaceError` on races or stale reads (:class:`StaleRead`).
+  Its clocks (:class:`~repro.analysis.races.HappensBefore`) are also
+  the explorer's read oracle.
 * :mod:`repro.analysis.lint` — a static determinism pass, runnable as
   ``python -m repro.analysis.lint``.
 * :mod:`repro.analysis.explore` — a bounded model checker enumerating
@@ -29,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from repro.analysis.invariants import InvariantSanitizer, InvariantViolation
 from repro.analysis.mutations import MUTATIONS, MutationSpec, apply_mutation
-from repro.analysis.races import Race, RaceDetector, RaceError
+from repro.analysis.races import Race, RaceDetector, RaceError, StaleRead
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.runner import Runtime
@@ -42,6 +46,7 @@ __all__ = [
     "Race",
     "RaceDetector",
     "RaceError",
+    "StaleRead",
     "apply_mutation",
     "setup_analysis",
 ]

@@ -14,7 +14,8 @@ Two complementary drivers over the same harness, both engine-agnostic:
   against the engine's :class:`~repro.core.engine.ArcRules` (including
   the queue-aware :meth:`~repro.core.engine.ArcRules.check_state` rules
   only the explorer can evaluate), the structural page checks, and
-  release-consistency read legality (:mod:`repro.analysis.semantics`).
+  release-consistency read legality (:func:`legal_values` over the
+  happens-before clocks of :mod:`repro.analysis.races`).
 
 * :func:`walk_machine` — a **hypothesis stateful machine** driving much
   longer random walks (optionally through the lossy ``repro.net``
@@ -49,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.mutations import MUTATIONS, Op, apply_mutation
-from repro.analysis.semantics import MemoryModel
+from repro.analysis.races import HappensBefore
 from repro.core.engine import engine_names
 from repro.core.messages import ProtocolMessage
 from repro.core.page import HomePage, PageFrame
@@ -297,6 +298,29 @@ _IDLE = "idle"
 _DONE_STATUSES = (_IDLE, "lockwait", "barrier-wait")
 
 
+def _leq(a, b) -> bool:
+    """Clock ``a`` happens-before-or-equals clock ``b``."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def legal_values(writes, reader) -> set[float]:
+    """The values release consistency lets a read with clock ``reader``
+    return, given every ``(thread, value, clock)`` write to its word:
+    any happens-before-maximal write ordered before the read, any write
+    concurrent with it, or the initial 0.0 when no write is ordered
+    before it.  Explored programs race on purpose, so this is the
+    weakest sound contract — every engine promises at least this much,
+    so a read outside it is a real protocol bug on any of them."""
+    before = [w for w in writes if _leq(w[2], reader)]
+    legal = {w[1] for w in writes if not _leq(w[2], reader)}
+    for w in before:
+        if not any(w2 is not w and _leq(w[2], w2[2]) for w2 in before):
+            legal.add(w[1])
+    if not before:
+        legal.add(0.0)
+    return legal
+
+
 class _Thread:
     __slots__ = ("pid", "program", "pc", "status", "refaults")
 
@@ -345,14 +369,15 @@ class _Harness:
         self.tracer = ProtocolTracer(rt, pages=self.vpns) if trace else None
         if mutation is not None:
             apply_mutation(rt, mutation)
-        self.mem = MemoryModel(cfg.threads)
+        self.hb = HappensBefore(cfg.threads)
+        #: (vpn, word) -> every write so far: (thread, value, clock)
+        self.history: dict[tuple[int, int], list[tuple]] = {}
         self.threads = [
             _Thread(pid=i, program=programs[i]) for i in range(cfg.threads)
         ]
         self.lock_holder: int | None = None
         self.lock_queue: list[int] = []
         self.barrier_arrived: list[int] = []
-        self.barrier_episode = 0
         self.events = 0
         self.ops = 0
         self.log: list[str] = []
@@ -470,10 +495,15 @@ class _Harness:
             # identical page bytes and merge in the frontier.
             value = float((i + 1) * 100 + t.pc)
             frame.data[word] = value
-            self.mem.write(i, vpn, word, value)
+            self.hb.tick(i)
+            self.history.setdefault((vpn, word), []).append(
+                (i, value, tuple(self.hb.clocks[i]))
+            )
         else:
             value = float(frame.data[word])
-            legal = self.mem.legal_values(i, vpn, word)
+            legal = legal_values(
+                self.history.get((vpn, word), ()), self.hb.clocks[i]
+            )
             if value not in legal:
                 self.rt.sanitizer.fail(
                     "rc-read",
@@ -482,7 +512,7 @@ class _Harness:
                     f"{sorted(legal)}",
                     vpn=vpn,
                 )
-            self.mem.read(i, vpn, word)
+            self.hb.tick(i)
         t.pc += 1
 
     # -- lock ----------------------------------------------------------
@@ -505,7 +535,7 @@ class _Harness:
 
     def _lock_granted(self, i: int) -> None:
         t = self.threads[i]
-        self.mem.acquire(i, "lock")
+        self.hb.acquire(i, "lock")
         t.status = _IDLE
         t.pc += 1
 
@@ -518,7 +548,7 @@ class _Harness:
 
     def _unlock_done(self, i: int) -> None:
         t = self.threads[i]
-        self.mem.release(i, "lock")
+        self.hb.release(i, "lock")
         t.status = _IDLE
         t.pc += 1
         self.lock_holder = None
@@ -533,6 +563,7 @@ class _Harness:
         t = self.threads[i]
         t.status = "barrier-rel"
         self.barrier_arrived.append(i)
+        self.hb.barrier_arrive(i)
         self.rt.protocol.release(t.pid, lambda: self._barrier_released(i))
 
     def _barrier_released(self, i: int) -> None:
@@ -543,12 +574,11 @@ class _Harness:
         ):
             arrived = self.barrier_arrived
             self.barrier_arrived = []
-            self.mem.barrier(sorted(arrived), self.barrier_episode)
-            self.barrier_episode += 1
             for j in sorted(arrived):
                 self._barrier_depart(j)
 
     def _barrier_depart(self, j: int) -> None:
+        self.hb.barrier_depart(j)
         t = self.threads[j]
         if self.rt.protocol.needs_acquire:
             t.status = "acquiring"
@@ -620,8 +650,8 @@ class _Harness:
             self.lock_holder,
             tuple(self.lock_queue),
             tuple(self.barrier_arrived),
-            self.barrier_episode,
-            self.mem.state(),
+            self.hb.state(),
+            tuple(sorted((loc, tuple(ws)) for loc, ws in self.history.items())),
         )
         return digest((harness, rt.snapshot(now), events))
 

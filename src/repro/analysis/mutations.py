@@ -8,8 +8,8 @@ live bus handlers or engine methods of a runtime.
 :class:`~repro.analysis.invariants.InvariantSanitizer` catches every MGS
 corruption on a direct drive, and that the bounded model checker of
 :mod:`repro.analysis.explore` catches every one — including the
-data-staleness corruptions only its release-consistency oracle can see
-— with the cost pinned in ``results/mutation_catch.txt``.
+data-staleness corruptions only a release-consistency read oracle can
+see — with the cost pinned in ``results/mutation_catch.txt``.
 
 Usage::
 

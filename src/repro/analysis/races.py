@@ -1,14 +1,22 @@
-"""Release-consistency race detection (vector clocks + access epochs).
+"""Happens-before under release consistency: one vector-clock tracker,
+the race detector and value oracle built on it.
 
 MGS guarantees release consistency: a program free of data races —
 conflicting accesses unordered by the happens-before relation induced by
-its locks and barriers — observes sequentially consistent executions.
-This module checks the *program* side of that contract, in the spirit of
-Eraser/FastTrack (see PAPERS.md): every thread carries a vector clock
-advanced at lock releases and barriers, every shared location carries
-the epoch of its last writer plus the clocks of its current readers, and
-a conflicting access not ordered by happens-before is recorded as a
-:class:`Race`.
+its locks and barriers — observes sequentially consistent executions, so
+each of its reads has exactly one legal value: that of the last write
+ordered before it.  :class:`HappensBefore` states that relation once:
+every thread carries a vector clock, every sync object (a lock, a
+barrier episode) carries one too, ``acquire`` joins the object's clock
+into the thread's and ``release`` joins the thread's into the object's.
+The explorer (:mod:`repro.analysis.explore`) judges its reads on it,
+and :class:`RaceDetector` checks both halves of the contract on a real
+run, in the spirit of Eraser/FastTrack (see PAPERS.md): every shared
+word carries the epoch and value of its last write plus the clocks of
+its current readers; a conflicting access not ordered by happens-before
+is a :class:`Race`, and a race-free read that returns anything but the
+last write's value is a :class:`StaleRead` — a coherence bug, never the
+program's.
 
 The detector is a pure observer.  It hooks the runtime's lock / unlock /
 barrier handling (``runtime/runner.py``) and wraps the per-thread memory
@@ -18,11 +26,14 @@ instrumented runs are cycle-identical to bare ones.
 
 Locations are words: the paper's applications *rely* on page-level
 false sharing (TSP's path-element pool) being benign, so two threads
-touching different words of one page never race.  At most
-:data:`MAX_RACES` distinct races are kept.  Deliberate, algorithmically
-benign races (TSP's unlocked read of the monotonically tightening
-incumbent bound) are declared with :meth:`RaceDetector.exempt` /
-``Runtime.annotate_benign_race`` and documented in docs/ANALYSIS.md.
+touching different words of one page never race.  The first
+:data:`MAX_RACES` distinct races and as many stale reads are kept.
+Deliberate, algorithmically benign races (TSP's unlocked read of the
+monotonically tightening incumbent bound) are declared with
+:meth:`RaceDetector.exempt` / ``Runtime.annotate_benign_race`` and
+documented in docs/ANALYSIS.md.  Reads of exempt words are not
+value-checked, nor are reads of words no tracked write has touched
+(values set by ``arr.init`` or ``poke`` before the threads ran).
 """
 
 from __future__ import annotations
@@ -36,10 +47,70 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.env import Env
     from repro.runtime.runner import Runtime
 
-__all__ = ["Race", "RaceDetector", "RaceError"]
+__all__ = ["HappensBefore", "Race", "RaceDetector", "RaceError", "StaleRead"]
 
-#: races recorded before the detector stops collecting new ones
+#: races (and, separately, stale reads) recorded before the detector
+#: stops collecting new ones
 MAX_RACES = 32
+
+
+class HappensBefore:
+    """Vector clocks for ``nthreads`` threads and their sync objects.
+
+    Sync objects are named by any hashable key: a lock id, the explorer's
+    lock, or ``("barrier", k)`` for the k-th barrier episode.  Clocks
+    start at zero and a thread's own entry ticks after each acquire and
+    release, so writes on either side of a release carry different
+    epochs.
+    """
+
+    def __init__(self, nthreads: int) -> None:
+        self.clocks = [[0] * nthreads for _ in range(nthreads)]
+        self.sync: dict[object, list[int]] = {}
+        #: barrier episodes each thread has departed
+        self.episodes = [0] * nthreads
+
+    def tick(self, thread: int) -> None:
+        self.clocks[thread][thread] += 1
+
+    def acquire(self, thread: int, key: object) -> None:
+        """``thread`` observed a release on ``key`` (lock grant, barrier
+        departure): join the object's clock into the thread's."""
+        own = self.clocks[thread]
+        for i, c in enumerate(self.sync.get(key, ())):
+            if c > own[i]:
+                own[i] = c
+        own[thread] += 1
+
+    def release(self, thread: int, key: object) -> None:
+        """``thread`` publishes its history on ``key`` (unlock, barrier
+        arrival): join the thread's clock into the object's."""
+        own = self.clocks[thread]
+        sync = self.sync.setdefault(key, [0] * len(own))
+        for i, c in enumerate(own):
+            if c > sync[i]:
+                sync[i] = c
+        own[thread] += 1
+
+    def barrier_arrive(self, thread: int) -> None:
+        """Release into this thread's next barrier episode."""
+        self.release(thread, ("barrier", self.episodes[thread]))
+
+    def barrier_depart(self, thread: int) -> None:
+        """Acquire the episode every participant released into: each
+        arrives before any departs, so nobody counts the participants."""
+        self.acquire(thread, ("barrier", self.episodes[thread]))
+        self.episodes[thread] += 1
+
+    def state(self) -> tuple:
+        """Hashable snapshot (the explorer's frontier dedup)."""
+        return (
+            tuple(map(tuple, self.clocks)),
+            tuple(sorted(
+                (repr(key), tuple(c)) for key, c in self.sync.items() if any(c)
+            )),
+            tuple(self.episodes),
+        )
 
 
 @dataclass(frozen=True)
@@ -61,45 +132,74 @@ class Race:
         )
 
 
-class RaceError(AssertionError):
-    """Raised by :meth:`RaceDetector.certify` when races were recorded."""
+@dataclass(frozen=True)
+class StaleRead:
+    """A race-free read that missed the last write ordered before it."""
 
-    def __init__(self, races: Sequence[Race]) -> None:
+    addr: int
+    vpn: int
+    pid: int
+    cluster: int
+    value: float
+    writer: int
+    writer_cluster: int
+    written: float
+
+    def describe(self) -> str:
+        return (
+            f"addr 0x{self.addr:x} (vpn {self.vpn}): proc {self.pid} "
+            f"(SSMP {self.cluster}) read {self.value!r}, but the last "
+            f"write ordered before it, by proc {self.writer} "
+            f"(SSMP {self.writer_cluster}), wrote {self.written!r}"
+        )
+
+
+class RaceError(AssertionError):
+    """Raised by :meth:`RaceDetector.certify` on races or stale reads."""
+
+    def __init__(
+        self, races: Sequence[Race], stale: Sequence[StaleRead] = ()
+    ) -> None:
         self.races = list(races)
-        lines = [f"{len(races)} data race(s) detected:"]
+        self.stale_reads = list(stale)
+        lines = [
+            f"{len(races)} data race(s) and {len(stale)} stale read(s) "
+            f"detected:"
+        ]
         lines.extend(f"  {race.describe()}" for race in races)
+        lines.extend(f"  stale read: {s.describe()}" for s in stale)
         super().__init__("\n".join(lines))
 
 
-class RaceDetector:
-    """Happens-before race detection over one runtime's execution.
+class RaceDetector(HappensBefore):
+    """Happens-before race detection and read-value checking over one
+    runtime's execution.
 
     Construction publishes the detector as ``rt.race_detector``; the
-    runtime's lock/unlock/barrier handlers and every subsequently
-    spawned :class:`Env` then feed it.  Attach *before* spawning
-    threads (construction hooks and ``Runtime(analysis=...)`` both do).
+    runtime's lock/unlock/barrier handlers call :meth:`acquire`,
+    :meth:`release`, :meth:`barrier_arrive` and :meth:`barrier_depart`,
+    and every subsequently spawned :class:`Env` feeds it accesses.
+    Attach *before* spawning threads (construction hooks and
+    ``Runtime(analysis=...)`` both do).
     """
 
     def __init__(self, rt: "Runtime") -> None:
+        super().__init__(rt.config.total_processors)
+        # A thread's first epoch must differ from "never synchronized
+        # with", so an unordered access before any sync still races.
+        for pid in range(len(self.clocks)):
+            self.tick(pid)
         self._page_size = rt.config.page_size
-        n = rt.config.total_processors
-        self._n = n
-        #: per-thread vector clocks; C_u[u] starts at 1
-        self._vc = [[1 if i == p else 0 for i in range(n)] for p in range(n)]
-        #: per-lock clocks, keyed by lock_id
-        self._locks: dict[int, list[int]] = {}
-        #: last-writer epoch per location: loc -> (pid, clock)
-        self._writes: dict[int, tuple[int, int]] = {}
+        self._cluster_of = rt.config.cluster_of
+        #: last write per location: loc -> (pid, clock, value)
+        self._writes: dict[int, tuple[int, int, float]] = {}
         #: reader clocks per location: loc -> {pid: clock}
         self._reads: dict[int, dict[int, int]] = {}
         #: declared-benign byte ranges: (lo, hi, reason)
         self._exempt: list[tuple[int, int, str]] = []
         self.races: list[Race] = []
+        self.stale_reads: list[StaleRead] = []
         self._seen: set[tuple[int, int, int]] = set()
-        # barrier episode state
-        self._barrier_pending = [0] * n
-        self._barrier_clock = [0] * n
-        self._barrier_arrived = 0
         rt.race_detector = self
 
     # ------------------------------------------------------------------
@@ -117,91 +217,62 @@ class RaceDetector:
         return False
 
     # ------------------------------------------------------------------
-    # happens-before bookkeeping (runtime hooks)
-    # ------------------------------------------------------------------
-
-    def on_acquire(self, pid: int, lock_id: int) -> None:
-        """Lock acquired: join the lock's clock into the thread's."""
-        lock_clock = self._locks.get(lock_id)
-        if lock_clock is not None:
-            vc = self._vc[pid]
-            for i, c in enumerate(lock_clock):
-                if c > vc[i]:
-                    vc[i] = c
-
-    def on_release(self, pid: int, lock_id: int) -> None:
-        """Release point: publish the thread's clock through the lock."""
-        vc = self._vc[pid]
-        self._locks[lock_id] = vc.copy()
-        vc[pid] += 1
-
-    def on_barrier_arrive(self, pid: int) -> None:
-        """Barrier arrival: the release half of the barrier ordering."""
-        vc = self._vc[pid]
-        pending = self._barrier_pending
-        for i, c in enumerate(vc):
-            if c > pending[i]:
-                pending[i] = c
-        self._barrier_arrived += 1
-
-    def on_barrier_depart(self, pid: int) -> None:
-        """Barrier departure: the acquire half.
-
-        Every participant arrives before any departs, so the first
-        departure seals the episode's accumulated clock.
-        """
-        if self._barrier_arrived == self._n:
-            self._barrier_clock = self._barrier_pending
-            self._barrier_pending = [0] * self._n
-            self._barrier_arrived = 0
-        vc = self._vc[pid]
-        for i, c in enumerate(self._barrier_clock):
-            if c > vc[i]:
-                vc[i] = c
-        vc[pid] += 1
-
-    # ------------------------------------------------------------------
     # access recording (Env hooks)
     # ------------------------------------------------------------------
 
-    def _record(self, addr: int, vpn: int, prev_pid: int, prev_kind: str,
+    def _record(self, addr: int, prev_pid: int, prev_kind: str,
                 pid: int, kind: str) -> None:
         key = (addr, prev_pid, pid)
         if key in self._seen or len(self.races) >= MAX_RACES:
             return
         self._seen.add(key)
         self.races.append(
-            Race(addr=addr, vpn=vpn, prev_pid=prev_pid, prev_kind=prev_kind,
-                 pid=pid, kind=kind)
+            Race(addr=addr, vpn=addr // self._page_size, prev_pid=prev_pid,
+                 prev_kind=prev_kind, pid=pid, kind=kind)
         )
 
-    def on_read(self, pid: int, addr: int) -> None:
+    def _record_stale(self, addr: int, pid: int, value: float,
+                      writer: int, written: float) -> None:
+        if len(self.stale_reads) >= MAX_RACES:
+            return
+        cluster_of = self._cluster_of
+        self.stale_reads.append(
+            StaleRead(addr=addr, vpn=addr // self._page_size, pid=pid,
+                      cluster=cluster_of(pid), value=float(value),
+                      writer=writer, writer_cluster=cluster_of(writer),
+                      written=float(written))
+        )
+
+    def on_read(self, pid: int, addr: int, value: float) -> None:
         loc = addr // WORD_BYTES
-        vc = self._vc[pid]
+        vc = self.clocks[pid]
         write = self._writes.get(loc)
         if write is not None:
-            writer, clock = write
+            writer, clock, written = write
             if writer != pid and clock > vc[writer]:
                 if not self._is_exempt(addr):
-                    self._record(loc * WORD_BYTES, addr // self._page_size,
-                                 writer, "write", pid, "read")
+                    self._record(loc * WORD_BYTES, writer, "write", pid,
+                                 "read")
+            elif value != written and not self._is_exempt(addr):
+                self._record_stale(loc * WORD_BYTES, pid, value, writer,
+                                   written)
         readers = self._reads.get(loc)
         if readers is None:
             readers = self._reads[loc] = {}
         readers[pid] = vc[pid]
 
-    def on_write(self, pid: int, addr: int) -> None:
+    def on_write(self, pid: int, addr: int, value: float) -> None:
         loc = addr // WORD_BYTES
-        vc = self._vc[pid]
+        vc = self.clocks[pid]
         exempt = None  # resolved lazily; most accesses race nothing
         write = self._writes.get(loc)
         if write is not None:
-            writer, clock = write
+            writer, clock, _written = write
             if writer != pid and clock > vc[writer]:
                 exempt = self._is_exempt(addr)
                 if not exempt:
-                    self._record(loc * WORD_BYTES, addr // self._page_size,
-                                 writer, "write", pid, "write")
+                    self._record(loc * WORD_BYTES, writer, "write", pid,
+                                 "write")
         readers = self._reads.get(loc)
         if readers:
             for reader, clock in sorted(readers.items()):
@@ -209,16 +280,10 @@ class RaceDetector:
                     if exempt is None:
                         exempt = self._is_exempt(addr)
                     if not exempt:
-                        self._record(loc * WORD_BYTES,
-                                     addr // self._page_size,
-                                     reader, "read", pid, "write")
+                        self._record(loc * WORD_BYTES, reader, "read", pid,
+                                     "write")
             readers.clear()
-        self._writes[loc] = (pid, vc[pid])
-
-    def _on_range(self, pid: int, addr: int, nwords: int, write: bool) -> None:
-        record = self.on_write if write else self.on_read
-        for a in range(addr, addr + nwords * WORD_BYTES, WORD_BYTES):
-            record(pid, a)
+        self._writes[loc] = (pid, vc[pid], value)
 
     # ------------------------------------------------------------------
     # Env instrumentation
@@ -228,11 +293,14 @@ class RaceDetector:
         """Wrap the Env's bound memory operations with access recording.
 
         The wrappers delegate to the original (fast- or slow-path)
-        generators via ``yield from`` and record after the access
-        completes — by which point any mapping faults it triggered have
-        resolved.  Nothing is charged and nothing is scheduled.
+        generators via ``yield from`` and record each word, with the
+        value read or written, after the access completes — by which
+        point any mapping faults it triggered have resolved.  Nothing
+        is charged and nothing is scheduled.
         """
         pid = env.pid
+        on_read = self.on_read
+        on_write = self.on_write
         inner_read = env.read
         inner_write = env.write
         inner_read_block = env.read_block
@@ -241,27 +309,29 @@ class RaceDetector:
 
         def read(addr: int, ptr: bool = False):
             value = yield from inner_read(addr, ptr)
-            self.on_read(pid, addr)
+            on_read(pid, addr, value)
             return value
 
         def write(addr: int, value: float, ptr: bool = False):
             yield from inner_write(addr, value, ptr)
-            self.on_write(pid, addr)
+            on_write(pid, addr, value)
 
         def read_block(addr: int, nwords: int, ptr: bool = False):
             values = yield from inner_read_block(addr, nwords, ptr)
-            self._on_range(pid, addr, nwords, write=False)
+            for i, value in enumerate(values):
+                on_read(pid, addr + i * WORD_BYTES, value)
             return values
 
         def write_block(addr: int, values, ptr: bool = False):
             yield from inner_write_block(addr, values, ptr)
-            self._on_range(pid, addr, len(values), write=True)
+            for i, value in enumerate(values):
+                on_write(pid, addr + i * WORD_BYTES, value)
 
         def read_many(addrs: Iterable[int], ptr: bool = False):
             addrs = tuple(addrs)
             values = yield from inner_read_many(addrs, ptr)
-            for a in addrs:
-                self.on_read(pid, a)
+            for a, value in zip(addrs, values):
+                on_read(pid, a, value)
             return values
 
         env.read = read
@@ -276,6 +346,7 @@ class RaceDetector:
 
     def certify(self) -> None:
         """Raise :class:`RaceError` unless the execution was race-free
-        (modulo declared-benign exemptions)."""
-        if self.races:
-            raise RaceError(self.races)
+        (modulo declared-benign exemptions) and every checked read
+        returned the last write ordered before it."""
+        if self.races or self.stale_reads:
+            raise RaceError(self.races, self.stale_reads)

@@ -531,7 +531,7 @@ class Runtime:
         else:
             # Happens-before: join the lock's clock at acquisition time.
             def wake() -> None:
-                detector.on_acquire(t.pid, lk.lock_id)
+                detector.acquire(t.pid, lk.lock_id)
                 self._wake_acquire(t, "lock")
 
         self.sim.schedule_at(t.time, lk.acquire, t.pid, wake)
@@ -542,7 +542,7 @@ class Runtime:
             # Happens-before: publish the thread's clock through the
             # lock at the release point (before the DUQ flush; the
             # thread performs no accesses in between).
-            self.race_detector.on_release(t.pid, lk.lock_id)
+            self.race_detector.release(t.pid, lk.lock_id)
         if self.protocol.hw_bypass:
             self.sim.schedule_at(
                 t.time, lk.release, t.pid, lambda: self._wake(t, "lock")
@@ -569,10 +569,10 @@ class Runtime:
         else:
             # Happens-before: a barrier is a release by all arrivals
             # followed by an acquire by all departures.
-            detector.on_barrier_arrive(t.pid)
+            detector.barrier_arrive(t.pid)
 
             def wake() -> None:
-                detector.on_barrier_depart(t.pid)
+                detector.barrier_depart(t.pid)
                 self._wake_acquire(t, "barrier")
 
         if self.protocol.hw_bypass:

@@ -1,14 +1,22 @@
-"""The release-consistency race detector.
+"""The release-consistency race detector and its value oracle.
 
 Directed programs exercise the happens-before rules (locks, barriers,
-exemptions); then the five paper applications are certified data-race-
-free at word granularity, and a deliberately racy workload is flagged.
+exemptions); coherence bugs that lose a locked update are caught as
+stale reads; then the five paper applications are certified data-race-
+free and value-correct at word granularity, and a deliberately racy
+workload is flagged.
 """
 
 import pytest
 
-from repro.analysis import Race, RaceDetector, RaceError
-from repro.apps import barnes_hut, jacobi, matmul, tsp, water
+from repro.analysis import (
+    Race,
+    RaceDetector,
+    RaceError,
+    StaleRead,
+    apply_mutation,
+)
+from repro.apps import barnes_hut, jacobi, matmul, tsp, water, water_kernel
 from repro.params import MachineConfig
 from repro.runtime import Runtime
 
@@ -24,24 +32,34 @@ def shared_word(rt):
     return arr
 
 
+def locked_counter(engine="mgs", mutation=None):
+    """Four processors on two SSMPs each add 1.0 three times under one
+    lock; returns the runtime and the final count."""
+    config = MachineConfig(total_processors=4, cluster_size=2, protocol=engine)
+    rt = Runtime(config, analysis="races")
+    arr = shared_word(rt)
+    lk = rt.create_lock()
+    if mutation is not None:
+        apply_mutation(rt, mutation)
+
+    def worker(env):
+        for _ in range(3):
+            yield from env.lock(lk)
+            v = yield from env.read(arr.addr(0))
+            yield from env.write(arr.addr(0), v + 1.0)
+            yield from env.unlock(lk)
+        yield from env.barrier()
+
+    rt.spawn_all(worker)
+    rt.run()
+    return rt, arr.snapshot()[0]
+
+
 class TestDirectedPrograms:
     def test_locked_counter_is_race_free(self):
-        rt = make_rt()
-        arr = shared_word(rt)
-        lk = rt.create_lock()
-
-        def worker(env):
-            for _ in range(3):
-                yield from env.lock(lk)
-                v = yield from env.read(arr.addr(0))
-                yield from env.write(arr.addr(0), v + 1.0)
-                yield from env.unlock(lk)
-            yield from env.barrier()
-
-        rt.spawn_all(worker)
-        rt.run()
+        rt, count = locked_counter()
         rt.race_detector.certify()
-        assert arr.snapshot()[0] == 3.0 * rt.config.total_processors
+        assert count == 3.0 * rt.config.total_processors
 
     def test_unlocked_writes_are_flagged(self):
         rt = make_rt()
@@ -158,6 +176,61 @@ class TestDirectedPrograms:
                     pid=2, kind="read")
         assert "write by proc 1" in race.describe()
         assert "races read by proc 2" in race.describe()
+
+
+class TestValueOracle:
+    """A race-free read must return the last write ordered before it."""
+
+    def test_unmutated_gcs_counter_certifies(self):
+        rt, count = locked_counter("gcs")
+        assert rt.race_detector.stale_reads == []
+        rt.race_detector.certify()
+        assert count == 12.0
+
+    @pytest.mark.parametrize(
+        "mutation", ["gcs_dropped_write_notice", "gcs_stale_version"]
+    )
+    def test_lost_update_is_a_stale_read(self, mutation):
+        """Both gcs staleness mutations lose increments of a properly
+        locked counter; the race check alone certifies that run."""
+        rt, count = locked_counter("gcs", mutation)
+        assert count < 12.0
+        with pytest.raises(RaceError, match="0 data race.*stale read"):
+            rt.race_detector.certify()
+        assert rt.race_detector.stale_reads
+
+    def test_gcs_water_kernel_reads_stale_values_within_an_ssmp(self):
+        """Pins ROADMAP item 2's known gcs bug: water-kernel at P=8, C=2
+        (unoptimized) is race-free yet reads stale values, and the first
+        such read's reader and last writer share an SSMP.  This flips
+        when item 2(c) fixes or deletes gcs."""
+        detectors = []
+
+        def hook(rt):
+            detectors.append(RaceDetector(rt))
+
+        Runtime.construction_hooks.append(hook)
+        try:
+            run = water_kernel.run(
+                MachineConfig(total_processors=8, cluster_size=2,
+                              protocol="gcs"),
+                water_kernel.WaterKernelParams(n_molecules=32,
+                                               optimized=False),
+            )
+        finally:
+            Runtime.construction_hooks.remove(hook)
+        assert not run.valid
+        (detector,) = detectors
+        with pytest.raises(RaceError, match="0 data race.*stale read"):
+            detector.certify()
+        first = detector.stale_reads[0]
+        assert first.cluster == first.writer_cluster
+
+    def test_stale_read_describe(self):
+        stale = StaleRead(addr=0x100, vpn=0, pid=3, cluster=1, value=1.0,
+                          writer=2, writer_cluster=1, written=2.0)
+        assert "proc 3 (SSMP 1) read 1.0" in stale.describe()
+        assert "by proc 2 (SSMP 1), wrote 2.0" in stale.describe()
 
 
 #: the five paper applications with the small shapes test_apps.py uses
