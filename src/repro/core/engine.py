@@ -158,9 +158,12 @@ class Protocol:
     default behaviors MGS defined historically.
 
     State contract with :class:`repro.runtime.env.Env` (the application
-    access engine binds these once, at spawn time):
+    access engine binds these once, at spawn time, and probes them in
+    place on every access):
 
-    * ``tlbs[pid]`` — the per-processor TLB.
+    * ``tlbs[pid]`` — the per-processor TLB; the Env reads its
+      ``vpn -> MapMode`` map directly, so a mapping change must go
+      through the TLB's own methods, never rebind that map.
     * ``frames_view(pid)`` — a dict ``vpn -> frame`` of the replicas the
       processor reads through; each frame exposes ``data`` (numpy array)
       and ``owner_pid``.
@@ -176,15 +179,6 @@ class Protocol:
     #: runtime then calls :meth:`acquire` at lock acquisition and
     #: barrier departure
     needs_acquire: ClassVar[bool] = False
-    #: adaptive burst-cache bypass profile (see ``repro.runtime.env``):
-    #: how many execution bursts the access engine samples before
-    #: deciding whether its burst caches pay off, and the average hits
-    #: per burst below which it rebinds to the plain slow paths.  All-
-    #: software engines (swdsm) override these: their miss services are
-    #: so much more expensive that the sampling window itself is a cost,
-    #: so they decide earlier and demand more.
-    fp_sample_bursts: ClassVar[int] = 32
-    fp_bypass_hits_per_burst: ClassVar[int] = 2
 
     def __init__(
         self,

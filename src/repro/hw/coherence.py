@@ -51,10 +51,10 @@ access`, so the common case — a hit — is resolved with one dict probe and
 an inline privilege check before the full classify-and-update runs.
 Statistics live in a fixed-slot integer list indexed by ``AccessClass``
 position (no ``Counter``/enum hashing per access); the ``stats`` property
-rebuilds the Counter view for reporting.  The runtime's fast path
-(``repro.runtime.env``) adds the hits it proved without a directory
-probe straight to the hit slot; see ``docs/PERFORMANCE.md`` for why
-that is safe.
+rebuilds the Counter view for reporting.  The runtime's ``Env``
+(``repro.runtime.env``) repeats that hit test on the cluster's line dict
+itself, adds its hits straight to the hit slot, and calls ``access``
+only on a miss; see ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -134,14 +134,14 @@ class CacheSystem:
             costs.miss_3party,
             costs.miss_software_dir,
         ]
-        #: cost of a hit, exposed so the runtime fast path can charge it
+        #: cost of a hit, exposed so the runtime's Env can charge it
         #: without a method call
         self.hit_cost = costs.cache_hit
         #: most expensive *hardware* miss class (software servicing needs
         #: a sharer set that already outgrew the hardware pointers, so
         #: any other line is bounded by the hardware classes).
         #: access_run admits lines under the per-line tight bound; the
-        #: runtime fast path reads it to skip hopeless batch attempts.
+        #: runtime's block paths read it to skip hopeless batch attempts.
         self.worst_hw_miss = max(self._cost_of[1:_SOFTWARE])
 
     def close(self) -> None:
@@ -236,27 +236,34 @@ class CacheSystem:
         worst_hw = self.worst_hw_miss
         soft = cost_of[_SOFTWARE]
         hw_ptrs = self._hw_ptrs
+        # An absent line is a clean miss, whose class depends only on
+        # where the frame lives: the same for the whole run.
+        fresh = _LOCAL if home_pid == pid else _REMOTE
+        fresh_cost = cost_of[fresh]
         total = 0
         k = 0
         for extra in extras:
             line = first_line + k
             state = get(line)
-            if state is not None:
-                owner = state[0]
-                if (
-                    owner == pid
-                    if is_write
-                    else owner == pid or (owner == -1 and state[1] >> pid & 1)
-                ):
-                    break  # guaranteed hit: the caller's hit-run takes over
-                bound = soft if state[1].bit_count() > hw_ptrs else worst_hw
-            else:
-                bound = worst_hw
+            if state is None:
+                if total + worst_hw + extra > budget:
+                    break
+                directory[line] = [pid, 0] if is_write else [-1, 1 << pid]
+                pages[line // lpp].append(line)
+                counts[fresh] += 1
+                total += fresh_cost + extra
+                k += 1
+                continue
+            owner = state[0]
+            if (
+                owner == pid
+                if is_write
+                else owner == pid or (owner == -1 and state[1] >> pid & 1)
+            ):
+                break  # guaranteed hit: the caller's hit-run takes over
+            bound = soft if state[1].bit_count() > hw_ptrs else worst_hw
             if total + bound + extra > budget:
                 break
-            if state is None:
-                state = directory[line] = [-1, 0]
-                pages[line // lpp].append(line)
             i = classify(state, pid, is_write, home_pid)
             counts[i] += 1
             total += cost_of[i] + extra

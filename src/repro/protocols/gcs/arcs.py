@@ -190,7 +190,8 @@ class GCSArcRules(ArcRules):
     # ------------------------------------------------------------------
 
     def check_state(self, inflight) -> None:
-        """Open drains and refreshes must have their round-trip in flight."""
+        """Open drains and refreshes must have their round-trip in flight,
+        or, for a refresh, its completion queued."""
         super().check_state(inflight)
         p = self.protocol
         for pid in sorted(p._drain):
@@ -204,8 +205,15 @@ class GCSArcRules(ArcRules):
                     f"proc {pid} awaits a release acknowledgement with no "
                     "G_DIFF or G_RACK in flight",
                 )
+        # After G_ADATA is applied, the refresh stays open until its
+        # timed _refresh_done, a local event rather than a message.
+        completing = [
+            (args[0].cluster, args[0].vpn)
+            for _time, fn, args in p.sim.pending_events()
+            if fn == p._refresh_done
+        ]
         for cluster, vpn in sorted(p._refreshing):
-            if not any(
+            if (cluster, vpn) not in completing and not any(
                 m.vpn == vpn
                 and m.label in ("G_AREQ", "G_ADATA")
                 and (m.src_cluster == cluster or m.dst_cluster == cluster)

@@ -64,13 +64,6 @@ class SWDSMProtocol(Protocol):
     """All-software single-grain page DSM (one DSM node per processor)."""
 
     name = "swdsm"
-    # Every miss is a software round here, so execution bursts are short
-    # and burst-cache reuse is rare: sample a third of the window MGS
-    # uses and demand more reuse before keeping the caches (the
-    # ``swdsm_jacobi_fastpath`` perfsmoke regression came from paying
-    # the full MGS-sized sampling window on every Env).
-    fp_sample_bursts = 12
-    fp_bypass_hits_per_burst = 3
 
     def __init__(
         self,

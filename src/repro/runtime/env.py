@@ -25,65 +25,32 @@ as in the paper's 32-processor runs: accesses go straight to the home
 copy through hardware coherence, only the software-virtual-memory
 translation overhead remains, and release points flush nothing.
 
-Fast paths
-----------
+Access paths
+------------
 
-Word accesses dominate simulation wall-clock, so ``Env`` keeps a
-fast-path cache across the current uninterrupted execution burst: the
-pages it has resolved — ``vpn -> (frame data, write-ok, owner)`` — and
-the hardware cache lines it has read and written.  A repeat access to a
-resolved page skips the TLB and frame-dictionary probes; a repeat access
-to a known line skips the hardware directory entirely (it is a hit by
-construction).  The batched :meth:`Env.read_block` /
-:meth:`Env.write_block` / :meth:`Env.read_many` APIs additionally
-resolve a whole run of accesses inside one generator, eliminating the
-per-word sub-generator round trip.
-
-This is safe because thread execution between suspension points is
-atomic: no simulator event — and therefore no protocol action, TLB
-shootdown, or directory update by another processor — can run while the
-thread's generator is executing.  The cache is dropped at every
-suspension point (fault, pause, lock, unlock, barrier), so the fast
-paths charge exactly the cycles, update exactly the statistics, and
-suspend at exactly the times the slow paths do.  The contract is pinned
-bit-for-bit by ``tests/test_golden_equivalence.py``; set
-``REPRO_NO_FASTPATH=1`` (or ``RunOptions(fastpath=False)``) to force
-the original one-access-at-a-time code paths.  See
-``docs/PERFORMANCE.md``.
-
-Adaptive bypass
----------------
-
-The burst caches only pay for themselves when bursts are long enough to
-serve repeat accesses.  Each ``Env`` therefore *samples* its own
-burst-cache hit rate over the engine's first ``fp_sample_bursts``
-bursts and, when the observed hits per burst fall below
-``fp_bypass_hits_per_burst``, rebinds its memory operations to the
-plain slow paths for the rest of the run.  The thresholds are per-engine
-class attributes on :class:`~repro.core.engine.Protocol`: an
-all-software engine like swdsm has shorter bursts and rarer reuse, so
-it decides sooner and demands more reuse.  The decision depends only on
-deterministic simulation state and both engines are cycle-identical, so
-results are unchanged either way; only the wall-clock moves.  The
-bypass is off while the race detector has the access methods
-instrumented (rebinding would drop its recording wrappers).
-
-The bypass is kept because it measurably wins.  Jacobi, the miss-heavy
-loop it was added for, no longer demotes; but with the sampling
-removed, six alternating performance-ledger run pairs put the
-``compare_cold`` median wall time at 11.68 s against 10.64 s (ledger
-reference-host seconds; slower in 5 of 6 pairs), ``figs_protocol``
-about 2% slower, and ``figs_hit`` unchanged.
+Word accesses dominate simulation wall-clock, so each per-word
+operation is one lean body that probes the machine's state directly: the
+processor's TLB map, the frame's page array and owner (the home copy at
+C == P), and the cluster's hardware line directory, whose hit test it
+repeats inline so that it calls :meth:`CacheSystem.access` only on a
+miss.  Nothing is kept between operations, so a suspension point (fault,
+pause, lock, unlock, barrier) leaves nothing stale behind.  The word
+that pauses returns its value from the page array it read before the
+pause, because the frame's data may be replaced while the thread waits.
 
 Batches
 -------
 
-Each memory operation has one fast implementation beside its slow
-reference.  ``read_many`` is an inlined per-word loop.  ``read_block``
+``read_many`` is an inlined loop of the per-word read.  ``read_block``
 and ``write_block`` walk each page in line runs: a run of guaranteed
 hits is charged in closed form after one :meth:`CacheSystem.hit_run`
 probe, and a run of misses goes to one :meth:`CacheSystem.access_run`
-call (:meth:`Env._miss_run`).
+call (:meth:`Env._miss_run`).  They re-probe the TLB at every page chunk
+and after every pause.  ``RunOptions(fastpath=False)`` (or
+``REPRO_NO_FASTPATH=1``) turns only these three batched operations into
+plain loops of the per-word body, the reference they are pinned against
+bit for bit (``tests/test_fastpath.py``,
+``tests/test_golden_equivalence.py``).  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -100,13 +67,16 @@ if TYPE_CHECKING:
 
 __all__ = ["Env"]
 
+_WRITE = MapMode.WRITE
+
+
 class Env:
     """Per-thread view of the machine.
 
-    The memory operations (``read``, ``write``, ``read_block``,
-    ``write_block``, ``read_many``) are bound per
-    instance: to the fast-path implementations normally, or to the
-    original slow paths when the runtime's options say
+    ``read`` and ``write`` have one implementation each.  The batched
+    operations (``read_block``, ``write_block``, ``read_many``) are bound
+    per instance: to their batched implementations normally, or to plain
+    loops of the per-word body when the runtime's options say
     ``fastpath=False`` (e.g. via the ``REPRO_NO_FASTPATH=1`` escape
     hatch).  Both produce bit-for-bit identical simulations.
     """
@@ -126,26 +96,24 @@ class Env:
         "_cache_counts",
         "_hit_cost",
         "_tlb",
+        "_maps",
+        "_lines",
         "_frames",
+        "_home_pids",
         "_costs",
         "_ta",
         "_tp",
-        "_fp_pages",
-        "_fp_rlines",
-        "_fp_wlines",
-        "_fp_hits",
-        "_fp_bursts",
-        "_fp_adaptive",
-        "_fp_sample_bursts",
-        "_fp_bypass_threshold",
-        "fastpath_bypassed",
-        # per-instance bindings (fast or slow implementation)
+        # per-instance bindings (the race detector wraps all five)
         "read",
         "write",
         "read_block",
         "write_block",
         "read_many",
     )
+
+    #: Nothing demotes an Env to other access paths any more; the flag
+    #: stays False for the performance ledger, which still counts it.
+    fastpath_bypassed = False
 
     def __init__(self, runtime: "Runtime", thread: "ThreadContext") -> None:
         self._rt = runtime
@@ -163,34 +131,22 @@ class Env:
         self._cache_counts = runtime.cache._counts  # slot 0 counts hits
         self._hit_cost = runtime.cache.hit_cost
         self._tlb = runtime.protocol.tlbs[self.pid]
+        # Probed in place by the access paths: the TLB's vpn -> MapMode
+        # map and this cluster's line directory (line -> [owner, mask]).
+        self._maps = self._tlb._entries
+        self._lines = runtime.cache._lines[self.cluster]
         self._frames = runtime.protocol.frames_view(self.pid)
+        self._home_pids = runtime.aspace.home_pids
         self._costs = runtime.costs
         self._ta = self._costs.translate_array
         self._tp = self._costs.translate_pointer
-        # Pages resolved this burst: vpn -> (frame data, write-ok, owner).
-        self._fp_pages: dict[int, tuple] = {}
-        # Hardware cache lines known to hit for reads / for writes.
-        self._fp_rlines: set[int] = set()
-        self._fp_wlines: set[int] = set()
-        # Adaptive-bypass sampling state (see module docstring); the
-        # window and threshold are per-engine class attributes.
-        self._fp_hits = 0
-        self._fp_bursts = 0
-        self._fp_adaptive = runtime.options.fastpath
-        self._fp_sample_bursts = runtime.protocol.fp_sample_bursts
-        self._fp_bypass_threshold = runtime.protocol.fp_bypass_hits_per_burst
-        #: whether the adaptive sampler demoted this Env to the slow
-        #: paths (never under the race detector, which turns it off)
-        self.fastpath_bypassed = False
+        self.read = self._read
+        self.write = self._write
         if runtime.options.fastpath:
-            self.read = self._read_fast
-            self.write = self._write_fast
             self.read_block = self._read_block_fast
             self.write_block = self._write_block_fast
             self.read_many = self._read_many_fast
         else:
-            self.read = self._read_slow
-            self.write = self._write_slow
             self.read_block = self._read_block_slow
             self.write_block = self._write_block_slow
             self.read_many = self._read_many_slow
@@ -199,51 +155,7 @@ class Env:
             # Opt-in happens-before race detection (repro.analysis):
             # rebinds the five operations to recording wrappers that
             # delegate to the originals unchanged and charge nothing.
-            # The adaptive bypass must not rebind over those wrappers.
-            self._fp_adaptive = False
             detector.instrument(self)
-
-    # ------------------------------------------------------------------
-    # fast-path cache maintenance
-    # ------------------------------------------------------------------
-
-    def _fp_reset(self) -> None:
-        """Drop the fast-path cache.
-
-        Called after every suspension point: while the thread was
-        suspended, protocol handlers may have invalidated its TLB entry,
-        replaced the frame data, or changed hardware directory state.
-        Cleared in place so batched loops can hold direct references.
-
-        Doubles as the adaptive-bypass sampling point: every reset ends
-        one burst, and after the engine's ``fp_sample_bursts`` bursts
-        the Env decides once whether its burst caches earn their keep.
-        """
-        self._fp_pages.clear()
-        self._fp_rlines.clear()
-        self._fp_wlines.clear()
-        if self._fp_adaptive:
-            self._fp_bursts += 1
-            if self._fp_bursts >= self._fp_sample_bursts:
-                self._fp_adaptive = False
-                if self._fp_hits < self._fp_bypass_threshold * self._fp_bursts:
-                    self._fp_bypass()
-
-    def _fp_bypass(self) -> None:
-        """Fall back to the plain one-access-at-a-time paths.
-
-        Cycle-identical by construction (the slow paths are the golden
-        reference the fast paths are pinned against); only the Python
-        wall-clock changes.  A generator currently suspended inside a
-        fast-path method finishes that call on the fast code; every
-        subsequent ``env.read``/``env.write``/... dispatches slow.
-        """
-        self.read = self._read_slow
-        self.write = self._write_slow
-        self.read_block = self._read_block_slow
-        self.write_block = self._write_block_slow
-        self.read_many = self._read_many_slow
-        self.fastpath_bypassed = True
 
     def close(self) -> None:
         """Cut this finished Env's reference cycles (see
@@ -253,49 +165,55 @@ class Env:
         self.read = self.write = self.read_block = self.write_block = None
         self.read_many = None
 
-    def _fp_load(self, vpn: int, write: bool = False):
-        """Resolve ``vpn`` with read (or, if ``write``, write) privilege;
-        may yield mapping faults.  Returns and caches the
-        ``(frame data, write-ok, owner)`` entry."""
+    # ------------------------------------------------------------------
+    # page resolution
+    # ------------------------------------------------------------------
+
+    def _map(self, vpn: int, write: bool):
+        """Get ``vpn`` mapped with read (or, if ``write``, write)
+        privilege, yielding mapping faults until the protocol grants it.
+
+        At C == P only the software-virtual-memory overhead remains: the
+        first access to a page charges a one-time fill instead.
+        """
+        maps = self._maps
         if self._hw_only:
-            data = self._hw_frame(vpn, self._t)
-            entry = (data, True, self._rt.aspace.home_proc(vpn))
-        else:
-            tlb = self._tlb
-            while not (
-                tlb.has_write(vpn) if write else tlb.lookup(vpn) is not None
-            ):
-                yield ("fault", vpn, write)
-                self._fp_reset()
-            frame = self._frames[vpn]
-            entry = (frame.data, write or tlb.has_write(vpn), frame.owner_pid)
-        self._fp_pages[vpn] = entry
-        return entry
+            if vpn not in maps:
+                costs = self._costs
+                self._t.charge_user(costs.fault_overhead + costs.map_fill)
+                self._tlb.fill(vpn, MapMode.WRITE)
+            return
+        while (maps.get(vpn) != _WRITE) if write else (vpn not in maps):
+            yield ("fault", vpn, write)
+
+    def _page(self, vpn: int) -> tuple:
+        """``(page array, owner pid)`` of a mapped page: the processor's
+        frame, or the home copy at C == P."""
+        if self._hw_only:
+            return self._protocol.home(vpn).data, self._home_pids[vpn]
+        frame = self._frames[vpn]
+        return frame.data, frame.owner_pid
 
     def _miss_run(self, addr, chunk_end, write, owner, tcost, budget):
         """Service a run of missing lines from ``addr`` in one
         :meth:`CacheSystem.access_run` call.
 
-        ``addr`` lies on one resolved page, and the run may extend to
+        ``addr`` lies on one mapped page, and the run may extend to
         ``chunk_end``.  Each line carries its translate charge plus its
         remaining words' hit charge, and ``access_run`` admits lines
         only while that stays within ``budget``, so no quantum pause can
-        fall inside the run.  Remembers the serviced lines, records the
-        hit words, and returns ``(words, charge)`` for the caller to
-        charge and move data for — ``(0, 0)`` when not even the first
-        line fits.
+        fall inside the run.  Counts the hit words and returns
+        ``(words, charge)`` for the caller to charge and move data for —
+        ``(0, 0)`` when not even the first line fits.
         """
         line_size = self._line_size
         line = addr // line_size
+        last = (chunk_end - 1) // line_size
         whit = tcost + self._hit_cost
-        extras = []
-        a = addr
-        line_end = (line + 1) * line_size
-        while a < chunk_end:
-            we = chunk_end if chunk_end < line_end else line_end
-            extras.append(tcost + ((we - a) // WORD_BYTES - 1) * whit)
-            a = we
-            line_end += line_size
+        # Every line but the first and last is whole.
+        extras = [tcost + (line_size // WORD_BYTES - 1) * whit] * (last - line + 1)
+        extras[0] -= (addr - line * line_size) // WORD_BYTES * whit
+        extras[-1] -= ((last + 1) * line_size - chunk_end) // WORD_BYTES * whit
         k, charge = self._cache.access_run(
             self.cluster, self.pid, line, write, owner, extras, budget
         )
@@ -305,79 +223,88 @@ class Env:
         if run_end > chunk_end:
             run_end = chunk_end
         m = (run_end - addr) // WORD_BYTES
-        (self._fp_wlines if write else self._fp_rlines).update(range(line, line + k))
         self._cache_counts[0] += m - k
-        self._fp_hits += m - k
         return m, charge
 
     # ------------------------------------------------------------------
-    # memory operations — fast paths
+    # memory operations
     # ------------------------------------------------------------------
 
-    def _read_fast(self, addr: int, ptr: bool = False):
+    def _read(self, addr: int, ptr: bool = False):
         """Load one shared word.  Usage: ``v = yield from env.read(a)``."""
         t = self._t
         cost = self._tp if ptr else self._ta
-        t.time += cost
-        t.user += cost
-        entry = self._fp_pages.get(addr // self._page_size)
-        if entry is None:
-            entry = yield from self._fp_load(addr // self._page_size)
-        line = addr // self._line_size
-        if line in self._fp_wlines or line in self._fp_rlines:
-            self._cache_counts[0] += 1
-            self._fp_hits += 1
-            cost = self._hit_cost
+        vpn = addr // self._page_size
+        if vpn not in self._maps:
+            # The translation is charged before the fault is taken.
+            t.time += cost
+            t.user += cost
+            cost = 0
+            yield from self._map(vpn, False)
+        if self._hw_only:
+            data, owner = self._page(vpn)
         else:
-            cost = self._cache.access(
-                self.cluster, self.pid, line, False, entry[2]
-            )
-            self._fp_rlines.add(line)
+            frame = self._frames[vpn]
+            data = frame.data
+            owner = frame.owner_pid
+        line = addr // self._line_size
+        state = self._lines.get(line)
+        pid = self.pid
+        if state is not None and (
+            state[0] == pid or state[0] == -1 and state[1] >> pid & 1
+        ):
+            # CacheSystem.access's hit test, without the call.
+            self._cache_counts[0] += 1
+            cost += self._hit_cost
+        else:
+            cost += self._cache.access(self.cluster, pid, line, False, owner)
         t.time += cost
         t.user += cost
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
-        return float(entry[0][(addr % self._page_size) // WORD_BYTES])
+        return float(data[(addr % self._page_size) // WORD_BYTES])
 
-    def _write_fast(self, addr: int, value: float, ptr: bool = False):
+    def _write(self, addr: int, value: float, ptr: bool = False):
         """Store one shared word.  Usage: ``yield from env.write(a, v)``."""
         t = self._t
         cost = self._tp if ptr else self._ta
-        t.time += cost
-        t.user += cost
-        entry = self._fp_pages.get(addr // self._page_size)
-        if entry is None or not entry[1]:
-            entry = yield from self._fp_load(addr // self._page_size, True)
-        line = addr // self._line_size
-        if line in self._fp_wlines:
-            self._cache_counts[0] += 1
-            self._fp_hits += 1
-            cost = self._hit_cost
+        vpn = addr // self._page_size
+        if self._maps.get(vpn) != _WRITE:
+            t.time += cost
+            t.user += cost
+            cost = 0
+            yield from self._map(vpn, True)
+        if self._hw_only:
+            data, owner = self._page(vpn)
         else:
-            cost = self._cache.access(
-                self.cluster, self.pid, line, True, entry[2]
-            )
-            self._fp_wlines.add(line)
+            frame = self._frames[vpn]
+            data = frame.data
+            owner = frame.owner_pid
+        line = addr // self._line_size
+        state = self._lines.get(line)
+        if state is not None and state[0] == self.pid:
+            self._cache_counts[0] += 1
+            cost += self._hit_cost
+        else:
+            cost += self._cache.access(self.cluster, self.pid, line, True, owner)
         t.time += cost
         t.user += cost
-        entry[0][(addr % self._page_size) // WORD_BYTES] = value
+        data[(addr % self._page_size) // WORD_BYTES] = value
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
 
     def _read_many_fast(self, addrs: Iterable[int], ptr: bool = False):
         """Load several shared words in one call.
 
         Usage: ``a, b = yield from env.read_many((addr_a, addr_b))``.
         Equivalent — cycle for cycle, fault for fault, pause for pause —
-        to a sequence of ``env.read`` calls over ``addrs``, but resolves
-        the whole run inside one generator.
+        to a sequence of ``env.read`` calls over ``addrs``, but runs the
+        whole sequence inside one generator.
         """
         t = self._t
-        pages = self._fp_pages
-        rlines = self._fp_rlines
-        wlines = self._fp_wlines
+        maps = self._maps
+        frames = self._frames
+        lines = self._lines
         access = self._cache.access
         counts = self._cache_counts
         cluster = self.cluster
@@ -386,6 +313,7 @@ class Env:
         line_size = self._line_size
         quantum = self._quantum
         hit_cost = self._hit_cost
+        hw_only = self._hw_only
         tcost = self._tp if ptr else self._ta
         out = []
         append = out.append
@@ -394,32 +322,38 @@ class Env:
         for addr in addrs:
             ttime += tcost
             tuser += tcost
-            entry = pages.get(addr // page_size)
-            if entry is None:
+            vpn = addr // page_size
+            if vpn not in maps:
                 t.time = ttime
                 t.user = tuser
-                entry = yield from self._fp_load(addr // page_size)
+                yield from self._map(vpn, False)
                 ttime = t.time
                 tuser = t.user
+            if hw_only:
+                data, owner = self._page(vpn)
+            else:
+                frame = frames[vpn]
+                data = frame.data
+                owner = frame.owner_pid
             line = addr // line_size
-            if line in wlines or line in rlines:
+            state = lines.get(line)
+            if state is not None and (
+                state[0] == pid or state[0] == -1 and state[1] >> pid & 1
+            ):
                 counts[0] += 1
-                self._fp_hits += 1
                 ttime += hit_cost
                 tuser += hit_cost
             else:
-                cost = access(cluster, pid, line, False, entry[2])
-                rlines.add(line)
+                cost = access(cluster, pid, line, False, owner)
                 ttime += cost
                 tuser += cost
             if ttime - t.last_yield > quantum:
                 t.time = ttime
                 t.user = tuser
                 yield ("pause",)
-                self._fp_reset()
                 ttime = t.time
                 tuser = t.user
-            append(float(entry[0][(addr % page_size) // WORD_BYTES]))
+            append(float(data[(addr % page_size) // WORD_BYTES]))
         t.time = ttime
         t.user = tuser
         return out
@@ -434,8 +368,7 @@ class Env:
         charge, one slice off the frame — instead of per-word work.
         """
         t = self._t
-        pages = self._fp_pages
-        rlines = self._fp_rlines
+        maps = self._maps
         access = self._cache.access
         hit_run = self._cache.hit_run
         counts = self._cache_counts
@@ -461,19 +394,18 @@ class Env:
         end = addr + nwords * WORD_BYTES
         while addr < end:
             vpn = addr // page_size
-            entry = pages.get(vpn)
-            if entry is None:
-                # Unresolved page: this word goes through env.read, which
-                # may fault; the loop then resumes on the resolved page.
+            if vpn not in maps:
+                # Unmapped page: this word goes through the per-word
+                # read, which faults (or fills, at C == P); the loop
+                # then resumes on the mapped page.
                 t.time = ttime
                 t.user = tuser
-                append((yield from self._read_fast(addr, ptr)))
+                append((yield from self._read(addr, ptr)))
                 ttime = t.time
                 tuser = t.user
                 addr += WORD_BYTES
                 continue
-            data = entry[0]
-            owner = entry[2]
+            data, owner = self._page(vpn)
             page_end = (vpn + 1) * page_size
             chunk_end = page_end if page_end < end else end
             while addr < chunk_end:
@@ -510,19 +442,17 @@ class Env:
                     # Batch would cross the quantum before its first
                     # line: classify, charge, move one word.
                     cost = access(cluster, pid, line, False, owner)
-                    rlines.add(line)
                     ttime += tcost + cost
                     tuser += tcost + cost
                     if ttime - t.last_yield > quantum:
                         t.time = ttime
                         t.user = tuser
                         yield ("pause",)
-                        self._fp_reset()
                         ttime = t.time
                         tuser = t.user
                         append(float(data[(addr % page_size) // WORD_BYTES]))
                         addr += WORD_BYTES
-                        break  # page/directory knowledge is stale
+                        break  # re-probe the TLB after the pause
                     append(float(data[(addr % page_size) // WORD_BYTES]))
                     addr += WORD_BYTES
                     continue
@@ -542,7 +472,6 @@ class Env:
                 ttime += cost
                 tuser += cost
                 counts[0] += m
-                self._fp_hits += m
                 w0 = (addr % page_size) // WORD_BYTES
                 addr += m * WORD_BYTES
                 if paused:
@@ -550,11 +479,10 @@ class Env:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
                     ttime = t.time
                     tuser = t.user
                     append(float(data[w0 + m - 1]))
-                    break  # page/directory knowledge is stale
+                    break  # re-probe the TLB after the pause
                 extend(data[w0 : w0 + m].tolist())
         t.time = ttime
         t.user = tuser
@@ -570,8 +498,7 @@ class Env:
         with the same closed-form hit-run batching as ``read_block``.
         """
         t = self._t
-        pages = self._fp_pages
-        wlines = self._fp_wlines
+        maps = self._maps
         access = self._cache.access
         hit_run = self._cache.hit_run
         counts = self._cache_counts
@@ -591,19 +518,18 @@ class Env:
         end = addr + len(values) * WORD_BYTES
         while addr < end:
             vpn = addr // page_size
-            entry = pages.get(vpn)
-            if entry is None or not entry[1]:
-                # Not yet writable: this word goes through env.write.
+            if maps.get(vpn) != _WRITE:
+                # Not writable yet: this word goes through the per-word
+                # write.
                 t.time = ttime
                 t.user = tuser
-                yield from self._write_fast(addr, values[vi], ptr)
+                yield from self._write(addr, values[vi], ptr)
                 ttime = t.time
                 tuser = t.user
                 vi += 1
                 addr += WORD_BYTES
                 continue
-            data = entry[0]
-            owner = entry[2]
+            data, owner = self._page(vpn)
             page_end = (vpn + 1) * page_size
             chunk_end = page_end if page_end < end else end
             while addr < chunk_end:
@@ -634,7 +560,6 @@ class Env:
                         addr += m * WORD_BYTES
                         continue
                     cost = access(cluster, pid, line, True, owner)
-                    wlines.add(line)
                     ttime += tcost + cost
                     tuser += tcost + cost
                     data[(addr % page_size) // WORD_BYTES] = values[vi]
@@ -644,10 +569,9 @@ class Env:
                         t.time = ttime
                         t.user = tuser
                         yield ("pause",)
-                        self._fp_reset()
                         ttime = t.time
                         tuser = t.user
-                        break  # page/directory knowledge is stale
+                        break  # re-probe the TLB after the pause
                     continue
                 run_end = (line + nhit) * line_size
                 if run_end > chunk_end:
@@ -662,7 +586,6 @@ class Env:
                 ttime += cost
                 tuser += cost
                 counts[0] += m
-                self._fp_hits += m
                 w0 = (addr % page_size) // WORD_BYTES
                 # Stores land before a pause, as the per-word path does.
                 data[w0 : w0 + m] = values[vi : vi + m]
@@ -672,65 +595,20 @@ class Env:
                     t.time = ttime
                     t.user = tuser
                     yield ("pause",)
-                    self._fp_reset()
                     ttime = t.time
                     tuser = t.user
-                    break  # page/directory knowledge is stale
+                    break  # re-probe the TLB after the pause
         t.time = ttime
         t.user = tuser
 
     # ------------------------------------------------------------------
-    # memory operations — slow paths (REPRO_NO_FASTPATH=1)
+    # batched operations as per-word loops (REPRO_NO_FASTPATH=1)
     # ------------------------------------------------------------------
-
-    def _read_slow(self, addr: int, ptr: bool = False):
-        """Load one shared word (original one-access-at-a-time path)."""
-        t = self._t
-        costs = self._costs
-        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
-        vpn = addr // self._page_size
-        if self._hw_only:
-            data = self._hw_frame(vpn, t)
-        else:
-            while self._tlb.lookup(vpn) is None:
-                yield ("fault", vpn, False)
-            data = self._frames[vpn].data
-        owner = self._owner_pid(vpn)
-        t.charge_user(
-            self._cache.access(
-                self.cluster, self.pid, addr // self._line_size, False, owner
-            )
-        )
-        if t.time - t.last_yield > self._quantum:
-            yield ("pause",)
-        return float(data[(addr % self._page_size) // WORD_BYTES])
-
-    def _write_slow(self, addr: int, value: float, ptr: bool = False):
-        """Store one shared word (original one-access-at-a-time path)."""
-        t = self._t
-        costs = self._costs
-        t.charge_user(costs.translate_pointer if ptr else costs.translate_array)
-        vpn = addr // self._page_size
-        if self._hw_only:
-            data = self._hw_frame(vpn, t)
-        else:
-            while not self._tlb.has_write(vpn):
-                yield ("fault", vpn, True)
-            data = self._frames[vpn].data
-        owner = self._owner_pid(vpn)
-        t.charge_user(
-            self._cache.access(
-                self.cluster, self.pid, addr // self._line_size, True, owner
-            )
-        )
-        data[(addr % self._page_size) // WORD_BYTES] = value
-        if t.time - t.last_yield > self._quantum:
-            yield ("pause",)
 
     def _read_many_slow(self, addrs: Iterable[int], ptr: bool = False):
         out = []
         for addr in addrs:
-            value = yield from self._read_slow(addr, ptr)
+            value = yield from self._read(addr, ptr)
             out.append(value)
         return out
 
@@ -745,7 +623,7 @@ class Env:
         self, addr: int, values: Sequence[float], ptr: bool = False
     ):
         for i, value in enumerate(values):
-            yield from self._write_slow(addr + i * WORD_BYTES, value, ptr)
+            yield from self._write(addr + i * WORD_BYTES, value, ptr)
 
     # ------------------------------------------------------------------
     # computation
@@ -758,7 +636,6 @@ class Env:
         t.user += cycles
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
-            self._fp_reset()
 
     # ------------------------------------------------------------------
     # synchronization
@@ -768,37 +645,20 @@ class Env:
         """Acquire an MGS lock (an acquire point; no protocol action
         needed because MGS invalidates eagerly at releases)."""
         yield ("lock", lk)
-        self._fp_reset()
 
     def unlock(self, lk: "MGSLock"):
         """Release an MGS lock.  This is a release point: the DUQ is
         flushed *before* the lock is freed — the source of the paper's
         critical-section dilation."""
         yield ("unlock", lk)
-        self._fp_reset()
 
     def barrier(self):
         """Wait on the global barrier (also a release point)."""
         yield ("barrier",)
-        self._fp_reset()
 
     # ------------------------------------------------------------------
     # helpers
     # ------------------------------------------------------------------
-
-    def _owner_pid(self, vpn: int) -> int:
-        if self._hw_only:
-            return self._rt.aspace.home_proc(vpn)
-        return self._frames[vpn].owner_pid
-
-    def _hw_frame(self, vpn: int, t):
-        """Home-copy access for the tightly-coupled configuration."""
-        tlb = self._tlb
-        if tlb.lookup(vpn) is None:
-            # Only SVM overhead remains at C == P: a one-time fill.
-            t.charge_user(self._costs.fault_overhead + self._costs.map_fill)
-            tlb.fill(vpn, MapMode.WRITE)
-        return self._protocol.home(vpn).data
 
     @property
     def now(self) -> int:
@@ -807,5 +667,6 @@ class Env:
 
     @property
     def fastpath(self) -> bool:
-        """Whether this Env uses the hot-path access engine."""
+        """Whether this Env batches ``read_block``, ``write_block`` and
+        ``read_many``."""
         return self._rt.options.fastpath

@@ -418,8 +418,8 @@ class Runtime:
         Every statistic stays readable: ``cache.stats``,
         ``protocol.stats``, the bus's flows and latency samples,
         ``machine.stats``, each lock's ``stats``,
-        ``sim.events_processed``, each Env's ``fastpath_bypassed``, the
-        phase recorder's counts, and the attached checkers' reports
+        ``sim.events_processed``, the phase recorder's counts, and the
+        attached checkers' reports
         (``sanitizer.checked``, ``race_detector.races``).  Each app's
         ``run()`` closes its Runtime (``with Runtime(...) as rt``) once
         validation has read the results; a Runtime built directly stays

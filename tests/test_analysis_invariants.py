@@ -149,3 +149,39 @@ class TestTapComposition:
         jacobi.build(rt, PARAMS)
         rt.run()
         assert len(tracer) > 0
+
+
+def test_gcs_refresh_in_its_completion_window_is_not_stuck():
+    # A refresh stays open from G_ADATA's delivery until _refresh_done,
+    # a timed local event: no G_AREQ or G_ADATA is in flight then, yet
+    # the refresh is not stuck.  A race-free run that steps through that
+    # window must pass the queue-aware check after every event.
+    from repro.analysis.explore import inflight_messages
+
+    rt = Runtime(
+        MachineConfig(total_processors=4, cluster_size=2, protocol="gcs"),
+        analysis="invariants",
+    )
+    x = rt.array("x", 64)
+    lk = rt.create_lock()
+
+    def worker(env):
+        if env.pid == 0:
+            yield from env.write(x.addr(10), 1.0)
+            yield from env.compute(50_000)
+            yield from env.lock(lk)
+            yield from env.unlock(lk)
+        elif env.pid == 2:
+            yield from env.lock(lk)
+            yield from env.write(x.addr(20), 2.0)
+            yield from env.unlock(lk)
+
+    rt.spawn_all(worker)
+    for t in rt.threads:
+        rt.sim.schedule_at(0, rt._resume, t, None)
+    steps = 0
+    while rt.sim.step():
+        steps += 1
+        rt.sanitizer.check_state(inflight_messages(rt))
+    assert rt.protocol.stats["acquire_refreshes"] > 0
+    assert steps > 37

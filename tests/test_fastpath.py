@@ -1,8 +1,9 @@
 """The fast-path access engine is invisible except for wall-clock.
 
-``Env`` binds ``read``/``write``/``read_block``/``write_block``/
-``read_many`` to either the fast or the slow implementations depending
-on ``RunOptions.fastpath``.  These tests pin the contract:
+``Env`` has one ``read`` and one ``write`` body, and binds
+``read_block``/``write_block``/``read_many`` to either their batched
+implementations or loops of that body, depending on
+``RunOptions.fastpath``.  These tests pin the contract:
 
 * the block APIs and ``read_many`` charge exactly the same cycles as
   the equivalent loop of single-word accesses (same thread clocks,
@@ -280,30 +281,57 @@ def test_explicit_fastpath_argument_overrides_env(monkeypatch):
 
 
 def test_env_binds_slow_methods_when_disabled():
-    env = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=False)))
-    assert env.read.__func__ is env._read_slow.__func__
-    assert env.read_block.__func__ is env._read_block_slow.__func__
-    env2 = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=True)))
-    assert env2.read.__func__ is env2._read_fast.__func__
+    from repro.runtime.env import Env
+
+    slow = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=False)))
+    fast = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=True)))
+    # read and write have one body in both modes...
+    assert slow.read.__func__ is fast.read.__func__ is Env._read
+    assert slow.write.__func__ is fast.write.__func__ is Env._write
+    # ...and only the three batched operations switch
+    for name in ("read_block", "write_block", "read_many"):
+        assert getattr(slow, name).__func__ is getattr(Env, f"_{name}_slow")
+        assert getattr(fast, name).__func__ is getattr(Env, f"_{name}_fast")
+
+
+@pytest.mark.parametrize("fastpath", [True, False])
+def test_race_detector_records_each_block_word_once(fastpath):
+    # The batched operations fall back to the unwrapped per-word body;
+    # going through env.read would record those words a second time.
+    rt = Runtime(_config(), analysis="races", options=RunOptions(fastpath=fastpath))
+    nwords = 64 * 4
+    arr = rt.array("data", nwords)
+    recorded = []
+    on_read, on_write = rt.race_detector.on_read, rt.race_detector.on_write
+    rt.race_detector.on_read = lambda *a: (recorded.append(a), on_read(*a))
+    rt.race_detector.on_write = lambda *a: (recorded.append(a), on_write(*a))
+
+    def worker(env):
+        if env.pid == 0:
+            yield from env.write_block(arr.addr(0), [1.0] * nwords)
+            yield from env.read_block(arr.addr(0), nwords)
+            yield from env.read_many([arr.addr(w) for w in range(0, nwords, 3)])
+
+    rt.spawn_all(worker)
+    rt.run()
+    assert len(recorded) == 2 * nwords + len(range(0, nwords, 3))
 
 
 # ---------------------------------------------------------------------------
-# adaptive bypass: miss-heavy loops fall back to the plain paths
+# scalar workloads: the per-word paths are the same in both modes
 # ---------------------------------------------------------------------------
 
 
-from repro.core.engine import Protocol  # noqa: E402
-
-#: the default sampling window (engines may override per-class)
-_FP_SAMPLE_BURSTS = Protocol.fp_sample_bursts
+#: bursts each scalar workload runs (one per over-quantum compute)
+_BURSTS = 40
 
 
 def _miss_heavy(arr, nwords, captured):
-    """Jacobi's shape: over-quantum compute between single fresh reads,
-    so every burst ends before the burst caches can serve a repeat."""
+    """Jacobi's old shape: over-quantum compute between single fresh
+    reads, so no burst reads a line twice."""
 
     def worker(env):
-        for k in range(_FP_SAMPLE_BURSTS + 8):
+        for k in range(_BURSTS):
             yield from env.compute(1501)
             v = yield from env.read(arr.addr((env.pid * 64 + k) % nwords))
             captured.append(v)
@@ -312,11 +340,11 @@ def _miss_heavy(arr, nwords, captured):
 
 
 def _hit_heavy(arr, nwords, captured):
-    """Repeats within every burst: the caches pay for themselves."""
+    """Repeats within every burst: all but the first read hit."""
 
     def worker(env):
         base = arr.addr(env.pid * 64)
-        for _ in range(_FP_SAMPLE_BURSTS + 8):
+        for _ in range(_BURSTS):
             for _ in range(4):
                 v = yield from env.read(base)
             captured.append(v)
@@ -325,7 +353,7 @@ def _hit_heavy(arr, nwords, captured):
     return worker
 
 
-def _run_and_collect_envs(factory, *, fastpath=True, analysis=None):
+def _run_scalar(factory, *, fastpath, analysis=None):
     rt = Runtime(
         _config(),
         quantum=1500,
@@ -338,62 +366,14 @@ def _run_and_collect_envs(factory, *, fastpath=True, analysis=None):
     captured = []
     rt.spawn_all(factory(arr, nwords, captured))
     result = rt.run()
-    return rt, run_state(rt, result)
-
-
-def test_miss_heavy_workers_bypass_to_slow_paths():
-    rt, _ = _run_and_collect_envs(_miss_heavy)
-    assert rt.envs and all(e.fastpath_bypassed for e in rt.envs)
-    # the demotion rebinds all five memory operations
-    env = rt.envs[0]
-    assert env.read.__func__ is env._read_slow.__func__
-    assert env.write_block.__func__ is env._write_block_slow.__func__
-
-
-def test_hit_heavy_workers_keep_the_fast_paths():
-    rt, _ = _run_and_collect_envs(_hit_heavy)
-    for env in rt.envs:
-        assert env._fp_adaptive is False  # sampling did conclude...
-        assert not env.fastpath_bypassed  # ...and kept the fast engine
+    return run_state(rt, result), captured
 
 
 def test_bypass_decision_is_cycle_invisible():
-    _, fast = _run_and_collect_envs(_miss_heavy, fastpath=True)
-    _, slow = _run_and_collect_envs(_miss_heavy, fastpath=False)
-    assert fast == slow
-
-
-def test_slow_mode_never_reports_bypass():
-    rt, _ = _run_and_collect_envs(_miss_heavy, fastpath=False)
-    assert not any(e.fastpath_bypassed for e in rt.envs)
-
-
-def test_race_detector_disables_the_adaptive_sampler():
-    # Rebinding over the detector's recording wrappers would silently
-    # drop race coverage, so instrumented runs never demote.
-    rt, _ = _run_and_collect_envs(_miss_heavy, analysis="races")
-    assert rt.race_detector is not None
-    for env in rt.envs:
-        assert env._fp_adaptive is False
-        assert not env.fastpath_bypassed
-
-
-def test_jacobi_keeps_fast_paths_in_practice():
-    # Jacobi's old per-point loop (one fresh read, then over-quantum
-    # compute) left no per-burst reuse and its workers demoted — the
-    # regression the bypass mechanism exists for, now pinned by the
-    # synthetic _miss_heavy workload above.  The batched row kernel
-    # reads whole rows per burst, so its workers must NOT demote: the
-    # bypass sampler has to recognize the reuse the batching created.
-    from repro.apps import jacobi
-    from repro.runtime import Runtime as RT
-
-    runtimes = []
-    hook = runtimes.append
-    RT.construction_hooks.append(hook)
-    try:
-        jacobi.run(_config(), jacobi.JacobiParams(n=16, iterations=3))
-    finally:
-        RT.construction_hooks.remove(hook)
-    envs = [e for rt in runtimes for e in rt.envs]
-    assert envs and not any(e.fastpath_bypassed for e in envs)
+    """Miss- and hit-heavy scalar workloads, with and without the race
+    detector, give identical machines and values in both modes."""
+    for factory in (_miss_heavy, _hit_heavy):
+        for analysis in (None, "races"):
+            fast = _run_scalar(factory, fastpath=True, analysis=analysis)
+            slow = _run_scalar(factory, fastpath=False, analysis=analysis)
+            assert fast == slow, (factory.__name__, analysis)
