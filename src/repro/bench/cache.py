@@ -21,11 +21,21 @@ Key derivation
 * ``MachineConfig`` (including the nested ``NetworkConfig`` and
   ``ProtocolOptions``), the ``CostModel``, and the runtime quantum.
 
+The preimage text is spliced from one token per part without copying
+the dataclasses: the config is walked field by field, and the cost
+model and parameter tokens are memoized on each field's value and type.
+It equals ``canonical_json`` of the ``dataclasses.asdict`` forms, so a
+key is the same digest of the same text as before.
+
 Entries live in a :class:`~repro.runtime.store.ContentStore` under the
 run-cache directory (``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or
 ``.repro_cache/``): ``root/key[:2]/key.json``, one envelope carrying
 the key's preimage (``fingerprint``) and the serialized ``AppRun``
 (``run``), published atomically, identical bytes for identical keys.
+
+A hit costs one file read and one JSON parse.  It decodes against the
+requested ``MachineConfig``: the config is part of the key, so the
+stored ``run.result.config`` always equals it and is not parsed.
 
 Verification
 ------------
@@ -48,12 +58,14 @@ Enabling
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
+import operator
 from pathlib import Path
 from typing import Any
 
-from repro.params import CostModel, MachineConfig, machine_config_from_dict
+from repro.params import CostModel, MachineConfig
 from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult
 from repro.runtime.options import DEFAULT_CACHE_DIR
 from repro.runtime.store import ContentStore, canonical_json, source_fingerprint
@@ -78,7 +90,8 @@ __all__ = [
 #: bump when the entry layout or key preimage changes incompatibly
 CACHE_SCHEMA = 2
 
-#: ThreadContext fields that round-trip (everything except the generator)
+#: ThreadContext fields that round-trip (everything except the generator),
+#: in declaration order: a hit builds its threads positionally
 _THREAD_FIELDS = (
     "pid",
     "time",
@@ -91,6 +104,7 @@ _THREAD_FIELDS = (
     "last_yield",
     "block_start",
 )
+_thread_values = operator.itemgetter(*_THREAD_FIELDS[1:])
 
 
 class CacheVerifyError(AssertionError):
@@ -102,16 +116,54 @@ class CacheVerifyError(AssertionError):
 # ---------------------------------------------------------------------------
 
 
-def _params_token(params: Any) -> Any:
-    """A stable, JSON-able token for a workload's parameter object."""
-    if params is None:
-        return None
+#: value types a memoized token may hold: JSON renders each the one way
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+_DEFAULT_COSTS = CostModel()
+
+
+@functools.cache
+def _field_names(cls: type) -> tuple[str, ...]:
+    return tuple(f.name for f in dataclasses.fields(cls))
+
+
+def _plain(value: Any) -> Any:
+    """``value`` as ``dataclasses.asdict`` renders it in JSON, copying no
+    leaf: dataclasses nest only as fields of dataclasses here."""
+    if type(value) in _SCALARS:
+        return value
+    if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        return {n: _plain(getattr(value, n)) for n in _field_names(type(value))}
+    return value
+
+
+@functools.lru_cache(maxsize=64)
+def _scalar_token(cls: type, values: tuple, types: tuple) -> str:
+    # ``types`` is only part of the key: 1 == 1.0 == True, but their
+    # JSON differs, so equal values of other types must not share a token.
+    return canonical_json(dict(zip(_field_names(cls), values)))
+
+
+def _token(obj: Any) -> str:
+    """Canonical JSON of dataclass ``obj``'s ``asdict`` form.
+
+    A dataclass whose fields all hold scalars (``CostModel``, the apps'
+    parameters) is rendered once per distinct value and type of every
+    field, so the points of a sweep share it.
+    """
+    values = tuple([getattr(obj, n) for n in _field_names(type(obj))])
+    types = tuple(map(type, values))
+    if _SCALARS.issuperset(types):
+        return _scalar_token(type(obj), values, types)
+    return canonical_json(_plain(obj))
+
+
+def _params_token(params: Any) -> str:
+    """A stable JSON token for a workload's parameter object."""
     if dataclasses.is_dataclass(params) and not isinstance(params, type):
-        return {
-            "__dataclass__": type(params).__name__,
-            "fields": dataclasses.asdict(params),
-        }
-    return repr(params)
+        name = canonical_json(type(params).__name__)
+        return f'{{"__dataclass__":{name},"fields":{_token(params)}}}'
+    return canonical_json(None if params is None else repr(params))
 
 
 def fingerprint_run(
@@ -121,23 +173,27 @@ def fingerprint_run(
     workload: str,
     params: Any,
     source: str | None = None,
-) -> tuple[str, dict]:
+) -> tuple[str, str]:
     """``(key, preimage)`` for one deterministic execution.
 
-    ``key`` is the SHA-256 hex digest of the canonical-JSON preimage;
-    the preimage itself is stored inside each entry for debuggability.
+    ``preimage`` is the canonical-JSON text of the key's inputs and
+    ``key`` its SHA-256 hex digest; :meth:`RunCache.put` stores the
+    preimage inside the entry for debuggability.  The text is spliced
+    from per-part tokens, keys in sorted order, and equals
+    ``canonical_json`` of the dict of ``asdict`` forms it stands for.
     """
-    preimage = {
-        "cache_schema": CACHE_SCHEMA,
-        "source": source if source is not None else source_fingerprint(),
-        "workload": workload,
-        "params": _params_token(params),
-        "config": dataclasses.asdict(config),
-        "costs": dataclasses.asdict(costs if costs is not None else CostModel()),
-        "quantum": quantum,
-    }
-    key = hashlib.sha256(canonical_json(preimage).encode()).hexdigest()
-    return key, preimage
+    if source is None:
+        source = source_fingerprint()
+    preimage = (
+        f'{{"cache_schema":{CACHE_SCHEMA},'
+        f'"config":{canonical_json(_plain(config))},'
+        f'"costs":{_token(costs if costs is not None else _DEFAULT_COSTS)},'
+        f'"params":{_params_token(params)},'
+        f'"quantum":{canonical_json(quantum)},'
+        f'"source":{canonical_json(source)},'
+        f'"workload":{canonical_json(workload)}}}'
+    )
+    return hashlib.sha256(preimage.encode()).hexdigest(), preimage
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +236,22 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
-def run_result_from_dict(d: dict) -> RunResult:
-    """Inverse of :func:`run_result_to_dict`."""
+def run_result_from_dict(d: dict, config: MachineConfig) -> RunResult:
+    """Inverse of :func:`run_result_to_dict`, for a run of ``config``.
+
+    ``d["config"]`` is not parsed: the caller passes the config the run
+    was made with.  For a run-cache hit that is the requested config,
+    which the key's preimage proves equal to the stored one.
+    """
     from repro.sync import LockStats
 
-    threads = []
-    for td in d["threads"]:
-        t = ThreadContext(pid=td["pid"], gen=None)  # type: ignore[arg-type]
-        for f in _THREAD_FIELDS[1:]:
-            setattr(t, f, td[f])
-        threads.append(t)
     return RunResult(
-        config=machine_config_from_dict(d["config"]),
+        config=config,
         total_time=d["total_time"],
-        threads=threads,
+        threads=[
+            ThreadContext(td["pid"], None, *_thread_values(td))  # type: ignore
+            for td in d["threads"]
+        ],
         lock_stats=LockStats(**d["lock_stats"]),
         protocol_stats=dict(d["protocol_stats"]),
         messages_inter_ssmp=d["messages_inter_ssmp"],
@@ -217,13 +275,13 @@ def app_run_to_dict(run) -> dict:
     }
 
 
-def app_run_from_dict(d: dict):
-    """Inverse of :func:`app_run_to_dict`."""
+def app_run_from_dict(d: dict, config: MachineConfig):
+    """Inverse of :func:`app_run_to_dict`, for a run of ``config``."""
     from repro.apps.common import AppRun
 
     return AppRun(
         name=d["name"],
-        result=run_result_from_dict(d["result"]),
+        result=run_result_from_dict(d["result"], config),
         valid=d["valid"],
         max_error=d["max_error"],
         aux=dict(d["aux"]),
@@ -270,7 +328,7 @@ class RunCache:
         workload: str,
         params: Any,
         quantum: int = DEFAULT_QUANTUM,
-    ) -> tuple[str, dict]:
+    ) -> tuple[str, str]:
         return fingerprint_run(
             config, costs, quantum, workload, params, source=self.source
         )
@@ -280,9 +338,9 @@ class RunCache:
         or None: a miss, overwritten by the next :meth:`put`."""
         return self.store.get(key)
 
-    def put(self, key: str, preimage: dict, run_payload: dict) -> None:
-        """Store one executed run under ``key``."""
-        self.store.put(key, fingerprint=preimage, run=run_payload)
+    def put(self, key: str, preimage: str, run_payload: dict) -> None:
+        """Store one executed run under ``key`` and its preimage text."""
+        self.store.put(key, fingerprint=json.loads(preimage), run=run_payload)
 
     # -- verification --------------------------------------------------
 

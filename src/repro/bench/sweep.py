@@ -200,7 +200,7 @@ def run_sweep(
         else:
             if i in verify:
                 run_cache.check_identical(keyed[i][0], entry, fresh[i][2])
-            run = app_run_from_dict(entry["run"])
+            run = app_run_from_dict(entry["run"], configs[i])
             if require_valid:
                 run.require_valid()
             run_name, point = run.name, _fold_point(run)

@@ -29,8 +29,6 @@ __all__ = [
     "UnknownFieldError",
     "dataclass_from_dict",
     "network_config_from_dict",
-    "protocol_options_from_dict",
-    "machine_config_from_dict",
     "cost_model_from_dict",
 ]
 
@@ -331,13 +329,12 @@ class CostModel:
 # strict dict -> dataclass construction (the request validation surface)
 # ---------------------------------------------------------------------------
 #
-# Everything that accepts configuration from the outside world — the run
-# cache's entry round-trip and, above all, the ``repro.serve`` HTTP API —
-# funnels through these constructors.  They are deliberately strict:
-# unknown keys raise :class:`UnknownFieldError` instead of being silently
-# dropped, so a typo in a request ("pagesize") is a 400, not a simulation
-# of the wrong machine.  Value validation itself is the dataclasses' own
-# ``__post_init__`` checks.
+# Everything that accepts configuration from the outside world — the
+# ``repro.serve`` HTTP API — funnels through these constructors.  They
+# are deliberately strict: unknown keys raise :class:`UnknownFieldError`
+# instead of being silently dropped, so a typo in a request ("pagesize")
+# is a 400, not a simulation of the wrong machine.  Value validation
+# itself is the dataclasses' own ``__post_init__`` checks.
 
 
 class UnknownFieldError(ValueError):
@@ -353,11 +350,9 @@ class UnknownFieldError(ValueError):
         )
 
 
-def dataclass_from_dict(cls, d: dict, **nested):
+def dataclass_from_dict(cls, d: dict):
     """Build dataclass ``cls`` from ``d``, rejecting unknown keys.
 
-    ``nested`` maps a field name to a converter applied to that field's
-    value when present (used for nested configuration dataclasses).
     Raises :class:`UnknownFieldError` on unknown keys and ``TypeError``
     when ``d`` is not a dict; the dataclass's own ``__post_init__``
     performs value validation.
@@ -368,17 +363,12 @@ def dataclass_from_dict(cls, d: dict, **nested):
     unknown = [k for k in d if k not in names]
     if unknown:
         raise UnknownFieldError(cls, unknown)
-    kwargs = dict(d)
-    for name, convert in nested.items():
-        # Already-constructed dataclass instances pass through untouched.
-        if isinstance(kwargs.get(name), dict):
-            kwargs[name] = convert(kwargs[name])
-    return cls(**kwargs)
+    return cls(**d)
 
 
-def _converter(cls, **nested):
+def _converter(cls):
     def convert(d: dict):
-        return dataclass_from_dict(cls, d, **nested)
+        return dataclass_from_dict(cls, d)
 
     return convert
 
@@ -386,16 +376,5 @@ def _converter(cls, **nested):
 network_config_from_dict = _converter(NetworkConfig)
 """Strict ``dict -> NetworkConfig`` (unknown keys raise)."""
 
-protocol_options_from_dict = _converter(ProtocolOptions)
-"""Strict ``dict -> ProtocolOptions`` (unknown keys raise)."""
-
 cost_model_from_dict = _converter(CostModel)
 """Strict ``dict -> CostModel`` (unknown keys raise)."""
-
-machine_config_from_dict = _converter(
-    MachineConfig,
-    network=network_config_from_dict,
-    options=protocol_options_from_dict,
-)
-"""Strict ``dict -> MachineConfig``; nested ``network``/``options`` dicts
-are converted (and validated) recursively."""

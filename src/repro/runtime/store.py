@@ -46,11 +46,15 @@ def _json_default(obj: Any):
     return repr(obj)
 
 
+#: ``json.dumps`` with these options would build a new encoder per call
+_CANONICAL = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), default=_json_default
+)
+
+
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON: sorted keys, no whitespace."""
-    return json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), default=_json_default
-    )
+    return _CANONICAL.encode(obj)
 
 
 _SOURCE_FP: str | None = None
@@ -87,7 +91,7 @@ def _hash_tree(root: Path) -> str:
 _TMP_COUNTER = itertools.count()
 
 
-def publish(path: Path, data: bytes) -> None:
+def publish(path: str | Path, data: bytes) -> None:
     """Atomically replace ``path`` with ``data`` (tmp file + rename).
 
     The tmp name carries pid, thread and a process-wide sequence
@@ -95,6 +99,7 @@ def publish(path: Path, data: bytes) -> None:
     threads share a pid, and two threads writing one path through one
     tmp name could publish a torn file.
     """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_suffix(
         f".tmp.{os.getpid()}.{threading.get_ident()}.{next(_TMP_COUNTER)}"
@@ -149,17 +154,19 @@ class ContentStore:
 
     def __init__(self, root: str | Path, schema: int, fields: tuple[str, ...]):
         self.root = Path(root)
+        self._dir = os.fspath(self.root)
         self.schema = schema
         self.fields = fields
         self.stats = StoreStats()
 
-    def path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+    def path(self, key: str) -> str:
+        return os.path.join(self._dir, key[:2], f"{key}.json")
 
     def get(self, key: str) -> dict | None:
         """The entry stored under ``key``, or None (a miss)."""
         try:
-            raw = self.path(key).read_bytes()
+            with open(self.path(key), "rb") as f:
+                raw = f.read()
             entry = json.loads(raw)
         except (OSError, ValueError):
             entry = None

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps import jacobi
+from repro.apps import jacobi, water_kernel
 from repro.bench import sweep as sweep_mod
 from repro.bench.cache import (
+    CACHE_SCHEMA,
     DEFAULT_CACHE_DIR,
     CacheVerifyError,
     RunCache,
@@ -30,7 +31,8 @@ from repro.bench.cache import (
     source_fingerprint,
 )
 from repro.bench.sweep import run_sweep
-from repro.params import CostModel, MachineConfig
+from repro.core.engine import engine_names
+from repro.params import CostModel, MachineConfig, NetworkConfig, ProtocolOptions
 from repro.runtime import RunOptions
 
 PARAMS = jacobi.JacobiParams(n=16, iterations=2)
@@ -76,8 +78,6 @@ def test_key_sensitive_to_every_input():
 
 def test_key_distinct_per_protocol():
     """Two configs differing only in the engine never share a cache key."""
-    from repro.core.engine import engine_names
-
     config = MachineConfig(total_processors=4, cluster_size=2)
     engines = engine_names()
     keys = {
@@ -102,6 +102,84 @@ def test_key_stable_for_equal_inputs():
         source="s",
     )
     assert k1 == k2
+
+
+def test_key_digest_is_pinned():
+    """The key of a fixed point: entries written before stay reachable."""
+    config = MachineConfig(
+        total_processors=4, cluster_size=2,
+        network=NetworkConfig(drop_rate=0.1), protocol="swdsm",
+    )
+    key, _ = fingerprint_run(
+        config, None, 1500, "repro.apps.jacobi", PARAMS, source="0" * 64
+    )
+    assert key == (
+        "93066f0622171cd2ce968ae2de8c0268fac643f0f1d4039d893795cb8d5b4def"
+    )
+
+
+def _asdict_preimage(config, costs, quantum, workload, params, source):
+    """The key's preimage as ``dataclasses.asdict`` spells it."""
+    if params is None:
+        token = None
+    elif dataclasses.is_dataclass(params):
+        token = {
+            "__dataclass__": type(params).__name__,
+            "fields": dataclasses.asdict(params),
+        }
+    else:
+        token = repr(params)
+    return {
+        "cache_schema": CACHE_SCHEMA,
+        "source": source,
+        "workload": workload,
+        "params": token,
+        "config": dataclasses.asdict(config),
+        "costs": dataclasses.asdict(costs if costs is not None else CostModel()),
+        "quantum": quantum,
+    }
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        MachineConfig(),
+        MachineConfig(
+            total_processors=8, cluster_size=2,
+            network=NetworkConfig(drop_rate=0.1, dup_rate=0.05, fault_seed=3),
+        ),
+        MachineConfig(
+            total_processors=8, cluster_size=4,
+            network=NetworkConfig(external="bus", reliable=True, bus_bandwidth=2),
+        ),
+        MachineConfig(
+            total_processors=8, cluster_size=8,
+            options=ProtocolOptions(single_writer_opt=False, fast_read_clean=True),
+        ),
+    ],
+    ids=["default", "lossy", "reliable", "options"],
+)
+@pytest.mark.parametrize(
+    "params",
+    [None, PARAMS, water_kernel.WaterKernelParams(optimized=0),
+     ("not", "a", "dataclass")],
+    ids=["none", "dataclass", "int-for-bool", "other"],
+)
+@pytest.mark.parametrize(
+    "costs",
+    [None, CostModel(), CostModel(cache_hit=2.0)],
+    ids=["none", "default", "float-for-int"],
+)
+def test_preimage_text_is_the_asdict_preimage(config, params, costs):
+    """The spliced preimage is ``canonical_json`` of the ``asdict`` one,
+    also for fields equal to the default but of another type (2.0 == 2,
+    0 == False), whose JSON differs."""
+    for seen in (PARAMS, water_kernel.WaterKernelParams()):
+        fingerprint_run(MachineConfig(), CostModel(), 1500, "w", seen, source="s")
+    _, text = fingerprint_run(config, costs, 1500, "w", params, source="s")
+    assert text == canonical_json(
+        _asdict_preimage(config, costs, 1500, "w", params, "s")
+    )
 
 
 def test_source_fingerprint_tracks_file_contents(tmp_path):
@@ -131,7 +209,7 @@ def test_app_run_round_trips_bit_for_bit():
     run = jacobi.run(config, PARAMS)
     payload = app_run_to_dict(run)
     # through real JSON, like the cache file does
-    restored = app_run_from_dict(json.loads(json.dumps(payload)))
+    restored = app_run_from_dict(json.loads(json.dumps(payload)), config)
     assert restored.name == run.name
     assert restored.valid == run.valid
     assert restored.max_error == run.max_error
@@ -168,6 +246,27 @@ def test_warm_sweep_is_all_hits_and_never_simulates(tmp_path, monkeypatch):
     assert warm.stats.hits == npoints
     assert warm.stats.misses == 0
     assert dataclasses.asdict(sweep_warm) == dataclasses.asdict(sweep_cold)
+
+
+@pytest.mark.parametrize(
+    "engine, network",
+    [(name, None) for name in engine_names()]
+    + [("mgs", NetworkConfig(drop_rate=0.1))],
+    ids=[*engine_names(), "mgs-lossy"],
+)
+def test_hits_decode_against_the_requested_config(tmp_path, engine, network):
+    """A stored run's config is its key's config, so a hit may take the
+    requested one; the warm sweep equals the cold one."""
+    kw = dict(sizes=[1, 2], protocol=engine, network=network)
+    cold = _sweep(RunCache(tmp_path / "c"), **kw)
+    entries = [json.loads(p.read_text()) for p in _entry_files(tmp_path / "c")]
+    assert len(entries) == 2
+    for entry in entries:
+        assert entry["run"]["result"]["config"] == entry["fingerprint"]["config"]
+    warm_cache = RunCache(tmp_path / "c")
+    warm = _sweep(warm_cache, **kw)
+    assert warm_cache.stats.hits == 2
+    assert dataclasses.asdict(warm) == dataclasses.asdict(cold)
 
 
 def test_cached_sweep_matches_uncached(tmp_path):

@@ -181,3 +181,55 @@ def test_fig12_water_kernel_claims():
     unopt, opt = penalties
     assert opt < unopt / 10, (opt, unopt)
     assert potentials[1] > 0.4, potentials
+
+
+_ENGINE_ROW = re.compile(r"^\s*([a-z_]+)((?:\s+[\d,]+ \(\d+\.\d\dx\))+)\s*$", re.M)
+
+
+def _comparison_tables() -> dict[str, dict[str, dict[int, int]]]:
+    """``results/compare_jacobi_water.txt``'s "total cycles by engine"
+    tables: app -> engine -> C -> cycles.  Each row must agree with
+    that engine's runtime-breakdown bars."""
+    text = (RESULTS / "compare_jacobi_water.txt").read_text()
+    tables = {}
+    for part in text.split("\n\n"):
+        head, _, body = part.partition(": total cycles by engine")
+        if not body:
+            continue
+        sizes = [int(c) for c in re.findall(r"C=(\d+)", body.splitlines()[1])]
+        tables[head.strip()] = {
+            engine: dict(zip(sizes, (
+                int(t.replace(",", "")) for t in re.findall(r"([\d,]+) \(", row)
+            )))
+            for engine, row in _ENGINE_ROW.findall(body)
+        }
+    assert set(tables) == {"jacobi", "water"}, sorted(tables)
+    for app, engines in tables.items():
+        assert set(engines) == {"mgs", "swdsm", "sc_pages"}, (app, engines)
+        for engine, times in engines.items():
+            bars = text.split(f"{app} under {engine} (runtime breakdown)")[1]
+            bars = bars.split("legend:")[0]
+            assert times == {
+                int(c): int(t.replace(",", "")) for c, t in _BAR.findall(bars)
+            }, (app, engine)
+    return tables
+
+
+def test_comparison_claims():
+    """EXPERIMENTS' reading of the cross-engine comparison.  Jacobi: MGS
+    beats page-grain ``swdsm`` at C=32, where the whole machine is one
+    SSMP, and ``swdsm`` barely moves with C.  Water: sequential
+    consistency (``sc_pages``) loses to ``swdsm`` at C=1 but beats MGS
+    from C=4 to 16, and ``swdsm`` falls far behind MGS at C=32.  At
+    C=32 both apps run hardware-only under MGS and ``sc_pages``."""
+    tables = _comparison_tables()
+    jacobi, water = tables["jacobi"], tables["water"]
+    assert jacobi["mgs"][32] < jacobi["swdsm"][32], jacobi
+    swdsm = jacobi["swdsm"].values()
+    assert max(swdsm) / min(swdsm) <= 1.07, jacobi["swdsm"]
+    assert water["sc_pages"][1] >= 1.4 * water["swdsm"][1], water
+    for c in (4, 8, 16):
+        assert water["mgs"][c] >= 1.15 * water["sc_pages"][c], (c, water)
+    assert water["swdsm"][32] >= 3.5 * water["mgs"][32], water
+    for engines in tables.values():
+        assert engines["mgs"][32] == engines["sc_pages"][32], engines
