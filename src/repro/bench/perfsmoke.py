@@ -41,8 +41,7 @@ Workloads:
   the headline number for the replay engine.
 * ``write_block_fast`` — the write-side twin of ``hit_block``: every
   processor streams ``write_block`` over its own buffer, exercising the
-  block walker's ``hit_run`` write runs (fast vs slow engine,
-  cycle-checked).
+  block walker's write-hit lines (fast vs slow engine, cycle-checked).
 
 Every run cross-checks fast-vs-slow cycle counts, so the perf smoke is
 also a determinism smoke.
@@ -138,8 +137,8 @@ def _bench_write_block(fastpath: bool, nwords: int, passes: int) -> dict:
     """Hit-dominated write streaming through the block walker.
 
     The first pass faults ownership in; every later pass is all write
-    hits, so throughput measures the ``hit_run`` write runs of
-    ``write_block`` (fast) against the word-at-a-time store loop (slow).
+    hits, so throughput measures ``write_block``'s line walk (fast)
+    against the word-at-a-time store loop (slow).
     """
     rt = _write_block_runtime(fastpath, nwords, passes)
     words = nwords * passes * rt.config.total_processors

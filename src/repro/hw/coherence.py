@@ -107,7 +107,6 @@ class CacheSystem:
         "_cost_of",
         "_hw_ptrs",
         "hit_cost",
-        "worst_hw_miss",
     )
 
     def __init__(self, config: MachineConfig, costs: CostModel) -> None:
@@ -137,12 +136,6 @@ class CacheSystem:
         #: cost of a hit, exposed so the runtime's Env can charge it
         #: without a method call
         self.hit_cost = costs.cache_hit
-        #: most expensive *hardware* miss class (software servicing needs
-        #: a sharer set that already outgrew the hardware pointers, so
-        #: any other line is bounded by the hardware classes).
-        #: access_run admits lines under the per-line tight bound; the
-        #: runtime's block paths read it to skip hopeless batch attempts.
-        self.worst_hw_miss = max(self._cost_of[1:_SOFTWARE])
 
     def close(self) -> None:
         """Drop the line directories of a finished run; the access-class
@@ -162,113 +155,6 @@ class CacheSystem:
         return Counter(
             {klass: n for klass, n in zip(_CLASSES, self._counts) if n}
         )
-
-    def hit_run(
-        self, cluster: int, pid: int, first_line: int, max_lines: int, is_write: bool
-    ) -> int:
-        """Longest run of consecutive lines from ``first_line`` that are
-        guaranteed hits for ``pid``.
-
-        A read-only probe — no directory update, no statistics.  The
-        runtime's batched fast paths use it to charge whole runs of hit
-        words in closed form; the caller accounts the hits itself.
-        """
-        get = self._lines[cluster].get
-        n = 0
-        if is_write:
-            while n < max_lines:
-                state = get(first_line + n)
-                if state is None or state[0] != pid:
-                    break
-                n += 1
-        else:
-            while n < max_lines:
-                state = get(first_line + n)
-                if state is None:
-                    break
-                owner = state[0]
-                if owner != pid and (owner != -1 or not state[1] >> pid & 1):
-                    break
-                n += 1
-        return n
-
-    def access_run(
-        self,
-        cluster: int,
-        pid: int,
-        first_line: int,
-        is_write: bool,
-        home_pid: int,
-        extras: list[int],
-        budget: int,
-    ) -> tuple[int, int]:
-        """Classify-and-update a run of consecutive *missing* lines.
-
-        Batched companion to :meth:`access` for the runtime's block fast
-        paths: starting at ``first_line``, lines are serviced with
-        exactly the per-line state transitions, class counts, and costs
-        that individual ``access`` calls would apply, while (a) the line
-        would not be a hit and (b) the accumulated charge stays within
-        ``budget``.  ``extras[i]`` is the caller's non-miss charge
-        riding on line ``first_line + i`` (address translation plus the
-        line's remaining hit words); a line is admitted only when its
-        worst-case miss cost plus its extra keeps the running total
-        within budget, so the caller can prove no quantum pause falls
-        inside the batch.  The bound is per line and tight: software
-        servicing is only possible when the line's sharer set has
-        already outgrown the hardware directory pointers, so every
-        other line is bounded by the worst *hardware* miss.  (The bound
-        may still stop the run a little early near the quantum edge;
-        the caller's per-word path then takes over with identical
-        semantics, so the cut is a wall-clock detail, never a behavior
-        change.)
-
-        Returns ``(lines_processed, total_charge)``, the charge
-        including the extras of the processed lines.
-        """
-        directory = self._lines[cluster]
-        get = directory.get
-        pages = self._pages[cluster]
-        lpp = self._lines_per_page
-        counts = self._counts
-        cost_of = self._cost_of
-        classify = self._classify_and_update
-        worst_hw = self.worst_hw_miss
-        soft = cost_of[_SOFTWARE]
-        hw_ptrs = self._hw_ptrs
-        # An absent line is a clean miss, whose class depends only on
-        # where the frame lives: the same for the whole run.
-        fresh = _LOCAL if home_pid == pid else _REMOTE
-        fresh_cost = cost_of[fresh]
-        total = 0
-        k = 0
-        for extra in extras:
-            line = first_line + k
-            state = get(line)
-            if state is None:
-                if total + worst_hw + extra > budget:
-                    break
-                directory[line] = [pid, 0] if is_write else [-1, 1 << pid]
-                pages[line // lpp].append(line)
-                counts[fresh] += 1
-                total += fresh_cost + extra
-                k += 1
-                continue
-            owner = state[0]
-            if (
-                owner == pid
-                if is_write
-                else owner == pid or (owner == -1 and state[1] >> pid & 1)
-            ):
-                break  # guaranteed hit: the caller's hit-run takes over
-            bound = soft if state[1].bit_count() > hw_ptrs else worst_hw
-            if total + bound + extra > budget:
-                break
-            i = classify(state, pid, is_write, home_pid)
-            counts[i] += 1
-            total += cost_of[i] + extra
-            k += 1
-        return k, total
 
     def access(
         self, cluster: int, pid: int, line: int, is_write: bool, home_pid: int

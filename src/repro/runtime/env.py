@@ -38,19 +38,20 @@ pause, lock, unlock, barrier) leaves nothing stale behind.  The word
 that pauses returns its value from the page array it read before the
 pause, because the frame's data may be replaced while the thread waits.
 
-Batches
--------
+Blocks
+------
 
-``read_many`` is an inlined loop of the per-word read.  ``read_block``
-and ``write_block`` walk each page in line runs: a run of guaranteed
-hits is charged in closed form after one :meth:`CacheSystem.hit_run`
-probe, and a run of misses goes to one :meth:`CacheSystem.access_run`
-call (:meth:`Env._miss_run`).  They re-probe the TLB at every page chunk
-and after every pause.  ``RunOptions(fastpath=False)`` (or
-``REPRO_NO_FASTPATH=1``) turns only these three batched operations into
-plain loops of the per-word body, the reference they are pinned against
-bit for bit (``tests/test_fastpath.py``,
-``tests/test_golden_equivalence.py``).  See ``docs/PERFORMANCE.md``.
+``read_many`` is a loop of the per-word read.  ``read_block`` and
+``write_block`` hand each mapped page's words to one line walk
+(:meth:`Env._walk`): it gives each line the per-word hit test, calls
+:meth:`CacheSystem.access` once at a missing line's first word, charges
+every other word as a hit in closed form, and stops at the word that
+crosses the quantum.  They re-probe the TLB at every page and after
+every pause.  ``RunOptions(fastpath=False)`` (or
+``REPRO_NO_FASTPATH=1``) turns the two block operations into plain loops
+of the per-word body, the reference they are pinned against bit for bit
+(``tests/test_fastpath.py``, ``tests/test_golden_equivalence.py``).  See
+``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -73,12 +74,12 @@ _WRITE = MapMode.WRITE
 class Env:
     """Per-thread view of the machine.
 
-    ``read`` and ``write`` have one implementation each.  The batched
-    operations (``read_block``, ``write_block``, ``read_many``) are bound
-    per instance: to their batched implementations normally, or to plain
-    loops of the per-word body when the runtime's options say
-    ``fastpath=False`` (e.g. via the ``REPRO_NO_FASTPATH=1`` escape
-    hatch).  Both produce bit-for-bit identical simulations.
+    ``read``, ``write`` and ``read_many`` have one implementation each.
+    The block operations (``read_block``, ``write_block``) are bound per
+    instance: to their line walks normally, or to plain loops of the
+    per-word body when the runtime's options say ``fastpath=False``
+    (e.g. via the ``REPRO_NO_FASTPATH=1`` escape hatch).  Both produce
+    bit-for-bit identical simulations.
     """
 
     __slots__ = (
@@ -145,11 +146,10 @@ class Env:
         if runtime.options.fastpath:
             self.read_block = self._read_block_fast
             self.write_block = self._write_block_fast
-            self.read_many = self._read_many_fast
         else:
             self.read_block = self._read_block_slow
             self.write_block = self._write_block_slow
-            self.read_many = self._read_many_slow
+        self.read_many = self._read_many
         detector = runtime.race_detector
         if detector is not None:
             # Opt-in happens-before race detection (repro.analysis):
@@ -194,37 +194,73 @@ class Env:
         frame = self._frames[vpn]
         return frame.data, frame.owner_pid
 
-    def _miss_run(self, addr, chunk_end, write, owner, tcost, budget):
-        """Service a run of missing lines from ``addr`` in one
-        :meth:`CacheSystem.access_run` call.
+    # ------------------------------------------------------------------
+    # the block operations' line walk
+    # ------------------------------------------------------------------
 
-        ``addr`` lies on one mapped page, and the run may extend to
-        ``chunk_end``.  Each line carries its translate charge plus its
-        remaining words' hit charge, and ``access_run`` admits lines
-        only while that stays within ``budget``, so no quantum pause can
-        fall inside the run.  Counts the hit words and returns
-        ``(words, charge)`` for the caller to charge and move data for —
-        ``(0, 0)`` when not even the first line fits.
+    def _walk(self, addr, chunk_end, write, owner, whit, limit):
+        """Charge the words ``[addr, chunk_end)`` of one mapped page as
+        the per-word bodies would, up to the word that crosses the
+        quantum.
+
+        Each line gets the per-word hit test; a missing line goes to
+        :meth:`CacheSystem.access` once, at its first word, after which
+        its other words hit.  Every word costs ``whit`` (translation
+        plus hit) and a miss adds its surcharge over a hit, so the
+        crossing word — the first whose running charge exceeds
+        ``limit`` — is found in closed form, and recomputed only after a
+        miss.  Counts the hit words and returns ``(words, charge,
+        paused)``: the words charged, their charge, and whether the last
+        of them crossed the quantum.
         """
         line_size = self._line_size
-        line = addr // line_size
-        last = (chunk_end - 1) // line_size
-        whit = tcost + self._hit_cost
-        # Every line but the first and last is whole.
-        extras = [tcost + (line_size // WORD_BYTES - 1) * whit] * (last - line + 1)
-        extras[0] -= (addr - line * line_size) // WORD_BYTES * whit
-        extras[-1] -= ((last + 1) * line_size - chunk_end) // WORD_BYTES * whit
-        k, charge = self._cache.access_run(
-            self.cluster, self.pid, line, write, owner, extras, budget
-        )
-        if not k:
-            return 0, 0
-        run_end = (line + k) * line_size
-        if run_end > chunk_end:
-            run_end = chunk_end
-        m = (run_end - addr) // WORD_BYTES
-        self._cache_counts[0] += m - k
-        return m, charge
+        wpl = line_size // WORD_BYTES
+        get = self._lines.get
+        pid = self.pid
+        line = first = addr // line_size
+        first_word = (addr - first * line_size) // WORD_BYTES
+        nwords = (chunk_end - addr) // WORD_BYTES
+        end = first + (first_word + nwords - 1) // wpl
+        extra = 0  # the misses' surcharges over a hit
+        misses = 0
+        while True:
+            # The crossing word's index, were every word from here a
+            # hit.  Stolen handler cycles can leave ``limit`` negative
+            # on entry: then the first word crosses.
+            fit = (limit - extra) // whit if limit > extra else 0
+            cross = first + (fit + first_word) // wpl if fit < nwords else end + 1
+            last = cross if cross < end else end
+            if write:
+                while line <= last:
+                    state = get(line)
+                    if state is None or state[0] != pid:
+                        break
+                    line += 1
+            else:
+                while line <= last:
+                    state = get(line)
+                    if state is None or state[0] != pid and (
+                        state[0] != -1 or not state[1] >> pid & 1
+                    ):
+                        break
+                    line += 1
+            if line > last:
+                # Every line up to the crossing one (or the chunk's end)
+                # hits.
+                n = nwords if cross > end else fit + 1
+                self._cache_counts[0] += n - misses
+                return n, n * whit + extra, cross <= end
+            j = (line - first) * wpl - first_word  # the miss's word
+            if j < 0:
+                j = 0
+            cost = self._cache.access(self.cluster, pid, line, write, owner)
+            extra += cost - self._hit_cost
+            misses += 1
+            charge = (j + 1) * whit + extra
+            if charge > limit:
+                self._cache_counts[0] += j + 1 - misses
+                return j + 1, charge, True
+            line += 1
 
     # ------------------------------------------------------------------
     # memory operations
@@ -293,69 +329,16 @@ class Env:
         if t.time - t.last_yield > self._quantum:
             yield ("pause",)
 
-    def _read_many_fast(self, addrs: Iterable[int], ptr: bool = False):
+    def _read_many(self, addrs: Iterable[int], ptr: bool = False):
         """Load several shared words in one call.
 
         Usage: ``a, b = yield from env.read_many((addr_a, addr_b))``.
-        Equivalent — cycle for cycle, fault for fault, pause for pause —
-        to a sequence of ``env.read`` calls over ``addrs``, but runs the
-        whole sequence inside one generator.
+        A loop of ``env.read`` calls over ``addrs``.
         """
-        t = self._t
-        maps = self._maps
-        frames = self._frames
-        lines = self._lines
-        access = self._cache.access
-        counts = self._cache_counts
-        cluster = self.cluster
-        pid = self.pid
-        page_size = self._page_size
-        line_size = self._line_size
-        quantum = self._quantum
-        hit_cost = self._hit_cost
-        hw_only = self._hw_only
-        tcost = self._tp if ptr else self._ta
         out = []
-        append = out.append
-        ttime = t.time
-        tuser = t.user
         for addr in addrs:
-            ttime += tcost
-            tuser += tcost
-            vpn = addr // page_size
-            if vpn not in maps:
-                t.time = ttime
-                t.user = tuser
-                yield from self._map(vpn, False)
-                ttime = t.time
-                tuser = t.user
-            if hw_only:
-                data, owner = self._page(vpn)
-            else:
-                frame = frames[vpn]
-                data = frame.data
-                owner = frame.owner_pid
-            line = addr // line_size
-            state = lines.get(line)
-            if state is not None and (
-                state[0] == pid or state[0] == -1 and state[1] >> pid & 1
-            ):
-                counts[0] += 1
-                ttime += hit_cost
-                tuser += hit_cost
-            else:
-                cost = access(cluster, pid, line, False, owner)
-                ttime += cost
-                tuser += cost
-            if ttime - t.last_yield > quantum:
-                t.time = ttime
-                t.user = tuser
-                yield ("pause",)
-                ttime = t.time
-                tuser = t.user
-            append(float(data[(addr % page_size) // WORD_BYTES]))
-        t.time = ttime
-        t.user = tuser
+            value = yield from self._read(addr, ptr)
+            out.append(value)
         return out
 
     def _read_block_fast(self, addr: int, nwords: int, ptr: bool = False):
@@ -363,129 +346,39 @@ class Env:
 
         Usage: ``row = yield from env.read_block(a.addr(i), n)``.
         Equivalent to ``nwords`` sequential ``env.read`` calls, but
-        resolves whole runs of guaranteed-hit lines in closed form: one
-        directory probe (:meth:`CacheSystem.hit_run`), one aggregate
-        charge, one slice off the frame — instead of per-word work.
+        charges each mapped page's words in one :meth:`_walk` and takes
+        them in one slice off the frame.
         """
         t = self._t
         maps = self._maps
-        access = self._cache.access
-        hit_run = self._cache.hit_run
-        counts = self._cache_counts
-        cluster = self.cluster
-        pid = self.pid
         page_size = self._page_size
-        line_size = self._line_size
-        quantum = self._quantum
-        tcost = self._tp if ptr else self._ta
-        whit = tcost + self._hit_cost
-        # A miss batch is only worth attempting when the quantum budget
-        # can admit at least one worst-case *hardware* line plus its
-        # hit words (access_run's per-line bound rejects a first line
-        # that is software-class and does not fit).
-        batch_floor = self._cache.worst_hw_miss + tcost + (
-            line_size // WORD_BYTES - 1
-        ) * whit
+        whit = (self._tp if ptr else self._ta) + self._hit_cost
         out = []
-        append = out.append
-        extend = out.extend
-        ttime = t.time
-        tuser = t.user
         end = addr + nwords * WORD_BYTES
         while addr < end:
             vpn = addr // page_size
             if vpn not in maps:
                 # Unmapped page: this word goes through the per-word
-                # read, which faults (or fills, at C == P); the loop
-                # then resumes on the mapped page.
-                t.time = ttime
-                t.user = tuser
-                append((yield from self._read(addr, ptr)))
-                ttime = t.time
-                tuser = t.user
+                # read, which faults (or fills, at C == P).
+                out.append((yield from self._read(addr, ptr)))
                 addr += WORD_BYTES
                 continue
             data, owner = self._page(vpn)
-            page_end = (vpn + 1) * page_size
-            chunk_end = page_end if page_end < end else end
-            while addr < chunk_end:
-                line = addr // line_size
-                max_lines = (chunk_end - 1) // line_size - line + 1
-                budget = t.last_yield + quantum - ttime
-                # Words beyond the first ``budget // whit + 1`` cannot
-                # be charged before the next pause, and the pause stales
-                # the probe anyway — so cap the probe at the lines the
-                # budget can actually reach instead of the whole chunk.
-                m = budget // whit + 1
-                cap = (addr + m * WORD_BYTES - 1) // line_size - line + 1
-                if cap > max_lines:
-                    cap = max_lines
-                nhit = hit_run(cluster, pid, line, cap, False)
-                if nhit == 0:
-                    # A run of genuine misses: service consecutive
-                    # missing lines in one directory call, with the
-                    # per-line classification, counts, and charges of
-                    # the word loop — capped so no quantum pause can
-                    # fall inside the batch.
-                    m = 0
-                    if budget > batch_floor:
-                        m, charge = self._miss_run(
-                            addr, chunk_end, False, owner, tcost, budget
-                        )
-                    if m:
-                        ttime += charge
-                        tuser += charge
-                        w0 = (addr % page_size) // WORD_BYTES
-                        extend(data[w0 : w0 + m].tolist())
-                        addr += m * WORD_BYTES
-                        continue
-                    # Batch would cross the quantum before its first
-                    # line: classify, charge, move one word.
-                    cost = access(cluster, pid, line, False, owner)
-                    ttime += tcost + cost
-                    tuser += tcost + cost
-                    if ttime - t.last_yield > quantum:
-                        t.time = ttime
-                        t.user = tuser
-                        yield ("pause",)
-                        ttime = t.time
-                        tuser = t.user
-                        append(float(data[(addr % page_size) // WORD_BYTES]))
-                        addr += WORD_BYTES
-                        break  # re-probe the TLB after the pause
-                    append(float(data[(addr % page_size) // WORD_BYTES]))
-                    addr += WORD_BYTES
-                    continue
-                # Guaranteed-hit run, cut short at the word whose charge
-                # crosses the quantum (that word reads after the pause,
-                # as the per-word path does).
-                run_end = (line + nhit) * line_size
-                if run_end > chunk_end:
-                    run_end = chunk_end
-                k = (run_end - addr) // WORD_BYTES
-                if m >= k:
-                    m = k
-                    paused = k * whit > budget
-                else:
-                    paused = True
-                cost = m * whit
-                ttime += cost
-                tuser += cost
-                counts[0] += m
-                w0 = (addr % page_size) // WORD_BYTES
-                addr += m * WORD_BYTES
-                if paused:
-                    extend(data[w0 : w0 + m - 1].tolist())
-                    t.time = ttime
-                    t.user = tuser
-                    yield ("pause",)
-                    ttime = t.time
-                    tuser = t.user
-                    append(float(data[w0 + m - 1]))
-                    break  # re-probe the TLB after the pause
-                extend(data[w0 : w0 + m].tolist())
-        t.time = ttime
-        t.user = tuser
+            chunk_end = min((vpn + 1) * page_size, end)
+            limit = t.last_yield + self._quantum - t.time
+            m, charge, paused = self._walk(addr, chunk_end, False, owner, whit, limit)
+            t.time += charge
+            t.user += charge
+            w0 = (addr % page_size) // WORD_BYTES
+            addr += m * WORD_BYTES
+            if paused:
+                # The crossing word reads after the pause, as the
+                # per-word read does; the TLB is re-probed after it.
+                out.extend(data[w0 : w0 + m - 1].tolist())
+                yield ("pause",)
+                out.append(float(data[w0 + m - 1]))
+            else:
+                out.extend(data[w0 : w0 + m].tolist())
         return out
 
     def _write_block_fast(
@@ -495,126 +388,44 @@ class Env:
 
         Usage: ``yield from env.write_block(a.addr(i), values)``.
         Equivalent to sequential ``env.write`` calls over ``values``,
-        with the same closed-form hit-run batching as ``read_block``.
+        with the same per-page :meth:`_walk` as ``read_block``.
         """
         t = self._t
         maps = self._maps
-        access = self._cache.access
-        hit_run = self._cache.hit_run
-        counts = self._cache_counts
-        cluster = self.cluster
-        pid = self.pid
         page_size = self._page_size
-        line_size = self._line_size
-        quantum = self._quantum
-        tcost = self._tp if ptr else self._ta
-        whit = tcost + self._hit_cost
-        batch_floor = self._cache.worst_hw_miss + tcost + (
-            line_size // WORD_BYTES - 1
-        ) * whit
+        whit = (self._tp if ptr else self._ta) + self._hit_cost
         vi = 0
-        ttime = t.time
-        tuser = t.user
         end = addr + len(values) * WORD_BYTES
         while addr < end:
             vpn = addr // page_size
             if maps.get(vpn) != _WRITE:
                 # Not writable yet: this word goes through the per-word
                 # write.
-                t.time = ttime
-                t.user = tuser
                 yield from self._write(addr, values[vi], ptr)
-                ttime = t.time
-                tuser = t.user
                 vi += 1
                 addr += WORD_BYTES
                 continue
             data, owner = self._page(vpn)
-            page_end = (vpn + 1) * page_size
-            chunk_end = page_end if page_end < end else end
-            while addr < chunk_end:
-                line = addr // line_size
-                max_lines = (chunk_end - 1) // line_size - line + 1
-                budget = t.last_yield + quantum - ttime
-                # Budget-capped probe, as in _read_block_fast.
-                m = budget // whit + 1
-                cap = (addr + m * WORD_BYTES - 1) // line_size - line + 1
-                if cap > max_lines:
-                    cap = max_lines
-                nhit = hit_run(cluster, pid, line, cap, True)
-                if nhit == 0:
-                    # Batched miss run, as in _read_block_fast: stores
-                    # land in aggregate, and the budget cap proves no
-                    # pause falls inside the batch.
-                    m = 0
-                    if budget > batch_floor:
-                        m, charge = self._miss_run(
-                            addr, chunk_end, True, owner, tcost, budget
-                        )
-                    if m:
-                        ttime += charge
-                        tuser += charge
-                        w0 = (addr % page_size) // WORD_BYTES
-                        data[w0 : w0 + m] = values[vi : vi + m]
-                        vi += m
-                        addr += m * WORD_BYTES
-                        continue
-                    cost = access(cluster, pid, line, True, owner)
-                    ttime += tcost + cost
-                    tuser += tcost + cost
-                    data[(addr % page_size) // WORD_BYTES] = values[vi]
-                    vi += 1
-                    addr += WORD_BYTES
-                    if ttime - t.last_yield > quantum:
-                        t.time = ttime
-                        t.user = tuser
-                        yield ("pause",)
-                        ttime = t.time
-                        tuser = t.user
-                        break  # re-probe the TLB after the pause
-                    continue
-                run_end = (line + nhit) * line_size
-                if run_end > chunk_end:
-                    run_end = chunk_end
-                k = (run_end - addr) // WORD_BYTES
-                if m >= k:
-                    m = k
-                    paused = k * whit > budget
-                else:
-                    paused = True
-                cost = m * whit
-                ttime += cost
-                tuser += cost
-                counts[0] += m
-                w0 = (addr % page_size) // WORD_BYTES
-                # Stores land before a pause, as the per-word path does.
-                data[w0 : w0 + m] = values[vi : vi + m]
-                vi += m
-                addr += m * WORD_BYTES
-                if paused:
-                    t.time = ttime
-                    t.user = tuser
-                    yield ("pause",)
-                    ttime = t.time
-                    tuser = t.user
-                    break  # re-probe the TLB after the pause
-        t.time = ttime
-        t.user = tuser
+            chunk_end = min((vpn + 1) * page_size, end)
+            limit = t.last_yield + self._quantum - t.time
+            m, charge, paused = self._walk(addr, chunk_end, True, owner, whit, limit)
+            t.time += charge
+            t.user += charge
+            w0 = (addr % page_size) // WORD_BYTES
+            # Stores land before a pause, as the per-word write does.
+            data[w0 : w0 + m] = values[vi : vi + m]
+            vi += m
+            addr += m * WORD_BYTES
+            if paused:
+                yield ("pause",)
 
     # ------------------------------------------------------------------
-    # batched operations as per-word loops (REPRO_NO_FASTPATH=1)
+    # block operations as per-word loops (REPRO_NO_FASTPATH=1)
     # ------------------------------------------------------------------
-
-    def _read_many_slow(self, addrs: Iterable[int], ptr: bool = False):
-        out = []
-        for addr in addrs:
-            value = yield from self._read(addr, ptr)
-            out.append(value)
-        return out
 
     def _read_block_slow(self, addr: int, nwords: int, ptr: bool = False):
         return (
-            yield from self._read_many_slow(
+            yield from self._read_many(
                 range(addr, addr + nwords * WORD_BYTES, WORD_BYTES), ptr
             )
         )
@@ -667,6 +478,6 @@ class Env:
 
     @property
     def fastpath(self) -> bool:
-        """Whether this Env batches ``read_block``, ``write_block`` and
-        ``read_many``."""
+        """Whether this Env walks ``read_block`` and ``write_block`` by
+        line."""
         return self._rt.options.fastpath

@@ -1,15 +1,16 @@
 """The fast-path access engine is invisible except for wall-clock.
 
-``Env`` has one ``read`` and one ``write`` body, and binds
-``read_block``/``write_block``/``read_many`` to either their batched
-implementations or loops of that body, depending on
-``RunOptions.fastpath``.  These tests pin the contract:
+``Env`` has one ``read``, ``write`` and ``read_many`` body, and binds
+``read_block``/``write_block`` to either their line walk or loops of
+the per-word body, depending on ``RunOptions.fastpath``.  These tests
+pin the contract:
 
 * the block APIs and ``read_many`` charge exactly the same cycles as
   the equivalent loop of single-word accesses (same thread clocks,
   same cache and protocol stats, same simulator event count);
 * fast and slow paths are bit-for-bit identical, including across
-  faults and quantum pauses that land mid-block;
+  faults and quantum pauses that land mid-block, on every word of a
+  line, on a block's first word, and on software-serviced lines;
 * the quantum boundary is strict (> quantum pauses, == quantum does
   not) in both modes;
 * ``REPRO_NO_FASTPATH`` disables the fast paths of a runtime built
@@ -18,7 +19,7 @@ implementations or loops of that body, depending on
 
 import pytest
 
-from repro.params import WORD_BYTES, MachineConfig
+from repro.params import WORD_BYTES, CostModel, MachineConfig
 from repro.runtime import RunOptions, Runtime
 from tests.machine_state import run_state
 
@@ -195,6 +196,178 @@ def test_written_values_are_the_values_read_back(engine):
 
 
 # ---------------------------------------------------------------------------
+# the block walker's edges: each shape runs once through the block
+# operations and once as per-word loops
+# ---------------------------------------------------------------------------
+
+#: words per page, and the charge of an array word that hits
+_WPP = MachineConfig().words_per_page
+_WHIT = CostModel().translate_array + CostModel().cache_hit
+
+
+def _words_in(env, addr, n, block):
+    if block:
+        return (yield from env.read_block(addr, n))
+    vals = []
+    for w in range(n):
+        vals.append((yield from env.read(addr + w * WORD_BYTES)))
+    return vals
+
+
+def _words_out(env, addr, values, block):
+    if block:
+        yield from env.write_block(addr, values)
+    else:
+        for w, value in enumerate(values):
+            yield from env.write(addr + w * WORD_BYTES, value)
+
+
+def _shape(body):
+    """``(block shape, loop shape)`` factories of one worker body."""
+
+    def factory(block):
+        def make(arr, nwords, captured):
+            def worker(env):
+                yield from body(env, arr, captured, block)
+
+            return worker
+
+        return make
+
+    return factory(True), factory(False)
+
+
+def _straddle(env, arr, captured, block):
+    # Starts on a line's second word and ends mid-line on the next page;
+    # between passes one processor rewrites words either side of the
+    # page boundary, so later passes miss where it wrote.
+    base = arr.addr(_WPP - 37)
+    for rnd in range(3):
+        vals = yield from _words_in(env, base, 75, block)
+        captured.append((env.pid, rnd, vals))
+        yield from env.barrier()
+        if env.pid == rnd:
+            yield from _words_out(env, arr.addr(_WPP - 3), [-1.0 - rnd] * 5, block)
+        yield from env.barrier()
+
+
+def _first_word_crosses(env, arr, captured, block, quantum=1500):
+    # In each SSMP one processor reads a region while the other writes
+    # it, each block starting with less budget left than a hit word
+    # costs, so its first word crosses the quantum.  The writer starts
+    # on alternate lines, so the reader's first word alternately misses
+    # and hits.  Where each crossing word is read or stored, before or
+    # after the pause, decides what the reader sees.
+    region = arr.addr((env.pid // 2) * _WPP + 1)
+    odd = env.pid % 2
+    for lead in (0, 7, 19):
+        for wlead in (0, 7, 12, 19):
+            yield from env.barrier()
+            yield from env.compute(quantum - (wlead if odd else lead))
+            if odd:
+                start = region + wlead % 2 * WORD_BYTES
+                yield from _words_out(env, start, [float(lead + wlead)] * 9, block)
+            else:
+                vals = yield from _words_in(env, region, 9, block)
+                captured.append((env.pid, lead, wlead, vals))
+    yield from env.barrier()
+
+
+def _pause_phases(env, arr, captured, block, quantum=1500):
+    # In each SSMP one processor reads an 8-word region right after a
+    # barrier with budget ``left`` while the other rewrites lines 1 and
+    # 3 of it.  Sweeping ``left`` over four lines' worth of hits plus a
+    # miss lands the reader's pause on every word, among them the last
+    # word of a hit line and the first word of a missing line, and moves
+    # it past the writer's pause.
+    region = arr.addr((env.pid // 2) * _WPP + 16)
+    for left in range(0, 4 * 2 * _WHIT + 64, 3):
+        yield from env.barrier()
+        if env.pid % 2:
+            yield from env.compute(quantum - 3 * _WHIT)
+            for value in (left, -left):
+                for w in (2, 6):
+                    addr = region + w * WORD_BYTES
+                    yield from _words_out(env, addr, [float(value)] * 2, block)
+        else:
+            yield from env.compute(quantum - left)
+            vals = yield from _words_in(env, region, 8, block)
+            captured.append((env.pid, left, vals))
+    yield from env.barrier()
+
+
+def _software_lines(env, arr, captured, block):
+    # Eight processors of one SSMP read the same lines, so from the
+    # sixth sharer on the hardware pointers overflow and misses are
+    # software-serviced (both reads and the writes that follow).
+    base = arr.addr(3)
+    for rnd in range(3):
+        vals = yield from _words_in(env, base, 40, block)
+        captured.append((env.pid, rnd, vals))
+        yield from env.barrier()
+        if env.pid == rnd:
+            yield from _words_out(env, base, [float(rnd)] * 40, block)
+        yield from env.barrier()
+
+
+def _write_over_held_lines(env, arr, captured, block, quantum=1500):
+    # In each SSMP one processor holds lines 0-1 of a region shared and
+    # the other holds lines 2-3 dirty; then both write_block the whole
+    # region at once, invalidating or taking over each other's copies.
+    # Both budgets are swept, one against the other, so the pauses land
+    # throughout and in either order; the region is read back after.
+    region = arr.addr((env.pid // 2) * _WPP + 40)
+    odd = env.pid % 2
+    for left in range(0, 4 * 2 * _WHIT + 64, 5):
+        yield from env.barrier()
+        if odd:
+            yield from _words_out(env, region + 4 * WORD_BYTES, [-1.0] * 4, block)
+        else:
+            yield from _words_in(env, region, 4, block)
+        yield from env.barrier()
+        yield from env.compute(quantum - (left * 7 % 97 if odd else left))
+        yield from _words_out(env, region, [float(env.pid + left)] * 8, block)
+        yield from env.barrier()
+        vals = yield from _words_in(env, region, 8, block)
+        captured.append((env.pid, left, vals))
+
+
+def _assert_timed(body, engine):
+    """The budget-sweeping shapes run at C == P, where a barrier
+    flushes nothing: every thread leaves it at the same cycle with a
+    full quantum and its pages still mapped, so each budget lands its
+    pause on a known word.  They run at C < P too, with faults."""
+    for cluster in (4, 2):
+        _assert_equivalent(*_shape(body), cluster=cluster, engine=engine)
+
+
+def test_block_from_mid_line_across_a_page(engine):
+    block, loop = _shape(_straddle)
+    _assert_equivalent(block, loop, engine=engine)
+    _assert_equivalent(block, loop, quantum=97, engine=engine)
+
+
+def test_block_whose_first_word_crosses_the_quantum(engine):
+    _assert_timed(_first_word_crosses, engine)
+
+
+def test_block_pauses_on_every_word_of_hit_and_missing_lines(engine):
+    _assert_timed(_pause_phases, engine)
+
+
+def test_block_over_software_serviced_lines(engine):
+    block, loop = _shape(_software_lines)
+    for quantum in (1500, 97):
+        _assert_equivalent(
+            block, loop, quantum=quantum, total=16, cluster=8, engine=engine
+        )
+
+
+def test_write_block_over_lines_held_shared_or_dirty(engine):
+    _assert_timed(_write_over_held_lines, engine)
+
+
+# ---------------------------------------------------------------------------
 # quantum boundary
 # ---------------------------------------------------------------------------
 
@@ -285,11 +458,12 @@ def test_env_binds_slow_methods_when_disabled():
 
     slow = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=False)))
     fast = _fresh_env(Runtime(_config(), options=RunOptions(fastpath=True)))
-    # read and write have one body in both modes...
+    # read, write and read_many have one body in both modes...
     assert slow.read.__func__ is fast.read.__func__ is Env._read
     assert slow.write.__func__ is fast.write.__func__ is Env._write
-    # ...and only the three batched operations switch
-    for name in ("read_block", "write_block", "read_many"):
+    assert slow.read_many.__func__ is fast.read_many.__func__ is Env._read_many
+    # ...and only the two block operations switch
+    for name in ("read_block", "write_block"):
         assert getattr(slow, name).__func__ is getattr(Env, f"_{name}_slow")
         assert getattr(fast, name).__func__ is getattr(Env, f"_{name}_fast")
 

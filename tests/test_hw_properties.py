@@ -174,7 +174,6 @@ def sharing_traces(draw):
                 st.integers(0, 3),  # line
                 st.integers(0, 3).map(lambda k: k == 0),  # mostly loads
                 st.integers(0, nprocs - 1),  # home pid
-                st.booleans(),  # through access_run
             ),
             min_size=1,
             max_size=80,
@@ -189,13 +188,13 @@ def sharing_traces(draw):
 _BOUNDARY_TRACE = (
     8,
     1,
-    [(0, p, 0, False, 0, False) for p in range(8)]
-    + [(0, 3, 0, True, 0, True), (0, 5, 0, False, 2, False)]
-    + [(0, p, 1, False, 7, True) for p in range(6)]
-    + [(0, 7, 1, True, 7, False)]
-    + [(0, 0, 2, False, 0, False), (0, 1, 2, True, 1, False)]
-    + [(0, 0, 3, False, 0, False), (0, 2, 3, True, 0, True)]
-    + [(0, 4, 2, False, 4, False), (0, 2, 2, True, 6, False)]
+    [(0, p, 0, False, 0) for p in range(8)]
+    + [(0, 3, 0, True, 0), (0, 5, 0, False, 2)]
+    + [(0, p, 1, False, 7) for p in range(6)]
+    + [(0, 7, 1, True, 7)]
+    + [(0, 0, 2, False, 0), (0, 1, 2, True, 1)]
+    + [(0, 0, 3, False, 0), (0, 2, 3, True, 0)]
+    + [(0, 4, 2, False, 4), (0, 2, 2, True, 6)]
 )
 
 
@@ -212,22 +211,14 @@ def test_mask_directory_matches_set_reference(trace):
     cache = CacheSystem(config, COSTS)
     ref = _SetDirectory(config)
     cost_of = cache._cost_of
-    for cluster, local_pid, line, is_write, home, batched in ops:
+    for cluster, local_pid, line, is_write, home in ops:
         pid = cluster * nprocs + local_pid
         home_pid = cluster * nprocs + home
         expect_hit = ref.hit(cluster, pid, line, is_write)
-        assert cache.hit_run(cluster, pid, line, 1, is_write) == expect_hit
         expected = cost_of[ref.access(cluster, pid, line, is_write, home_pid)]
-        if batched:
-            k, cost = cache.access_run(
-                cluster, pid, line, is_write, home_pid, [0], 10**9
-            )
-            assert k == (not expect_hit)
-            if k == 0:
-                cost = cache.access(cluster, pid, line, is_write, home_pid)
-        else:
-            cost = cache.access(cluster, pid, line, is_write, home_pid)
+        cost = cache.access(cluster, pid, line, is_write, home_pid)
         assert cost == expected
+        assert (cost == COSTS.cache_hit) == expect_hit
     assert cache._counts == ref.counts
     assert cache.state() == ref.state()
 
@@ -271,8 +262,8 @@ def _index_of(directory: dict, lines_per_page: int) -> dict:
 
 @st.composite
 def cleaning_traces(draw):
-    """Accesses, miss runs and page flushes over four pages in two
-    clusters."""
+    """Accesses, runs of accesses to consecutive lines (as a block
+    walk makes) and page flushes over four pages in two clusters."""
     nprocs = draw(st.sampled_from([2, 4]))
     access = st.tuples(
         st.just("access"),
@@ -327,13 +318,8 @@ def test_indexed_flush_matches_full_range_flush(trace):
             pid = cluster * nprocs + local_pid
             home_pid = cluster * nprocs + home
             for c in (cache, ref):
-                if kind == "access":
-                    c.access(cluster, pid, line, is_write, home_pid)
-                else:
-                    c.access_run(
-                        cluster, pid, line, is_write, home_pid,
-                        [0] * op[6], 10**9,
-                    )
+                for k in range(1 if kind == "access" else op[6]):
+                    c.access(cluster, pid, line + k, is_write, home_pid)
         for c in range(config.num_clusters):
             assert cache._lines[c] == ref._lines[c]
             index = {page: sorted(lines) for page, lines in cache._pages[c].items()}

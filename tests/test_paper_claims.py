@@ -233,3 +233,53 @@ def test_comparison_claims():
     assert water["swdsm"][32] >= 3.5 * water["mgs"][32], water
     for engines in tables.values():
         assert engines["mgs"][32] == engines["sc_pages"][32], engines
+
+
+#: the four columns of a runtime breakdown, in bar order
+BREAKDOWN = ("user", "lock", "barrier", "protocol_time")
+
+
+def _shares(stem: str) -> dict[int, dict[str, float]]:
+    """Each cluster size's breakdown columns as shares of their sum."""
+    out = {}
+    for c, row in _csv_rows(stem).items():
+        cols = {k: int(row[k]) for k in BREAKDOWN}
+        total = sum(cols.values())
+        out[c] = {k: v / total for k, v in cols.items()}
+    return out
+
+
+def test_tsp_dssmp_runtime_is_lock_overhead():
+    """EXPERIMENTS: 95.7-96.2% of TSP's runtime is lock overhead at
+    every C < P (printed to one decimal)."""
+    shares = _shares("fig08_tsp")
+    total = max(shares)
+    for c, share in shares.items():
+        if c < total:
+            assert 95.7 <= round(share["lock"] * 100, 1) <= 96.2, (c, share)
+
+
+@pytest.mark.parametrize("app", ["jacobi", "matmul"])
+def test_coarse_grain_apps_run_mostly_user_time(app):
+    """EXPERIMENTS: Jacobi and Matmul spend at least 78% of their
+    breakdown in user time at every C (78.0% and 79.6% at C=1)."""
+    shares = _shares(FIGURES[app])
+    for c, share in shares.items():
+        assert share["user"] >= 0.78, (app, c, share)
+
+
+@pytest.mark.parametrize("app", ["water", "barnes-hut"])
+def test_multigrain_apps_improve_with_every_doubling(app):
+    """EXPERIMENTS: Water's and Barnes-Hut's total times fall strictly
+    from C=1 to C=P."""
+    times = _csv_times(FIGURES[app])
+    sizes = sorted(times)
+    assert all(times[a] > times[b] for a, b in zip(sizes, sizes[1:])), times
+
+
+def test_water_wobble_is_barrier_time():
+    """EXPERIMENTS: Water's C=16 wobble is in its barrier share, the
+    largest at any C, not in its total time."""
+    shares = _shares("fig09_water")
+    barrier = {c: share["barrier"] for c, share in shares.items()}
+    assert max(barrier, key=barrier.get) == 16, barrier

@@ -137,7 +137,7 @@ INVENTORY: dict[type, dict[str, set[str]]] = {
         "stats": {"_counts"},
         "config": {
             "config", "costs", "_cost_of", "_hw_ptrs", "hit_cost",
-            "worst_hw_miss", "_lines_per_page",
+            "_lines_per_page",
         },
     },
     MGSLock: {
