@@ -10,6 +10,7 @@ from repro.runtime import RunResult
 
 __all__ = [
     "AppRun",
+    "check_valid",
     "block_range",
     "block_owner",
     "page_home_block",
@@ -31,12 +32,17 @@ class AppRun:
         return self.result.total_time
 
     def require_valid(self) -> "AppRun":
-        if not self.valid:
-            raise AssertionError(
-                f"{self.name}: output diverged from the sequential golden run "
-                f"(max_error={self.max_error})"
-            )
+        check_valid(self.name, self.valid, self.max_error)
         return self
+
+
+def check_valid(name: str, valid: bool, max_error: float) -> None:
+    """Fail unless an app's output matched its sequential golden run."""
+    if not valid:
+        raise AssertionError(
+            f"{name}: output diverged from the sequential golden run "
+            f"(max_error={max_error})"
+        )
 
 
 def block_range(n: int, nworkers: int, worker: int) -> range:

@@ -30,12 +30,14 @@ key is the same digest of the same text as before.
 Entries live in a :class:`~repro.runtime.store.ContentStore` under the
 run-cache directory (``RunOptions.run_cache``: ``REPRO_CACHE_DIR`` or
 ``.repro_cache/``): ``root/key[:2]/key.json``, one envelope carrying
-the key's preimage (``fingerprint``) and the serialized ``AppRun``
-(``run``), published atomically, identical bytes for identical keys.
+the key's preimage text (``fingerprint``, a JSON string) and the
+serialized ``AppRun`` (``run``, a JSON object), published atomically,
+identical bytes for identical keys.
 
-A hit costs one file read and one JSON parse.  It decodes against the
-requested ``MachineConfig``: the config is part of the key, so the
-stored ``run.result.config`` always equals it and is not parsed.
+The stored run holds no ``MachineConfig``: the key's preimage pins it,
+so a hit takes the requested one.  Its threads are rows of
+``_THREAD_FIELDS`` values.  A hit costs one file read and one JSON
+parse, and the sweep folds its point straight from the parsed entry.
 
 Verification
 ------------
@@ -69,7 +71,6 @@ from repro.params import CostModel, MachineConfig
 from repro.runtime import DEFAULT_QUANTUM, RunOptions, RunResult
 from repro.runtime.options import DEFAULT_CACHE_DIR
 from repro.runtime.store import ContentStore, canonical_json, source_fingerprint
-from repro.runtime.thread import ThreadContext
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -80,18 +81,16 @@ __all__ = [
     "source_fingerprint",
     "fingerprint_run",
     "app_run_to_dict",
-    "app_run_from_dict",
     "run_result_to_dict",
-    "run_result_from_dict",
+    "thread_breakdown",
     "canonical_json",
     "main",
 ]
 
 #: bump when the entry layout or key preimage changes incompatibly
-CACHE_SCHEMA = 2
+CACHE_SCHEMA = 3
 
-#: ThreadContext fields that round-trip (everything except the generator),
-#: in declaration order: a hit builds its threads positionally
+#: the ThreadContext fields a stored thread row holds, in row order
 _THREAD_FIELDS = (
     "pid",
     "time",
@@ -104,7 +103,13 @@ _THREAD_FIELDS = (
     "last_yield",
     "block_start",
 )
-_thread_values = operator.itemgetter(*_THREAD_FIELDS[1:])
+_thread_row = operator.attrgetter(*_THREAD_FIELDS)
+
+#: a stored thread row's ``(user, lock, barrier, mgs, finish_time)``, the
+#: tuple :func:`~repro.runtime.runner.cycle_breakdown` sums
+thread_breakdown = operator.itemgetter(
+    *map(_THREAD_FIELDS.index, ("user", "lock", "barrier", "mgs", "finish_time"))
+)
 
 
 class CacheVerifyError(AssertionError):
@@ -178,7 +183,7 @@ def fingerprint_run(
 
     ``preimage`` is the canonical-JSON text of the key's inputs and
     ``key`` its SHA-256 hex digest; :meth:`RunCache.put` stores the
-    preimage inside the entry for debuggability.  The text is spliced
+    text inside the entry for debuggability.  The text is spliced
     from per-part tokens, keys in sorted order, and equals
     ``canonical_json`` of the dict of ``asdict`` forms it stands for.
     """
@@ -197,17 +202,19 @@ def fingerprint_run(
 
 
 # ---------------------------------------------------------------------------
-# RunResult / AppRun round-trip serialization
+# RunResult / AppRun serialization
 # ---------------------------------------------------------------------------
 
 
 def run_result_to_dict(result: RunResult) -> dict:
-    """Full-fidelity JSON form of a :class:`RunResult`.
+    """The JSON form of a :class:`RunResult` that a run-cache entry holds.
 
     Unlike :func:`repro.metrics.export.run_result_to_dict` (a summary
-    for plotting), this round-trips: ``run_result_from_dict`` rebuilds a
-    ``RunResult`` whose breakdown, message flows, network stats, and
-    transaction percentiles are bit-for-bit identical to the original.
+    for plotting), it keeps everything a sweep point is folded from:
+    one row of ``_THREAD_FIELDS`` values per thread (the breakdown is
+    summed from them), the lock, protocol and cache stats, message
+    flows, network stats and transaction percentiles.  The config is
+    absent: the run-cache key's preimage already holds it.
 
     ``replay_cache`` is deliberately absent: how a run's phases were
     obtained (simulated or replayed) is provenance, not behaviour, and
@@ -216,11 +223,8 @@ def run_result_to_dict(result: RunResult) -> dict:
     guarantees the warm-sweep CI checks rely on.
     """
     return {
-        "config": dataclasses.asdict(result.config),
         "total_time": result.total_time,
-        "threads": [
-            {f: getattr(t, f) for f in _THREAD_FIELDS} for t in result.threads
-        ],
+        "threads": [list(_thread_row(t)) for t in result.threads],
         "lock_stats": {
             "acquires": result.lock_stats.acquires,
             "hits": result.lock_stats.hits,
@@ -236,33 +240,6 @@ def run_result_to_dict(result: RunResult) -> dict:
     }
 
 
-def run_result_from_dict(d: dict, config: MachineConfig) -> RunResult:
-    """Inverse of :func:`run_result_to_dict`, for a run of ``config``.
-
-    ``d["config"]`` is not parsed: the caller passes the config the run
-    was made with.  For a run-cache hit that is the requested config,
-    which the key's preimage proves equal to the stored one.
-    """
-    from repro.sync import LockStats
-
-    return RunResult(
-        config=config,
-        total_time=d["total_time"],
-        threads=[
-            ThreadContext(td["pid"], None, *_thread_values(td))  # type: ignore
-            for td in d["threads"]
-        ],
-        lock_stats=LockStats(**d["lock_stats"]),
-        protocol_stats=dict(d["protocol_stats"]),
-        messages_inter_ssmp=d["messages_inter_ssmp"],
-        messages_intra_ssmp=d["messages_intra_ssmp"],
-        cache_stats=dict(d["cache_stats"]),
-        network_stats=d["network_stats"],
-        message_flows=d["message_flows"],
-        transactions=d["transactions"],
-    )
-
-
 def app_run_to_dict(run) -> dict:
     """JSON form of an :class:`~repro.apps.common.AppRun`."""
     return {
@@ -275,19 +252,6 @@ def app_run_to_dict(run) -> dict:
     }
 
 
-def app_run_from_dict(d: dict, config: MachineConfig):
-    """Inverse of :func:`app_run_to_dict`, for a run of ``config``."""
-    from repro.apps.common import AppRun
-
-    return AppRun(
-        name=d["name"],
-        result=run_result_from_dict(d["result"], config),
-        valid=d["valid"],
-        max_error=d["max_error"],
-        aux=dict(d["aux"]),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the cache proper
 # ---------------------------------------------------------------------------
@@ -297,7 +261,7 @@ class RunCache:
     """Persistent, content-addressed store of serialized ``AppRun``s.
 
     A :class:`~repro.runtime.store.ContentStore` whose entries carry the
-    key's preimage (``fingerprint``) and the serialized run (``run``),
+    key's preimage text (``fingerprint``) and the serialized run (``run``),
     plus what only the run cache has: :meth:`key_for` and verify
     sampling.  One instance tracks its own ``stats``; construct a fresh
     instance per sweep/CLI invocation when you want per-run counters.
@@ -315,7 +279,7 @@ class RunCache:
     ) -> None:
         if not 0.0 < verify_fraction <= 1.0:
             raise ValueError("verify_fraction must be in (0, 1]")
-        self.store = ContentStore(root, CACHE_SCHEMA, ("fingerprint", "run"))
+        self.store = ContentStore(root, CACHE_SCHEMA, {"fingerprint": str, "run": dict})
         self.root = self.store.root
         self.stats = self.store.stats
         self.source = source
@@ -340,7 +304,7 @@ class RunCache:
 
     def put(self, key: str, preimage: str, run_payload: dict) -> None:
         """Store one executed run under ``key`` and its preimage text."""
-        self.store.put(key, fingerprint=json.loads(preimage), run=run_payload)
+        self.store.put(key, fingerprint=preimage, run=run_payload)
 
     # -- verification --------------------------------------------------
 
@@ -356,11 +320,15 @@ class RunCache:
         return list(range(0, n_hits, stride))
 
     def check_identical(self, key: str, entry: dict, fresh_payload: dict) -> None:
-        """Assert a fresh execution matches the cached payload exactly."""
+        """Assert a fresh execution matches the cached payload exactly.
+
+        The entry's preimage text is parsed only on a divergence, to
+        name the workload and cluster size in the error.
+        """
         cached = canonical_json(entry["run"])
         fresh = canonical_json(fresh_payload)
         if cached != fresh:
-            fp = entry["fingerprint"]
+            fp = json.loads(entry["fingerprint"])
             raise CacheVerifyError(
                 f"cache verify failed for key {key}: a fresh execution of "
                 f"{fp['workload']} (C={fp['config']['cluster_size']}) "

@@ -1,9 +1,10 @@
 """Performance smoke harness: guards the simulator's throughput.
 
 Runs a small fixed workload set, reports wall-clock and events/sec, and
-writes ``BENCH_perfsmoke.json``.  CI replays it against the committed
-baseline and fails on regression — the repo's "as fast as the hardware
-allows" north star, made enforceable.  Each gated benchmark carries its
+writes ``BENCH_perfsmoke.new.json`` (``--out``).  CI replays it against
+the committed baseline ``BENCH_perfsmoke.json`` and fails on
+regression — the repo's "as fast as the hardware allows" north star,
+made enforceable; ``--out`` may not name the ``--check`` baseline.  Each gated benchmark carries its
 own tolerance (see ``GATES``): the hit-path microbenchmark is tight,
 the end-to-end protocol workloads get the slack their wall-clock noise
 needs, and the replay speedup is gated as a ratio so a cached-sweep
@@ -422,9 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--out",
-        default="BENCH_perfsmoke.json",
+        default="BENCH_perfsmoke.new.json",
         metavar="PATH",
-        help="where to write the report (default BENCH_perfsmoke.json)",
+        help="where to write the report (default BENCH_perfsmoke.new.json)",
     )
     parser.add_argument(
         "--check",
@@ -434,6 +435,13 @@ def main(argv: list[str] | None = None) -> int:
         "per-benchmark gate regresses (see GATES)",
     )
     args = parser.parse_args(argv)
+    if args.check and os.path.realpath(args.out) == os.path.realpath(args.check):
+        print(
+            f"perfsmoke: --out {args.out} is the --check baseline; "
+            "write the report elsewhere",
+            file=sys.stderr,
+        )
+        return 2
 
     report = run_perfsmoke(quick=args.quick)
     with open(args.out, "w") as fh:

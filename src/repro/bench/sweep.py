@@ -6,8 +6,10 @@ whether the run cache is on or off.  It looks every point up in the
 cache (when there is one), runs the misses plus any verify sample
 through one :func:`~repro.bench.parallel.parallel_map` call of the
 module-level worker ``_sweep_point``, submitted in input order, and then
-stores the misses and folds the hits in input order.  The sweep is
-therefore byte-identical at any job count, cached or not.
+folds every point in input order, storing the misses.  A live point and
+a cached one are both a serialized ``AppRun`` (a run-cache entry's
+``run``) and go through the one fold, ``_fold_point``, so the sweep is
+byte-identical at any job count, cached or not.
 """
 
 from __future__ import annotations
@@ -15,16 +17,19 @@ from __future__ import annotations
 import importlib
 from typing import Any
 
+from repro.apps.common import check_valid
 from repro.bench.cache import (
     RunCache,
-    app_run_from_dict,
     app_run_to_dict,
     resolve_cache,
+    thread_breakdown,
 )
 from repro.bench.parallel import parallel_map, resolve_jobs
 from repro.metrics import ClusterSweep, SweepPoint, cluster_sizes
 from repro.params import CostModel, MachineConfig, NetworkConfig
 from repro.runtime import RunOptions
+from repro.runtime.runner import cycle_breakdown
+from repro.sync import LockStats
 
 __all__ = ["run_sweep", "default_config"]
 
@@ -58,23 +63,28 @@ def _point_config(
     return default_config(cluster_size, total_processors, **kwargs)
 
 
-def _fold_point(run) -> SweepPoint:
-    """Fold one AppRun into the SweepPoint the figures consume.
+def _fold_point(payload: dict, cluster_size: int) -> SweepPoint:
+    """Fold one serialized AppRun into the SweepPoint the figures consume.
 
     Shared by the live and cached paths, so a cache hit produces the
-    byte-identical point a fresh simulation would.
+    byte-identical point a fresh simulation would.  ``cluster_size`` is
+    the requested config's: a payload holds no config.
     """
+    result = payload["result"]
+    lock_stats = result["lock_stats"]
     return SweepPoint(
-        cluster_size=run.result.config.cluster_size,
-        total_time=run.total_time,
-        breakdown=run.result.breakdown(),
-        lock_hit_ratio=run.result.lock_stats.hit_ratio,
-        lock_acquires=run.result.lock_stats.acquires,
-        protocol_stats=run.result.protocol_stats,
-        messages_inter_ssmp=run.result.messages_inter_ssmp,
-        network=run.result.network_stats,
-        message_flows=run.result.message_flows,
-        transactions=run.result.transactions,
+        cluster_size=cluster_size,
+        total_time=result["total_time"],
+        breakdown=cycle_breakdown(
+            result["total_time"], list(map(thread_breakdown, result["threads"]))
+        ),
+        lock_hit_ratio=LockStats(**lock_stats).hit_ratio,
+        lock_acquires=lock_stats["acquires"],
+        protocol_stats=result["protocol_stats"],
+        messages_inter_ssmp=result["messages_inter_ssmp"],
+        network=result["network_stats"],
+        message_flows=result["message_flows"],
+        transactions=result["transactions"],
     )
 
 
@@ -83,23 +93,18 @@ def _sweep_point(
     params: Any,
     config: MachineConfig,
     costs: CostModel | None,
-    require_valid: bool,
     options: RunOptions,
-    serialize: bool,
-) -> tuple[str, SweepPoint, dict | None]:
-    """Simulate one cluster-size point and fold it into a SweepPoint.
+) -> dict:
+    """Simulate one cluster-size point; return the serialized AppRun.
 
     Module-level and addressed by module *name* so the parallel driver
     can ship it to worker processes; the serial path runs the very same
-    function, which is what makes parallel output byte-identical.
-    ``serialize`` also returns the serialized AppRun for the run cache
-    (the parent process owns every cache write, so workers never race
-    on the store); sweeps without a cache skip that work and get None.
+    function, which is what makes parallel output byte-identical.  The
+    parent process validates, folds and stores the payload, so workers
+    never race on the store.
     """
     run = importlib.import_module(module_name).run(config, params, costs, options)
-    if require_valid:
-        run.require_valid()
-    return run.name, _fold_point(run), app_run_to_dict(run) if serialize else None
+    return app_run_to_dict(run)
 
 
 def run_sweep(
@@ -179,33 +184,28 @@ def run_sweep(
     )
     work = [i for i, entry in enumerate(entries) if entry is None or i in verify]
     # 3. One pool call runs it, submitted in input order.
-    serialize = run_cache is not None
     executed = parallel_map(
         _sweep_point,
-        [
-            (module_name, params, configs[i], costs, require_valid, options, serialize)
-            for i in work
-        ],
+        [(module_name, params, configs[i], costs, options) for i in work],
         jobs,
     )
     fresh = dict(zip(work, executed))
-    # 4. Store the misses and fold the hits, in input order.
+    # 4. Fold every point in input order; store the valid misses.
     app_name = name
     points = []
     for i, entry in enumerate(entries):
         if entry is None:
-            run_name, point, payload = fresh[i]
-            if run_cache is not None:
-                run_cache.put(*keyed[i], payload)
+            payload = fresh[i]
         else:
+            payload = entry["run"]
             if i in verify:
-                run_cache.check_identical(keyed[i][0], entry, fresh[i][2])
-            run = app_run_from_dict(entry["run"], configs[i])
-            if require_valid:
-                run.require_valid()
-            run_name, point = run.name, _fold_point(run)
-        app_name = app_name or run_name
-        points.append(point)
+                run_cache.check_identical(keyed[i][0], entry, fresh[i])
+        if require_valid:
+            check_valid(payload["name"], payload["valid"], payload["max_error"])
+        if entry is None and run_cache is not None:
+            run_cache.put(*keyed[i], payload)
+        app_name = app_name or payload["name"]
+        points.append(_fold_point(payload, configs[i].cluster_size))
     return ClusterSweep(
         app=app_name or module_name,
         total_processors=total_processors,

@@ -32,7 +32,7 @@ from repro.sim import Simulator
 from repro.svm import AccessKind, AddressSpace
 from repro.sync import LockStats, MGSLock, TreeBarrier
 
-__all__ = ["DEFAULT_QUANTUM", "Runtime", "RunResult"]
+__all__ = ["DEFAULT_QUANTUM", "Runtime", "RunResult", "cycle_breakdown"]
 
 #: cycles a thread runs before yielding to the scheduler; every app
 #: harness and the run-cache key default to it
@@ -70,14 +70,27 @@ class RunResult:
         barrier wait (threads end at the final barrier together; residual
         skew is synchronization slack).
         """
-        n = len(self.threads)
-        out = {"user": 0.0, "lock": 0.0, "barrier": 0.0, "mgs": 0.0}
-        for t in self.threads:
-            out["user"] += t.user
-            out["lock"] += t.lock
-            out["barrier"] += t.barrier + (self.total_time - t.finish_time)
-            out["mgs"] += t.mgs
-        return {k: v / n for k, v in out.items()}
+        return cycle_breakdown(
+            self.total_time,
+            [(t.user, t.lock, t.barrier, t.mgs, t.finish_time) for t in self.threads],
+        )
+
+
+def cycle_breakdown(total_time: int, threads: list[tuple]) -> dict[str, float]:
+    """The breakdown of :meth:`RunResult.breakdown` over one
+    ``(user, lock, barrier, mgs, finish_time)`` tuple per thread.
+
+    A sweep folds its points' stored thread rows through it too, so
+    both sum in thread order and agree to the last bit.
+    """
+    n = len(threads)
+    user = lock = barrier = mgs = 0.0
+    for t_user, t_lock, t_barrier, t_mgs, finish_time in threads:
+        user += t_user
+        lock += t_lock
+        barrier += t_barrier + (total_time - finish_time)
+        mgs += t_mgs
+    return {"user": user / n, "lock": lock / n, "barrier": barrier / n, "mgs": mgs / n}
 
 
 class Runtime:

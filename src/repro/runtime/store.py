@@ -9,8 +9,9 @@ writers of one key are harmless, last one wins.
 
 A read loads the file once and parses it once.  Anything unusable —
 unreadable or undecodable bytes, JSON that is not an object, another
-schema or key, a payload field missing or not an object — is a miss,
-and the next :meth:`ContentStore.put` under that key overwrites it.
+schema or key, a payload field missing or not of its declared JSON
+type — is a miss, and the next :meth:`ContentStore.put` under that key
+overwrites it.
 Nothing is ever evicted: an entry written under an older schema or
 source tree is simply never asked for again.
 
@@ -147,12 +148,13 @@ class StoreStats:
 class ContentStore:
     """Envelope-checked JSON entries under ``root`` (see module docstring).
 
-    ``fields`` names the payload fields every entry of this store must
-    carry, each a JSON object.  Safe for concurrent use by threads and
-    processes sharing ``root``.
+    ``fields`` maps each payload field every entry of this store must
+    carry to the Python type its JSON value parses to (``dict`` for an
+    object, ``str`` for a string).  Safe for concurrent use by threads
+    and processes sharing ``root``.
     """
 
-    def __init__(self, root: str | Path, schema: int, fields: tuple[str, ...]):
+    def __init__(self, root: str | Path, schema: int, fields: dict[str, type]):
         self.root = Path(root)
         self._dir = os.fspath(self.root)
         self.schema = schema
@@ -174,14 +176,14 @@ class ContentStore:
             not isinstance(entry, dict)
             or entry.get("schema") != self.schema
             or entry.get("key") != key
-            or not all(isinstance(entry.get(f), dict) for f in self.fields)
+            or not all(isinstance(entry.get(f), t) for f, t in self.fields.items())
         ):
             self.stats.add(misses=1)
             return None
         self.stats.add(hits=1, bytes_read=len(raw))
         return entry
 
-    def put(self, key: str, **payload: dict) -> None:
+    def put(self, key: str, **payload: Any) -> None:
         """Publish ``payload`` (this store's ``fields``) under ``key``."""
         blob = canonical_json({"schema": self.schema, "key": key, **payload})
         data = (blob + "\n").encode()

@@ -23,7 +23,6 @@ from repro.bench.cache import (
     DEFAULT_CACHE_DIR,
     CacheVerifyError,
     RunCache,
-    app_run_from_dict,
     app_run_to_dict,
     canonical_json,
     fingerprint_run,
@@ -114,7 +113,7 @@ def test_key_digest_is_pinned():
         config, None, 1500, "repro.apps.jacobi", PARAMS, source="0" * 64
     )
     assert key == (
-        "93066f0622171cd2ce968ae2de8c0268fac643f0f1d4039d893795cb8d5b4def"
+        "ea8cf2dbdfe83ef09ece9575acc89a602c5fb5843b1eed8c8227a222b0892487"
     )
 
 
@@ -200,28 +199,29 @@ def test_default_source_fingerprint_is_memoized_and_stable():
 
 
 # ---------------------------------------------------------------------------
-# RunResult / AppRun round-trip
+# the fold of a serialized AppRun
 # ---------------------------------------------------------------------------
 
 
-def test_app_run_round_trips_bit_for_bit():
-    config = MachineConfig(total_processors=4, cluster_size=2)
-    run = jacobi.run(config, PARAMS)
+def test_live_fold_equals_the_fold_of_its_stored_payload():
+    """A point folds the same from a live payload and from that payload
+    after a trip through JSON, as a cache entry stores it."""
+    config = MachineConfig(
+        total_processors=4, cluster_size=2, network=NetworkConfig(drop_rate=0.1)
+    )
+    run = water_kernel.run(config, water_kernel.WaterKernelParams(n_molecules=8))
     payload = app_run_to_dict(run)
-    # through real JSON, like the cache file does
-    restored = app_run_from_dict(json.loads(json.dumps(payload)), config)
-    assert restored.name == run.name
-    assert restored.valid == run.valid
-    assert restored.max_error == run.max_error
-    assert restored.result.config == run.result.config
-    assert restored.result.total_time == run.result.total_time
-    assert restored.result.breakdown() == run.result.breakdown()
-    assert restored.result.lock_stats.hit_ratio == run.result.lock_stats.hit_ratio
-    assert restored.result.message_flows == run.result.message_flows
-    assert restored.result.network_stats == run.result.network_stats
-    assert restored.result.transactions == run.result.transactions
-    # and the canonical serialized forms are identical (the verify contract)
-    assert canonical_json(app_run_to_dict(restored)) == canonical_json(payload)
+    stored = json.loads(json.dumps(payload))
+    live = sweep_mod._fold_point(payload, config.cluster_size)
+    cached = sweep_mod._fold_point(stored, config.cluster_size)
+    assert canonical_json(dataclasses.asdict(cached)) == canonical_json(
+        dataclasses.asdict(live)
+    )
+    assert live.breakdown == run.result.breakdown()
+    assert live.lock_hit_ratio == run.result.lock_stats.hit_ratio
+    assert live.lock_acquires == run.result.lock_stats.acquires > 0
+    # and the stored form serializes back to the same bytes (the verify contract)
+    assert canonical_json(stored) == canonical_json(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +255,24 @@ def test_warm_sweep_is_all_hits_and_never_simulates(tmp_path, monkeypatch):
     ids=[*engine_names(), "mgs-lossy"],
 )
 def test_hits_decode_against_the_requested_config(tmp_path, engine, network):
-    """A stored run's config is its key's config, so a hit may take the
-    requested one; the warm sweep equals the cold one."""
+    """An entry's preimage holds the requested config and its run holds
+    none, so a hit takes the requested one; the warm sweep equals the
+    cold one."""
     kw = dict(sizes=[1, 2], protocol=engine, network=network)
     cold = _sweep(RunCache(tmp_path / "c"), **kw)
     entries = [json.loads(p.read_text()) for p in _entry_files(tmp_path / "c")]
-    assert len(entries) == 2
+    requested = {
+        c: dataclasses.asdict(
+            sweep_mod._point_config(4, c, 1000, network, {"protocol": engine})
+        )
+        for c in (1, 2)
+    }
+    stored = {}
     for entry in entries:
-        assert entry["run"]["result"]["config"] == entry["fingerprint"]["config"]
+        config = json.loads(entry["fingerprint"])["config"]
+        stored[config["cluster_size"]] = config
+        assert "config" not in entry["run"]["result"]
+    assert stored == requested
     warm_cache = RunCache(tmp_path / "c")
     warm = _sweep(warm_cache, **kw)
     assert warm_cache.stats.hits == 2
@@ -336,6 +346,33 @@ def test_corrupt_entry_is_a_miss_and_heals(tmp_path):
     assert healed.stats.misses == 0
 
 
+@pytest.mark.parametrize(
+    "field", ["fingerprint", "run"],
+    ids=["fingerprint-not-a-string", "run-not-an-object"],
+)
+def test_a_field_of_another_json_type_is_a_miss_and_heals(tmp_path, field):
+    """``fingerprint`` must be a string and ``run`` an object; the next
+    put rewrites an entry whose field is neither."""
+    key, preimage = fingerprint_run(
+        MachineConfig(total_processors=4, cluster_size=2),
+        CostModel(), 1500, "wl", None, source="fixed",
+    )
+    RunCache(tmp_path, source="fixed").put(key, preimage, {"payload": 1})
+    (path,) = _entry_files(tmp_path)
+    good = path.read_bytes()
+    entry = json.loads(good)
+    # the preimage parsed into an object, or a run written as text
+    entry[field] = {"fingerprint": json.loads(preimage), "run": preimage}[field]
+    path.write_text(json.dumps(entry))
+
+    cache = RunCache(tmp_path, source="fixed")
+    assert cache.get(key) is None
+    assert (cache.stats.hits, cache.stats.misses) == (0, 1)
+    cache.put(key, preimage, {"payload": 1})
+    assert path.read_bytes() == good
+    assert RunCache(tmp_path, source="fixed").get(key) is not None
+
+
 def test_identical_keys_carry_identical_bytes(tmp_path):
     """Two stores putting one key write byte-identical entry files."""
     key, preimage = fingerprint_run(
@@ -367,8 +404,11 @@ def test_cache_verify_fails_loudly_on_divergence(tmp_path):
     entry = json.loads(victim.read_text())
     entry["run"]["result"]["total_time"] += 1
     victim.write_text(json.dumps(entry))
+    c = json.loads(entry["fingerprint"])["config"]["cluster_size"]
     verify = RunCache(tmp_path / "c", verify_fraction=1.0)
-    with pytest.raises(CacheVerifyError, match="diverged"):
+    with pytest.raises(
+        CacheVerifyError, match=rf"of repro\.apps\.jacobi \(C={c}\) diverged"
+    ):
         _sweep(verify, cache_verify=True)
 
 
@@ -481,7 +521,7 @@ def test_two_processes_share_one_cache_dir(tmp_path):
     for path in files:
         entry = json.loads(path.read_text())
         assert entry["key"] == path.stem
-        seen.add(entry["fingerprint"]["workload"])
+        seen.add(json.loads(entry["fingerprint"])["workload"])
     # 12 shared workloads + 12 private ones per worker
     assert len(files) == n_keys // 2 + 2 * (n_keys // 2)
     # and no temporary files leaked

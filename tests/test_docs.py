@@ -1,4 +1,4 @@
-"""The docs cite only files that exist.
+"""The docs cite only files that exist, and list the settings the code reads.
 
 Every backticked file name (``*.py``, ``.md``, ``.json``, ``.txt``,
 ``.csv``, ``.yml``, ``.toml``) in README.md, DESIGN.md, EXPERIMENTS.md
@@ -12,8 +12,13 @@ and ``docs/*.md`` must resolve:
 
 CHANGES.md and ROADMAP.md hold history and plans, so they may name
 files that are gone or not yet written.
+
+The ``REPRO_*`` variables of the Settings table in
+``docs/PERFORMANCE.md`` are exactly those ``runtime/options.py``
+resolves.
 """
 
+import ast
 import fnmatch
 import re
 import subprocess
@@ -31,8 +36,13 @@ DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + sorted(
 BASES = (ROOT, ROOT / "src", ROOT / "src" / "repro")
 
 #: files the program writes at run time, which no checkout holds: the
-#: serve daemon's persisted queue and a content-store entry's layout
-RUNTIME_FILES = {"serve_queue.json", "root/key[:2]/key.json"}
+#: serve daemon's persisted queue, a content-store entry's layout and
+#: the perf smoke's report
+RUNTIME_FILES = {
+    "serve_queue.json",
+    "root/key[:2]/key.json",
+    "BENCH_perfsmoke.new.json",
+}
 
 _CITED = re.compile(r"`([^`\s]+\.(?:py|md|json|txt|csv|yml|toml))`")
 
@@ -76,3 +86,49 @@ def test_a_stale_path_is_caught():
     assert not _resolves("repro.protocols/__init__.py", names)
     assert not _resolves("tests/test_no_such_file.py", names)
     assert not _resolves("no_such_file.md", names)
+
+
+# ---------------------------------------------------------------------------
+# the Settings table
+# ---------------------------------------------------------------------------
+
+_SETTING = re.compile(r"^REPRO_[A-Z_]+$")
+
+
+def _table_settings(doc: str) -> set[str]:
+    """The variables of the table under ``## Settings``, one per row."""
+    section = doc.split("\n## Settings\n", 1)[1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `(REPRO_[A-Z_]+)` \|", section, re.MULTILINE))
+
+
+def _resolved_settings() -> set[str]:
+    """The ``REPRO_*`` names ``runtime/options.py`` passes to a call."""
+    tree = ast.parse((ROOT / "src/repro/runtime/options.py").read_text())
+    return {
+        arg.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for arg in node.args
+        if isinstance(arg, ast.Constant)
+        and isinstance(arg.value, str)
+        and _SETTING.match(arg.value)
+    }
+
+
+def test_settings_table_lists_what_the_code_resolves():
+    doc = (ROOT / "docs/PERFORMANCE.md").read_text()
+    resolved = _resolved_settings()
+    assert len(resolved) >= 6
+    assert _table_settings(doc) == resolved
+
+
+def test_a_planted_setting_is_caught():
+    doc = (ROOT / "docs/PERFORMANCE.md").read_text()
+    row = "| `REPRO_JOBS` |"
+    assert row in doc
+    planted = doc.replace(row, "| `REPRO_NO_SUCH` | — | — | — | — |\n" + row, 1)
+    assert _table_settings(planted) - _resolved_settings() == {"REPRO_NO_SUCH"}
+    dropped = "\n".join(
+        line for line in doc.splitlines() if not line.startswith(row)
+    )
+    assert _resolved_settings() - _table_settings(dropped) == {"REPRO_JOBS"}
