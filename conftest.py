@@ -2,7 +2,7 @@
 
 Adds two shared options:
 
-* ``--jobs N`` — benchmark sweeps, and anything else that resolves its
+* ``--jobs N`` — sweeps, and anything else that resolves its
   worker count through :class:`repro.runtime.RunOptions`, fan out to
   that many worker processes (it sets ``REPRO_JOBS`` for the session).
   Results are byte-identical at any job count; only the wall-clock

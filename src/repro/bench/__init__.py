@@ -31,8 +31,6 @@ _EXPORTS = {
     "render_lock_figure": "report",
     "render_metrics": "report",
     "render_table": "report",
-    "run_table4": "table4",
-    "render_table4": "table4",
 }
 
 __all__ = list(_EXPORTS)

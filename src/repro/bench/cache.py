@@ -297,10 +297,12 @@ class RunCache:
             config, costs, quantum, workload, params, source=self.source
         )
 
-    def get(self, key: str) -> dict | None:
+    def get(self, key: str, decode=None) -> Any:
         """The entry for ``key`` (its ``run`` is the serialized AppRun),
-        or None: a miss, overwritten by the next :meth:`put`."""
-        return self.store.get(key)
+        or None: a miss, overwritten by the next :meth:`put`.  With
+        ``decode``, what it returns for the entry; an entry it cannot
+        read is a miss (see :meth:`ContentStore.get`)."""
+        return self.store.get(key, decode)
 
     def put(self, key: str, preimage: str, run_payload: dict) -> None:
         """Store one executed run under ``key`` and its preimage text."""

@@ -1,8 +1,9 @@
 """Per-experiment definitions: workloads, paper numbers, and runners.
 
-One entry per table/figure of the paper's evaluation (section 5).  The
-benchmark files under ``benchmarks/`` call these runners and print the
-paper-vs-measured comparison; EXPERIMENTS.md records the outcomes.
+One entry per runtime-breakdown figure of the paper's evaluation
+(section 5).  The experiment registry (:mod:`repro.bench.experiments`)
+renders them into ``results/`` with the paper-vs-measured comparison;
+EXPERIMENTS.md records the outcomes.
 """
 
 from __future__ import annotations

@@ -3,17 +3,19 @@
 ``run_sweep`` is the one way a sweep point executes, whether it comes
 from a figure, a cross-engine comparison or a ``repro.serve`` job, and
 whether the run cache is on or off.  It looks every point up in the
-cache (when there is one), runs the misses plus any verify sample
-through one :func:`~repro.bench.parallel.parallel_map` call of the
-module-level worker ``_sweep_point``, submitted in input order, and then
-folds every point in input order, storing the misses.  A live point and
-a cached one are both a serialized ``AppRun`` (a run-cache entry's
-``run``) and go through the one fold, ``_fold_point``, so the sweep is
-byte-identical at any job count, cached or not.
+cache (when there is one), folding each hit as it reads it, runs the
+misses plus any verify sample through one
+:func:`~repro.bench.parallel.parallel_map` call of the module-level
+worker ``_sweep_point``, submitted in input order, and then folds and
+stores the misses in input order.  A live point and a cached one are
+both a serialized ``AppRun`` (a run-cache entry's ``run``) and go
+through the one fold, ``_fold_point``, so the sweep is byte-identical at
+any job count, cached or not; an entry the fold cannot read is a miss.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib
 from typing import Any
 
@@ -86,6 +88,22 @@ def _fold_point(payload: dict, cluster_size: int) -> SweepPoint:
         message_flows=result["message_flows"],
         transactions=result["transactions"],
     )
+
+
+def _fold_hit(
+    cluster_size: int, require_valid: bool, entry: dict
+) -> tuple[dict, str, SweepPoint]:
+    """A run-cache hit's entry, app name and folded point.
+
+    Runs inside the lookup: a ``KeyError``, ``TypeError`` or
+    ``IndexError`` here (an entry missing a field the fold reads, or a
+    short thread row) makes the point a miss, which the sweep simulates
+    and stores again.
+    """
+    run = entry["run"]
+    if require_valid:
+        check_valid(run["name"], run["valid"], run["max_error"])
+    return entry, run["name"], _fold_point(run, cluster_size)
 
 
 def _sweep_point(
@@ -169,20 +187,26 @@ def run_sweep(
         _point_config(total_processors, c, inter_ssmp_delay, network, overrides)
         for c in sizes
     ]
-    # 1. Look every point up; without a cache every point is a miss.
+    # 1. Look every point up and fold each hit; without a cache every
+    # point is a miss, and so is an entry the fold cannot read.
     if run_cache is None:
-        keyed, entries = [], [None] * len(configs)
+        keyed, hits = [], [None] * len(configs)
     else:
         keyed = [run_cache.key_for(cfg, costs, module_name, params) for cfg in configs]
-        entries = [run_cache.get(key) for key, _ in keyed]
+        hits = [
+            run_cache.get(
+                key, functools.partial(_fold_hit, cfg.cluster_size, require_valid)
+            )
+            for (key, _), cfg in zip(keyed, configs)
+        ]
     # 2. The work list: every miss, plus the verify sample of the hits.
-    hits = [i for i, entry in enumerate(entries) if entry is not None]
+    found = [i for i, hit in enumerate(hits) if hit is not None]
     verify = (
-        {hits[j] for j in run_cache.verify_sample(len(hits))}
-        if cache_verify and hits
+        {found[j] for j in run_cache.verify_sample(len(found))}
+        if cache_verify and found
         else set()
     )
-    work = [i for i, entry in enumerate(entries) if entry is None or i in verify]
+    work = [i for i, hit in enumerate(hits) if hit is None or i in verify]
     # 3. One pool call runs it, submitted in input order.
     executed = parallel_map(
         _sweep_point,
@@ -190,22 +214,23 @@ def run_sweep(
         jobs,
     )
     fresh = dict(zip(work, executed))
-    # 4. Fold every point in input order; store the valid misses.
+    # 4. Collect every point in input order; fold and store the valid misses.
     app_name = name
     points = []
-    for i, entry in enumerate(entries):
-        if entry is None:
+    for i, hit in enumerate(hits):
+        if hit is None:
             payload = fresh[i]
+            if require_valid:
+                check_valid(payload["name"], payload["valid"], payload["max_error"])
+            if run_cache is not None:
+                run_cache.put(*keyed[i], payload)
+            app, point = payload["name"], _fold_point(payload, configs[i].cluster_size)
         else:
-            payload = entry["run"]
+            entry, app, point = hit
             if i in verify:
                 run_cache.check_identical(keyed[i][0], entry, fresh[i])
-        if require_valid:
-            check_valid(payload["name"], payload["valid"], payload["max_error"])
-        if entry is None and run_cache is not None:
-            run_cache.put(*keyed[i], payload)
-        app_name = app_name or payload["name"]
-        points.append(_fold_point(payload, configs[i].cluster_size))
+        app_name = app_name or app
+        points.append(point)
     return ClusterSweep(
         app=app_name or module_name,
         total_processors=total_processors,

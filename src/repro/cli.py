@@ -7,36 +7,40 @@ Usage::
     python -m repro.cli fig6 fig9            # any of fig6..fig12-opt
     python -m repro.cli fig11
     python -m repro.cli all                  # everything (slow)
+    python -m repro.cli reproduce --all      # write every results/ file
     python -m repro.cli sweep water --processors 16
     python -m repro.cli sweep water --protocol swdsm
     python -m repro.cli compare --apps jacobi,water --protocols mgs,swdsm
     python -m repro.cli serve --port 8642    # the HTTP daemon (repro.serve)
     python -m repro.cli analyze explore --engine all   # bounded model checker
 
-Reports print to stdout in the same format the benchmark suite saves
-under ``results/``.
+``table3``, ``table4`` and ``fig11`` print exactly what ``repro
+reproduce`` writes under ``results/`` (see :mod:`repro.bench.experiments`).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import importlib
 import sys
 
 from repro.apps import ALL_APPS
 from repro.bench import (
     FIGURES,
     figure_report,
-    measure_micro_costs,
-    render_lock_figure,
-    render_table,
-    render_table4,
     resolve_cache,
     resolve_jobs,
     run_figure,
     run_sweep,
-    run_table4,
 )
-from repro.bench.micro import PAPER_TABLE3
+from repro.bench.experiments import (
+    EXPERIMENTS,
+    FIGURE_OF,
+    cache_report,
+    outputs,
+    sweeper,
+)
 from repro.params import EXTERNAL_MODELS, NetworkConfig
 from repro.runtime import RunOptions
 
@@ -193,23 +197,6 @@ def network_from_args(args: argparse.Namespace) -> NetworkConfig | None:
     return NetworkConfig(**kwargs)
 
 
-def _table3() -> str:
-    measured = measure_micro_costs()
-    rows = [
-        [name, str(value), str(PAPER_TABLE3[key])]
-        for name, key, value in [
-            ("TLB Fill", "tlb_fill", measured.tlb_fill),
-            ("Inter-SSMP Read Miss", "read_miss", measured.read_miss),
-            ("Inter-SSMP Write Miss", "write_miss", measured.write_miss),
-            ("Release (1 writer)", "release_1writer", measured.release_1writer),
-            ("Release (2 writers)", "release_2writers", measured.release_2writers),
-        ]
-    ]
-    return "Table 3 (software shared memory group)\n\n" + render_table(
-        ["operation", "measured", "paper"], rows
-    )
-
-
 def _print_network_stats(sweep) -> None:
     """One line per cluster size when the net layers have anything to say."""
     rows = [
@@ -251,24 +238,23 @@ def _print_transaction_stats(sweep) -> None:
             )
 
 
+#: subcommands with flag sets of their own: the HTTP daemon, the
+#: cross-engine comparison harness, the state-space explorer / mutation
+#: benchmark, and the results/ writer over the experiment registry
+_SUBCOMMANDS = {
+    "serve": "repro.serve",
+    "compare": "repro.bench.compare",
+    "analyze": "repro.analysis.explore",
+    "reproduce": "repro.bench.experiments",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] == "serve":
-        # The daemon has its own flag set; hand over before parsing.
-        from repro.serve import main as serve_main
-
-        return serve_main(argv[1:])
-    if argv and argv[0] == "compare":
-        # So does the cross-engine comparison harness.
-        from repro.bench.compare import main as compare_main
-
-        return compare_main(argv[1:])
-    if argv and argv[0] == "analyze":
-        # And the state-space explorer / mutation benchmark.
-        from repro.analysis.explore import main as analyze_main
-
-        return analyze_main(argv[1:])
+    if argv and argv[0] in _SUBCOMMANDS:
+        # hand over before parsing
+        return importlib.import_module(_SUBCOMMANDS[argv[0]]).main(argv[1:])
     parser = argparse.ArgumentParser(
         prog="repro", description="Reproduce MGS (ISCA 1996) experiments"
     )
@@ -366,12 +352,7 @@ def main(argv: list[str] | None = None) -> int:
         return _dispatch(parser, args, network, options, jobs, cache)
     finally:
         if cache is not None:
-            s = cache.stats
-            print(
-                f"\nrun cache [{cache.root}]: {s.hits} hits, {s.misses} misses, "
-                f"{s.stores} stored, {s.verified} verified, "
-                f"{s.bytes_read}B read / {s.bytes_written}B written"
-            )
+            print("\n" + cache_report(cache))
         if analyze_hook is not None:
             from repro.runtime import Runtime
 
@@ -393,6 +374,10 @@ def main(argv: list[str] | None = None) -> int:
                     f"{len(tracer)} events) ---"
                 )
                 print(tracer.render_transactions(limit=50))
+
+
+#: the printable registry entries, by CLI name
+_ENTRIES = {"table3": "table3", "table4": "table4", "fig11": "fig11_lock_hit"}
 
 
 def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> int:
@@ -423,42 +408,41 @@ def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> i
     if "all" in experiments:
         experiments = ["table3", "table4", *FIGURES, "fig11"]
 
-    # Figures run one after another, each farming its own points; fig11
-    # reuses the fig8-fig10 sweeps when they have already run.
-    sweeps: dict = {}
-
+    # Figures run one after another, each farming its own points, on the
+    # machine, network and engine the flags name; fig11 reuses the
+    # fig8-fig10 sweeps when they have already run.
+    @functools.cache
     def figure(key):
-        if key not in sweeps:
-            sweeps[key] = run_figure(
-                key,
-                total_processors=args.processors,
-                network=network,
-                jobs=jobs,
-                cache=cache if cache is not None else False,
-                cache_verify=args.cache_verify,
-                protocol=args.protocol,
-                options=options,
-            )
-        return sweeps[key]
+        return run_figure(
+            key,
+            total_processors=args.processors,
+            network=network,
+            jobs=jobs,
+            cache=cache if cache is not None else False,
+            cache_verify=args.cache_verify,
+            protocol=args.protocol,
+            options=options,
+        )
 
-    for exp in experiments:
-        print(f"\n{'=' * 72}")
-        if exp == "table3":
-            print(_table3())
-        elif exp == "table4":
-            print("Table 4\n\n" + render_table4(run_table4()))
-        elif exp == "fig11":
-            print(
-                render_lock_figure(
-                    [figure(key) for key in ("fig8", "fig9", "fig10")],
-                    "Figure 11: Hit rate for MGS lock vs cluster size",
-                )
-            )
-        elif exp in FIGURES:
-            sweep = figure(exp)
-            print(figure_report(exp, sweep))
-            _print_network_stats(sweep)
-            _print_transaction_stats(sweep)
+    fixed = sweeper(cache, options, jobs, args.cache_verify)
+
+    def run_spec(spec):
+        # a figure sweep follows the machine flags; the rest run as declared
+        if spec.total_processors is None:
+            return figure(FIGURE_OF[spec.app])
+        return fixed(spec)
+
+    for i, exp in enumerate(experiments):
+        if i:
+            print(f"\n{'=' * 72}")
+        if exp in FIGURES:
+            curve = figure(exp)
+            print(figure_report(exp, curve))
+            _print_network_stats(curve)
+            _print_transaction_stats(curve)
+        elif exp in _ENTRIES:
+            files = outputs(EXPERIMENTS[_ENTRIES[exp]], run_spec)
+            print(files[".txt"], end="")
         else:
             print(f"unknown experiment {exp!r}", file=sys.stderr)
             return 2

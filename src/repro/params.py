@@ -4,7 +4,7 @@ Every cycle constant used by the simulator lives here.  The defaults are
 calibrated so that the micro-benchmarks of Table 3 in the paper (measured
 on a 20 MHz Alewife with 1 KB pages and a 0-cycle inter-SSMP delay) come
 out of the simulator with the values the paper reports.  See
-``benchmarks/bench_table3.py`` for the paper-vs-measured comparison.
+``repro reproduce table3`` for the paper-vs-measured comparison.
 
 Two dataclasses are exported:
 
@@ -120,7 +120,7 @@ class NetworkConfig:
 class ProtocolOptions:
     """Feature knobs for the MGS software protocol.
 
-    These exist so the ablation benchmarks can toggle design choices the
+    These exist so the ablation experiments can toggle design choices the
     paper calls out.
 
     Attributes:

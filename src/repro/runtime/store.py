@@ -10,8 +10,8 @@ writers of one key are harmless, last one wins.
 A read loads the file once and parses it once.  Anything unusable —
 unreadable or undecodable bytes, JSON that is not an object, another
 schema or key, a payload field missing or not of its declared JSON
-type — is a miss, and the next :meth:`ContentStore.put` under that key
-overwrites it.
+type, or a payload the caller's ``decode`` cannot read — is a miss,
+and the next :meth:`ContentStore.put` under that key overwrites it.
 Nothing is ever evicted: an entry written under an older schema or
 source tree is simply never asked for again.
 
@@ -28,7 +28,7 @@ import json
 import os
 import threading
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 __all__ = [
     "ContentStore",
@@ -164,8 +164,13 @@ class ContentStore:
     def path(self, key: str) -> str:
         return os.path.join(self._dir, key[:2], f"{key}.json")
 
-    def get(self, key: str) -> dict | None:
-        """The entry stored under ``key``, or None (a miss)."""
+    def get(self, key: str, decode: Callable[[dict], Any] | None = None) -> Any:
+        """The entry stored under ``key``, or None (a miss).
+
+        ``decode`` turns the entry into what the caller consumes; an
+        entry it cannot read (a ``KeyError``, ``TypeError`` or
+        ``IndexError``) is a miss too.
+        """
         try:
             with open(self.path(key), "rb") as f:
                 raw = f.read()
@@ -173,15 +178,20 @@ class ContentStore:
         except (OSError, ValueError):
             entry = None
         if (
-            not isinstance(entry, dict)
-            or entry.get("schema") != self.schema
-            or entry.get("key") != key
-            or not all(isinstance(entry.get(f), t) for f, t in self.fields.items())
+            isinstance(entry, dict)
+            and entry.get("schema") == self.schema
+            and entry.get("key") == key
+            and all(isinstance(entry.get(f), t) for f, t in self.fields.items())
         ):
-            self.stats.add(misses=1)
-            return None
-        self.stats.add(hits=1, bytes_read=len(raw))
-        return entry
+            try:
+                decoded = entry if decode is None else decode(entry)
+            except (KeyError, TypeError, IndexError):
+                pass
+            else:
+                self.stats.add(hits=1, bytes_read=len(raw))
+                return decoded
+        self.stats.add(misses=1)
+        return None
 
     def put(self, key: str, **payload: Any) -> None:
         """Publish ``payload`` (this store's ``fields``) under ``key``."""

@@ -13,7 +13,7 @@ from repro.bench import (
     render_table,
     run_sweep,
 )
-from repro.bench.table4 import PAPER_TABLE4
+from repro.bench.experiments import PAPER_TABLE4
 from repro.metrics import ClusterSweep, SweepPoint
 
 

@@ -346,6 +346,30 @@ def test_corrupt_entry_is_a_miss_and_heals(tmp_path):
     assert healed.stats.misses == 0
 
 
+@pytest.mark.parametrize("corrupt", [
+    lambda run: run.clear(),
+    lambda run: run["result"].pop("threads"),
+    lambda run: run["result"]["threads"].append(run["result"]["threads"][0][:3]),
+], ids=["run-empty", "result-without-threads", "short-thread-row"])
+def test_an_entry_the_fold_cannot_read_is_a_miss_and_heals(tmp_path, corrupt):
+    """An entry of the right JSON types that lacks what the fold reads
+    (a ``KeyError``, ``TypeError`` or ``IndexError`` while folding the
+    hit) is simulated again and rewritten."""
+    live = _sweep(False, sizes=[1, 2])
+    _sweep(RunCache(tmp_path / "c"), sizes=[1, 2])
+    victim = _entry_files(tmp_path / "c")[0]
+    entry = json.loads(victim.read_text())
+    corrupt(entry["run"])
+    victim.write_text(json.dumps(entry))
+
+    warm = RunCache(tmp_path / "c")
+    assert dataclasses.asdict(_sweep(warm, sizes=[1, 2])) == dataclasses.asdict(live)
+    assert (warm.stats.hits, warm.stats.misses, warm.stats.stores) == (1, 1, 1)
+    healed = RunCache(tmp_path / "c")
+    _sweep(healed, sizes=[1, 2])
+    assert (healed.stats.hits, healed.stats.misses) == (2, 0)
+
+
 @pytest.mark.parametrize(
     "field", ["fingerprint", "run"],
     ids=["fingerprint-not-a-string", "run-not-an-object"],

@@ -1,19 +1,61 @@
 """Tests for the command-line interface (fast paths only)."""
 
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
 
 
+RESULTS = Path(__file__).resolve().parent.parent / "results"
+
+
 def test_table3_runs_and_prints(capsys):
+    """``repro table3`` prints exactly the committed file."""
     assert main(["table3"]) == 0
+    assert capsys.readouterr().out == (RESULTS / "table3.txt").read_text()
+
+
+def test_reproduce_writes_the_committed_bytes(tmp_path, monkeypatch, capsys):
+    from repro.bench import experiments
+
+    monkeypatch.setattr(experiments, "RESULTS", tmp_path / "results")
+    args = ["reproduce", "table3", "--cache-dir", str(tmp_path / "rc")]
+    assert main(args) == 0
     out = capsys.readouterr().out
-    assert "Table 3" in out
-    assert "6982" in out  # inter-SSMP read miss matches the paper
+    assert "table3: wrote table3.txt (uncached: micro-kernels)" in out
+    assert " 0 hits, 0 misses," in out
+    written = (tmp_path / "results" / "table3.txt").read_bytes()
+    assert written == (RESULTS / "table3.txt").read_bytes()
+
+
+def test_reproduce_needs_names_or_all():
+    for args in (["reproduce"], ["reproduce", "--all", "table3"],
+                 ["reproduce", "nonesuch"]):
+        with pytest.raises(SystemExit):
+            main(args)
+
+
+def test_reproduce_reports_a_failed_check_and_writes_nothing(
+    tmp_path, monkeypatch, capsys
+):
+    from repro.bench import experiments
+
+    def check(data):
+        raise experiments.CheckFailed("planted claim")
+
+    planted = experiments.Experiment("planted", dict, collect=dict, check=check)
+    monkeypatch.setitem(experiments.EXPERIMENTS, "planted", planted)
+    monkeypatch.setattr(experiments, "RESULTS", tmp_path / "results")
+    assert main(["reproduce", "planted", "--cache-dir", str(tmp_path / "rc")]) == 1
+    assert "planted: check failed: planted claim" in capsys.readouterr().err
+    assert not (tmp_path / "results").exists()
 
 
 def test_unknown_experiment_fails(capsys):
     assert main(["nonesuch"]) == 2
+    # results/ names other than table3/table4 and fig11 are not CLI experiments
+    assert main(["fig06_jacobi"]) == 2
 
 
 def test_sweep_requires_known_app():

@@ -132,3 +132,59 @@ def test_a_planted_setting_is_caught():
         line for line in doc.splitlines() if not line.startswith(row)
     )
     assert _resolved_settings() - _table_settings(dropped) == {"REPRO_JOBS"}
+
+
+# ---------------------------------------------------------------------------
+# ANALYSIS's determinism-lint table
+# ---------------------------------------------------------------------------
+
+#: the Scope cell's wording for the modules the order rules police
+ORDER_SCOPE = "protocol-order-sensitive modules"
+
+
+def _lint_scope_mismatches(doc: str) -> list[str]:
+    """The rules of ANALYSIS's section 3 table whose Scope cell
+    disagrees with ``analysis/lint.py``."""
+    from repro.analysis.lint import (
+        ORDER_SENSITIVE_FILES,
+        ORDER_SENSITIVE_PARTS,
+        WALL_CLOCK_EXEMPT_PARTS,
+    )
+
+    section = doc.split("\n## 3. ", 1)[1].split("\n## ", 1)[0]
+    cells = dict(re.findall(r"^\| `([a-z-]+)` \| ([^|]*) \|", section, re.MULTILINE))
+    names = {
+        rule: {name.rstrip("/") for name in re.findall(r"`([^`]+)`", cell)}
+        for rule, cell in cells.items()
+    }
+    order = set(ORDER_SENSITIVE_PARTS) | set(ORDER_SENSITIVE_FILES)
+    checks = {
+        "id-order": names["id-order"] == order,
+        "set-iteration": names["set-iteration"] <= order,  # "the same modules"
+        "wall-clock": names["wall-clock"] == set(WALL_CLOCK_EXEMPT_PARTS),
+    }
+    return [
+        rule for rule, ok in checks.items()
+        if not ok or (rule != "wall-clock" and not cells[rule].startswith(ORDER_SCOPE))
+    ]
+
+
+def test_lint_table_scopes_are_the_lints():
+    """The ``id-order`` and ``set-iteration`` rows police
+    ``ORDER_SENSITIVE_PARTS`` plus ``ORDER_SENSITIVE_FILES``, and the
+    ``wall-clock`` row exempts exactly ``WALL_CLOCK_EXEMPT_PARTS``."""
+    assert _lint_scope_mismatches((ROOT / "docs/ANALYSIS.md").read_text()) == []
+
+
+def test_a_planted_lint_scope_is_caught():
+    doc = (ROOT / "docs/ANALYSIS.md").read_text()
+    listed = "`machine`, `trace.py`)"
+    exempt = "everywhere except `bench/` and `serve/`"
+    assert listed in doc and exempt in doc
+    for planted, rule in [
+        (doc.replace(listed, "`machine`, `bench`, `trace.py`)", 1), "id-order"),
+        (doc.replace(listed, "`trace.py`)", 1), "id-order"),
+        (doc.replace(exempt, "everywhere except `bench/`", 1), "wall-clock"),
+        (doc.replace(exempt, exempt + ", `apps/`", 1), "wall-clock"),
+    ]:
+        assert _lint_scope_mismatches(planted) == [rule]
