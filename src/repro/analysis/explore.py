@@ -55,6 +55,7 @@ from repro.core.engine import engine_names
 from repro.core.messages import ProtocolMessage
 from repro.core.page import HomePage, PageFrame
 from repro.params import WORD_BYTES, MachineConfig, NetworkConfig
+from repro.runtime.options import RunOptions
 from repro.runtime.runner import Runtime
 from repro.sim.snapshot import array_digest, digest
 from repro.trace import ProtocolTracer
@@ -74,6 +75,11 @@ __all__ = [
     "run_walk",
     "main",
 ]
+
+#: every harness runs with the default settings: a replay resolves no
+#: environment, and the harness, not ``Env``, issues each access
+_OPTIONS = RunOptions()
+
 
 @dataclass(frozen=True)
 class ExploreConfig:
@@ -359,7 +365,7 @@ class _Harness:
             inter_ssmp_delay=cfg.delay,
             protocol=cfg.engine,
         )
-        rt = Runtime(self.config, analysis="invariants")
+        rt = Runtime(self.config, analysis="invariants", options=_OPTIONS)
         self.rt = rt
         arr = rt.array(
             "explore", cfg.pages * self.config.words_per_page, home=0
@@ -717,10 +723,12 @@ def explore(
 
     Closures throughout the engines make protocol state impossible to
     deep-copy, so the search is *stateless* (CHESS-style): a state is a
-    choice schedule, replayed from scratch on a fresh ``Runtime`` when
-    expanded — sound because the simulator is fully deterministic.  BFS
-    order guarantees the first violation found has a minimum-length
-    schedule.
+    choice schedule, replayed from scratch on a fresh ``Runtime`` for
+    each of its transitions — sound because the simulator is fully
+    deterministic.  The frontier carries each state's enabled choices,
+    taken when the state is first reached, so expanding a state costs
+    one replay per transition and none more.  BFS order guarantees the
+    first violation found has a minimum-length schedule.
     """
     if programs is None:
         programs = default_programs(cfg)
@@ -730,13 +738,13 @@ def explore(
     except AssertionError as e:
         return _violation_report(cfg, mutation, (), root, e, 1, 0)
     seen: set[str] = {root.state_key()}
-    frontier: deque[tuple] = deque([()])
+    #: (schedule, the choices enabled at its end)
+    frontier: deque[tuple[tuple, list[tuple]]] = deque([((), root.choices())])
     edges = 0
     truncated = False
     while frontier:
-        sched = frontier.popleft()
-        base = _replay(cfg, programs, mutation, sched)
-        for choice in base.choices():
+        sched, choices = frontier.popleft()
+        for choice in choices:
             edges += 1
             h = _replay(cfg, programs, mutation, sched)
             try:
@@ -753,7 +761,7 @@ def explore(
                 continue
             seen.add(key)
             if len(sched) + 1 < cfg.max_depth:
-                frontier.append(sched + (choice,))
+                frontier.append((sched + (choice,), h.choices()))
             else:
                 truncated = True
     return ExploreReport(

@@ -20,7 +20,6 @@ _EXPORTS = {
     "figure_report": "figures",
     "run_figure": "figures",
     "run_sweep": "sweep",
-    "default_config": "sweep",
     "ProtocolComparison": "compare",
     "run_comparison": "compare",
     "render_comparison": "compare",

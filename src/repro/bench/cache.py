@@ -207,10 +207,8 @@ def fingerprint_run(
 
 
 def run_result_to_dict(result: RunResult) -> dict:
-    """The JSON form of a :class:`RunResult` that a run-cache entry holds.
-
-    Unlike :func:`repro.metrics.export.run_result_to_dict` (a summary
-    for plotting), it keeps everything a sweep point is folded from:
+    """The one JSON form of a :class:`RunResult`: what a run-cache
+    entry holds.  It keeps everything a sweep point is folded from:
     one row of ``_THREAD_FIELDS`` values per thread (the breakdown is
     summed from them), the lock, protocol and cache stats, message
     flows, network stats and transaction percentiles.  The config is

@@ -58,17 +58,14 @@ def run_comparison(
     protocols: list[str],
     total_processors: int = 32,
     sizes: list[int] | None = None,
-    network=None,
     jobs: int | None = None,
     cache=None,
-    cache_verify: bool = False,
-    params_for=None,
     options: RunOptions | None = None,
 ) -> ProtocolComparison:
-    """Sweep every app under every engine.
+    """Sweep every app (at its :func:`repro.bench.figures.bench_params`
+    size) under every engine, each sweep on the paper's machine with
+    ``overrides={"protocol": engine}``.
 
-    ``params_for`` maps an app name to its parameter object (defaults to
-    the benchmark sizes in :func:`repro.bench.figures.bench_params`).
     Unknown app or engine names raise ``KeyError``/``ValueError`` up
     front, before any simulation runs.  ``options`` None resolves the
     environment here, once, for every sweep.
@@ -91,11 +88,7 @@ def run_comparison(
 
     sweeps: dict[str, dict[str, ClusterSweep]] = {}
     for app in apps:
-        params = (
-            params_for(app)
-            if params_for is not None
-            else bench_params(app, options.scale)
-        )
+        params = bench_params(app, options.scale)
         sweeps[app] = {}
         for proto in protocols:
             sweeps[app][proto] = run_sweep(
@@ -104,11 +97,9 @@ def run_comparison(
                 total_processors=total_processors,
                 sizes=sizes,
                 name=app,
-                network=network,
                 jobs=jobs,
                 cache=cache,
-                cache_verify=cache_verify,
-                protocol=proto,
+                overrides={"protocol": proto},
                 options=options,
             )
     return ProtocolComparison(

@@ -36,7 +36,7 @@ from repro.metrics import ClusterSweep, sweep_to_csv
 from repro.params import CostModel, MachineConfig, NetworkConfig, ProtocolOptions
 from repro.runtime import Runtime, RunOptions
 
-__all__ = ["EXPERIMENTS", "FIGURE_OF", "PAPER_TABLE4", "RESULTS", "CheckFailed",
+__all__ = ["EXPERIMENTS", "PAPER_TABLE4", "RESULTS", "CheckFailed",
            "Experiment", "SweepSpec", "cache_report", "main", "outputs", "sweeper"]
 
 #: where ``reproduce`` writes: ``results/`` under the working directory
@@ -46,9 +46,6 @@ RESULTS = Path("results")
 #: every app name a spec may use, with the module that runs it
 _MODULES = {**ALL_APPS, **{spec.app: spec.module for spec in FIGURES.values()}}
 
-#: a figure sweep's app -> its ``FIGURES`` key
-FIGURE_OF = {spec.app: key for key, spec in FIGURES.items()}
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -56,9 +53,10 @@ class SweepSpec:
 
     ``params`` None takes :func:`~repro.bench.figures.bench_params` at
     the run's scale.  ``total_processors`` None marks a figure sweep:
-    the paper's 32-processor platform, which ``repro fig11 --processors
-    N`` (and the network and engine flags) may retarget.  ``overrides``
-    are ``MachineConfig`` fields as ``(name, value)`` pairs.
+    the paper's 32-processor platform, which the CLI retargets at the
+    machine its flags name (``repro fig11 --processors N --protocol
+    swdsm``).  ``overrides`` are ``run_sweep``'s, as ``(name, value)``
+    pairs: the ``MachineConfig`` fields that name the machine.
     """
 
     app: str

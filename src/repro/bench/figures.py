@@ -16,7 +16,6 @@ from repro.bench.cache import RunCache
 from repro.bench.report import render_breakdown_figure, render_metrics
 from repro.bench.sweep import run_sweep
 from repro.metrics import ClusterSweep
-from repro.params import NetworkConfig
 from repro.runtime import RunOptions
 
 __all__ = [
@@ -90,22 +89,21 @@ def bench_params(app: str, scale: int | None = None) -> Any:
 def run_figure(
     key: str,
     total_processors: int = 32,
-    network: "NetworkConfig | None" = None,
     jobs: int | None = None,
     cache: "RunCache | bool | None" = None,
-    cache_verify: bool = False,
-    protocol: str | None = None,
     options: RunOptions | None = None,
 ) -> ClusterSweep:
-    """Run the full cluster-size sweep behind one figure.
+    """Run the full cluster-size sweep behind one figure on the paper's
+    platform.
 
     ``jobs`` farms cluster-size points to worker processes (see
     :func:`repro.bench.sweep.run_sweep`); the sweep is byte-identical
-    at any job count.  ``cache`` / ``cache_verify`` route through the
-    content-addressed run cache (:mod:`repro.bench.cache`): warm reruns
-    serve every point from disk without simulating.  ``protocol``
-    selects the coherence engine by registry name.  ``options`` None
-    resolves the environment here; its ``scale`` sizes the workload.
+    at any job count.  ``cache`` routes through the content-addressed
+    run cache (:mod:`repro.bench.cache`): warm reruns serve every point
+    from disk without simulating.  ``options`` None resolves the
+    environment here; its ``scale`` sizes the workload.  Another
+    machine is a ``run_sweep(overrides=...)`` or a registry
+    ``SweepSpec`` (:mod:`repro.bench.experiments`).
     """
     if options is None:
         options = RunOptions.from_env()
@@ -116,11 +114,8 @@ def run_figure(
         params=params,
         total_processors=total_processors,
         name=spec.app,
-        network=network,
         jobs=jobs,
         cache=cache,
-        cache_verify=cache_verify,
-        protocol=protocol,
         options=options,
     )
 

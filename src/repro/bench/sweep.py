@@ -28,41 +28,12 @@ from repro.bench.cache import (
 )
 from repro.bench.parallel import parallel_map, resolve_jobs
 from repro.metrics import ClusterSweep, SweepPoint, cluster_sizes
-from repro.params import CostModel, MachineConfig, NetworkConfig
+from repro.params import CostModel, MachineConfig
 from repro.runtime import RunOptions
 from repro.runtime.runner import cycle_breakdown
 from repro.sync import LockStats
 
-__all__ = ["run_sweep", "default_config"]
-
-
-def default_config(
-    cluster_size: int, total_processors: int = 32, **overrides
-) -> MachineConfig:
-    """The paper's experimental platform: 32 processors, 1 KB pages,
-    1000-cycle inter-SSMP message delay (section 5.2.1)."""
-    return MachineConfig(
-        total_processors=total_processors,
-        cluster_size=cluster_size,
-        inter_ssmp_delay=overrides.pop("inter_ssmp_delay", 1000),
-        **overrides,
-    )
-
-
-def _point_config(
-    total_processors: int,
-    cluster_size: int,
-    inter_ssmp_delay: int,
-    network: NetworkConfig | None,
-    overrides: dict[str, Any] | None = None,
-) -> MachineConfig:
-    """The exact MachineConfig a sweep point simulates (also the cache key)."""
-    kwargs: dict[str, Any] = {"inter_ssmp_delay": inter_ssmp_delay}
-    if network is not None:
-        kwargs["network"] = network
-    if overrides:
-        kwargs.update(overrides)
-    return default_config(cluster_size, total_processors, **kwargs)
+__all__ = ["run_sweep"]
 
 
 def _fold_point(payload: dict, cluster_size: int) -> SweepPoint:
@@ -90,9 +61,7 @@ def _fold_point(payload: dict, cluster_size: int) -> SweepPoint:
     )
 
 
-def _fold_hit(
-    cluster_size: int, require_valid: bool, entry: dict
-) -> tuple[dict, str, SweepPoint]:
+def _fold_hit(cluster_size: int, entry: dict) -> tuple[dict, str, SweepPoint]:
     """A run-cache hit's entry, app name and folded point.
 
     Runs inside the lookup: a ``KeyError``, ``TypeError`` or
@@ -101,8 +70,7 @@ def _fold_hit(
     and stores again.
     """
     run = entry["run"]
-    if require_valid:
-        check_valid(run["name"], run["valid"], run["max_error"])
+    check_valid(run["name"], run["valid"], run["max_error"])
     return entry, run["name"], _fold_point(run, cluster_size)
 
 
@@ -131,15 +99,11 @@ def run_sweep(
     total_processors: int = 32,
     sizes: list[int] | None = None,
     costs: CostModel | None = None,
-    inter_ssmp_delay: int = 1000,
     name: str | None = None,
-    require_valid: bool = True,
-    network: NetworkConfig | None = None,
     jobs: int | None = None,
     cache: RunCache | bool | None = None,
     cache_verify: bool = False,
     overrides: dict[str, Any] | None = None,
-    protocol: str | None = None,
     options: RunOptions | None = None,
 ) -> ClusterSweep:
     """Run ``app_module.run`` at every cluster size and collect the curve.
@@ -165,26 +129,26 @@ def run_sweep(
     a deterministic sample of hits and fails loudly if any cached result
     is not reproduced bit-for-bit.
 
-    ``overrides`` are extra :class:`MachineConfig` keyword arguments
-    applied to every point (page size, protocol options, ...); the
-    ``repro.serve`` request validation surface feeds them through here.
-    They participate in the cache key like every other config field.
-
-    ``protocol`` selects the coherence engine by registry name (sugar
-    for ``overrides={"protocol": ...}``; see :mod:`repro.protocols`).
+    ``overrides``, a dict of :class:`MachineConfig` fields, is the one
+    way to name the machine: every point simulates
+    ``MachineConfig(total_processors=P, cluster_size=C, **overrides)``,
+    which is also its cache key.  ``{"protocol": "swdsm"}`` picks the
+    coherence engine (see :mod:`repro.protocols`); ``inter_ssmp_delay``,
+    ``network``, ``page_size`` and the rest work the same way, and what
+    they leave out keeps ``MachineConfig``'s default, the paper's
+    platform (1 KB pages, 1000-cycle inter-SSMP delay, section 5.2.1).
     """
     if options is None:
         options = RunOptions.from_env()
-    if protocol is not None:
-        overrides = {**(overrides or {}), "protocol": protocol}
-    engine = (overrides or {}).get("protocol", "mgs")
+    machine = overrides or {}
+    engine = machine.get("protocol", "mgs")
     if sizes is None:
         sizes = cluster_sizes(total_processors)
     module_name = getattr(app_module, "__name__", str(app_module))
     jobs = resolve_jobs(options.jobs if jobs is None else jobs)
     run_cache = resolve_cache(cache, options)
     configs = [
-        _point_config(total_processors, c, inter_ssmp_delay, network, overrides)
+        MachineConfig(total_processors=total_processors, cluster_size=c, **machine)
         for c in sizes
     ]
     # 1. Look every point up and fold each hit; without a cache every
@@ -194,9 +158,7 @@ def run_sweep(
     else:
         keyed = [run_cache.key_for(cfg, costs, module_name, params) for cfg in configs]
         hits = [
-            run_cache.get(
-                key, functools.partial(_fold_hit, cfg.cluster_size, require_valid)
-            )
+            run_cache.get(key, functools.partial(_fold_hit, cfg.cluster_size))
             for (key, _), cfg in zip(keyed, configs)
         ]
     # 2. The work list: every miss, plus the verify sample of the hits.
@@ -220,8 +182,7 @@ def run_sweep(
     for i, hit in enumerate(hits):
         if hit is None:
             payload = fresh[i]
-            if require_valid:
-                check_valid(payload["name"], payload["valid"], payload["max_error"])
+            check_valid(payload["name"], payload["valid"], payload["max_error"])
             if run_cache is not None:
                 run_cache.put(*keyed[i], payload)
             app, point = payload["name"], _fold_point(payload, configs[i].cluster_size)

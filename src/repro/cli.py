@@ -16,12 +16,17 @@ Usage::
 
 ``table3``, ``table4`` and ``fig11`` print exactly what ``repro
 reproduce`` writes under ``results/`` (see :mod:`repro.bench.experiments`).
+
+``--protocol`` and the network flags build one ``overrides`` dict, the
+machine every point of ``sweep <app>`` and of each figure sweep
+simulates on ``--processors`` processors (see
+:func:`repro.bench.sweep.run_sweep`); Table 4's sweeps run as declared.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
+import dataclasses
 import importlib
 import sys
 
@@ -31,12 +36,11 @@ from repro.bench import (
     figure_report,
     resolve_cache,
     resolve_jobs,
-    run_figure,
     run_sweep,
 )
 from repro.bench.experiments import (
     EXPERIMENTS,
-    FIGURE_OF,
+    SweepSpec,
     cache_report,
     outputs,
     sweeper,
@@ -303,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         network = network_from_args(args)
+        overrides = {"protocol": args.protocol}
+        if network is not None:
+            overrides["network"] = network
         options = options_from_args(args)
         trace_pages = (
             parse_trace_pages(args.trace_pages)
@@ -349,7 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         Runtime.construction_hooks.append(analyze_hook)
 
     try:
-        return _dispatch(parser, args, network, options, jobs, cache)
+        return _dispatch(parser, args, overrides, options, jobs, cache)
     finally:
         if cache is not None:
             print("\n" + cache_report(cache))
@@ -380,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
 _ENTRIES = {"table3": "table3", "table4": "table4", "fig11": "fig11_lock_hit"}
 
 
-def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> int:
+def _dispatch(parser, args, overrides, options: RunOptions, jobs: int, cache) -> int:
     experiments = list(args.experiments)
     if experiments and experiments[0] == "sweep":
         if len(experiments) < 2 or experiments[1] not in ALL_APPS:
@@ -389,11 +396,10 @@ def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> i
         sweep = run_sweep(
             module,
             total_processors=args.processors,
-            network=network,
             jobs=jobs,
             cache=cache if cache is not None else False,
             cache_verify=args.cache_verify,
-            protocol=args.protocol,
+            overrides=overrides,
             options=options,
         )
         from repro.bench import render_breakdown_figure, render_metrics
@@ -408,35 +414,25 @@ def _dispatch(parser, args, network, options: RunOptions, jobs: int, cache) -> i
     if "all" in experiments:
         experiments = ["table3", "table4", *FIGURES, "fig11"]
 
-    # Figures run one after another, each farming its own points, on the
-    # machine, network and engine the flags name; fig11 reuses the
-    # fig8-fig10 sweeps when they have already run.
-    @functools.cache
-    def figure(key):
-        return run_figure(
-            key,
-            total_processors=args.processors,
-            network=network,
-            jobs=jobs,
-            cache=cache if cache is not None else False,
-            cache_verify=args.cache_verify,
-            protocol=args.protocol,
-            options=options,
-        )
+    # Every sweep runs once, through one memo: figures one after another,
+    # each farming its own points, so fig11 reuses the fig8-fig10 sweeps
+    # when they have already run.  A figure sweep is retargeted at the
+    # machine the flags name; the rest run as declared.
+    memo = sweeper(cache, options, jobs, args.cache_verify)
+    machine = tuple(overrides.items())
 
-    fixed = sweeper(cache, options, jobs, args.cache_verify)
-
-    def run_spec(spec):
-        # a figure sweep follows the machine flags; the rest run as declared
+    def run_spec(spec: SweepSpec):
         if spec.total_processors is None:
-            return figure(FIGURE_OF[spec.app])
-        return fixed(spec)
+            spec = dataclasses.replace(
+                spec, total_processors=args.processors, overrides=machine
+            )
+        return memo(spec)
 
     for i, exp in enumerate(experiments):
         if i:
             print(f"\n{'=' * 72}")
         if exp in FIGURES:
-            curve = figure(exp)
+            curve = run_spec(SweepSpec(FIGURES[exp].app))
             print(figure_report(exp, curve))
             _print_network_stats(curve)
             _print_transaction_stats(curve)

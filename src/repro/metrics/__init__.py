@@ -1,7 +1,6 @@
 """The paper's DSSMP performance framework (section 2.4)."""
 
 from repro.metrics.export import (
-    run_result_to_dict,
     sweep_to_csv,
     sweep_to_dict,
     sweep_to_json,
@@ -30,7 +29,6 @@ __all__ = [
     "SegmentLocality",
     "locality_report",
     "render_locality_report",
-    "run_result_to_dict",
     "sweep_to_csv",
     "sweep_to_dict",
     "sweep_to_json",

@@ -14,50 +14,15 @@ import io
 import json
 
 from repro.metrics.framework import ClusterSweep
-from repro.runtime import RunResult
 
 __all__ = [
     "SCHEMA_VERSION",
     "sweep_to_csv",
     "sweep_to_dict",
-    "run_result_to_dict",
 ]
 
 #: version of the exported JSON layout (see module docstring)
 SCHEMA_VERSION = 1
-
-
-def run_result_to_dict(result: RunResult) -> dict:
-    """A JSON-ready summary of one execution."""
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "total_processors": result.config.total_processors,
-        "cluster_size": result.config.cluster_size,
-        "inter_ssmp_delay": result.config.inter_ssmp_delay,
-        "page_size": result.config.page_size,
-        "engine": result.config.protocol,
-        "total_time": result.total_time,
-        "breakdown": result.breakdown(),
-        "lock": {
-            "acquires": result.lock_stats.acquires,
-            "hits": result.lock_stats.hits,
-            "hit_ratio": result.lock_stats.hit_ratio,
-            "token_transfers": result.lock_stats.token_transfers,
-        },
-        "protocol": result.protocol_stats,
-        "messages": {
-            "inter_ssmp": result.messages_inter_ssmp,
-            "intra_ssmp": result.messages_intra_ssmp,
-        },
-        "cache": result.cache_stats,
-        # Provenance, not behavior: how many phases this execution
-        # replayed/recorded.  Additive key (no schema bump); empty for
-        # non-phased runs.
-        "replay_cache": result.replay_cache,
-        "network": result.network_stats,
-        "message_flows": result.message_flows,
-        "transactions": result.transactions,
-    }
 
 
 def _derived(sweep: ClusterSweep, name: str):

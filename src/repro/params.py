@@ -194,6 +194,12 @@ class MachineConfig:
             raise ValueError("control_msg_bytes must be >= 1")
         if not isinstance(self.protocol, str) or not self.protocol:
             raise ValueError("protocol must be a non-empty engine name")
+        for name, cls in (("network", NetworkConfig), ("options", ProtocolOptions)):
+            value = getattr(self, name)
+            if not isinstance(value, cls):
+                raise TypeError(
+                    f"{name} must be a {cls.__name__}, got {type(value).__name__}"
+                )
         if self.protocol != "mgs":
             # Registry lookup + per-engine option validation.  Imported
             # lazily: params is a leaf module and the engine registry

@@ -68,10 +68,14 @@ class RunOptions:
         for this resolution only; the CLI passes its flags this way, so
         a flag beats the environment through the same precedence rules.
         """
-        env = {**os.environ, **(overrides or {})}
+        overrides = overrides or {}
+
+        def get(name: str) -> str:
+            # one variable, not a copy of the whole environment
+            return overrides.get(name, os.environ.get(name, ""))
 
         def flag(name: str) -> bool | None:
-            raw = env.get(name, "").strip().lower()
+            raw = get(name).strip().lower()
             if raw in _TRUE:
                 return True
             if raw in _FALSE:
@@ -81,14 +85,14 @@ class RunOptions:
             return None
 
         def integer(name: str, default: int) -> int:
-            raw = env.get(name, "").strip()
+            raw = get(name).strip()
             try:
                 return int(raw) if raw else default
             except ValueError:
                 _malformed(name, raw, "an integer")
                 return default
 
-        cache_dir = env.get("REPRO_CACHE_DIR") or None
+        cache_dir = get("REPRO_CACHE_DIR") or None
         use_cache = flag("REPRO_CACHE")
         if use_cache is None:
             use_cache = cache_dir is not None

@@ -21,8 +21,10 @@ A job is one validated sweep request (:class:`~repro.serve.validate
 
 Execution chunks the request's cluster sizes into groups of the
 daemon's worker count and runs each group through
-:func:`repro.bench.sweep.run_sweep` — the bounded process pool, the
-cache hit path, and the byte-identical collection order are all the
+:func:`repro.bench.sweep.run_sweep` on the request's machine
+(:attr:`~repro.serve.validate.JobRequest.machine`, the dict validation
+already built every point's config from) — the bounded process pool,
+the cache hit path, and the byte-identical collection order are all the
 sweep engine's own; progress ticks per completed group.
 """
 
@@ -268,12 +270,9 @@ def execute_job(
             total_processors=request.total_processors,
             sizes=group,
             costs=request.costs,
-            inter_ssmp_delay=request.inter_ssmp_delay,
-            network=request.network,
             jobs=jobs,
             cache=job.cache,
-            overrides=request.overrides or None,
-            protocol=request.protocol,
+            overrides=request.machine,
             options=options,
         )
         points.extend(sweep.points)

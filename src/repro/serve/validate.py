@@ -19,7 +19,10 @@ A job submission is a JSON object describing one cluster-size sweep:
 Only ``workload`` is required.  Everything else defaults to the paper's
 experimental platform, exactly as :func:`repro.bench.sweep.run_sweep`
 does, so a bare ``{"workload": "water"}`` reproduces the CLI's
-``sweep water`` bit-for-bit.
+``sweep water`` bit-for-bit.  ``inter_ssmp_delay``, ``network``,
+``protocol`` and ``overrides`` together name the machine: they fold into
+one dict, :attr:`JobRequest.machine`, which is ``run_sweep``'s
+``overrides`` both when a submission is checked and when its job runs.
 
 Validation is strict and reuses the :mod:`repro.params` machinery:
 nested objects go through ``dataclass_from_dict``, which rejects unknown
@@ -130,16 +133,25 @@ class JobRequest:
             canonical_json(self.canonical()).encode()
         ).hexdigest()
 
+    @property
+    def machine(self) -> dict[str, Any]:
+        """The ``MachineConfig`` fields this request sets: the
+        ``overrides`` of the ``run_sweep`` its job runs."""
+        machine = {
+            **self.overrides,
+            "inter_ssmp_delay": self.inter_ssmp_delay,
+            "protocol": self.protocol,
+        }
+        if self.network is not None:
+            machine["network"] = self.network
+        return machine
+
     def point_config(self, cluster_size: int) -> MachineConfig:
         """The MachineConfig one point of this request simulates."""
-        from repro.bench.sweep import _point_config
-
-        return _point_config(
-            self.total_processors,
-            cluster_size,
-            self.inter_ssmp_delay,
-            self.network,
-            {**self.overrides, "protocol": self.protocol},
+        return MachineConfig(
+            total_processors=self.total_processors,
+            cluster_size=cluster_size,
+            **self.machine,
         )
 
 

@@ -6,7 +6,6 @@ from repro.apps import matmul
 from repro.bench import (
     FIGURES,
     bench_params,
-    default_config,
     render_breakdown_figure,
     render_lock_figure,
     render_metrics,
@@ -15,6 +14,7 @@ from repro.bench import (
 )
 from repro.bench.experiments import PAPER_TABLE4
 from repro.metrics import ClusterSweep, SweepPoint
+from repro.params import MachineConfig
 
 
 def tiny_sweep():
@@ -33,8 +33,8 @@ def test_run_sweep_covers_all_cluster_sizes():
 
 
 def test_run_sweep_validates_output():
-    # require_valid is on by default: a sweep that completes proves the
-    # app matched its golden run at every cluster size.
+    # run_sweep always validates: a sweep that completes proves the app
+    # matched its golden run at every cluster size.
     sweep = tiny_sweep()
     assert sweep.points
 
@@ -74,11 +74,13 @@ def test_render_lock_figure():
 
 
 def test_default_config_matches_paper_platform():
-    config = default_config(4)
+    # A sweep without overrides simulates MachineConfig's defaults.
+    config = MachineConfig(cluster_size=4)
     assert config.total_processors == 32
     assert config.cluster_size == 4
     assert config.inter_ssmp_delay == 1000
     assert config.page_size == 1024
+    assert config.protocol == "mgs"
 
 
 def test_bench_params_cover_every_figure():

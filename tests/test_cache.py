@@ -249,21 +249,21 @@ def test_warm_sweep_is_all_hits_and_never_simulates(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "engine, network",
-    [(name, None) for name in engine_names()]
-    + [("mgs", NetworkConfig(drop_rate=0.1))],
+    "machine",
+    [{"protocol": name} for name in engine_names()]
+    + [{"protocol": "mgs", "network": NetworkConfig(drop_rate=0.1)}],
     ids=[*engine_names(), "mgs-lossy"],
 )
-def test_hits_decode_against_the_requested_config(tmp_path, engine, network):
+def test_hits_decode_against_the_requested_config(tmp_path, machine):
     """An entry's preimage holds the requested config and its run holds
     none, so a hit takes the requested one; the warm sweep equals the
     cold one."""
-    kw = dict(sizes=[1, 2], protocol=engine, network=network)
+    kw = dict(sizes=[1, 2], overrides=machine)
     cold = _sweep(RunCache(tmp_path / "c"), **kw)
     entries = [json.loads(p.read_text()) for p in _entry_files(tmp_path / "c")]
     requested = {
         c: dataclasses.asdict(
-            sweep_mod._point_config(4, c, 1000, network, {"protocol": engine})
+            MachineConfig(total_processors=4, cluster_size=c, **machine)
         )
         for c in (1, 2)
     }

@@ -128,21 +128,21 @@ def test_fig11_forwards_network_and_reuses_its_figures(monkeypatch, capsys):
 
     calls = []
 
-    def fake_run_figure(key, total_processors, network, **kwargs):
-        calls.append((key, total_processors, network.external))
+    def fake_run_sweep(module, params, total_processors, name, overrides, **kwargs):
+        calls.append((name, total_processors, overrides["network"].external))
         points = [
             SweepPoint(cluster_size=c, total_time=1, breakdown={}, lock_hit_ratio=1.0)
             for c in cluster_sizes(total_processors)
         ]
-        return ClusterSweep(app=key, total_processors=total_processors, points=points)
+        return ClusterSweep(app=name, total_processors=total_processors, points=points)
 
-    monkeypatch.setattr("repro.cli.run_figure", fake_run_figure)
+    monkeypatch.setattr("repro.bench.experiments.run_sweep", fake_run_sweep)
     args = ["fig11", "fig11", "--processors", "4", "--network", "bus"]
     assert main(args) == 0
     out = capsys.readouterr().out
     assert "Figure 11" in out
     # each figure runs once, on the requested machine and network
-    assert calls == [(key, 4, "bus") for key in ("fig8", "fig9", "fig10")]
+    assert calls == [(app, 4, "bus") for app in ("tsp", "water", "barnes-hut")]
     # one column per cluster size of the requested machine
     header = next(line for line in out.splitlines() if line.strip().startswith("app"))
     assert header.split() == ["app", "C=1", "C=2", "C=4"]

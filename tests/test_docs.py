@@ -15,7 +15,9 @@ files that are gone or not yet written.
 
 The ``REPRO_*`` variables of the Settings table in
 ``docs/PERFORMANCE.md`` are exactly those ``runtime/options.py``
-resolves.
+resolves, ANALYSIS's lint-scope table is ``analysis/lint.py``'s scope
+constants, and PROTOCOL's message table is ``core/messages.py``'s Table
+2 classes.
 """
 
 import ast
@@ -188,3 +190,76 @@ def test_a_planted_lint_scope_is_caught():
         (doc.replace(exempt, exempt + ", `apps/`", 1), "wall-clock"),
     ]:
         assert _lint_scope_mismatches(planted) == [rule]
+
+
+# ---------------------------------------------------------------------------
+# PROTOCOL's Table 2 message table
+# ---------------------------------------------------------------------------
+
+
+def _message_rows(doc: str) -> list[tuple[str, str, tuple[str, ...]]]:
+    """``(class, label, extra fields)`` of each row of PROTOCOL's
+    ``Class | Wire label | Extra payload | Purpose`` table."""
+    section = doc.split("\n## The message vocabulary", 1)[1].split("\n## ", 1)[0]
+    return [
+        (name, label, tuple(re.findall(r"`(\w+)`", payload)))
+        for name, label, payload in re.findall(
+            r"^\| `(\w+)` \| `([^`]+)` \| ([^|]*) \|", section, re.MULTILINE
+        )
+    ]
+
+
+def _message_mismatches(doc: str) -> list[str]:
+    """``"Class: why"`` for each row that disagrees with
+    ``core/messages.py`` and each Table 2 class without a row."""
+    import dataclasses
+
+    from repro.core import messages
+
+    base = {f.name for f in dataclasses.fields(messages.ProtocolMessage)}
+    rows = _message_rows(doc)
+    out = []
+    for name, label, payload in rows:
+        cls = getattr(messages, name, None)
+        if not (isinstance(cls, type) and issubclass(cls, messages.ProtocolMessage)):
+            out.append(f"{name}: no such message class")
+            continue
+        extra = tuple(f.name for f in dataclasses.fields(cls) if f.name not in base)
+        if label != cls.label:
+            out.append(f"{name}: label {label!r}, the class says {cls.label!r}")
+        if payload != extra:
+            out.append(f"{name}: payload {payload}, the class carries {extra}")
+    listed = [name for name, _, _ in rows]
+    out += [f"{name}: {listed.count(name)} rows" for name in sorted(set(listed))
+            if listed.count(name) > 1]
+    out += [f"{cls.__name__}: no row" for cls in messages.TABLE2_CLASSES.values()
+            if cls.__name__ not in listed]
+    return out
+
+
+def test_message_table_is_the_message_classes():
+    """Every row's label and extra payload are its class's, and every
+    Table 2 class has exactly one row."""
+    doc = (ROOT / "docs/PROTOCOL.md").read_text()
+    assert len(_message_rows(doc)) >= 16
+    assert _message_mismatches(doc) == []
+
+
+def test_a_planted_message_row_is_caught():
+    doc = (ROOT / "docs/PROTOCOL.md").read_text()
+    label = "| `Rreq` | `RREQ` |"
+    payload = "| `Ack` | `ACK` | `dirty` |"
+    row = next(line for line in doc.splitlines() if line.startswith("| `Wnotify` |"))
+    assert label in doc and payload in doc
+    for planted, culprit in [
+        (doc.replace(label, "| `Rreq` | `WREQ` |", 1), "Rreq: label"),
+        (doc.replace(payload, "| `Ack` | `ACK` | — |", 1), "Ack: payload"),
+        (doc.replace(payload, "| `Ack` | `ACK` | `dirty`, `recall` |", 1),
+         "Ack: payload"),
+        (doc.replace(row + "\n", "", 1), "Wnotify: no row"),
+        (doc.replace(row, row + "\n" + row, 1), "Wnotify: 2 rows"),
+        (doc.replace(row, row + "\n| `Wnote` | `WNOTE` | — | x |", 1),
+         "Wnote: no such message class"),
+    ]:
+        (mismatch,) = _message_mismatches(planted)
+        assert mismatch.startswith(culprit), mismatch

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.analysis.explore as explore_mod
 from repro.analysis.explore import (
     ExploreConfig,
     counterexample_trace,
@@ -51,14 +52,41 @@ GOLDEN = ("double_rack", "sc_shared_writer")
 # ---------------------------------------------------------------------------
 
 
+#: (states, transitions) of each engine's default 2-thread x 1-page space
+DEFAULT_SPACE = {
+    "gcs": (584, 815),
+    "mgs": (1052, 1423),
+    "sc_pages": (626, 879),
+    "swdsm": (433, 604),
+}
+
+
 @pytest.mark.parametrize("engine", sorted(engine_names()))
 def test_exhaustive_state_space_is_clean(engine):
-    """2 threads x 1 page fully exhausted, zero violations, any engine."""
+    """2 threads x 1 page fully exhausted, zero violations, any engine,
+    and exactly the pinned space: a change to it is a change to an
+    engine or to the explorer, and says so here."""
     cfg = ExploreConfig(engine=engine)
     report = explore(cfg)
     assert not report.caught, report.summary()
     assert not report.truncated, "state cap hit: not actually exhaustive"
-    assert report.states > 100, "suspiciously small space"
+    assert (report.states, report.edges) == DEFAULT_SPACE[engine]
+
+
+def test_each_transition_costs_one_replay(monkeypatch):
+    """The search builds one harness for the root and one per
+    transition: expanding a state replays nothing to learn its choices."""
+    built = []
+
+    class Counted(explore_mod._Harness):
+        def __init__(self, *args, **kwargs):
+            built.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(explore_mod, "_Harness", Counted)
+    report = explore(ExploreConfig(engine="swdsm"))
+    assert not report.caught
+    assert len(built) == report.edges + 1
 
 
 # ---------------------------------------------------------------------------

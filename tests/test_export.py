@@ -8,12 +8,10 @@ from repro.apps import matmul
 from repro.bench import run_sweep
 from repro.metrics.export import (
     SCHEMA_VERSION,
-    run_result_to_dict,
     sweep_to_csv,
     sweep_to_dict,
     sweep_to_json,
 )
-from repro.params import MachineConfig
 
 
 def small_sweep():
@@ -61,14 +59,3 @@ def test_sweep_to_csv_is_parseable():
     total = int(rows[1][2])
     parts = sum(int(x) for x in rows[1][3:7])
     assert abs(parts - total) / total < 0.05
-
-
-def test_run_result_to_dict():
-    config = MachineConfig(total_processors=4, cluster_size=2)
-    run = matmul.run(config, matmul.MatmulParams(n=8, compute_per_mac=10))
-    data = run_result_to_dict(run.result)
-    assert data["schema_version"] == SCHEMA_VERSION
-    assert data["cluster_size"] == 2
-    assert data["total_time"] == run.total_time
-    assert set(data["breakdown"]) == {"user", "lock", "barrier", "mgs"}
-    json.dumps(data)  # must be JSON-serializable

@@ -116,7 +116,6 @@ def test_retransmit_backoff_doubles_up_to_cap():
 
 def test_transport_counters_exported():
     from repro.apps import jacobi
-    from repro.metrics import run_result_to_dict
 
     net = NetworkConfig(drop_rate=0.1)
     config = MachineConfig(
@@ -124,8 +123,7 @@ def test_transport_counters_exported():
     )
     run = jacobi.run(config, jacobi.JacobiParams(n=16, iterations=2))
     assert run.valid
-    exported = run_result_to_dict(run.result)
-    netstats = exported["network"]
+    netstats = run.result.network_stats
     assert netstats["reliable_transport"] is True
     assert netstats["drops"] > 0
     assert netstats["retransmits"] > 0

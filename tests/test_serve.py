@@ -85,6 +85,12 @@ def test_request_key_ignores_field_order_and_explicit_defaults():
         ({"workload": "jacobi", "network": {"nope": 1}},
          "unknown NetworkConfig"),
         ([], "JSON object"),
+        # an override the config's type check rejects, not the engine later
+        ({"workload": "jacobi", "overrides": {"options": None}},
+         "options must be a ProtocolOptions"),
+        ({"workload": "jacobi",
+          "overrides": {"options": {"single_writer_opt": False}}},
+         "options must be a ProtocolOptions"),
     ],
 )
 def test_invalid_requests_are_named_rejections(body, fragment):
