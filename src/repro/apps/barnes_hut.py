@@ -23,6 +23,7 @@ to the direct O(N^2) sum.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -105,7 +106,8 @@ class BarnesHutParams:
 
 class _SeqTree:
     """Sequential octree used by the golden run: the same insertion and
-    traversal rules the simulated workers follow."""
+    traversal rules the simulated workers follow, over plain floats
+    (positions and centers are 3-tuples, ``com`` a 3-list of sums)."""
 
     def __init__(self) -> None:
         self.nodes: list[dict] = []
@@ -115,8 +117,8 @@ class _SeqTree:
             {
                 "type": EMPTY,
                 "mass": 0.0,
-                "com": np.zeros(3),
-                "center": np.asarray(center, dtype=float),
+                "com": [0.0, 0.0, 0.0],
+                "center": tuple(center),
                 "half": half,
                 "children": [0] * 8,
                 "bodies": [],
@@ -132,14 +134,21 @@ class _SeqTree:
 
     def child_center(self, node, oct_no):
         quarter = node["half"] / 2.0
-        offs = np.array(
-            [
-                quarter if oct_no & 1 else -quarter,
-                quarter if oct_no & 2 else -quarter,
-                quarter if oct_no & 4 else -quarter,
-            ]
+        cx, cy, cz = node["center"]
+        return (
+            cx + (quarter if oct_no & 1 else -quarter),
+            cy + (quarter if oct_no & 2 else -quarter),
+            cz + (quarter if oct_no & 4 else -quarter),
         )
-        return node["center"] + offs
+
+    @staticmethod
+    def _accumulate(nd, m, p) -> None:
+        """Add a body of mass ``m`` at ``p`` to node ``nd``'s sums."""
+        nd["mass"] += m
+        com = nd["com"]
+        com[0] += m * p[0]
+        com[1] += m * p[1]
+        com[2] += m * p[2]
 
     def insert(self, root: int, b: int, pos, mass) -> None:
         node = root
@@ -150,8 +159,7 @@ class _SeqTree:
                 nd["bodies"] = [b]
                 return
             if nd["type"] == INTERNAL:
-                nd["mass"] += mass[b]
-                nd["com"] += mass[b] * pos[b]
+                self._accumulate(nd, mass[b], pos[b])
                 oct_no = self.octant(nd["center"], pos[b])
                 child = nd["children"][oct_no]
                 if child == 0:
@@ -172,8 +180,7 @@ class _SeqTree:
             nd["bodies"] = []
             nd["type"] = INTERNAL
             for rb in residents:
-                nd["mass"] += mass[rb]
-                nd["com"] += mass[rb] * pos[rb]
+                self._accumulate(nd, mass[rb], pos[rb])
                 oct_no = self.octant(nd["center"], pos[rb])
                 child = nd["children"][oct_no]
                 if child == 0:
@@ -185,28 +192,41 @@ class _SeqTree:
             # continue inserting b into this (now internal) node
 
 
-def _force_on(i, pos, mass, tree: "_SeqTree", root: int) -> np.ndarray:
-    acc = np.zeros(3)
+def _force_on(i, pos, mass, tree: "_SeqTree", root: int) -> tuple:
+    """Acceleration ``(ax, ay, az)`` on body ``i`` from a theta-criterion
+    walk of ``tree``; ``pos`` holds 3-tuples and ``mass`` floats."""
+    px, py, pz = pos[i]
+    ax = ay = az = 0.0
+    nodes = tree.nodes
     stack = [root]
     while stack:
-        nd = tree.nodes[stack.pop()]
+        nd = nodes[stack.pop()]
         if nd["type"] == LEAF:
             for b in nd["bodies"]:
                 if b == i:
                     continue
-                d = pos[b] - pos[i]
-                r2 = float(d @ d) + SOFTEN
-                acc += mass[b] * d / (r2 * np.sqrt(r2))
+                bx, by, bz = pos[b]
+                dx, dy, dz = bx - px, by - py, bz - pz
+                r2 = dx * dx + dy * dy + dz * dz + SOFTEN
+                s = r2 * math.sqrt(r2)
+                m = mass[b]
+                ax += m * dx / s
+                ay += m * dy / s
+                az += m * dz / s
         elif nd["type"] == INTERNAL:
-            com = nd["com"] / nd["mass"]
-            d = com - pos[i]
-            r = np.sqrt(float(d @ d)) + 1e-12
+            m = nd["mass"]
+            cx, cy, cz = nd["com"]
+            dx, dy, dz = cx / m - px, cy / m - py, cz / m - pz
+            r = math.sqrt(dx * dx + dy * dy + dz * dz) + 1e-12
             if (2.0 * nd["half"]) / r < THETA:
                 r2 = r * r + SOFTEN
-                acc += nd["mass"] * d / (r2 * np.sqrt(r2))
+                s = r2 * math.sqrt(r2)
+                ax += m * dx / s
+                ay += m * dy / s
+                az += m * dz / s
             else:
                 stack.extend(c for c in nd["children"] if c)
-    return acc
+    return ax, ay, az
 
 
 @lru_cache(maxsize=None)
@@ -218,15 +238,17 @@ def golden(params: BarnesHutParams):
     """
     pos, mass = params.initial_bodies()
     pos = pos.copy()
+    mass = mass.tolist()
     vel = np.zeros_like(pos)
     for _ in range(params.iterations):
+        points = [tuple(p) for p in pos.tolist()]
         tree = _SeqTree()
-        root = tree.new_node([0.5, 0.5, 0.5], 2.0)
+        root = tree.new_node((0.5, 0.5, 0.5), 2.0)
         tree.nodes[root]["type"] = INTERNAL
         for b in range(params.n_bodies):
-            tree.insert(root, b, pos, mass)
-        acc = np.stack(
-            [_force_on(i, pos, mass, tree, root) for i in range(params.n_bodies)]
+            tree.insert(root, b, points, mass)
+        acc = np.array(
+            [_force_on(i, points, mass, tree, root) for i in range(params.n_bodies)]
         )
         vel += acc * DT
         pos += vel * DT

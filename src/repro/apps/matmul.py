@@ -79,18 +79,18 @@ def build(rt: Runtime, params: MatmulParams):
         b_stride = n * WORD_BYTES
         for i in rows:
             a_base = arr_a.addr(i * row_stride)
-            a_addrs = tuple(a_base + k * WORD_BYTES for k in range(n))
             for j in range(n):
-                # One read_many per dot product: row i of A plus column
-                # j of B in one generator call; the n multiply-
-                # accumulates are one aggregated compute and one numpy
-                # dot.
+                # Each dot product reads row i of A as one block (a line
+                # walk) and then column j of B, a strided read_many; the
+                # n multiply-accumulates are one aggregated compute and
+                # one numpy dot.
+                row = yield from env.read_block(a_base, n)
                 b_addr = arr_b.addr(j)
-                vals = yield from env.read_many(
-                    a_addrs + tuple(b_addr + k * b_stride for k in range(n))
+                col = yield from env.read_many(
+                    range(b_addr, b_addr + n * b_stride, b_stride)
                 )
                 yield from env.compute(n * params.compute_per_mac)
-                acc = float(np.dot(vals[:n], vals[n:]))
+                acc = float(np.dot(row, col))
                 yield from env.write(arr_c.addr(i * row_stride + j), acc)
         yield from env.barrier()
 

@@ -46,15 +46,15 @@ sizes fit comfortably in Alewife's 64 KB SRAM, and the effects the paper
 studies — false sharing and multigrain locality — come from coherence
 misses, which are modeled.
 
-Hot-path note: every simulated word access lands in :meth:`CacheSystem.
-access`, so the common case — a hit — is resolved with one dict probe and
-an inline privilege check before the full classify-and-update runs.
-Statistics live in a fixed-slot integer list indexed by ``AccessClass``
-position (no ``Counter``/enum hashing per access); the ``stats`` property
-rebuilds the Counter view for reporting.  The runtime's ``Env``
-(``repro.runtime.env``) repeats that hit test on the cluster's line dict
-itself, adds its hits straight to the hit slot, and calls ``access``
-only on a miss; see ``docs/PERFORMANCE.md``.
+Hot-path note: the runtime's ``Env`` (``repro.runtime.env``) probes the
+cluster's line dict itself, takes hits there (adding them straight to
+the hit slot) and calls :meth:`CacheSystem.access` only on a miss,
+passing the entry it probed.  ``access`` then skips its own probe, and
+an absent line's entry is created directly in its final state, so a
+hardware miss costs one call and one dict probe.  Statistics live in a
+fixed-slot integer list indexed by ``AccessClass`` position (no
+``Counter``/enum hashing per access); the ``stats`` property rebuilds
+the Counter view for reporting.  See ``docs/PERFORMANCE.md``.
 """
 
 from __future__ import annotations
@@ -92,6 +92,9 @@ _REMOTE = _IDX[AccessClass.REMOTE]
 _TWO_PARTY = _IDX[AccessClass.TWO_PARTY]
 _THREE_PARTY = _IDX[AccessClass.THREE_PARTY]
 _SOFTWARE = _IDX[AccessClass.SOFTWARE]
+
+#: ``access``'s default ``state``: the caller did not probe the line
+_UNPROBED = object()
 
 
 class CacheSystem:
@@ -157,7 +160,13 @@ class CacheSystem:
         )
 
     def access(
-        self, cluster: int, pid: int, line: int, is_write: bool, home_pid: int
+        self,
+        cluster: int,
+        pid: int,
+        line: int,
+        is_write: bool,
+        home_pid: int,
+        state=_UNPROBED,
     ) -> int:
         """Perform one access and return its cycle cost.
 
@@ -168,89 +177,76 @@ class CacheSystem:
             line: global line index (address // line_size).
             is_write: store vs load.
             home_pid: processor whose memory hosts this cluster's frame.
+            state: the line's directory entry as the caller already
+                probed it (None when absent); omitted, it is probed here.
         """
-        directory = self._lines[cluster]
-        state = directory.get(line)
+        if state is _UNPROBED:
+            state = self._lines[cluster].get(line)
         if state is None:
-            # A new entry: index it under its page for page cleaning.
-            state = directory[line] = [-1, 0]
+            # An absent line is clean and unshared, so the access is a
+            # local or remote miss (``hw_dir_pointers >= 0``), and its
+            # entry is created in its final state and indexed under its
+            # page for page cleaning.
+            self._lines[cluster][line] = [pid, 0] if is_write else [-1, 1 << pid]
             self._pages[cluster][line // self._lines_per_page].append(line)
-        else:
-            # Inline hit check: sufficient privilege means no directory
-            # update, so the full classification can be skipped.
-            owner = state[0]
-            if (
-                owner == pid
-                if is_write
-                else owner == pid or (owner == -1 and state[1] >> pid & 1)
-            ):
-                self._counts[_HIT] += 1
-                return self.hit_cost
-        i = self._classify_and_update(state, pid, is_write, home_pid)
-        self._counts[i] += 1
-        return self._cost_of[i]
-
-    def _classify_and_update(
-        self, state: list, pid: int, is_write: bool, home_pid: int
-    ) -> int:
-        """Class of one access to the directory entry ``state`` (created
-        by the caller when the line was absent), updating it in place."""
-        owner, mask = state
-
-        if is_write:
+            i = _LOCAL if home_pid == pid else _REMOTE
+        elif is_write:
+            owner, mask = state
             if owner == pid:
-                return _HIT
-            if owner != -1:
+                i = _HIT
+            elif owner != -1:
                 # Dirty in another cache: fetch-exclusive, owner writes
-                # back.  The issuer and owner differ here (same-owner
-                # writes returned HIT above), so the transaction stays
-                # 2-party exactly when the home node is one of them.
-                klass = (
+                # back.  Issuer and owner differ, so the transaction
+                # stays 2-party exactly when the home node is one of
+                # them.
+                i = (
                     _TWO_PARTY
                     if home_pid == pid or home_pid == owner
                     else _THREE_PARTY
                 )
             elif mask.bit_count() > self._hw_ptrs:
-                klass = _SOFTWARE
+                i = _SOFTWARE
+            # Otherwise invalidate the shared copies; the cost scales
+            # with the parties involved.  ``others`` holds the sharers
+            # but the issuer.
+            elif not (others := mask & ~(1 << pid)):
+                i = _LOCAL if home_pid == pid else _REMOTE
+            elif others & (others - 1):
+                # more than one invalidation target
+                i = _THREE_PARTY
             else:
-                # Invalidate shared copies; cost scales with the parties
-                # involved.  ``others`` holds the sharers but the issuer.
-                others = mask & ~(1 << pid)
-                if not others:
-                    klass = _LOCAL if home_pid == pid else _REMOTE
-                elif others & (others - 1):
-                    # more than one invalidation target
-                    klass = _THREE_PARTY
-                else:
-                    # One target: 2-party when the issuer or the
-                    # target is the home node.
-                    klass = (
-                        _TWO_PARTY
-                        if home_pid == pid or others == 1 << home_pid
-                        else _THREE_PARTY
-                    )
+                # One target: 2-party when the issuer or the target is
+                # the home node.
+                i = (
+                    _TWO_PARTY
+                    if home_pid == pid or others == 1 << home_pid
+                    else _THREE_PARTY
+                )
+            # A hit leaves the entry as it was: owned, with no sharers.
             state[0] = pid
             state[1] = 0
-            return klass
-
-        # Load.
-        if owner == pid or (owner == -1 and mask >> pid & 1):
-            return _HIT
-        if owner != -1:
-            # Issuer and owner differ (same-owner loads are hits), so
-            # 2-party exactly when the home node is one of them.
-            klass = (
-                _TWO_PARTY
-                if home_pid == pid or home_pid == owner
-                else _THREE_PARTY
-            )
-            state[1] = 1 << pid | 1 << owner
-            state[0] = -1
-            return klass
-        state[1] = mask | 1 << pid
-        if mask.bit_count() > self._hw_ptrs:
-            return _SOFTWARE
-        return _LOCAL if home_pid == pid else _REMOTE
+        else:
+            owner, mask = state
+            if owner == pid or (owner == -1 and mask >> pid & 1):
+                i = _HIT
+            elif owner != -1:
+                # Issuer and owner differ (same-owner loads are hits),
+                # so 2-party exactly when the home node is one of them.
+                i = (
+                    _TWO_PARTY
+                    if home_pid == pid or home_pid == owner
+                    else _THREE_PARTY
+                )
+                state[0] = -1
+                state[1] = 1 << pid | 1 << owner
+            else:
+                state[1] = mask | 1 << pid
+                if mask.bit_count() > self._hw_ptrs:
+                    i = _SOFTWARE
+                else:
+                    i = _LOCAL if home_pid == pid else _REMOTE
+        self._counts[i] += 1
+        return self._cost_of[i]
 
     def flush_page(self, cluster: int, vpn: int) -> None:
         """Drop all line state of page ``vpn`` in ``cluster`` (page

@@ -19,6 +19,8 @@ Two dataclasses are exported:
 
 from __future__ import annotations
 
+import types
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 __all__ = [
@@ -27,6 +29,7 @@ __all__ = [
     "NetworkConfig",
     "ProtocolOptions",
     "UnknownFieldError",
+    "check_field_types",
     "dataclass_from_dict",
     "network_config_from_dict",
     "cost_model_from_dict",
@@ -192,6 +195,8 @@ class MachineConfig:
             raise ValueError("intra_wire_latency must be >= 0")
         if self.control_msg_bytes < 1:
             raise ValueError("control_msg_bytes must be >= 1")
+        if self.hw_dir_pointers < 0:
+            raise ValueError("hw_dir_pointers must be >= 0")
         if not isinstance(self.protocol, str) or not self.protocol:
             raise ValueError("protocol must be a non-empty engine name")
         for name, cls in (("network", NetworkConfig), ("options", ProtocolOptions)):
@@ -356,12 +361,40 @@ class UnknownFieldError(ValueError):
         )
 
 
+def _scalar_ok(hint, value) -> bool:
+    """Whether ``value`` fits the scalar annotation ``hint``: a bool is
+    not an int, an int is fine for a float, and a ``T | None`` field
+    takes None.  Other annotations accept anything."""
+    if isinstance(hint, types.UnionType):
+        return any(_scalar_ok(h, value) for h in hint.__args__)
+    if hint is type(None):
+        return value is None
+    if hint is bool or hint is str:
+        return isinstance(value, hint)
+    if hint is int:
+        return isinstance(value, int) and not isinstance(value, bool)
+    if hint is float:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return True
+
+
+def check_field_types(cls, d: dict) -> None:
+    """Raise ``TypeError`` for a value of ``d`` whose type does not match
+    the scalar annotation of the ``cls`` field it names."""
+    hints = typing.get_type_hints(cls)
+    for name, value in d.items():
+        if not _scalar_ok(hints[name], value):
+            hint = getattr(hints[name], "__name__", hints[name])
+            raise TypeError(f"{cls.__name__}.{name} must be {hint}, got {value!r}")
+
+
 def dataclass_from_dict(cls, d: dict):
-    """Build dataclass ``cls`` from ``d``, rejecting unknown keys.
+    """Build dataclass ``cls`` from ``d``, rejecting unknown keys and
+    values whose type does not match a scalar field's annotation.
 
     Raises :class:`UnknownFieldError` on unknown keys and ``TypeError``
-    when ``d`` is not a dict; the dataclass's own ``__post_init__``
-    performs value validation.
+    when ``d`` is not a dict or a value has the wrong type; the
+    dataclass's own ``__post_init__`` performs value validation.
     """
     if not isinstance(d, dict):
         raise TypeError(f"{cls.__name__} wants a dict, got {type(d).__name__}")
@@ -369,6 +402,7 @@ def dataclass_from_dict(cls, d: dict):
     unknown = [k for k in d if k not in names]
     if unknown:
         raise UnknownFieldError(cls, unknown)
+    check_field_types(cls, d)
     return cls(**d)
 
 

@@ -33,10 +33,12 @@ operation is one lean body that probes the machine's state directly: the
 processor's TLB map, the frame's page array and owner (the home copy at
 C == P), and the cluster's hardware line directory, whose hit test it
 repeats inline so that it calls :meth:`CacheSystem.access` only on a
-miss.  Nothing is kept between operations, so a suspension point (fault,
-pause, lock, unlock, barrier) leaves nothing stale behind.  The word
-that pauses returns its value from the page array it read before the
-pause, because the frame's data may be replaced while the thread waits.
+miss, handing it the directory entry it probed (None for an absent
+line) so that ``access`` probes nothing again.  Nothing is kept between
+operations, so a suspension point (fault, pause, lock, unlock, barrier)
+leaves nothing stale behind.  The word that pauses returns its value
+from the page array it read before the pause, because the frame's data
+may be replaced while the thread waits.
 
 Blocks
 ------
@@ -44,10 +46,10 @@ Blocks
 ``read_many`` is a loop of the per-word read.  ``read_block`` and
 ``write_block`` hand each mapped page's words to one line walk
 (:meth:`Env._walk`): it gives each line the per-word hit test, calls
-:meth:`CacheSystem.access` once at a missing line's first word, charges
-every other word as a hit in closed form, and stops at the word that
-crosses the quantum.  They re-probe the TLB at every page and after
-every pause.  ``RunOptions(fastpath=False)`` (or
+:meth:`CacheSystem.access` once at a missing line's first word (with
+the entry it probed), charges every other word as a hit in closed form,
+and stops at the word that crosses the quantum.  They re-probe the TLB
+at every page and after every pause.  ``RunOptions(fastpath=False)`` (or
 ``REPRO_NO_FASTPATH=1``) turns the two block operations into plain loops
 of the per-word body, the reference they are pinned against bit for bit
 (``tests/test_fastpath.py``, ``tests/test_golden_equivalence.py``).  See
@@ -204,14 +206,14 @@ class Env:
         quantum.
 
         Each line gets the per-word hit test; a missing line goes to
-        :meth:`CacheSystem.access` once, at its first word, after which
-        its other words hit.  Every word costs ``whit`` (translation
-        plus hit) and a miss adds its surcharge over a hit, so the
-        crossing word — the first whose running charge exceeds
-        ``limit`` — is found in closed form, and recomputed only after a
-        miss.  Counts the hit words and returns ``(words, charge,
-        paused)``: the words charged, their charge, and whether the last
-        of them crossed the quantum.
+        :meth:`CacheSystem.access` once, with its probed entry, at its
+        first word, after which its other words hit.  Every word costs
+        ``whit`` (translation plus hit) and a miss adds its surcharge
+        over a hit, so the crossing word — the first whose running
+        charge exceeds ``limit`` — is found in closed form, and
+        recomputed only after a miss.  Counts the hit words and returns
+        ``(words, charge, paused)``: the words charged, their charge,
+        and whether the last of them crossed the quantum.
         """
         line_size = self._line_size
         wpl = line_size // WORD_BYTES
@@ -253,7 +255,7 @@ class Env:
             j = (line - first) * wpl - first_word  # the miss's word
             if j < 0:
                 j = 0
-            cost = self._cache.access(self.cluster, pid, line, write, owner)
+            cost = self._cache.access(self.cluster, pid, line, write, owner, state)
             extra += cost - self._hit_cost
             misses += 1
             charge = (j + 1) * whit + extra
@@ -293,7 +295,7 @@ class Env:
             self._cache_counts[0] += 1
             cost += self._hit_cost
         else:
-            cost += self._cache.access(self.cluster, pid, line, False, owner)
+            cost += self._cache.access(self.cluster, pid, line, False, owner, state)
         t.time += cost
         t.user += cost
         if t.time - t.last_yield > self._quantum:
@@ -322,7 +324,9 @@ class Env:
             self._cache_counts[0] += 1
             cost += self._hit_cost
         else:
-            cost += self._cache.access(self.cluster, self.pid, line, True, owner)
+            cost += self._cache.access(
+                self.cluster, self.pid, line, True, owner, state
+            )
         t.time += cost
         t.user += cost
         data[(addr % self._page_size) // WORD_BYTES] = value

@@ -477,6 +477,10 @@ class Runtime:
 
     def _resume(self, t: ThreadContext, value=None) -> None:
         self._absorb_stolen(t)
+        self._step(t, value)
+
+    def _step(self, t: ThreadContext, value=None) -> None:
+        """Run the thread to its next request and dispatch it."""
         try:
             req = t.gen.send(value)
         except StopIteration:
@@ -505,7 +509,7 @@ class Runtime:
         setattr(t, bucket, getattr(t, bucket) + elapsed)
         self._discard_stolen(t)
         t.last_yield = now
-        self._resume(t, None)
+        self._step(t, None)
 
     def _wake_acquire(self, t: ThreadContext, bucket: str) -> None:
         """Wake after a lock grant / barrier departure, running the

@@ -26,11 +26,14 @@ one dict, :attr:`JobRequest.machine`, which is ``run_sweep``'s
 
 Validation is strict and reuses the :mod:`repro.params` machinery:
 nested objects go through ``dataclass_from_dict``, which rejects unknown
-fields with the full list of known ones, and ``overrides`` may only name
-:class:`~repro.params.MachineConfig` fields the sweep itself does not
-control.  Every accepted request canonicalizes to a deterministic JSON
-form whose SHA-256 is the request key — the identity the daemon uses to
-coalesce identical in-flight submissions onto one computation.
+fields with the full list of known ones and scalar values of the wrong
+type.  ``overrides`` may only name :class:`~repro.params.MachineConfig`
+fields the sweep itself does not control, its scalar values are
+type-checked the same way, and its ``options`` object decodes to a
+:class:`~repro.params.ProtocolOptions` as a nested object does.  Every
+accepted request canonicalizes to a deterministic JSON form whose
+SHA-256 is the request key — the identity the daemon uses to coalesce
+identical in-flight submissions onto one computation.
 """
 
 from __future__ import annotations
@@ -47,6 +50,8 @@ from repro.params import (
     CostModel,
     MachineConfig,
     NetworkConfig,
+    ProtocolOptions,
+    check_field_types,
     cost_model_from_dict,
     dataclass_from_dict,
     network_config_from_dict,
@@ -122,7 +127,14 @@ class JobRequest:
                 if self.network is None
                 else dataclasses.asdict(self.network)
             ),
-            "overrides": dict(sorted(self.overrides.items())),
+            "overrides": {
+                name: (
+                    dataclasses.asdict(value)
+                    if dataclasses.is_dataclass(value)
+                    else value
+                )
+                for name, value in sorted(self.overrides.items())
+            },
             "protocol": self.protocol,
         }
 
@@ -227,6 +239,16 @@ def validate_request(body: Any) -> JobRequest:
             f"overrides may not set {bad}; "
             f"allowed MachineConfig fields: {allowed}"
         )
+    overrides = dict(overrides)
+    try:
+        check_field_types(MachineConfig, overrides)
+        if isinstance(overrides.get("options"), dict):
+            # Any other value is left to MachineConfig's own type check.
+            overrides["options"] = dataclass_from_dict(
+                ProtocolOptions, overrides["options"]
+            )
+    except (TypeError, ValueError) as exc:
+        raise RequestError(str(exc)) from None
 
     sizes = body.get("sizes")
     if sizes is None:
@@ -245,7 +267,7 @@ def validate_request(body: Any) -> JobRequest:
         inter_ssmp_delay=inter_ssmp_delay,
         costs=costs,
         network=network,
-        overrides=dict(overrides),
+        overrides=overrides,
         protocol=protocol,
     )
     # Construct every point's MachineConfig now, so an unsatisfiable

@@ -205,3 +205,13 @@ def test_paper_apps_fast_and_slow_full_state_identical(app, engine):
     assert digest(_plain(fast)) == GOLDEN_STATE[engine][app], (
         f"{engine}/{app}: full run state moved from its golden digest"
     )
+
+
+def test_barnes_hut_float_golden_matches_simulated_run():
+    """The plain-float sequential reference lands on the simulated
+    positions to rounding, far inside the app's 1e-6 validity bound."""
+    _, params = PAPER_APPS["barnes_hut"]
+    config = MachineConfig(total_processors=4, cluster_size=2)
+    run = barnes_hut.run(config, params, options=RunOptions(replay=False))
+    assert run.valid
+    assert run.max_error < 1e-12

@@ -223,6 +223,50 @@ def test_mask_directory_matches_set_reference(trace):
     assert cache.state() == ref.state()
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    trace=sharing_traces(),
+    ptrs=st.sampled_from([0, 1, 5]),
+    inline_hit=st.booleans(),
+)
+@example(trace=_BOUNDARY_TRACE, ptrs=0, inline_hit=True)
+@example(trace=_BOUNDARY_TRACE, ptrs=1, inline_hit=False)
+@example(trace=_BOUNDARY_TRACE, ptrs=5, inline_hit=True)
+def test_probed_access_matches_set_reference(trace, ptrs, inline_hit):
+    """``access`` given the entry its caller probed charges what the
+    set-based classifier charges.  With ``inline_hit`` the caller takes
+    hits itself and passes only misses, as ``Env`` does; without it
+    every access goes through ``access`` with its probed entry."""
+    nprocs, clusters, ops = trace
+    config = MachineConfig(
+        total_processors=nprocs * clusters,
+        cluster_size=nprocs,
+        hw_dir_pointers=ptrs,
+    )
+    cache = CacheSystem(config, COSTS)
+    ref = _SetDirectory(config)
+    cost_of = cache._cost_of
+    for cluster, local_pid, line, is_write, home in ops:
+        pid = cluster * nprocs + local_pid
+        home_pid = cluster * nprocs + home
+        expected = cost_of[ref.access(cluster, pid, line, is_write, home_pid)]
+        state = cache._lines[cluster].get(line)
+        if inline_hit and state is not None and (
+            state[0] == pid
+            or not is_write and state[0] == -1 and state[1] >> pid & 1
+        ):
+            cache._counts[0] += 1
+            cost = cache.hit_cost
+        else:
+            cost = cache.access(cluster, pid, line, is_write, home_pid, state)
+        assert cost == expected
+    assert cache._counts == ref.counts
+    assert cache.state() == ref.state()
+    for c in range(clusters):
+        index = sorted(line for lines in cache._pages[c].values() for line in lines)
+        assert index == sorted(cache._lines[c])
+
+
 # ---------------------------------------------------------------------------
 # differential: page cleaning through the page index against the
 # full-range flush that probed every line of the page

@@ -36,6 +36,13 @@ def test_page_must_be_multiple_of_line():
         MachineConfig(page_size=1000, line_size=16)
 
 
+def test_negative_hw_dir_pointers_rejected():
+    # At -1 every hardware miss would read as software-serviced.
+    with pytest.raises(ValueError, match="hw_dir_pointers"):
+        MachineConfig(hw_dir_pointers=-1)
+    assert MachineConfig(hw_dir_pointers=0).hw_dir_pointers == 0
+
+
 def test_with_cluster_size_preserves_other_fields():
     config = MachineConfig(
         total_processors=16, cluster_size=16, inter_ssmp_delay=777

@@ -20,6 +20,7 @@ import pytest
 
 from repro.bench.cache import RunCache
 from repro.metrics.export import SCHEMA_VERSION
+from repro.params import ProtocolOptions
 from repro.serve.client import ServeClient, ServeError
 from repro.serve.daemon import ServeDaemon
 from repro.serve.jobs import JobQueue, execute_job
@@ -88,9 +89,23 @@ def test_request_key_ignores_field_order_and_explicit_defaults():
         # an override the config's type check rejects, not the engine later
         ({"workload": "jacobi", "overrides": {"options": None}},
          "options must be a ProtocolOptions"),
-        ({"workload": "jacobi",
-          "overrides": {"options": {"single_writer_opt": False}}},
+        ({"workload": "jacobi", "overrides": {"options": "fast"}},
          "options must be a ProtocolOptions"),
+        ({"workload": "jacobi",
+          "overrides": {"options": {"warp_drive": True}}},
+         "unknown ProtocolOptions"),
+        ({"workload": "jacobi",
+          "overrides": {"options": {"single_writer_opt": 1}}},
+         "single_writer_opt must be bool"),
+        # scalar fields are type-checked against their annotations
+        ({"workload": "jacobi", "params": {"n": "big"}}, "n must be int"),
+        ({"workload": "jacobi", "params": {"n": True}}, "n must be int"),
+        ({"workload": "jacobi", "costs": {"cache_hit": 2.5}},
+         "cache_hit must be int"),
+        ({"workload": "jacobi", "network": {"reliable": 1}},
+         "reliable must be bool | None"),
+        ({"workload": "jacobi", "overrides": {"page_size": 2048.0}},
+         "page_size must be int"),
     ],
 )
 def test_invalid_requests_are_named_rejections(body, fragment):
@@ -103,6 +118,26 @@ def test_overrides_participate_in_config_and_key():
     paged = validate_request({**JACOBI, "overrides": {"page_size": 2048}})
     assert plain.key != paged.key
     assert paged.point_config(2).page_size == 2048
+
+
+def test_protocol_options_override_is_decoded_and_keyed():
+    plain = validate_request(dict(JACOBI))
+    body = {**JACOBI, "overrides": {"options": {"single_writer_opt": False}}}
+    opts = validate_request(body)
+    assert opts.key != plain.key
+    assert opts.key == validate_request(body).key
+    assert opts.canonical()["overrides"]["options"] == {
+        "single_writer_opt": False,
+        "fast_read_clean": False,
+    }
+    assert opts.point_config(2).options == ProtocolOptions(single_writer_opt=False)
+
+
+def test_scalar_type_check_lets_an_int_stand_for_a_float():
+    request = validate_request(
+        {**JACOBI, "network": {"bus_bandwidth": 2, "reliable": None}}
+    )
+    assert request.network.bus_bandwidth == 2
 
 
 def test_protocol_field_participates_in_config_and_key():
@@ -363,9 +398,9 @@ def test_result_before_completion_is_409(tmp_path):
 
 def test_failed_job_reports_error(daemon):
     client = _client(daemon)
-    # Dataclasses don't type-check: n="big" passes validation but blows
-    # up at execution — which must fail the job, not the daemon.
-    job = client.submit("jacobi", params={"n": "big", "iterations": 1},
+    # Zero iterations pass validation but raise in spawn_phases at
+    # execution — which must fail the job, not the daemon.
+    job = client.submit("jacobi", params={"iterations": 0},
                         total_processors=4, sizes=[1])
     deadline = time.monotonic() + 60
     while client.status(job["id"])["state"] not in ("done", "failed"):
