@@ -49,10 +49,21 @@ ALL_APPS = {
 #: workloads of ours, not the paper's — excluded from Table 4 coverage
 SYNTHETIC_APPS = frozenset({"scanphase"})
 
+
+def default_params(module):
+    """The app module's own default parameters, its ``*Params()``
+    (e.g. ``JacobiParams()``): what its ``run`` simulates for None."""
+    for name in module.__all__:
+        if name.endswith("Params"):
+            return getattr(module, name)()
+    raise LookupError(f"{module.__name__} exports no Params dataclass")
+
+
 __all__ = [
     "AppRun",
     "ALL_APPS",
     "SYNTHETIC_APPS",
+    "default_params",
     "jacobi",
     "matmul",
     "tsp",

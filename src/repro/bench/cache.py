@@ -17,7 +17,9 @@ Key derivation
 * a **source fingerprint** — SHA-256 over every ``*.py`` file under
   ``src/repro/`` (path + contents), so *any* change to the simulator,
   protocol, apps, or cost plumbing invalidates the entire cache;
-* the workload module name and its parameter dataclass;
+* the workload module name and its parameter dataclass — the params
+  that run: ``run_sweep`` resolves ``params=None`` to the app's
+  defaults (:func:`repro.apps.default_params`) before keying;
 * ``MachineConfig`` (including the nested ``NetworkConfig`` and
   ``ProtocolOptions``), the ``CostModel``, and the runtime quantum.
 

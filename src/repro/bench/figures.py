@@ -8,9 +8,10 @@ EXPERIMENTS.md records the outcomes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.apps import ALL_APPS, default_params
 from repro.apps import barnes_hut, jacobi, matmul, tsp, water, water_kernel
 from repro.bench.cache import RunCache
 from repro.bench.report import render_breakdown_figure, render_metrics
@@ -55,35 +56,32 @@ FIGURES = {
 }
 
 
+#: the size field each app's ``scale`` multiplies
+_SCALED = {"jacobi": "n", "matmul": "n", "tsp": "ncities", "water": "n_molecules",
+           "barnes-hut": "n_bodies", "water-kernel": "n_molecules"}
+
+
 def bench_params(app: str, scale: int | None = None) -> Any:
-    """Default problem sizes for the benchmark harness.
+    """Default problem sizes for the benchmark harness: the app's own
+    defaults (:func:`~repro.apps.default_params`), grown by ``scale``.
 
     ``scale`` (None: ``RunOptions.from_env().scale``, i.e.
     ``REPRO_SCALE``) grows the sizes toward the paper's (which are 8-16x
     larger; see DESIGN.md section 6 for the mapping).
     """
     s = RunOptions.from_env().scale if scale is None else scale
-    if app == "jacobi":
-        return jacobi.JacobiParams(n=64 * s, iterations=10)
-    if app == "matmul":
-        return matmul.MatmulParams(n=32 * s)
+    if app == "water-kernel-opt":
+        return replace(bench_params("water-kernel", s), optimized=True)
+    if app not in _SCALED:
+        raise KeyError(f"unknown app {app!r}")
+    base = default_params(ALL_APPS[app])
     if app == "tsp":
         # The search tree, and so the path-element pool it allocates,
-        # grows about tenfold per city; 9 cities keep the 20000 that
-        # fixes the scale-1 memory layout.
-        ncities = min(11, 8 + s)
-        return tsp.TSPParams(
-            ncities=ncities, pool_size=20000 * 10 ** max(0, ncities - 9)
-        )
-    if app == "water":
-        return water.WaterParams(n_molecules=67 * s, iterations=2)
-    if app == "barnes-hut":
-        return barnes_hut.BarnesHutParams(n_bodies=96 * s, iterations=3)
-    if app == "water-kernel":
-        return water_kernel.WaterKernelParams(n_molecules=256 * s, optimized=False)
-    if app == "water-kernel-opt":
-        return water_kernel.WaterKernelParams(n_molecules=256 * s, optimized=True)
-    raise KeyError(f"unknown app {app!r}")
+        # grows about tenfold per city past the default's.
+        ncities = min(11, base.ncities - 1 + s)
+        grow = 10 ** max(0, ncities - base.ncities)
+        return replace(base, ncities=ncities, pool_size=base.pool_size * grow)
+    return replace(base, **{_SCALED[app]: getattr(base, _SCALED[app]) * s})
 
 
 def run_figure(

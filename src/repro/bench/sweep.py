@@ -19,6 +19,7 @@ import functools
 import importlib
 from typing import Any
 
+from repro.apps import default_params
 from repro.apps.common import check_valid
 from repro.bench.cache import (
     RunCache,
@@ -110,6 +111,9 @@ def run_sweep(
 
     Every point validates the application output against its sequential
     golden run, so a sweep doubles as a protocol correctness check.
+    ``params`` None runs the app's defaults (:func:`~repro.apps
+    .default_params`), and the points are keyed by those, so a sweep
+    that names them and one that does not share every cache entry.
 
     ``options`` says how to execute every point (fast paths, replay,
     run cache, worker count); None resolves the ``REPRO_*``
@@ -140,6 +144,8 @@ def run_sweep(
     """
     if options is None:
         options = RunOptions.from_env()
+    if params is None:
+        params = default_params(app_module)
     machine = overrides or {}
     engine = machine.get("protocol", "mgs")
     if sizes is None:

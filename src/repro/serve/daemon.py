@@ -90,9 +90,15 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def read_body(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        if length > MAX_BODY_BYTES:
-            raise RequestError(f"request body over {MAX_BODY_BYTES} bytes")
+        header = self.headers.get("Content-Length") or "0"
+        length = int(header) if header.isdecimal() else -1
+        if not 0 <= length <= MAX_BODY_BYTES:
+            # The body stays unread: the connection cannot carry another request.
+            self.close_connection = True
+            raise RequestError(
+                f"request body over {MAX_BODY_BYTES} bytes" if length > 0
+                else f"Content-Length must be a byte count, got {header!r}"
+            )
         raw = self.rfile.read(length) if length else b""
         if not raw:
             raise RequestError("request body must be a JSON object")
@@ -133,7 +139,7 @@ class _Handler(BaseHTTPRequestHandler):
             {
                 "schema_version": SCHEMA_VERSION,
                 "id": job.id,
-                "request": job.request.canonical(),
+                "request": job.request.body,
                 "sweep": sweep_to_dict(job.sweep),
                 "cache": job.cache.summary(),
             },

@@ -4,11 +4,12 @@ A job is one validated sweep request (:class:`~repro.serve.validate
 .JobRequest`) plus its execution state.  The queue provides:
 
 * **Single-flight deduplication** — submissions are keyed by the
-  request's canonical SHA-256; an identical request arriving while the
-  first is queued or running coalesces onto that job instead of
-  simulating twice.  (A resubmission *after* completion gets a fresh
-  job: it runs through the shared content-addressed run cache, so it
-  still simulates nothing — and its per-job hit counters prove it.)
+  SHA-256 over their points' run-cache keys; a request that simulates
+  the same points, arriving while the first is queued or running,
+  coalesces onto that job instead of simulating twice.  (A
+  resubmission *after* completion gets a fresh job: it runs through
+  the shared content-addressed run cache, so it still simulates
+  nothing — and its per-job hit counters prove it.)
 * **FIFO dispatch** — one dispatcher thread runs queued jobs in the
   order they were submitted.
 * **Per-job cache counters** — every job executes against its own
@@ -16,16 +17,18 @@ A job is one validated sweep request (:class:`~repro.serve.validate
   store, so ``GET /v1/jobs/<id>`` reports exactly how much of that job
   was simulated versus served from cache.
 * **Queue persistence** — a graceful shutdown drains the running job
-  and writes the still-queued requests to ``serve_queue.json`` in the
-  cache directory; the next daemon start re-enqueues them.
+  and writes the still-queued submitted bodies to ``serve_queue.json``
+  in the cache directory; the next daemon start validates and
+  re-enqueues them.
 
 Execution chunks the request's cluster sizes into groups of the
 daemon's worker count and runs each group through
 :func:`repro.bench.sweep.run_sweep` on the request's machine
-(:attr:`~repro.serve.validate.JobRequest.machine`, the dict validation
-already built every point's config from) — the bounded process pool,
-the cache hit path, and the byte-identical collection order are all the
-sweep engine's own; progress ticks per completed group.
+(:attr:`~repro.serve.validate.JobRequest.overrides`, the dict
+validation already built every point's config and run-cache key from)
+— the bounded process pool, the cache hit path, and the byte-identical
+collection order are all the sweep engine's own; progress ticks per
+completed group.
 """
 
 from __future__ import annotations
@@ -208,9 +211,9 @@ class JobQueue:
         return self.cache_root / QUEUE_STATE_FILE
 
     def persist(self) -> int:
-        """Write still-queued requests to disk; returns how many."""
+        """Write still-queued submitted bodies to disk; returns how many."""
         with self._lock:
-            pending = [j.request.canonical() for j in self._queued]
+            pending = [j.request.body for j in self._queued]
         state = {"queue_state_schema": QUEUE_STATE_SCHEMA, "queue": pending}
         publish(
             self.state_path,
@@ -272,7 +275,7 @@ def execute_job(
             costs=request.costs,
             jobs=jobs,
             cache=job.cache,
-            overrides=request.machine,
+            overrides=request.overrides,
             options=options,
         )
         points.extend(sweep.points)
@@ -282,5 +285,5 @@ def execute_job(
         app=app_name or request.workload,
         total_processors=request.total_processors,
         points=points,
-        protocol=request.protocol,
+        protocol=request.overrides["protocol"],
     )

@@ -21,7 +21,7 @@ experimental platform, exactly as :func:`repro.bench.sweep.run_sweep`
 does, so a bare ``{"workload": "water"}`` reproduces the CLI's
 ``sweep water`` bit-for-bit.  ``inter_ssmp_delay``, ``network``,
 ``protocol`` and ``overrides`` together name the machine: they fold into
-one dict, :attr:`JobRequest.machine`, which is ``run_sweep``'s
+one dict, :attr:`JobRequest.overrides`, which is ``run_sweep``'s
 ``overrides`` both when a submission is checked and when its job runs.
 
 Validation is strict and reuses the :mod:`repro.params` machinery:
@@ -30,33 +30,37 @@ fields with the full list of known ones and scalar values of the wrong
 type.  ``overrides`` may only name :class:`~repro.params.MachineConfig`
 fields the sweep itself does not control, its scalar values are
 type-checked the same way, and its ``options`` object decodes to a
-:class:`~repro.params.ProtocolOptions` as a nested object does.  Every
-accepted request canonicalizes to a deterministic JSON form whose
-SHA-256 is the request key — the identity the daemon uses to coalesce
-identical in-flight submissions onto one computation.
+:class:`~repro.params.ProtocolOptions` as a nested object does.
+
+Every point's ``MachineConfig`` is built at submission, and with it the
+point's run-cache key (:func:`~repro.bench.cache.fingerprint_run`).  The
+request key is the SHA-256 over those keys in order: two submissions
+that simulate the same points share it however they spell them
+(omitted or explicit defaults, field order), and that is the identity
+the daemon uses to coalesce identical in-flight submissions onto one
+computation.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 from dataclasses import dataclass, fields
 from typing import Any
 
-from repro.apps import ALL_APPS
+from repro.apps import ALL_APPS, default_params
+from repro.bench.cache import fingerprint_run
 from repro.core.engine import engine_names
 from repro.metrics import cluster_sizes
 from repro.params import (
     CostModel,
     MachineConfig,
-    NetworkConfig,
     ProtocolOptions,
     check_field_types,
     cost_model_from_dict,
     dataclass_from_dict,
     network_config_from_dict,
 )
-from repro.runtime.store import canonical_json
+from repro.runtime import DEFAULT_QUANTUM
 
 __all__ = ["RequestError", "JobRequest", "PARAM_CLASSES", "validate_request"]
 
@@ -65,16 +69,8 @@ class RequestError(ValueError):
     """A submission failed validation (HTTP 400)."""
 
 
-def _params_class(module) -> type:
-    """The app module's frozen ``*Params`` dataclass (e.g. JacobiParams)."""
-    for name in module.__all__:
-        if name.endswith("Params"):
-            return getattr(module, name)
-    raise LookupError(f"{module.__name__} exports no Params dataclass")
-
-
 #: workload name -> its parameter dataclass, derived from the registry
-PARAM_CLASSES = {name: _params_class(mod) for name, mod in ALL_APPS.items()}
+PARAM_CLASSES = {name: type(default_params(mod)) for name, mod in ALL_APPS.items()}
 
 #: top-level request fields (anything else is rejected)
 _REQUEST_FIELDS = (
@@ -99,72 +95,20 @@ _RESERVED_CONFIG_FIELDS = frozenset(
 
 @dataclass(frozen=True)
 class JobRequest:
-    """One validated, canonicalized sweep submission."""
+    """One validated sweep submission: ``run_sweep``'s arguments, the
+    submitted ``body`` and the request ``key``."""
 
     workload: str
     params: Any
     total_processors: int
     sizes: tuple[int, ...]
-    inter_ssmp_delay: int
     costs: CostModel | None
-    network: NetworkConfig | None
+    #: every ``MachineConfig`` field the request sets, the top-level
+    #: ``inter_ssmp_delay``, ``network`` and ``protocol`` included
     overrides: dict[str, Any]
-    protocol: str
-
-    def canonical(self) -> dict:
-        """The deterministic JSON form (defaults applied, keys sorted)."""
-        return {
-            "workload": self.workload,
-            "params": dataclasses.asdict(self.params),
-            "total_processors": self.total_processors,
-            "sizes": list(self.sizes),
-            "inter_ssmp_delay": self.inter_ssmp_delay,
-            "costs": (
-                None if self.costs is None else dataclasses.asdict(self.costs)
-            ),
-            "network": (
-                None
-                if self.network is None
-                else dataclasses.asdict(self.network)
-            ),
-            "overrides": {
-                name: (
-                    dataclasses.asdict(value)
-                    if dataclasses.is_dataclass(value)
-                    else value
-                )
-                for name, value in sorted(self.overrides.items())
-            },
-            "protocol": self.protocol,
-        }
-
-    @property
-    def key(self) -> str:
-        """SHA-256 of the canonical form: the single-flight identity."""
-        return hashlib.sha256(
-            canonical_json(self.canonical()).encode()
-        ).hexdigest()
-
-    @property
-    def machine(self) -> dict[str, Any]:
-        """The ``MachineConfig`` fields this request sets: the
-        ``overrides`` of the ``run_sweep`` its job runs."""
-        machine = {
-            **self.overrides,
-            "inter_ssmp_delay": self.inter_ssmp_delay,
-            "protocol": self.protocol,
-        }
-        if self.network is not None:
-            machine["network"] = self.network
-        return machine
-
-    def point_config(self, cluster_size: int) -> MachineConfig:
-        """The MachineConfig one point of this request simulates."""
-        return MachineConfig(
-            total_processors=self.total_processors,
-            cluster_size=cluster_size,
-            **self.machine,
-        )
+    body: dict
+    #: SHA-256 over the points' run-cache keys: the single-flight identity
+    key: str
 
 
 def _require_int(body: dict, name: str, default: int) -> int:
@@ -249,6 +193,9 @@ def validate_request(body: Any) -> JobRequest:
             )
     except (TypeError, ValueError) as exc:
         raise RequestError(str(exc)) from None
+    overrides.update(inter_ssmp_delay=inter_ssmp_delay, protocol=protocol)
+    if network is not None:
+        overrides["network"] = network
 
     sizes = body.get("sizes")
     if sizes is None:
@@ -259,25 +206,32 @@ def validate_request(body: Any) -> JobRequest:
     if not isinstance(sizes, list) or not sizes:
         raise RequestError("sizes must be a non-empty list of cluster sizes")
 
-    request = JobRequest(
+    # Construct every point's MachineConfig now, so an unsatisfiable
+    # shape (non-power-of-two sizes, C not dividing P, bad override
+    # values) is a 400 at submission rather than a failed job later;
+    # each config's run-cache key goes into the request key.
+    module_name = ALL_APPS[workload].__name__
+    key = hashlib.sha256()
+    for c in sizes:
+        if isinstance(c, bool) or not isinstance(c, int):
+            raise RequestError(f"sizes must be integers, got {c!r}")
+        try:
+            config = MachineConfig(
+                total_processors=total_processors, cluster_size=c, **overrides
+            )
+        except (TypeError, ValueError) as exc:
+            raise RequestError(f"cluster size {c}: {exc}") from None
+        point_key, _ = fingerprint_run(
+            config, costs, DEFAULT_QUANTUM, module_name, params
+        )
+        key.update(point_key.encode())
+    return JobRequest(
         workload=workload,
         params=params,
         total_processors=total_processors,
         sizes=tuple(sizes),
-        inter_ssmp_delay=inter_ssmp_delay,
         costs=costs,
-        network=network,
         overrides=overrides,
-        protocol=protocol,
+        body=body,
+        key=key.hexdigest(),
     )
-    # Construct every point's MachineConfig now, so an unsatisfiable
-    # shape (non-power-of-two sizes, C not dividing P, bad override
-    # values) is a 400 at submission rather than a failed job later.
-    for c in request.sizes:
-        if isinstance(c, bool) or not isinstance(c, int):
-            raise RequestError(f"sizes must be integers, got {c!r}")
-        try:
-            request.point_config(c)
-        except (TypeError, ValueError) as exc:
-            raise RequestError(f"cluster size {c}: {exc}") from None
-    return request

@@ -91,6 +91,15 @@ def test_bench_params_cover_every_figure():
         bench_params("nonesuch")
 
 
+def test_bench_params_at_scale_one_are_the_app_defaults():
+    # A sweep that names no params runs the app's defaults, so it shares
+    # run-cache entries with the figures only while these are equal.
+    from repro.apps import ALL_APPS, default_params
+
+    for app in PAPER_TABLE4:
+        assert bench_params(app, 1) == default_params(ALL_APPS[app]), app
+
+
 def test_paper_table4_has_all_apps():
     from repro.apps import ALL_APPS, SYNTHETIC_APPS
 

@@ -499,6 +499,33 @@ def test_cli_cache_flags(tmp_path, capsys):
     assert "3 hits" in out and "verified" in out
 
 
+def test_figure_cli_sweep_and_serve_share_one_identity(tmp_path, capsys):
+    """A figure, a bare ``repro sweep`` and a bare serve request simulate
+    the same points, so after the first the other two simulate nothing."""
+    from repro.bench.figures import run_figure
+    from repro.cli import main
+    from repro.serve.jobs import JobQueue, execute_job
+    from repro.serve.validate import validate_request
+
+    cache_dir = tmp_path / "shared"
+    cold = RunCache(cache_dir)
+    run_figure("fig6", 4, cache=cold, options=RunOptions())
+    assert cold.stats.misses == 3
+    capsys.readouterr()
+
+    assert main(["sweep", "jacobi", "--processors", "4", "--cache-dir",
+                 str(cache_dir)]) == 0
+    assert "3 hits, 0 misses" in capsys.readouterr().out
+
+    queue = JobQueue(cache_dir)
+    job, _ = queue.submit(
+        validate_request({"workload": "jacobi", "total_processors": 4}), "cli"
+    )
+    queue.take_next(0)
+    execute_job(job)
+    assert job.cache.stats.hits == 3 and job.cache.stats.misses == 0
+
+
 # ---------------------------------------------------------------------------
 # concurrent use of one store (the repro.serve daemon's deployment shape)
 # ---------------------------------------------------------------------------

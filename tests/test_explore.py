@@ -129,6 +129,30 @@ def test_golden_counterexample_traces(name):
     assert rendered.strip() == golden.strip()
 
 
+#: gcs's refresh bug, unmutated: t0's acquire starts a refresh of the
+#: page while t1's write-fault grant in the same SSMP is still
+#: installing, the grant clears the in-flight flag the two share, and
+#: the refresh's G_ADATA finds none outstanding.  mgs, swdsm and
+#: sc_pages explore this program clean.
+GCS_REFRESH_PROGRAMS = (
+    (("lock",), ("write", 0, 0), ("unlock",)),
+    (("write", 0, 1), ("lock",), ("unlock",), ("read", 0, 1)),
+    (("lock",), ("write", 0, 2), ("unlock",)),
+)
+
+
+def test_gcs_refresh_counterexample_trace():
+    """gcs's unfixed refresh bug is found by BFS at two threads per SSMP,
+    and its minimized trace under results/ regenerates exactly."""
+    cfg = ExploreConfig(engine="gcs", threads=3, nclusters=2, cluster_size=2)
+    report = explore(cfg, GCS_REFRESH_PROGRAMS)
+    assert report.caught and report.rule == "gcs-refresh", report.summary()
+    assert report.states == 1093
+    rendered = counterexample_trace(cfg, report, GCS_REFRESH_PROGRAMS)
+    golden = (RESULTS / "explore_trace_gcs_refresh.txt").read_text()
+    assert rendered.strip() == golden.strip()
+
+
 # ---------------------------------------------------------------------------
 # the stateful walk harness
 # ---------------------------------------------------------------------------

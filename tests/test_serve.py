@@ -14,6 +14,7 @@ The headline contracts (ISSUE 6 acceptance criteria):
 """
 
 import json
+import socket
 import time
 
 import pytest
@@ -44,7 +45,7 @@ def test_minimal_request_gets_paper_defaults():
     req = validate_request({"workload": "jacobi"})
     assert req.total_processors == 32
     assert req.sizes == (1, 2, 4, 8, 16, 32)
-    assert req.inter_ssmp_delay == 1000
+    assert req.overrides["inter_ssmp_delay"] == 1000
     assert req.params.n == 64  # the app's own default
 
 
@@ -60,8 +61,18 @@ def test_request_key_ignores_field_order_and_explicit_defaults():
         }
     )
     assert implicit.key == explicit.key
+    for extra in (
+        {"network": {}},
+        {"costs": {}},
+        {"overrides": {"page_size": 1024}},
+        {"overrides": {"options": {}}},
+        {"params": {"n": 64}},
+    ):
+        assert validate_request({"workload": "jacobi", **extra}).key == implicit.key
     changed = validate_request({"workload": "jacobi", "sizes": [1, 2]})
     assert changed.key != implicit.key
+    resized = validate_request({"workload": "jacobi", "params": {"n": 32}})
+    assert resized.key != implicit.key
 
 
 @pytest.mark.parametrize(
@@ -117,7 +128,7 @@ def test_overrides_participate_in_config_and_key():
     plain = validate_request(dict(JACOBI))
     paged = validate_request({**JACOBI, "overrides": {"page_size": 2048}})
     assert plain.key != paged.key
-    assert paged.point_config(2).page_size == 2048
+    assert paged.overrides["page_size"] == 2048
 
 
 def test_protocol_options_override_is_decoded_and_keyed():
@@ -126,18 +137,14 @@ def test_protocol_options_override_is_decoded_and_keyed():
     opts = validate_request(body)
     assert opts.key != plain.key
     assert opts.key == validate_request(body).key
-    assert opts.canonical()["overrides"]["options"] == {
-        "single_writer_opt": False,
-        "fast_read_clean": False,
-    }
-    assert opts.point_config(2).options == ProtocolOptions(single_writer_opt=False)
+    assert opts.overrides["options"] == ProtocolOptions(single_writer_opt=False)
 
 
 def test_scalar_type_check_lets_an_int_stand_for_a_float():
     request = validate_request(
         {**JACOBI, "network": {"bus_bandwidth": 2, "reliable": None}}
     )
-    assert request.network.bus_bandwidth == 2
+    assert request.overrides["network"].bus_bandwidth == 2
 
 
 def test_protocol_field_participates_in_config_and_key():
@@ -146,10 +153,10 @@ def test_protocol_field_participates_in_config_and_key():
     from repro.core.engine import engine_names
 
     plain = validate_request(dict(JACOBI))
-    assert plain.protocol == "mgs"
+    assert plain.overrides["protocol"] == "mgs"
     swdsm = validate_request({**JACOBI, "protocol": "swdsm"})
     assert swdsm.key != plain.key
-    assert swdsm.point_config(2).protocol == "swdsm"
+    assert swdsm.overrides["protocol"] == "swdsm"
     with pytest.raises(RequestError) as exc:
         validate_request({**JACOBI, "protocol": "token_ring"})
     for name in engine_names():
@@ -275,6 +282,7 @@ def test_e2e_submit_progress_result(daemon):
     assert result["schema_version"] == SCHEMA_VERSION
     assert [p["cluster_size"] for p in result["sweep"]["points"]] == [1, 2]
     assert all(p["total_time"] > 0 for p in result["sweep"]["points"])
+    assert result["request"] == JACOBI  # the submitted body
 
     status = client.status(job["id"])
     assert status["state"] == "done"
@@ -380,6 +388,36 @@ def test_http_error_paths(daemon):
     with pytest.raises(ServeError) as exc:
         client.request("GET", "/v2/anything")
     assert exc.value.status == 404
+
+
+def _raw_post(d, content_length: str, body: bytes) -> bytes:
+    """POST ``body`` under a verbatim ``Content-Length`` over one
+    keep-alive socket; the daemon's whole reply."""
+    host, port = d.server_address[:2]
+    with socket.create_connection((host, port), timeout=10) as sock:
+        sock.sendall(
+            b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\n"
+            b"Content-Length: " + content_length.encode() + b"\r\n\r\n" + body
+        )
+        reply = b""
+        while chunk := sock.recv(65536):  # the daemon closes after replying
+            reply += chunk
+    return reply
+
+
+@pytest.mark.parametrize("content_length", ["abc", "-1"])
+def test_malformed_content_length_is_400(tmp_path, content_length):
+    d = ServeDaemon(port=0, cache_dir=tmp_path / "cache", rate=1000,
+                    burst=1000)
+    d.start_background(dispatch=False)
+    try:
+        reply = _raw_post(d, content_length, json.dumps(JACOBI).encode())
+        head, _, payload = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert "Content-Length must be a byte count" in json.loads(payload)["error"]
+        assert d.queue.submitted == 0
+    finally:
+        d.close()
 
 
 def test_result_before_completion_is_409(tmp_path):
